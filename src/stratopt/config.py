@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .model import ChartPoint
-from .optim import Method, Mode, OptimizerConfig
+from .optim import OptimizerConfig
 
 MODELS = ("cone", "hyperboloid", "both", "cusp")
 TARGET_SURFACES = ("cone", "model")
@@ -69,8 +69,7 @@ class ExperimentSpec:
             raise ValueError(f"model must be one of {MODELS}, got {self.model!r}")
         if self.target_surface not in TARGET_SURFACES:
             raise ValueError(f"target_surface must be one of {TARGET_SURFACES}")
-        Method(self.method)
-        Mode(self.mode)
+        self.optimizer_config()  # rejects bad optimizer settings here, where the spec enters
         if self.target is None:
             raise ValueError("target is required")
         if self.model in ("hyperboloid", "both", "cusp") and not self.eps > 0:

@@ -109,19 +109,33 @@ class GaussianLocationModel:
         mu.setflags(write=False)
         object.__setattr__(self, "target_mean", mu)
 
+    def evaluate(self, q: ChartPoint):
+        """(x, J, loss, gradient) at q for the population mean, per ``chain_rule``.
+
+        Stochastic runs reuse x and J and apply ``chain_rule`` to a batch mean.
+        """
+        x = self.chart.embed(q)
+        J = self.chart.jacobian(q)
+        return (x, J) + chain_rule(x, J, self.target_mean)
+
     def loss(self, q: ChartPoint) -> float:
-        r = self.target_mean - self.chart.embed(q)
-        return 0.5 * float(r @ r)
+        d = self.chart.embed(q) - self.target_mean
+        return 0.5 * float(d @ d)
 
     def loss_grad(self, q: ChartPoint) -> np.ndarray:
         """Chain-rule gradient J^T (embed(q) - target)."""
-        J = self.chart.jacobian(q)
-        return J.T @ (self.chart.embed(q) - self.target_mean)
+        return self.evaluate(q)[3]
 
     def fim(self, q: ChartPoint) -> np.ndarray:
         """Fisher information J^T J (exact for identity-covariance location families)."""
         J = self.chart.jacobian(q)
         return J.T @ J
+
+
+def chain_rule(x: np.ndarray, J: np.ndarray, target) -> tuple[float, np.ndarray]:
+    """Loss 0.5 |x - target|^2 at ambient point x and its chart gradient J^T (x - target)."""
+    d = x - target
+    return 0.5 * float(d @ d), J.T @ d
 
 
 def _mean_of_draws(rng: np.random.Generator, mu_star: np.ndarray, n: int) -> np.ndarray:

@@ -3,21 +3,25 @@
 Both methods iterate q <- q - lr * d with d the gradient (GD) or the
 damped-information-preconditioned gradient (NGD); the update vector is
 norm-capped so the degenerate information matrix near the cone apex cannot
-launch unbounded angular steps.  Runs record (step, chart point, ambient
-point, loss, gradient norm) rows and a termination reason; stochastic mode
-redraws a batch mean each step from a seeded generator while the recorded
-loss and gradient stay population quantities.
+launch unbounded angular steps.  A trajectory is a list of flat rows in
+``tables.TRAJ_FIELDS`` order (step, xi, theta, mu1, mu2, mu3, loss,
+grad_norm), so ``np.array(traj.records)`` is its CSV table, plus a
+termination reason.  Each step evaluates the chart once: the same embedding
+and Jacobian give the recorded loss and gradient and the update.  Stochastic
+mode redraws a batch mean each step from a seeded generator and descends
+toward it while the recorded loss and gradient stay population quantities.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .model import ChartPoint, GaussianLocationModel, _mean_of_draws
+from .model import ChartPoint, GaussianLocationModel, _mean_of_draws, chain_rule
 
 
 class Method(enum.Enum):
@@ -41,8 +45,8 @@ class SingularFIMError(RuntimeError):
     """Undamped information matrix is singular to machine precision."""
 
 
-class NonFiniteGradientError(RuntimeError):
-    pass
+class NonFiniteStepError(RuntimeError):
+    """An update produced a non-finite iterate."""
 
 
 @dataclass(frozen=True)
@@ -62,6 +66,9 @@ class OptimizerConfig:
     def __post_init__(self):
         object.__setattr__(self, "method", Method(self.method))
         object.__setattr__(self, "mode", Mode(self.mode))
+        for name in ("step_size", "step_cap", "damping", "grad_tol", "loss_tol"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.step_size > 0:
             raise ValueError("step_size must be positive")
         if not self.step_cap > 0:
@@ -76,11 +83,15 @@ class OptimizerConfig:
             raise ValueError("stochastic mode needs batch >= 1")
 
 
-@dataclass(frozen=True)
-class TrajectoryRecord:
+class TrajectoryRecord(NamedTuple):
+    """One trajectory row; the fields are ``tables.TRAJ_FIELDS``."""
+
     step: int
-    point: ChartPoint
-    ambient: np.ndarray
+    xi: float
+    theta: float
+    mu1: float
+    mu2: float
+    mu3: float
     loss: float
     grad_norm: float
 
@@ -114,54 +125,53 @@ class StallReport:
     nearest_singularity_distance: float
 
 
-def _capped(update: np.ndarray, cap: float) -> np.ndarray:
-    n = float(np.linalg.norm(update))
-    if n > cap:
-        return update * (cap / n)
-    return update
+def _update(xi: float, theta: float, g: np.ndarray, J: np.ndarray,
+            cfg: OptimizerConfig) -> tuple[float, float]:
+    """The capped step (xi, theta) - lr * d from gradient g and chart Jacobian J.
 
-
-def _check_finite(g: np.ndarray):
-    if not np.isfinite(g).all():
-        raise NonFiniteGradientError(f"non-finite gradient {g}")
+    d is g for GD and (J^T J + damping I)^-1 g for NGD, solved explicitly;
+    with zero damping a machine-singular information matrix raises
+    SingularFIMError instead of producing a garbage direction.  A non-finite
+    new iterate (from overflow, or a non-finite gradient or direction, which
+    propagates through the cap) raises NonFiniteStepError.
+    """
+    if cfg.method is Method.NGD:
+        A = J.T @ J + cfg.damping * np.eye(2)
+        det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
+        scale = max(abs(A).max() ** 2, 1.0)
+        if abs(det) <= np.finfo(float).eps * scale:
+            raise SingularFIMError(
+                f"information matrix is singular at (xi={xi:.6g}, theta={theta:.6g}) "
+                f"with damping={cfg.damping}"
+            )
+        g = np.array([
+            (A[1, 1] * g[0] - A[0, 1] * g[1]) / det,
+            (A[0, 0] * g[1] - A[1, 0] * g[0]) / det,
+        ])
+    step = cfg.step_size * g
+    n = float(np.linalg.norm(step))
+    if n > cfg.step_cap:
+        step = step * (cfg.step_cap / n)
+    new = float(xi - step[0]), float(theta - step[1])
+    if not (math.isfinite(new[0]) and math.isfinite(new[1])):
+        raise NonFiniteStepError(f"non-finite iterate {new} from ({xi}, {theta}) along {g}")
+    return new
 
 
 def gd_step(m: GaussianLocationModel, q: ChartPoint, cfg: OptimizerConfig) -> ChartPoint:
     """One capped gradient step q - lr * grad."""
     if cfg.method is not Method.GD:
         raise ValueError("gd_step requires cfg.method == Method.GD")
-    g = m.loss_grad(q)
-    _check_finite(g)
-    step = _capped(cfg.step_size * g, cfg.step_cap)
-    return ChartPoint(float(q.xi - step[0]), float(q.theta - step[1]))
+    _, J, _, g = m.evaluate(q)
+    return ChartPoint(*_update(q.xi, q.theta, g, J, cfg))
 
 
 def ngd_step(m: GaussianLocationModel, q: ChartPoint, cfg: OptimizerConfig) -> ChartPoint:
-    """One capped natural gradient step q - lr * (F + damping I)^-1 grad.
-
-    With zero damping a machine-singular information matrix raises
-    SingularFIMError instead of producing a garbage direction.
-    """
+    """One capped natural gradient step q - lr * (F + damping I)^-1 grad."""
     if cfg.method is not Method.NGD:
         raise ValueError("ngd_step requires cfg.method == Method.NGD")
-    g = m.loss_grad(q)
-    _check_finite(g)
-    F = m.fim(q)
-    A = F + cfg.damping * np.eye(2)
-    det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
-    scale = max(abs(A).max() ** 2, 1.0)
-    if abs(det) <= np.finfo(float).eps * scale:
-        raise SingularFIMError(
-            f"information matrix is singular at (xi={q.xi:.6g}, theta={q.theta:.6g}) "
-            f"with damping={cfg.damping}"
-        )
-    d = np.array([
-        (A[1, 1] * g[0] - A[0, 1] * g[1]) / det,
-        (A[0, 0] * g[1] - A[1, 0] * g[0]) / det,
-    ])
-    _check_finite(d)
-    step = _capped(cfg.step_size * d, cfg.step_cap)
-    return ChartPoint(float(q.xi - step[0]), float(q.theta - step[1]))
+    _, J, _, g = m.evaluate(q)
+    return ChartPoint(*_update(q.xi, q.theta, g, J, cfg))
 
 
 def run(m: GaussianLocationModel, q0: ChartPoint, cfg: OptimizerConfig) -> Trajectory:
@@ -169,47 +179,18 @@ def run(m: GaussianLocationModel, q0: ChartPoint, cfg: OptimizerConfig) -> Traje
 
     Records are thinned to every ``record_every``-th step; the initial and
     final states are always recorded.  Step errors terminate the run with a
-    FAILED marker and the partial trajectory is returned.
+    FAILED marker naming the step, and the partial trajectory is returned.
     """
-    stepper = gd_step if cfg.method is Method.GD else ngd_step
     rng = np.random.default_rng(cfg.sample_seed) if cfg.mode is Mode.STOCHASTIC else None
-
-    def make_record(t: int, q: ChartPoint) -> TrajectoryRecord:
-        g = m.loss_grad(q)
-        return TrajectoryRecord(
-            step=t,
-            point=q,
-            ambient=m.chart.embed(q),
-            loss=m.loss(q),
-            grad_norm=float(np.linalg.norm(g)),
-        )
-
-    q = q0
-    rec = make_record(0, q)
-    records = [rec]
-    if rec.grad_norm < cfg.grad_tol:
-        return Trajectory(records, Termination.GRAD_TOL)
-    if rec.loss < cfg.loss_tol:
-        return Trajectory(records, Termination.LOSS_TOL)
-    if cfg.max_steps == 0:
-        return Trajectory(records, Termination.MAX_STEPS)
-
-    for t in range(1, cfg.max_steps + 1):
-        if rng is not None:
-            step_model = replace(
-                m, target_mean=_mean_of_draws(rng, m.target_mean, cfg.batch)
-            )
-        else:
-            step_model = m
-        try:
-            q = stepper(step_model, q, cfg)
-        except (SingularFIMError, NonFiniteGradientError) as exc:
-            return Trajectory(records, Termination.FAILED, failure=str(exc))
-        rec = make_record(t, q)
+    xi, theta = q0.xi, q0.theta
+    records = []
+    for t in range(cfg.max_steps + 1):  # returns at the latest when t == max_steps
+        x, J, loss, g = m.evaluate(ChartPoint(xi, theta))
+        rec = TrajectoryRecord(t, xi, theta, *x.tolist(), loss, float(np.linalg.norm(g)))
         terminated = None
         if rec.grad_norm < cfg.grad_tol:
             terminated = Termination.GRAD_TOL
-        elif rec.loss < cfg.loss_tol:
+        elif loss < cfg.loss_tol:
             terminated = Termination.LOSS_TOL
         elif t == cfg.max_steps:
             terminated = Termination.MAX_STEPS
@@ -217,7 +198,12 @@ def run(m: GaussianLocationModel, q0: ChartPoint, cfg: OptimizerConfig) -> Traje
             records.append(rec)
         if terminated:
             return Trajectory(records, terminated)
-    raise AssertionError("unreachable")  # loop always terminates via MAX_STEPS
+        if rng is not None:
+            g = chain_rule(x, J, _mean_of_draws(rng, m.target_mean, cfg.batch))[1]
+        try:
+            xi, theta = _update(xi, theta, g, J, cfg)
+        except (SingularFIMError, NonFiniteStepError) as exc:
+            return Trajectory(records, Termination.FAILED, failure=f"step {t + 1}: {exc}")
 
 
 def detect_stall(
@@ -251,7 +237,8 @@ def detect_stall(
     def distance_from(idx: int) -> float:
         if not len(singularities):
             return math.inf
-        x = records[idx].ambient
+        r = records[idx]
+        x = np.array([r.mu1, r.mu2, r.mu3])
         return float(min(np.linalg.norm(x - np.asarray(s, dtype=float)) for s in singularities))
 
     stalled_mask = (means < plateau_tol) & (end_losses > loss_tol)

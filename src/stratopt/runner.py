@@ -65,14 +65,7 @@ def _target_mean(spec: ExperimentSpec, surface_chart: Chart) -> np.ndarray:
 
 
 def write_trajectory_csv(path, traj: Trajectory) -> Path:
-    rows = []
-    for r in traj.records:
-        rows.append([
-            r.step,
-            tables.fmt(r.point.xi), tables.fmt(r.point.theta),
-            tables.fmt(r.ambient[0]), tables.fmt(r.ambient[1]), tables.fmt(r.ambient[2]),
-            tables.fmt(r.loss), tables.fmt(r.grad_norm),
-        ])
+    rows = [[r.step, *map(tables.fmt, r[1:])] for r in traj.records]
     return tables.write_csv(path, tables.TRAJ_FIELDS, rows)
 
 
@@ -178,8 +171,9 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentResult:
                     singularities=apexes, loss_tol=cfg.loss_tol,
                 )
             else:  # too short to stall: report distance from the endpoint
+                f = traj.final
                 dist = min(
-                    (float(np.linalg.norm(traj.final.ambient - s)) for s in apexes),
+                    (float(np.linalg.norm(np.array([f.mu1, f.mu2, f.mu3]) - s)) for s in apexes),
                     default=math.inf,
                 )
                 report = StallReport(False, -1, math.nan, dist)

@@ -116,32 +116,23 @@ class _Canvas:
         return "\n".join(self.parts + ["</svg>"]) + "\n"
 
 
-def _read(path):
-    header, rows = tables.read_csv(path)
-    return header, rows
-
-
-def _float(s):
-    return float(s)
-
-
 def _loss_series(paths):
     series = []
     for path in paths:
-        header, rows = _read(path)
+        header, rows = tables.read_csv(path)
         stem = Path(path).stem
         if header == tables.TRAJ_FIELDS:
             if not rows:
                 raise PlotDataError(f"{path}: no data rows")
-            xs = [_float(r[0]) for r in rows]
-            ys = [_float(r[6]) for r in rows]
+            xs = [float(r[0]) for r in rows]
+            ys = [float(r[6]) for r in rows]
             series.append((stem, xs, ys))
         elif header == tables.AGG_FIELDS:
             if not rows:
                 raise PlotDataError(f"{path}: no data rows")
-            xs = [_float(r[0]) for r in rows]
-            series.append((stem + ":mean", xs, [_float(r[1]) for r in rows]))
-            series.append((stem + ":median", xs, [_float(r[2]) for r in rows]))
+            xs = [float(r[0]) for r in rows]
+            series.append((stem + ":mean", xs, [float(r[1]) for r in rows]))
+            series.append((stem + ":median", xs, [float(r[2]) for r in rows]))
         else:
             raise SchemaError(f"{path}: expected trajectory or aggregate CSV, got header {header}")
     return series
@@ -175,16 +166,16 @@ def _plot_topview(paths):
     trajectories = []
     targets = []
     for path in paths:
-        header, rows = _read(path)
+        header, rows = tables.read_csv(path)
         if header == tables.TRAJ_FIELDS:
             if not rows:
                 raise PlotDataError(f"{path}: no data rows")
-            mu2 = [_float(r[4]) for r in rows]
-            mu3 = [_float(r[5]) for r in rows]
+            mu2 = [float(r[4]) for r in rows]
+            mu3 = [float(r[5]) for r in rows]
             trajectories.append((Path(path).stem, mu2, mu3))
         elif header == tables.TARGET_FIELDS:
             for r in rows:
-                targets.append((r[0], _float(r[2]), _float(r[3])))
+                targets.append((r[0], float(r[2]), float(r[3])))
         else:
             raise SchemaError(f"{path}: expected trajectory or targets CSV, got header {header}")
     if not trajectories:
@@ -211,13 +202,13 @@ def _plot_topview(paths):
 def _plot_quiver(paths):
     rows_all = []
     for path in paths:
-        header, rows = _read(path)
+        header, rows = tables.read_csv(path)
         if header != tables.QUIVER_FIELDS:
             raise SchemaError(f"{path}: expected quiver CSV, got header {header}")
         rows_all.extend(rows)
     if not rows_all:
         raise PlotDataError("no quiver rows in the inputs")
-    pts = [(_float(r[1]), _float(r[2])) for r in rows_all]
+    pts = [(float(r[1]), float(r[2])) for r in rows_all]
     xs, ys = [p[0] for p in pts], [p[1] for p in pts]
     pad = 0.2 * max(max(xs) - min(xs), max(ys) - min(ys), 1e-9)
     canvas = _Canvas((min(xs) - pad, max(xs) + pad), (min(ys) - pad, max(ys) + pad))
@@ -225,17 +216,17 @@ def _plot_quiver(paths):
     levels = sorted({r[0] for r in rows_all})
     level_color = {lvl: PALETTE[i % len(PALETTE)] for i, lvl in enumerate(levels)}
     norms = [
-        math.hypot(_float(r[3]), _float(r[4]))
+        math.hypot(float(r[3]), float(r[4]))
         for r in rows_all if r[5] == "ok"
     ]
     scale = 0.35 * pad / max(max(norms, default=1.0), 1e-12)
     for r in rows_all:
-        x, y = _float(r[1]), _float(r[2])
+        x, y = float(r[1]), float(r[2])
         color = level_color[r[0]]
         if r[5] == "undefined":
             canvas.circle(x, y, 6, "#d62728")
             continue
-        gx, gy = _float(r[3]) * scale, _float(r[4]) * scale
+        gx, gy = float(r[3]) * scale, float(r[4]) * scale
         canvas.line(x, y, x + gx, y + gy, color, width=1.5)
         canvas.circle(x, y, 2, color)
     canvas.legend([(f"level {float(lvl):g}", c) for lvl, c in level_color.items()])

@@ -17,7 +17,6 @@ STALL_FIELDS = [
 ]
 TARGET_FIELDS = ["surface", "mu1", "mu2", "mu3"]
 QUIVER_FIELDS = ["level", "x1", "x2", "gx", "gy", "status"]
-POINTS_FIELDS_PREFIX = "x"  # sampled-variety CSVs use x0,x1,...
 
 
 def fmt(value: float) -> str:

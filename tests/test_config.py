@@ -1,4 +1,6 @@
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -127,6 +129,26 @@ def test_optimizer_config_mapping(tmp_path):
     assert cfg.mode is Mode.STOCHASTIC
     assert cfg.damping == 0.5
     assert cfg.batch == 4
+
+
+EXAMPLE = Path(__file__).resolve().parents[1] / "docs" / "example_experiment.cfg"
+
+
+@pytest.mark.parametrize("key, value", [
+    ("step_size", "0"),
+    ("step_size", "inf"),
+    ("step_cap", "inf"),
+    ("loss_tol", "nan"),
+    ("grad_tol", "-inf"),
+    ("damping", "inf"),  # rejected although the example uses method = gd
+])
+def test_bad_optimizer_settings_rejected_at_load(tmp_path, key, value):
+    text, n = re.subn(rf"^{key} = \S+", f"{key} = {value}",
+                      EXAMPLE.read_text(encoding="utf-8"), flags=re.M)
+    assert n == 1
+    with pytest.raises(ConfigError) as err:
+        load_config(write(tmp_path, text))
+    assert key in str(err.value)
 
 
 def test_spec_invariants():

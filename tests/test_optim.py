@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from stratopt import tables
 from stratopt.model import Chart, ChartPoint, GaussianLocationModel
 from stratopt.optim import (Method, Mode, OptimizerConfig, SingularFIMError,
-                            Termination, detect_stall, gd_step, ngd_step, run)
+                            Termination, TrajectoryRecord, detect_stall,
+                            gd_step, ngd_step, run)
 
 CONE = Chart.cone()
 HYP = Chart.hyperboloid(0.05)
@@ -115,7 +117,7 @@ def test_aligned_pair_sails_through_the_apex():
     traj = run(cone_model(xbar), ChartPoint(1.0, 0.0), cfg)
     assert traj.terminated_by is Termination.LOSS_TOL
     assert traj.final.loss < 1e-9
-    assert traj.final.point.xi == pytest.approx(-1.0, abs=1e-4)
+    assert traj.final.xi == pytest.approx(-1.0, abs=1e-4)
 
 
 def test_opposite_ray_is_captured_by_the_apex():
@@ -126,7 +128,7 @@ def test_opposite_ray_is_captured_by_the_apex():
     traj = run(cone_model(xbar), ChartPoint(1.0, 3.13), cfg)
     assert traj.terminated_by is Termination.MAX_STEPS
     assert traj.final.loss == pytest.approx(1.0, abs=1e-3)
-    assert abs(traj.final.point.xi) < 0.05
+    assert abs(traj.final.xi) < 0.05
     report = detect_stall(traj, window=100, plateau_tol=1e-5,
                           singularities=[np.zeros(3)])
     assert report.stalled
@@ -138,7 +140,7 @@ def test_hyperboloid_crosses_where_cone_stalls():
     cfg = OptimizerConfig(method="gd", step_size=0.05, max_steps=50_000)
     traj = run(GaussianLocationModel(HYP, xbar), ChartPoint(1.0, 3.13), cfg)
     assert traj.steps_to_loss(1e-4) is not None
-    assert traj.final.point.xi == pytest.approx(-1.0, abs=1e-3)
+    assert traj.final.xi == pytest.approx(-1.0, abs=1e-3)
 
 
 def test_gd_monotone_at_small_rate():
@@ -158,8 +160,8 @@ def test_run_deterministic():
     cfg = OptimizerConfig(method="gd", step_size=0.05, max_steps=500)
     a = run(cone_model(xbar), ChartPoint(1.0, 2.0), cfg)
     b = run(cone_model(xbar), ChartPoint(1.0, 2.0), cfg)
-    assert [(r.step, r.point.xi, r.point.theta, r.loss) for r in a.records] == \
-           [(r.step, r.point.xi, r.point.theta, r.loss) for r in b.records]
+    assert [(r.step, r.xi, r.theta, r.loss) for r in a.records] == \
+           [(r.step, r.xi, r.theta, r.loss) for r in b.records]
 
 
 def test_stochastic_mode_deterministic_given_seed():
@@ -168,14 +170,14 @@ def test_stochastic_mode_deterministic_given_seed():
                           mode="stochastic", batch=8, sample_seed=11)
     a = run(cone_model(xbar), ChartPoint(1.5, 1.0), cfg)
     b = run(cone_model(xbar), ChartPoint(1.5, 1.0), cfg)
-    assert [(r.point.xi, r.point.theta) for r in a.records] == \
-           [(r.point.xi, r.point.theta) for r in b.records]
+    assert [(r.xi, r.theta) for r in a.records] == \
+           [(r.xi, r.theta) for r in b.records]
     # and a different seed takes a different path
     c = run(cone_model(xbar), ChartPoint(1.5, 1.0),
             OptimizerConfig(method="gd", step_size=0.02, max_steps=200,
                             mode="stochastic", batch=8, sample_seed=12))
-    assert [(r.point.xi, r.point.theta) for r in a.records] != \
-           [(r.point.xi, r.point.theta) for r in c.records]
+    assert [(r.xi, r.theta) for r in a.records] != \
+           [(r.xi, r.theta) for r in c.records]
 
 
 def test_failed_step_records_partial_trajectory():
@@ -197,14 +199,64 @@ def test_record_thinning_keeps_endpoints():
     assert set(steps[1:-1]) <= set(range(10, 140, 10))
 
 
+def test_non_finite_iterate_fails_the_run():
+    # the first update overflows: the capped step is inf * 0 = nan
+    xbar = CONE.embed(ChartPoint(-1.0, 0.0))
+    cfg = OptimizerConfig(step_size=1e308, step_cap=1e308, max_steps=5)
+    with np.errstate(over="ignore", invalid="ignore"):
+        traj = run(cone_model(xbar), ChartPoint(1.0, 3.13), cfg)
+    assert traj.terminated_by is Termination.FAILED
+    assert traj.failure.startswith("step 1: non-finite iterate (nan, 3.13)")
+    assert [r.step for r in traj.records] == [0]
+    assert np.isfinite(np.array(traj.records)).all()
+
+
+def test_records_are_flat_rows_in_csv_order():
+    assert TrajectoryRecord._fields == tuple(tables.TRAJ_FIELDS)
+    xbar = HYP.embed(ChartPoint(-1.0, 0.0))
+    traj = run(GaussianLocationModel(HYP, xbar), ChartPoint(1.0, 2.0),
+               OptimizerConfig(max_steps=30, record_every=7))
+    table = np.array(traj.records)
+    assert table.shape == (len(traj.records), len(tables.TRAJ_FIELDS))
+    assert type(traj.final.step) is int
+    for row in traj.records:
+        assert np.array_equal(row[3:6], HYP.embed(ChartPoint(row.xi, row.theta)))
+
+
+@pytest.mark.parametrize("chart, method, mode", [
+    (CONE, "gd", "population"),
+    (HYP, "ngd", "population"),
+    (CONE, "gd", "stochastic"),
+])
+def test_one_chart_evaluation_per_step(monkeypatch, chart, method, mode):
+    m = GaussianLocationModel(chart, CONE.embed(ChartPoint(-1.0, 0.0)))
+    cfg = OptimizerConfig(method=method, mode=mode, max_steps=40, grad_tol=0.0,
+                          loss_tol=0.0, damping=1e-3, record_every=10)
+    calls = {"embed": 0, "jacobian": 0}
+
+    def counted(name):
+        original = getattr(Chart, name)
+
+        def wrapper(self, q):
+            calls[name] += 1
+            return original(self, q)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(Chart, name, counted(name))
+    traj = run(m, ChartPoint(1.0, 3.13), cfg)
+    assert traj.terminated_by is Termination.MAX_STEPS
+    # one evaluation per step, plus the initial point
+    assert calls == {"embed": cfg.max_steps + 1, "jacobian": cfg.max_steps + 1}
+
+
 # -- detect_stall ------------------------------------------------------------------
 
 def synthetic_trajectory(losses):
     from stratopt.optim import Trajectory, TrajectoryRecord
     records = [
-        TrajectoryRecord(step=i, point=ChartPoint(1.0, 0.0),
-                         ambient=np.array([1.0, 1.0, 0.0]), loss=float(L),
-                         grad_norm=1.0)
+        TrajectoryRecord(step=i, xi=1.0, theta=0.0, mu1=1.0, mu2=1.0, mu3=0.0,
+                         loss=float(L), grad_norm=1.0)
         for i, L in enumerate(losses)
     ]
     return Trajectory(records, Termination.MAX_STEPS)
