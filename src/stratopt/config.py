@@ -8,6 +8,7 @@ the metadata file written next to each run sufficient to reproduce it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -65,6 +66,12 @@ class ExperimentSpec:
     output_dir: str | None = None
 
     def __post_init__(self):
+        for key in ("name", "output_dir"):
+            text = getattr(self, key)
+            if text is not None and ("#" in text or text != text.strip()
+                                     or len(text.splitlines()) > 1):
+                raise ValueError(f"{key} {text!r} would not survive the metadata echo: "
+                                 "no '#', line breaks, or leading or trailing spaces")
         if self.model not in MODELS:
             raise ValueError(f"model must be one of {MODELS}, got {self.model!r}")
         if self.target_surface not in TARGET_SURFACES:
@@ -103,9 +110,12 @@ KNOWN_KEYS = _STR_KEYS | _FLOAT_KEYS | _INT_KEYS | _PAIR_KEYS | {"init"}
 
 def _parse_float(path, lineno, key, text) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ConfigError(path, lineno, f"malformed number {text!r} for key {key!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(path, lineno, f"non-finite number {text!r} for key {key!r}")
+    return value
 
 
 def _parse_int(path, lineno, key, text) -> int:
@@ -188,12 +198,14 @@ def load_config(path) -> ExperimentSpec:
             any_line = raw[next(iter(dist_keys))][1]
             raise ConfigError(path, any_line,
                               f"init distribution needs {sorted(missing)} as well")
-        kwargs["init"] = InitDistribution(
-            xi_range=_parse_pair(path, raw["init_xi"][1], "init_xi", raw["init_xi"][0]),
-            theta_range=_parse_pair(path, raw["init_theta"][1], "init_theta", raw["init_theta"][0]),
-            count=_parse_int(path, raw["init_count"][1], "init_count", raw["init_count"][0]),
-            seed=_parse_int(path, raw["init_seed"][1], "init_seed", raw["init_seed"][0]),
-        )
+        xi_range = _parse_pair(path, raw["init_xi"][1], "init_xi", raw["init_xi"][0])
+        theta_range = _parse_pair(path, raw["init_theta"][1], "init_theta", raw["init_theta"][0])
+        count = _parse_int(path, raw["init_count"][1], "init_count", raw["init_count"][0])
+        seed = _parse_int(path, raw["init_seed"][1], "init_seed", raw["init_seed"][0])
+        try:
+            kwargs["init"] = InitDistribution(xi_range, theta_range, count, seed)
+        except ValueError as exc:  # reported at the first init_* line
+            raise ConfigError(path, min(raw[key][1] for key in dist_keys), str(exc)) from None
     try:
         return ExperimentSpec(**kwargs)
     except ValueError as exc:

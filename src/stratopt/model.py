@@ -8,6 +8,10 @@ squared distance between the target mean and the embedded point, the
 gradient follows from the chart Jacobian by the chain rule, and the Fisher
 information is J^T J.  Gradients and the information matrix are always
 computed through the Jacobian, never from transcribed component formulas.
+The chart formulas live in one float kernel, ``Chart.local``, which returns
+the ambient point and the Jacobian entries; ``embed``/``jacobian`` wrap it in
+arrays, and ``chain_rule``/``information`` read its entries, so the model
+methods and the optimizer's step evaluate the same code.
 """
 
 from __future__ import annotations
@@ -54,28 +58,28 @@ class Chart:
     def ambient_dim(self) -> int:
         return 3
 
+    def local(self, xi: float, theta: float) -> tuple[float, ...]:
+        """The chart at (xi, theta) as floats: the one place its formulas live.
+
+        Returns ``(x0, x1, x2, j10, j11, j20, j21)``: the ambient point and the
+        Jacobian rows ``(j10, j11)`` and ``(j20, j21)``; row 0 is always (1, 0).
+        """
+        c, s = math.cos(theta), math.sin(theta)
+        if self.kind is ChartKind.CONE:
+            radial, dradial = xi, 1.0
+        else:
+            radial = math.sqrt(xi * xi + self.eps)
+            dradial = xi / radial
+        return xi, radial * c, radial * s, dradial * c, -radial * s, dradial * s, radial * c
+
     def embed(self, q: "ChartPoint") -> np.ndarray:
         """Ambient coordinates of the chart point."""
-        c, s = math.cos(q.theta), math.sin(q.theta)
-        if self.kind is ChartKind.CONE:
-            radial = q.xi
-        else:
-            radial = math.sqrt(q.xi * q.xi + self.eps)
-        return np.array([q.xi, radial * c, radial * s])
+        return np.array(self.local(q.xi, q.theta)[:3])
 
     def jacobian(self, q: "ChartPoint") -> np.ndarray:
         """3x2 matrix of ambient partials with respect to (xi, theta)."""
-        c, s = math.cos(q.theta), math.sin(q.theta)
-        if self.kind is ChartKind.CONE:
-            radial, dradial = q.xi, 1.0
-        else:
-            radial = math.sqrt(q.xi * q.xi + self.eps)
-            dradial = q.xi / radial
-        return np.array([
-            [1.0, 0.0],
-            [dradial * c, -radial * s],
-            [dradial * s, radial * c],
-        ])
+        _, _, _, j10, j11, j20, j21 = self.local(q.xi, q.theta)
+        return np.array([[1.0, 0.0], [j10, j11], [j20, j21]])
 
 
 @dataclass(frozen=True)
@@ -109,37 +113,31 @@ class GaussianLocationModel:
         mu.setflags(write=False)
         object.__setattr__(self, "target_mean", mu)
 
-    def evaluate(self, q: ChartPoint):
-        """(x, J, loss, gradient) at q for the population mean, per ``chain_rule``.
-
-        Stochastic runs reuse x and J and apply ``chain_rule`` to a batch mean.
-        """
-        x = self.chart.embed(q)
-        J = self.chart.jacobian(q)
-        return (x, J) + chain_rule(x, J, self.target_mean)
-
     def loss(self, q: ChartPoint) -> float:
-        d = self.chart.embed(q) - self.target_mean
-        return 0.5 * float(d @ d)
+        return chain_rule(self.chart.local(q.xi, q.theta), self.target_mean.tolist())[0]
 
     def loss_grad(self, q: ChartPoint) -> np.ndarray:
         """Chain-rule gradient J^T (embed(q) - target)."""
-        return self.evaluate(q)[3]
+        return np.array(chain_rule(self.chart.local(q.xi, q.theta), self.target_mean.tolist())[1:])
 
     def fim(self, q: ChartPoint) -> np.ndarray:
         """Fisher information J^T J (exact for identity-covariance location families)."""
-        J = self.chart.jacobian(q)
-        return J.T @ J
+        f00, f01, f11 = information(self.chart.local(q.xi, q.theta))
+        return np.array([[f00, f01], [f01, f11]])
 
 
-def chain_rule(x: np.ndarray, J: np.ndarray, target) -> tuple[float, np.ndarray]:
-    """Loss 0.5 |x - target|^2 at ambient point x and its chart gradient J^T (x - target)."""
-    d = x - target
-    return 0.5 * float(d @ d), J.T @ d
+def chain_rule(local, target) -> tuple[float, float, float]:
+    """Loss 0.5 |x - target|^2 and the gradient J^T (x - target), from ``Chart.local``."""
+    x0, x1, x2, j10, j11, j20, j21 = local
+    t0, t1, t2 = target
+    d0, d1, d2 = x0 - t0, x1 - t1, x2 - t2
+    return 0.5 * (d0 * d0 + d1 * d1 + d2 * d2), d0 + j10 * d1 + j20 * d2, j11 * d1 + j21 * d2
 
 
-def _mean_of_draws(rng: np.random.Generator, mu_star: np.ndarray, n: int) -> np.ndarray:
-    return mu_star + rng.standard_normal((n, 3)).mean(axis=0)
+def information(local) -> tuple[float, float, float]:
+    """Entries (F00, F01, F11) of the symmetric 2x2 J^T J, from ``Chart.local``."""
+    _, _, _, j10, j11, j20, j21 = local
+    return 1.0 + j10 * j10 + j20 * j20, j10 * j11 + j20 * j21, j11 * j11 + j21 * j21
 
 
 def sample_mean(mu_star, n: int, seed: int) -> np.ndarray:
@@ -149,4 +147,4 @@ def sample_mean(mu_star, n: int, seed: int) -> np.ndarray:
     mu_star = np.asarray(mu_star, dtype=float)
     if mu_star.shape != (3,):
         raise ValueError("mu_star must be a 3-vector")
-    return _mean_of_draws(np.random.default_rng(seed), mu_star, n)
+    return mu_star + np.random.default_rng(seed).standard_normal((n, 3)).mean(axis=0)

@@ -6,10 +6,13 @@ norm-capped so the degenerate information matrix near the cone apex cannot
 launch unbounded angular steps.  A trajectory is a list of flat rows in
 ``tables.TRAJ_FIELDS`` order (step, xi, theta, mu1, mu2, mu3, loss,
 grad_norm), so ``np.array(traj.records)`` is its CSV table, plus a
-termination reason.  Each step evaluates the chart once: the same embedding
-and Jacobian give the recorded loss and gradient and the update.  Stochastic
-mode redraws a batch mean each step from a seeded generator and descends
-toward it while the recorded loss and gradient stay population quantities.
+termination reason.  The step is float arithmetic on one ``Chart.local``
+call per step: its ambient point and Jacobian entries give the recorded
+loss and gradient (``model.chain_rule``), the NGD matrix
+(``model.information``) and the update.  Stochastic mode descends toward a
+fresh batch mean each step, drawn in blocks from a seeded generator in the
+same order as one draw per step, while the recorded loss and gradient stay
+population quantities.
 """
 
 from __future__ import annotations
@@ -21,7 +24,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import ChartPoint, GaussianLocationModel, _mean_of_draws, chain_rule
+from .model import ChartPoint, GaussianLocationModel, chain_rule, information
+
+EPS = float(np.finfo(float).eps)
+BLOCK_NORMALS = 12_288  # standard normals per block of stochastic batch means
 
 
 class Method(enum.Enum):
@@ -125,83 +131,116 @@ class StallReport:
     nearest_singularity_distance: float
 
 
-def _update(xi: float, theta: float, g: np.ndarray, J: np.ndarray,
+def _update(xi: float, theta: float, g0: float, g1: float, local,
             cfg: OptimizerConfig) -> tuple[float, float]:
-    """The capped step (xi, theta) - lr * d from gradient g and chart Jacobian J.
+    """The capped step (xi, theta) - lr * d from gradient (g0, g1) at ``Chart.local``.
 
     d is g for GD and (J^T J + damping I)^-1 g for NGD, solved explicitly;
     with zero damping a machine-singular information matrix raises
-    SingularFIMError instead of producing a garbage direction.  A non-finite
-    new iterate (from overflow, or a non-finite gradient or direction, which
-    propagates through the cap) raises NonFiniteStepError.
+    SingularFIMError instead of producing a garbage direction.  The cap uses
+    ``math.hypot``, which does not overflow.  A non-finite new iterate (from
+    overflow, or a non-finite gradient or direction, which propagates
+    through the cap) raises NonFiniteStepError.
     """
     if cfg.method is Method.NGD:
-        A = J.T @ J + cfg.damping * np.eye(2)
-        det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
-        scale = max(abs(A).max() ** 2, 1.0)
-        if abs(det) <= np.finfo(float).eps * scale:
+        a00, a01, a11 = information(local)
+        a00 += cfg.damping
+        a11 += cfg.damping
+        det = a00 * a11 - a01 * a01
+        big = max(abs(a00), abs(a01), abs(a11))
+        if abs(det) <= EPS * max(big * big, 1.0):
             raise SingularFIMError(
                 f"information matrix is singular at (xi={xi:.6g}, theta={theta:.6g}) "
                 f"with damping={cfg.damping}"
             )
-        g = np.array([
-            (A[1, 1] * g[0] - A[0, 1] * g[1]) / det,
-            (A[0, 0] * g[1] - A[1, 0] * g[0]) / det,
-        ])
-    step = cfg.step_size * g
-    n = float(np.linalg.norm(step))
+        g0, g1 = (a11 * g0 - a01 * g1) / det, (a00 * g1 - a01 * g0) / det
+    s0, s1 = cfg.step_size * g0, cfg.step_size * g1
+    n = math.hypot(s0, s1)
     if n > cfg.step_cap:
-        step = step * (cfg.step_cap / n)
-    new = float(xi - step[0]), float(theta - step[1])
+        k = cfg.step_cap / n
+        s0, s1 = s0 * k, s1 * k
+    new = xi - s0, theta - s1
     if not (math.isfinite(new[0]) and math.isfinite(new[1])):
-        raise NonFiniteStepError(f"non-finite iterate {new} from ({xi}, {theta}) along {g}")
+        raise NonFiniteStepError(
+            f"non-finite iterate {new} from ({xi}, {theta}) along ({g0}, {g1})")
     return new
+
+
+def _step(m: GaussianLocationModel, q: ChartPoint, cfg: OptimizerConfig) -> ChartPoint:
+    local = m.chart.local(q.xi, q.theta)
+    _, g0, g1 = chain_rule(local, m.target_mean.tolist())
+    return ChartPoint(*_update(q.xi, q.theta, g0, g1, local, cfg))
 
 
 def gd_step(m: GaussianLocationModel, q: ChartPoint, cfg: OptimizerConfig) -> ChartPoint:
     """One capped gradient step q - lr * grad."""
     if cfg.method is not Method.GD:
         raise ValueError("gd_step requires cfg.method == Method.GD")
-    _, J, _, g = m.evaluate(q)
-    return ChartPoint(*_update(q.xi, q.theta, g, J, cfg))
+    return _step(m, q, cfg)
 
 
 def ngd_step(m: GaussianLocationModel, q: ChartPoint, cfg: OptimizerConfig) -> ChartPoint:
     """One capped natural gradient step q - lr * (F + damping I)^-1 grad."""
     if cfg.method is not Method.NGD:
         raise ValueError("ngd_step requires cfg.method == Method.NGD")
-    _, J, _, g = m.evaluate(q)
-    return ChartPoint(*_update(q.xi, q.theta, g, J, cfg))
+    return _step(m, q, cfg)
+
+
+def _batch_means(rng: np.random.Generator, mu_star: np.ndarray, batch: int):
+    """Endless stream of mu_star + the mean of ``batch`` N(0, I_3) draws.
+
+    Drawn in blocks of about BLOCK_NORMALS normals, so memory does not grow
+    with ``batch``; the generator fills a block in the same order as one
+    ``(batch, 3)`` draw per mean, so the stream does not depend on the block size.
+    """
+    rows = max(1, BLOCK_NORMALS // (3 * batch))
+    while True:
+        yield from (mu_star + rng.standard_normal((rows, batch, 3)).mean(axis=1)).tolist()
 
 
 def run(m: GaussianLocationModel, q0: ChartPoint, cfg: OptimizerConfig) -> Trajectory:
     """Iterate the configured step until a tolerance or the step budget hits.
 
     Records are thinned to every ``record_every``-th step; the initial and
-    final states are always recorded.  Step errors terminate the run with a
-    FAILED marker naming the step, and the partial trajectory is returned.
+    final states are always recorded.  Step errors, and a non-finite loss or
+    gradient at a later iterate, terminate the run with a FAILED marker
+    naming the step, and the partial trajectory is returned; no non-finite
+    value is recorded.  A start point whose loss or gradient is not finite
+    raises ValueError.
     """
-    rng = np.random.default_rng(cfg.sample_seed) if cfg.mode is Mode.STOCHASTIC else None
-    xi, theta = q0.xi, q0.theta
+    local_at = m.chart.local
+    target = m.target_mean.tolist()
+    means = (_batch_means(np.random.default_rng(cfg.sample_seed), m.target_mean, cfg.batch)
+             if cfg.mode is Mode.STOCHASTIC else None)
+    grad_tol, loss_tol, max_steps = cfg.grad_tol, cfg.loss_tol, cfg.max_steps
+    xi, theta = float(q0.xi), float(q0.theta)
     records = []
-    for t in range(cfg.max_steps + 1):  # returns at the latest when t == max_steps
-        x, J, loss, g = m.evaluate(ChartPoint(xi, theta))
-        rec = TrajectoryRecord(t, xi, theta, *x.tolist(), loss, float(np.linalg.norm(g)))
-        terminated = None
-        if rec.grad_norm < cfg.grad_tol:
+    for t in range(max_steps + 1):  # returns at the latest when t == max_steps
+        local = local_at(xi, theta)
+        loss, g0, g1 = chain_rule(local, target)
+        grad_norm = math.hypot(g0, g1)
+        if not (math.isfinite(loss) and math.isfinite(grad_norm)):
+            failure = (f"step {t}: non-finite loss {loss} (gradient norm {grad_norm}) "
+                       f"at ({xi}, {theta})")
+            if not records:
+                raise ValueError(failure)
+            return Trajectory(records, Termination.FAILED, failure=failure)
+        if grad_norm < grad_tol:
             terminated = Termination.GRAD_TOL
-        elif loss < cfg.loss_tol:
+        elif loss < loss_tol:
             terminated = Termination.LOSS_TOL
-        elif t == cfg.max_steps:
+        elif t == max_steps:
             terminated = Termination.MAX_STEPS
+        else:
+            terminated = None
         if terminated or t % cfg.record_every == 0:
-            records.append(rec)
+            records.append(TrajectoryRecord(t, xi, theta, *local[:3], loss, grad_norm))
         if terminated:
             return Trajectory(records, terminated)
-        if rng is not None:
-            g = chain_rule(x, J, _mean_of_draws(rng, m.target_mean, cfg.batch))[1]
+        if means is not None:
+            _, g0, g1 = chain_rule(local, next(means))
         try:
-            xi, theta = _update(xi, theta, g, J, cfg)
+            xi, theta = _update(xi, theta, g0, g1, local, cfg)
         except (SingularFIMError, NonFiniteStepError) as exc:
             return Trajectory(records, Termination.FAILED, failure=f"step {t + 1}: {exc}")
 

@@ -11,6 +11,7 @@ Points are plain 1-D float arrays (``AmbientPoint`` below is just an alias).
 
 from __future__ import annotations
 
+import math
 import re
 from typing import Mapping
 
@@ -202,7 +203,7 @@ class Polynomial:
         return " ".join([out] + pieces[1:])
 
 
-_VAR_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
+_VAR_RE = re.compile(r"^x(0|[1-9]\d*)(?:\^(\d+))?$")  # no leading zeros: x01 is not x1
 
 
 def parse_polynomial(text: str, nvars: int | None = None) -> Polynomial:
@@ -261,6 +262,8 @@ def parse_polynomial(text: str, nvars: int | None = None) -> Polynomial:
     for exps, coeff in raw_terms:
         key = tuple(exps.get(j, 0) for j in range(nvars))
         coeffs[key] = coeffs.get(key, 0.0) + coeff
+    if not all(math.isfinite(c) for c in coeffs.values()):
+        raise PolynomialParseError(f"non-finite coefficient in {text!r}")
     return Polynomial(nvars, coeffs)
 
 

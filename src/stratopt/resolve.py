@@ -18,6 +18,7 @@ from .poly import Polynomial
 from .stratify import TOL_CRIT, Region, find_singular_points
 
 DEFAULT_GRID_N = 64
+MAX_CORNERS = 4_000_000  # grid corners count_components may evaluate; 129^3 fits
 DEFAULT_SAMPLES = 10_000
 PROJECTION_TOL = 1e-12
 DIVERGENCE_BUDGET = 0.01  # fraction of samples allowed to miss the variety
@@ -143,6 +144,9 @@ def count_components(d: Deformation, grid_n: int = DEFAULT_GRID_N) -> ComponentR
     if grid_n < 16:
         raise ValueError(f"grid_n must be >= 16, got {grid_n}")
     p, region, dim = d.base, d.region, d.region.dim
+    if (grid_n + 1) ** dim > MAX_CORNERS:
+        raise ValueError(f"grid_n={grid_n} in {dim} dimensions needs {(grid_n + 1) ** dim} "
+                         f"corners, more than MAX_CORNERS={MAX_CORNERS}; lower grid_n")
     axes = [np.linspace(region.lower[j], region.upper[j], grid_n + 1) for j in range(dim)]
     mesh = np.meshgrid(*axes, indexing="ij")
     corners = np.stack([m.ravel() for m in mesh], axis=1)

@@ -151,6 +151,51 @@ def test_bad_optimizer_settings_rejected_at_load(tmp_path, key, value):
     assert key in str(err.value)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("name", "a#b"),
+    ("name", "a\nb"),
+    ("name", " a"),
+    ("name", "a "),
+    ("output_dir", "out#1"),
+    ("output_dir", "out/a\r"),
+])
+def test_text_the_echo_cannot_carry_is_rejected(key, value):
+    # format_config would write it, but it would not load back the same
+    with pytest.raises(ValueError, match=key):
+        ExperimentSpec(target=ChartPoint(1, 0), init=(ChartPoint(1, 0),), **{key: value})
+
+
+def test_inner_spaces_survive_the_echo(tmp_path):
+    spec = ExperimentSpec(name="my run", output_dir="out/my run",
+                          target=ChartPoint(1, 0), init=(ChartPoint(1, 0),))
+    assert load_config(write(tmp_path, format_config(spec))) == spec
+
+
+@pytest.mark.parametrize("line", [
+    "target = nan 0",
+    "init = 1 0; 0.5 nan",
+    "eps = inf",
+])
+def test_non_finite_numbers_name_the_line(tmp_path, line):
+    key = line.split()[0]
+    text = re.sub(rf"^{key} = .*$", line, MINIMAL, flags=re.M)
+    if key not in MINIMAL:
+        text += line + "\n"
+    lineno = text.splitlines().index(line) + 1
+    with pytest.raises(ConfigError) as err:
+        load_config(write(tmp_path, text))
+    assert f":{lineno}:" in str(err.value)
+    assert key in str(err.value)
+
+
+def test_bad_init_distribution_names_a_line(tmp_path):
+    text = ("[experiment]\nmodel = cone\ntarget = 1 0\n"
+            "init_xi = 1 0\ninit_theta = 0 1\ninit_count = 3\ninit_seed = 1\n")
+    with pytest.raises(ConfigError) as err:
+        load_config(write(tmp_path, text))
+    assert ":4:" in str(err.value)
+
+
 def test_spec_invariants():
     with pytest.raises(ValueError):
         ExperimentSpec(model="flat", target=ChartPoint(0, 0), init=(ChartPoint(1, 0),))

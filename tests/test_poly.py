@@ -104,6 +104,15 @@ def test_parse_errors():
         parse_polynomial("x5", nvars=2)
 
 
+@pytest.mark.parametrize("text", [
+    "inf*x0", "nan + x1^2", "1e400*x0", "1e308*x0 + 1e308*x0",  # non-finite coefficients
+    "x01^2", "x0 + x00",  # variable indices with leading zeros
+])
+def test_parse_rejects_non_finite_and_zero_padded(text):
+    with pytest.raises(PolynomialParseError):
+        parse_polynomial(text)
+
+
 def test_named_varieties():
     assert double_cone().eval([1, 1, 0]) == 0.0  # chart point (xi=1, theta=0)
     assert axis_pair().eval([0, 3]) == 0.0

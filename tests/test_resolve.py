@@ -57,6 +57,18 @@ def test_grid_n_validated():
         count_components(deform(CONE, 0.1), 8)
 
 
+def test_corner_guard_refuses_before_building_the_grid(monkeypatch):
+    # 8 variables at grid 16 need 17^8 ~ 7e9 corners; grid 128 in 3-D
+    # (129^3 corners) stays admitted, see test_counts_stable_under_grid_refinement
+    sphere8 = parse_polynomial(" + ".join(f"x{j}^2" for j in range(8)))
+
+    def no_grid(*args, **kwargs):
+        raise AssertionError("the corner grid was built")
+    monkeypatch.setattr(np, "meshgrid", no_grid)
+    with pytest.raises(ValueError, match="corners"):
+        count_components(deform(sphere8, 1.0), 16)
+
+
 # -- choose_resolution -----------------------------------------------------------
 
 def test_cone_resolution_prefers_connected_sign():
