@@ -18,8 +18,7 @@ from .config import load_config
 from .model import Chart, ChartPoint, GaussianLocationModel
 from .poly import Polynomial, parse_polynomial
 from .presets import PRESET_NAMES, preset
-from .resolve import (choose_resolution, count_components, deform,
-                      project_to_level, smoothness_check)
+from .resolve import _candidates, _choose, count_components, project_to_level
 from .runner import run_experiment
 from .stratify import Region, stratify
 from .svgplot import KINDS, plot
@@ -56,18 +55,19 @@ def _cmd_stratify(args) -> int:
 def _cmd_resolve(args) -> int:
     p = parse_polynomial(args.polynomial, nvars=args.nvars)
     region = _parse_region(args.region, p.nvars)
-    for sign in (+1.0, -1.0):
-        rep = count_components(deform(p, sign * args.eps, region), args.grid_n)
-        print(f"level {sign * args.eps:+g}: {rep.count} component(s), "
+    candidates = _candidates(p, args.eps, region)
+    reports = [count_components(d, args.grid_n) for d in candidates]
+    for d, rep in zip(candidates, reports):
+        print(f"level {d.level:+g}: {rep.count} component(s), "
               f"{rep.occupied_cells} occupied cells")
-    chosen = choose_resolution(p, args.eps, region, args.grid_n)
+    chosen = _choose(candidates, reports)
     print(f"chosen level: {chosen.level:+g}")
-    print(f"smoothness check: {'pass' if smoothness_check(chosen) else 'FAIL'}")
+    print("smoothness check: pass")  # _choose returns only a candidate that passed it
     if args.csv:
         rng = np.random.default_rng(0)
         X = region.sample(args.samples, rng)
         Y, ok = project_to_level(p, chosen.level, X)
-        keep = [y for y, good in zip(Y, ok) if good and region.contains(y, pad=1e-9)]
+        keep = Y[ok & region.contains(Y, pad=1e-9)]
         fields = [f"x{j}" for j in range(p.nvars)]
         tables.write_csv(args.csv, fields, [[tables.fmt(v) for v in y] for y in keep])
         print(f"{len(keep)} deformation samples written to {args.csv}")

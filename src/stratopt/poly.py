@@ -254,6 +254,11 @@ def parse_polynomial(text: str, nvars: int | None = None) -> Polynomial:
             raise PolynomialParseError(
                 "constant-only polynomial: pass nvars explicitly"
             )
+        if max_var >= MAX_NVARS:
+            raise PolynomialParseError(
+                f"variable x{max_var} exceeds the supported maximum of {MAX_NVARS} "
+                f"variables (x0..x{MAX_NVARS - 1})"
+            )
         nvars = max_var + 1
     elif max_var >= nvars:
         raise PolynomialParseError(

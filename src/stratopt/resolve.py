@@ -4,8 +4,11 @@ A deformation at a regular value c is a smooth hypersurface approximating
 the singular one away from its singular points.  The preferred deformation
 level is chosen by connectivity: among the two candidate signs, the one
 whose level set has fewer connected components wins (an empty level set
-never wins).  Components are counted on an occupancy grid joined by
-union-find over face adjacency, so the count is deterministic.
+never wins).  Components are counted on an occupancy grid: occupied cells
+that share a face are labelled in numpy by min-label hooking and pointer
+jumping (Shiloach & Vishkin 1982), so the count is deterministic.
+``scipy.ndimage.label`` would label faster, but the runtime dependencies
+stay ``numpy`` only.
 """
 
 from __future__ import annotations
@@ -113,33 +116,11 @@ def project_to_level(
     return X, ok
 
 
-class _UnionFind:
-    def __init__(self):
-        self.parent: dict[int, int] = {}
-
-    def find(self, a: int) -> int:
-        parent = self.parent
-        root = a
-        while parent[root] != root:
-            root = parent[root]
-        while parent[a] != root:  # path compression
-            parent[a], a = root, parent[a]
-        return root
-
-    def add(self, a: int):
-        self.parent.setdefault(a, a)
-
-    def union(self, a: int, b: int):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-
 def count_components(d: Deformation, grid_n: int = DEFAULT_GRID_N) -> ComponentReport:
     """Connected components of {base = level} on an occupancy grid.
 
     A cell is occupied iff base - level changes sign over the cell's corners;
-    occupied cells sharing a face are merged by union-find.
+    occupied cells sharing a face belong to one component.
     """
     if grid_n < 16:
         raise ValueError(f"grid_n must be >= 16, got {grid_n}")
@@ -148,40 +129,71 @@ def count_components(d: Deformation, grid_n: int = DEFAULT_GRID_N) -> ComponentR
         raise ValueError(f"grid_n={grid_n} in {dim} dimensions needs {(grid_n + 1) ** dim} "
                          f"corners, more than MAX_CORNERS={MAX_CORNERS}; lower grid_n")
     axes = [np.linspace(region.lower[j], region.upper[j], grid_n + 1) for j in range(dim)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    corners = np.stack([m.ravel() for m in mesh], axis=1)
-    vals = (p.eval_many(corners) - d.level).reshape((grid_n + 1,) * dim)
+    shape = (grid_n + 1,) * dim
+    corners = np.empty(shape + (dim,))  # filled in place: no dense mesh beside it
+    for j, m in enumerate(np.meshgrid(*axes, indexing="ij", sparse=True)):
+        corners[..., j] = m
+    vals = (p.eval_many(corners.reshape(-1, dim)) - d.level).reshape(shape)
+    del corners  # the largest array; free it before the cell passes
     mins = vals
     maxs = vals
     for ax in range(dim):
-        head = [slice(None)] * dim
-        tail = [slice(None)] * dim
-        head[ax] = slice(0, -1)
-        tail[ax] = slice(1, None)
-        mins = np.minimum(mins[tuple(head)], mins[tuple(tail)])
-        maxs = np.maximum(maxs[tuple(head)], maxs[tuple(tail)])
+        head, tail = _face_slices(dim, ax)
+        mins = np.minimum(mins[head], mins[tail])
+        maxs = np.maximum(maxs[head], maxs[tail])
     # weak inequalities: a corner exactly on the level set still marks the cell
     occupied = (mins <= 0.0) & (maxs >= 0.0)
+    del vals, mins, maxs  # freed before labeling, so later arrays reuse their pages
     n_occ = int(occupied.sum())
     spacing = float(np.max(region.widths) / grid_n)
     if n_occ == 0:
         return ComponentReport(count=0, grid_spacing=spacing, occupied_cells=0)
-    uf = _UnionFind()
-    flat_ids = np.arange(grid_n ** dim).reshape((grid_n,) * dim)
-    for idx in flat_ids[occupied].ravel():
-        uf.add(int(idx))
+    # occupied cells get ids 0..n_occ-1; an edge joins two face-adjacent ones
+    ids = np.zeros(occupied.shape, dtype=np.int32)
+    ids[occupied] = np.arange(n_occ, dtype=np.int32)
+    ends_a, ends_b = [], []
     for ax in range(dim):
-        head = [slice(None)] * dim
-        tail = [slice(None)] * dim
-        head[ax] = slice(0, -1)
-        tail[ax] = slice(1, None)
-        both = occupied[tuple(head)] & occupied[tuple(tail)]
-        ia = flat_ids[tuple(head)][both].ravel()
-        ib = flat_ids[tuple(tail)][both].ravel()
-        for a, b in zip(ia, ib):
-            uf.union(int(a), int(b))
-    roots = {uf.find(int(i)) for i in flat_ids[occupied].ravel()}
-    return ComponentReport(count=len(roots), grid_spacing=spacing, occupied_cells=n_occ)
+        head, tail = _face_slices(dim, ax)
+        both = occupied[head] & occupied[tail]
+        ends_a.append(ids[head][both])
+        ends_b.append(ids[tail][both])
+    del ids
+    return ComponentReport(count=_count_roots(n_occ, np.concatenate(ends_a),
+                                              np.concatenate(ends_b)),
+                           grid_spacing=spacing, occupied_cells=n_occ)
+
+
+def _face_slices(dim: int, ax: int) -> tuple[tuple, tuple]:
+    """Index tuples of the cells before and after each face normal to ``ax``."""
+    head = [slice(None)] * dim
+    tail = [slice(None)] * dim
+    head[ax] = slice(0, -1)
+    tail[ax] = slice(1, None)
+    return tuple(head), tuple(tail)
+
+
+def _count_roots(n: int, a: np.ndarray, b: np.ndarray) -> int:
+    """Connected components of the graph on nodes 0..n-1 with edges (a[k], b[k]).
+
+    Each round hooks the larger root of every edge that joins two trees onto
+    the smaller one, then pointer-jumps until every node points at its root;
+    an edge whose ends share a root keeps it for good and is dropped.  Every
+    parent is at most its node, so the forest has no cycle, and every round
+    that finds an edge joining two trees removes at least one root.
+    """
+    parent = np.arange(n, dtype=a.dtype)
+    while True:
+        ra, rb = parent[a], parent[b]
+        joins = ra != rb
+        if not joins.any():
+            return int(np.count_nonzero(parent == np.arange(n)))
+        a, b, ra, rb = a[joins], b[joins], ra[joins], rb[joins]
+        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
 
 
 def smoothness_check(d: Deformation, samples: int = DEFAULT_SAMPLES, seed: int = 0) -> bool:
@@ -220,11 +232,21 @@ def choose_resolution(
     Empty level sets (count 0) never win; ties break toward +eps.  The chosen
     deformation must pass the smoothness check.
     """
+    candidates = _candidates(p, eps, region)
+    return _choose(candidates, [count_components(c, grid_n) for c in candidates])
+
+
+def _candidates(p: Polynomial, eps: float, region: Region | None) -> list[Deformation]:
+    """The deformations at +eps and -eps, in tie-break order."""
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     region = region or default_region(p.nvars)
-    candidates = [deform(p, +eps, region), deform(p, -eps, region)]
-    reports = [count_components(c, grid_n) for c in candidates]
+    return [deform(p, +eps, region), deform(p, -eps, region)]
+
+
+def _choose(candidates: list[Deformation], reports: list[ComponentReport]) -> Deformation:
+    """``choose_resolution`` on the candidates' component reports."""
+    eps = candidates[0].level
     viable = [(r.count, i) for i, r in enumerate(reports) if r.count > 0]
     if not viable:
         raise ResolutionError(
@@ -258,8 +280,7 @@ def proximity_check(
     rng = np.random.default_rng(seed)
     X = d.region.sample(samples, rng)
     Y, ok = project_to_level(d.base, d.level, X)
-    Y = Y[ok]
-    Y = Y[[d.region.contains(y, pad=1e-9) for y in Y]]
+    Y = Y[ok & d.region.contains(Y, pad=1e-9)]
     sing = find_singular_points(d.base, 0.0, d.region)
     if sing:
         dists = np.min(

@@ -9,7 +9,6 @@ CSV of tangentially projected gradients along the curve and its deformations.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -49,15 +48,6 @@ def _surfaces(spec: ExperimentSpec) -> list[tuple[str, Chart]]:
     if spec.model == "both":
         return [("cone", Chart.cone()), ("hyperboloid", Chart.hyperboloid(spec.eps))]
     raise ValueError(f"no chart surfaces for model {spec.model!r}")
-
-
-@functools.cache
-def _apexes() -> tuple[np.ndarray, ...]:
-    """Singular points of the double cone: a constant, searched for once per process."""
-    apexes = tuple(find_singular_points(double_cone(), 0.0, default_region(3)))
-    for point in apexes:
-        point.setflags(write=False)
-    return apexes
 
 
 def _initial_points(spec: ExperimentSpec) -> list[ChartPoint]:
@@ -160,7 +150,7 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentResult:
 
     cfg = spec.optimizer_config()
     inits = _initial_points(spec)
-    apexes = _apexes()
+    apexes = find_singular_points(double_cone(), 0.0, default_region(3))
     stall_rows = []
     target_rows = []
     for surface, chart in _surfaces(spec):

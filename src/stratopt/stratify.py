@@ -3,13 +3,18 @@
 Singular points of the level set {p = level} are the points where the
 gradient of p vanishes on the level set.  They are located by running
 Newton's method on the critical-point system (grad p = 0) from a uniform
-grid of seeds, then filtering to the level set and deduplicating.  Only the
-hypersurface case (a single polynomial) is supported; systems of several
-polynomials are rejected.
+grid of seeds, then filtering to the level set and deduplicating.  The
+Newton endpoints do not depend on the level, so they are cached per process
+(``NEWTON_CACHE_SIZE`` entries, keyed on the polynomial, the exact region
+bounds, the seed grid and the iteration limit): every level searched on one
+variety and region shares a single solve.  Only the hypersurface case (a
+single polynomial) is supported; systems of several polynomials are
+rejected.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -24,6 +29,7 @@ MERGE_RADIUS = 1e-4  # candidate roots closer than this are duplicates
 SEED_GRID = 21       # Newton seeds per axis
 NEWTON_MAX_ITER = 50
 MAX_SEEDS = 2_000_000
+NEWTON_CACHE_SIZE = 32  # cached Newton solves, one per (variety, region, seeds)
 
 
 class OffVarietyError(ValueError):
@@ -71,9 +77,14 @@ class Region:
     def widths(self) -> np.ndarray:
         return self.upper - self.lower
 
-    def contains(self, x, pad: float = 0.0) -> bool:
+    def contains(self, x, pad: float = 0.0):
+        """Whether a point lies in the box widened by ``pad``: a ``bool`` for
+        one point, a boolean mask over the rows of an ``(m, dim)`` array."""
         x = np.asarray(x, dtype=float)
-        return bool(((x >= self.lower - pad) & (x <= self.upper + pad)).all())
+        inside = (x >= self.lower - pad) & (x <= self.upper + pad)
+        if inside.ndim <= 1:
+            return bool(inside.all())
+        return inside.all(axis=-1)
 
     def grid(self, points_per_axis: int) -> np.ndarray:
         """Uniform grid of seed points, shape (points_per_axis**dim, dim)."""
@@ -140,7 +151,32 @@ def find_singular_points(
     _reject_systems(p)
     if p.nvars != region.dim:
         raise ValueError(f"polynomial has {p.nvars} variables, region has dim {region.dim}")
-    X = region.grid(grid_points)
+    X = _newton_endpoints(p, region.lower.tobytes(), region.upper.tobytes(),
+                          grid_points, max_iter)
+    grad_ok = np.linalg.norm(p.grad_many(X), axis=1) < tol_crit
+    on_level = np.abs(p.eval_many(X) - level) < tol_on
+    pad = 1e-9 * float(np.max(region.widths))
+    cands = X[grad_ok & on_level & region.contains(X, pad=pad)]
+    cands = cands[np.lexsort(cands.T[::-1])]  # primary key: first coordinate
+    out: list[np.ndarray] = []
+    # keep the first remaining candidate, drop every candidate within
+    # merge_radius of it; on the sorted order this keeps a candidate iff it is
+    # farther than merge_radius from every point kept before it
+    while cands.shape[0]:
+        out.append(cands[0].copy())
+        cands = cands[np.linalg.norm(cands - cands[0], axis=1) > merge_radius]
+    return out
+
+
+@functools.lru_cache(maxsize=NEWTON_CACHE_SIZE)
+def _newton_endpoints(p: Polynomial, lower: bytes, upper: bytes,
+                      grid_points: int, max_iter: int) -> np.ndarray:
+    """Finite endpoints of Newton's method on grad p = 0 from every grid seed
+    of the region with these float64 bounds; read-only, shared by callers.
+
+    The bounds are keyed by their bytes, so -0.0 and 0.0 get separate entries.
+    """
+    X = Region(np.frombuffer(lower), np.frombuffer(upper)).grid(grid_points)
     for _ in range(max_iter):
         finite = np.isfinite(X).all(axis=1)
         G = np.zeros_like(X)
@@ -151,21 +187,9 @@ def find_singular_points(
         H = p.hessian_many(X[active])
         step = -np.einsum("kij,kj->ki", np.linalg.pinv(H), G[active])
         X[active] = X[active] + step
-    finite = np.isfinite(X).all(axis=1)
-    X = X[finite]
-    grad_ok = np.linalg.norm(p.grad_many(X), axis=1) < tol_crit
-    on_level = np.abs(p.eval_many(X) - level) < tol_on
-    pad = 1e-9 * float(np.max(region.widths))
-    in_region = np.array([region.contains(x, pad=pad) for x in X])
-    cands = X[grad_ok & on_level & in_region]
-    if cands.shape[0] == 0:
-        return []
-    order = np.lexsort(cands.T[::-1])  # primary key: first coordinate
-    out: list[np.ndarray] = []
-    for x in cands[order]:
-        if all(np.linalg.norm(x - y) > merge_radius for y in out):
-            out.append(x.copy())
-    return out
+    X = X[np.isfinite(X).all(axis=1)]
+    X.setflags(write=False)
+    return X
 
 
 def tangent_dimension(

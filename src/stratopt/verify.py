@@ -2,8 +2,8 @@
 
 These deliberately avoid the analytic gradient and information code paths:
 the finite-difference probe sees only a black-box loss, and the Monte-Carlo
-estimator rebuilds the score from the chart embedding and Jacobian plus raw
-Gaussian draws.  Tests use them to cross-check the closed forms.
+estimator rebuilds the score from the chart Jacobian and raw Gaussian
+draws.  Tests use them to cross-check the closed forms.
 """
 
 from __future__ import annotations
@@ -46,15 +46,14 @@ def finite_diff_grad(f, q: ChartPoint, spec: FDSpec = FDSpec()) -> np.ndarray:
 def monte_carlo_fim(m: GaussianLocationModel, q: ChartPoint, n: int, seed: int) -> np.ndarray:
     """Empirical covariance of the score over n draws x ~ N(embed(q), I_3).
 
-    The score of an identity-covariance location family is J^T (x - mu), so
-    the estimator touches only the embedding and the Jacobian; it never calls
-    the model's own gradient or information methods.
+    The score of an identity-covariance location family is J^T (x - mu), and
+    x - mu ~ N(0, I_3) whatever the mean, so the estimator needs only the
+    Jacobian; it never calls the model's own gradient or information methods.
     """
     if n < 10_000:
         raise ValueError(f"need n >= 10000 draws for a usable estimate, got {n}")
     rng = np.random.default_rng(seed)
-    mu = m.chart.embed(q)
     J = m.chart.jacobian(q)
-    deviations = rng.standard_normal((n, 3))
+    deviations = rng.standard_normal((n, 3))  # row i: x_i - mu
     scores = deviations @ J  # row i: J^T (x_i - mu)
     return (scores.T @ scores) / n

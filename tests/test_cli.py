@@ -1,5 +1,6 @@
 import pytest
 
+from stratopt import cli, resolve
 from stratopt.cli import main
 from stratopt.tables import read_csv
 
@@ -38,6 +39,20 @@ def test_resolve_reports_both_signs(capsys, tmp_path):
     header, rows = read_csv(csv_out)
     assert header == ["x0", "x1", "x2"]
     assert rows
+
+
+def test_resolve_counts_each_level_once(capsys, monkeypatch):
+    calls = []
+    count_components = resolve.count_components
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].level)
+        return count_components(*args, **kwargs)
+    monkeypatch.setattr(resolve, "count_components", counted)
+    monkeypatch.setattr(cli, "count_components", counted)
+    assert main(["resolve", CONE_TEXT, "--eps", "0.1", "--grid-n", "32"]) == 0
+    assert calls == [0.1, -0.1]
+    assert "chosen level: +0.1" in capsys.readouterr().out
 
 
 def test_bad_polynomial_is_reported(capsys):

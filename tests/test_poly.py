@@ -107,6 +107,7 @@ def test_parse_errors():
 @pytest.mark.parametrize("text", [
     "inf*x0", "nan + x1^2", "1e400*x0", "1e308*x0 + 1e308*x0",  # non-finite coefficients
     "x01^2", "x0 + x00",  # variable indices with leading zeros
+    "x0 + x10",  # more variables than MAX_NVARS
 ])
 def test_parse_rejects_non_finite_and_zero_padded(text):
     with pytest.raises(PolynomialParseError):

@@ -1,3 +1,6 @@
+import itertools
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -50,6 +53,68 @@ def test_component_report_invariants():
 def test_empty_level_set_counts_zero():
     sq = parse_polynomial("x0^2 + x1^2", nvars=2)
     assert count_components(deform(sq, -0.5), 32).count == 0
+
+
+def flood_fill_components(d, grid_n):
+    """Oracle: (components, occupied cells) by breadth-first search over the
+    occupied cells, with occupancy taken from the 2^dim corners of each cell."""
+    dim = d.region.dim
+    axes = [np.linspace(d.region.lower[j], d.region.upper[j], grid_n + 1) for j in range(dim)]
+    corners = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
+    vals = (d.base.eval_many(corners) - d.level).reshape((grid_n + 1,) * dim)
+    below = np.zeros((grid_n,) * dim, dtype=bool)
+    above = np.zeros((grid_n,) * dim, dtype=bool)
+    for offset in itertools.product((0, 1), repeat=dim):
+        v = vals[tuple(slice(o, o + grid_n) for o in offset)]
+        below |= v <= 0.0
+        above |= v >= 0.0
+    occupied = {tuple(int(i) for i in c) for c in np.argwhere(below & above)}
+    seen, count = set(), 0
+    for start in sorted(occupied):
+        if start in seen:
+            continue
+        count += 1
+        seen.add(start)
+        queue = deque([start])
+        while queue:
+            c = queue.popleft()
+            for ax in range(dim):
+                for step in (-1, 1):
+                    n = c[:ax] + (c[ax] + step,) + c[ax + 1:]
+                    if n in occupied and n not in seen:
+                        seen.add(n)
+                        queue.append(n)
+    return count, len(occupied)
+
+
+FOUR_WELLS = parse_polynomial("x0^4 - 2*x0^2 + x1^4 - 2*x1^2 + 2")  # wells at (+-1, +-1)
+EIGHT_WELLS = parse_polynomial("x0^4 - 2*x0^2 + x1^4 - 2*x1^2 + x2^4 - 2*x2^2 + 3")
+LABELING_CASES = [  # (variety, level, components of the level set in [-2, 2]^dim)
+    (parse_polynomial("x0^2 + x1^2"), -0.5, 0),
+    (parse_polynomial("x0^2 + x1^2"), 1.0, 1),
+    (parse_polynomial("x0^2 - x1^2"), 0.5, 2),
+    (FOUR_WELLS, 0.3, 4),
+    (parse_polynomial("x0^2 + x1^2 + x2^2"), -1.0, 0),
+    (CONE, 0.1, 1),
+    (CONE, -0.1, 2),
+    (EIGHT_WELLS, 0.5, 8),
+]
+
+
+@pytest.mark.parametrize("grid_n", [16, 64])
+@pytest.mark.parametrize("variety, level, components", LABELING_CASES)
+def test_count_components_matches_flood_fill(variety, level, components, grid_n):
+    d = deform(variety, level)
+    rep = count_components(d, grid_n)
+    assert (rep.count, rep.occupied_cells) == flood_fill_components(d, grid_n)
+    assert rep.count == components
+
+
+def test_count_components_matches_flood_fill_at_grid_128():
+    d = deform(CONE, -0.1)
+    rep = count_components(d, 128)
+    assert (rep.count, rep.occupied_cells) == flood_fill_components(d, 128)
+    assert rep.count == 2
 
 
 def test_grid_n_validated():

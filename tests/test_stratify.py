@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from stratopt.poly import axis_pair, cusp_curve, double_cone, parse_polynomial
+from stratopt.poly import (Polynomial, axis_pair, cusp_curve, double_cone,
+                          parse_polynomial)
+from stratopt.resolve import choose_resolution, proximity_check
 from stratopt.stratify import (SINGULAR, OffVarietyError, Region,
                                find_singular_points, simplex_strata, stratify,
                                tangent_dimension)
@@ -63,6 +65,30 @@ def test_deterministic_and_idempotent():
     b = find_singular_points(CONE, 0.0, BOX3)
     assert len(a) == len(b) == 1
     assert np.array_equal(a[0], b[0])
+
+
+def test_one_newton_solve_per_variety(monkeypatch):
+    # the Newton loop is the only caller of hessian_many; a region no other
+    # test uses makes the first search a fresh solve
+    calls = []
+    hessian_many = Polynomial.hessian_many
+    monkeypatch.setattr(Polynomial, "hessian_many",
+                        lambda self, X: calls.append(len(X)) or hessian_many(self, X))
+    region = Region.cube(-2.0, 2.5, 3)
+    strat = stratify(CONE, 0.0, region)
+    assert len(strat.singular_points) == 1 and calls
+    solve = list(calls)
+    chosen = choose_resolution(CONE, 0.1, region)
+    proximity_check(chosen, 0.3)
+    assert chosen.level == 0.1
+    assert calls == solve
+
+
+def test_returned_points_do_not_alias_the_search_cache():
+    first = find_singular_points(CONE, 0.0, BOX3)
+    first[0][:] = 7.0
+    again = find_singular_points(CONE, 0.0, BOX3)
+    assert np.linalg.norm(again[0]) < 1e-6
 
 
 def test_polynomial_systems_rejected():
@@ -179,3 +205,17 @@ def test_region_grid_shape():
     g = BOX2.grid(5)
     assert g.shape == (25, 2)
     assert g.min() == -2.0 and g.max() == 2.0
+
+
+def test_region_contains_rows_match_single_points():
+    rng = np.random.default_rng(5)
+    box = Region(np.array([-1.0, 0.0, 2.0]), np.array([1.0, 0.5, 3.0]))
+    X = rng.uniform(-1.5, 3.5, size=(400, 3))
+    X[:4] = [box.lower, box.upper, box.lower - 1e-10, box.upper + 1e-10]  # edges
+    for pad in (0.0, 1e-9, 0.3):
+        mask = box.contains(X, pad=pad)
+        assert mask.dtype == bool and mask.shape == (400,)
+        assert mask.tolist() == [box.contains(x, pad=pad) for x in X]
+        assert 0 < mask.sum() < 400
+    assert isinstance(box.contains(X[0]), bool)
+    assert box.contains(np.empty((0, 3))).shape == (0,)
