@@ -18,9 +18,9 @@ from .config import load_config
 from .model import Chart, ChartPoint, GaussianLocationModel
 from .poly import Polynomial, parse_polynomial
 from .presets import PRESET_NAMES, preset
-from .resolve import _candidates, _choose, count_components, project_to_level
+from .resolve import DEFAULT_GRID_N, _candidates, _choose, count_components, project_to_level
 from .runner import run_experiment
-from .stratify import Region, stratify
+from .stratify import SEED_GRID, Region, stratify
 from .svgplot import KINDS, plot
 from .verify import FDSpec, finite_diff_grad, monte_carlo_fim
 
@@ -186,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--level", type=float, default=0.0)
     s.add_argument("--region", default="-2,2", help="axis bounds 'lo,hi' (all axes)")
     s.add_argument("--nvars", type=int, default=None)
-    s.add_argument("--grid-points", type=int, default=21)
+    s.add_argument("--grid-points", type=int, default=SEED_GRID)
     s.add_argument("--csv", default=None, help="write singular points to this CSV")
     s.set_defaults(func=_cmd_stratify)
 
@@ -195,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--eps", type=float, required=True)
     r.add_argument("--region", default="-2,2")
     r.add_argument("--nvars", type=int, default=None)
-    r.add_argument("--grid-n", type=int, default=64)
+    r.add_argument("--grid-n", type=int, default=DEFAULT_GRID_N)
     r.add_argument("--samples", type=int, default=2000)
     r.add_argument("--csv", default=None, help="write sampled deformation points to this CSV")
     r.set_defaults(func=_cmd_resolve)

@@ -1,7 +1,11 @@
 """Experiment configuration: a line-oriented ``key = value`` format.
 
 One ``[experiment]`` section per file; ``#`` starts a comment; unknown keys
-are hard errors.  ``format_config`` echoes every resolved setting (defaults
+are hard errors.  The keys, their parsers and the echo all come from the
+fields of ``ExperimentSpec``: each scalar field is one key, parsed by its
+annotation, and ``init``/``target`` (chart points, or the ``init_*``
+distribution keys) are the only keys with their own syntax.
+``format_config`` echoes every resolved setting in field order (defaults
 included), and the echo parses back to an equal spec, which is what makes
 the metadata file written next to each run sufficient to reproduce it.
 """
@@ -9,7 +13,7 @@ the metadata file written next to each run sufficient to reproduce it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .model import ChartPoint
@@ -86,26 +90,7 @@ class ExperimentSpec:
                 raise ValueError("init is required (fixed chart point(s) or a distribution)")
 
     def optimizer_config(self) -> OptimizerConfig:
-        return OptimizerConfig(
-            method=self.method,
-            step_size=self.step_size,
-            max_steps=self.max_steps,
-            grad_tol=self.grad_tol,
-            loss_tol=self.loss_tol,
-            damping=self.damping,
-            step_cap=self.step_cap,
-            mode=self.mode,
-            batch=self.batch,
-            sample_seed=self.sample_seed,
-            record_every=self.record_every,
-        )
-
-
-_STR_KEYS = {"name", "model", "method", "mode", "target_surface", "output_dir"}
-_FLOAT_KEYS = {"eps", "step_size", "grad_tol", "loss_tol", "damping", "step_cap"}
-_INT_KEYS = {"max_steps", "batch", "sample_seed", "record_every", "init_count", "init_seed"}
-_PAIR_KEYS = {"target", "init_xi", "init_theta"}
-KNOWN_KEYS = _STR_KEYS | _FLOAT_KEYS | _INT_KEYS | _PAIR_KEYS | {"init"}
+        return OptimizerConfig(**{f.name: getattr(self, f.name) for f in fields(OptimizerConfig)})
 
 
 def _parse_float(path, lineno, key, text) -> float:
@@ -131,6 +116,20 @@ def _parse_pair(path, lineno, key, text) -> tuple[float, float]:
         raise ConfigError(path, lineno, f"key {key!r} needs two numbers, got {text!r}")
     return (_parse_float(path, lineno, key, parts[0]),
             _parse_float(path, lineno, key, parts[1]))
+
+
+def _parse_text(path, lineno, key, text) -> str:
+    return text
+
+
+# one key per scalar field, parsed by its annotation; an annotation missing
+# here fails at import
+_PARSERS = {"str": _parse_text, "str | None": _parse_text,
+            "float": _parse_float, "int": _parse_int}
+_SCALAR_KEYS = {f.name: _PARSERS[f.type] for f in fields(ExperimentSpec)
+                if f.name not in ("init", "target")}
+_DIST_KEYS = {"init_xi", "init_theta", "init_count", "init_seed"}
+KNOWN_KEYS = _SCALAR_KEYS.keys() | {"init", "target"} | _DIST_KEYS
 
 
 def load_config(path) -> ExperimentSpec:
@@ -167,18 +166,13 @@ def load_config(path) -> ExperimentSpec:
     if not in_section:
         raise ConfigError(path, 0, "missing [experiment] section")
 
-    kwargs: dict = {}
-    for key in _STR_KEYS & raw.keys():
-        kwargs[key] = raw[key][0]
-    for key in _FLOAT_KEYS & raw.keys():
-        kwargs[key] = _parse_float(path, raw[key][1], key, raw[key][0])
-    for key in (_INT_KEYS - {"init_count", "init_seed"}) & raw.keys():
-        kwargs[key] = _parse_int(path, raw[key][1], key, raw[key][0])
+    kwargs: dict = {key: _SCALAR_KEYS[key](path, lineno, key, value)
+                    for key, (value, lineno) in raw.items() if key in _SCALAR_KEYS}
     if "target" in raw:
         xi, theta = _parse_pair(path, raw["target"][1], "target", raw["target"][0])
         kwargs["target"] = ChartPoint(xi, theta)
 
-    dist_keys = {"init_xi", "init_theta", "init_count", "init_seed"} & raw.keys()
+    dist_keys = _DIST_KEYS & raw.keys()
     if "init" in raw and dist_keys:
         raise ConfigError(path, raw["init"][1],
                           "give either fixed init points or an init_* distribution, not both")
@@ -193,7 +187,7 @@ def load_config(path) -> ExperimentSpec:
             points.append(ChartPoint(xi, theta))
         kwargs["init"] = tuple(points)
     elif dist_keys:
-        missing = {"init_xi", "init_theta", "init_count", "init_seed"} - dist_keys
+        missing = _DIST_KEYS - dist_keys
         if missing:
             any_line = raw[next(iter(dist_keys))][1]
             raise ConfigError(path, any_line,
@@ -219,30 +213,19 @@ def format_config(spec: ExperimentSpec, header_comment: str | None = None) -> st
         for piece in header_comment.splitlines():
             lines.append(f"# {piece}")
     lines.append("[experiment]")
-    lines.append(f"name = {spec.name}")
-    lines.append(f"model = {spec.model}")
-    lines.append(f"eps = {spec.eps!r}")
-    lines.append(f"method = {spec.method}")
-    lines.append(f"step_size = {spec.step_size!r}")
-    lines.append(f"max_steps = {spec.max_steps}")
-    lines.append(f"grad_tol = {spec.grad_tol!r}")
-    lines.append(f"loss_tol = {spec.loss_tol!r}")
-    lines.append(f"damping = {spec.damping!r}")
-    lines.append(f"step_cap = {spec.step_cap!r}")
-    lines.append(f"mode = {spec.mode}")
-    lines.append(f"batch = {spec.batch}")
-    lines.append(f"sample_seed = {spec.sample_seed}")
-    lines.append(f"record_every = {spec.record_every}")
-    if isinstance(spec.init, InitDistribution):
-        lines.append(f"init_xi = {spec.init.xi_range[0]!r} {spec.init.xi_range[1]!r}")
-        lines.append(f"init_theta = {spec.init.theta_range[0]!r} {spec.init.theta_range[1]!r}")
-        lines.append(f"init_count = {spec.init.count}")
-        lines.append(f"init_seed = {spec.init.seed}")
-    elif spec.init:
-        joined = "; ".join(f"{q.xi!r} {q.theta!r}" for q in spec.init)
-        lines.append(f"init = {joined}")
-    lines.append(f"target = {spec.target.xi!r} {spec.target.theta!r}")
-    lines.append(f"target_surface = {spec.target_surface}")
-    if spec.output_dir is not None:
-        lines.append(f"output_dir = {spec.output_dir}")
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        if isinstance(value, InitDistribution):
+            lines.append(f"init_xi = {value.xi_range[0]!r} {value.xi_range[1]!r}")
+            lines.append(f"init_theta = {value.theta_range[0]!r} {value.theta_range[1]!r}")
+            lines.append(f"init_count = {value.count}")
+            lines.append(f"init_seed = {value.seed}")
+        elif f.name == "init":
+            if value:
+                lines.append("init = " + "; ".join(f"{q.xi!r} {q.theta!r}" for q in value))
+        elif f.name == "target":
+            lines.append(f"target = {value.xi!r} {value.theta!r}")
+        elif value is not None:  # output_dir = None is the default out/<name>
+            lines.append(f"{f.name} = {value!r}" if isinstance(value, float)
+                         else f"{f.name} = {value}")
     return "\n".join(lines) + "\n"

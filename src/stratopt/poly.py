@@ -260,6 +260,8 @@ def parse_polynomial(text: str, nvars: int | None = None) -> Polynomial:
                 f"variables (x0..x{MAX_NVARS - 1})"
             )
         nvars = max_var + 1
+    elif not 1 <= nvars <= MAX_NVARS:
+        raise PolynomialParseError(f"nvars={nvars} is outside the supported 1..{MAX_NVARS}")
     elif max_var >= nvars:
         raise PolynomialParseError(
             f"variable x{max_var} out of range for nvars={nvars}"

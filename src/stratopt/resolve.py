@@ -18,12 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .poly import Polynomial
-from .stratify import TOL_CRIT, Region, find_singular_points
+from .stratify import TOL_CRIT, TOL_ON, Region, find_singular_points, project_to_level
 
 DEFAULT_GRID_N = 64
 MAX_CORNERS = 4_000_000  # grid corners count_components may evaluate; 129^3 fits
 DEFAULT_SAMPLES = 10_000
-PROJECTION_TOL = 1e-12
 DIVERGENCE_BUDGET = 0.01  # fraction of samples allowed to miss the variety
 
 
@@ -80,40 +79,6 @@ def default_region(nvars: int) -> Region:
 def deform(p: Polynomial, c: float, region: Region | None = None) -> Deformation:
     """The deformation {p = c}; validity at level c is checked by the callers' probes."""
     return Deformation(base=p, level=float(c), region=region or default_region(p.nvars))
-
-
-def project_to_level(
-    p: Polynomial,
-    level: float,
-    X,
-    *,
-    max_iter: int = 60,
-    tol: float = PROJECTION_TOL,
-) -> tuple[np.ndarray, np.ndarray]:
-    """First-order Newton projection of the rows of X onto {p = level}.
-
-    Each point moves along the gradient direction by (p(x)-level)/|grad p|^2.
-    Returns (points, converged mask); non-converged rows hold their last
-    iterate and are flagged False.
-    """
-    X = np.array(np.atleast_2d(np.asarray(X, dtype=float)))
-    for _ in range(max_iter):
-        finite = np.isfinite(X).all(axis=1)
-        f = np.full(X.shape[0], np.inf)
-        f[finite] = p.eval_many(X[finite]) - level
-        moving = finite & (np.abs(f) > tol)
-        if not moving.any():
-            break
-        G = p.grad_many(X[moving])
-        gn2 = (G * G).sum(axis=1)
-        safe = gn2 > 1e-30
-        shift = np.zeros_like(G)
-        shift[safe] = (f[moving][safe] / gn2[safe])[:, None] * G[safe]
-        X[moving] = X[moving] - shift
-    finite = np.isfinite(X).all(axis=1)
-    ok = np.zeros(X.shape[0], dtype=bool)
-    ok[finite] = np.abs(p.eval_many(X[finite]) - level) <= tol
-    return X, ok
 
 
 def count_components(d: Deformation, grid_n: int = DEFAULT_GRID_N) -> ComponentReport:
@@ -302,9 +267,6 @@ def projected_gradient_field(
     level: float,
     loss_grad_ambient,
     points,
-    *,
-    tol_crit: float = TOL_CRIT,
-    on_tol: float = 1e-9,
 ) -> list:
     """Tangential part of an ambient gradient field along {p = level}.
 
@@ -319,13 +281,13 @@ def projected_gradient_field(
     for x in points:
         x = np.asarray(x, dtype=float)
         value = p.eval(x)
-        if abs(value - level) > on_tol:
+        if abs(value - level) > TOL_ON:
             raise OffLevelSetError(
                 f"point {x} is off the level set: |p(x) - level| = {abs(value - level):.3e}"
             )
         n = p.grad(x)
         nn = np.linalg.norm(n)
-        if nn < tol_crit:
+        if nn < TOL_CRIT:
             out.append(UNDEFINED)
             continue
         g = np.asarray(loss_grad_ambient(x), dtype=float)

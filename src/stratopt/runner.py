@@ -26,6 +26,7 @@ from .stratify import find_singular_points
 ARTIFACT_VERSION = "stratopt 0.1.0"
 STALL_WINDOW = 100
 STALL_PLATEAU_TOL = 1e-5
+CUSP_POINTS_PER_BRANCH = 12
 
 
 @dataclass
@@ -100,9 +101,9 @@ def _stall_row(surface: str, index: int, traj: Trajectory, report: StallReport) 
     ]
 
 
-def _cusp_level_points(level: float, n_per_branch: int = 12) -> list[np.ndarray]:
+def _cusp_level_points(level: float) -> list[np.ndarray]:
     """Deterministic sample of {x1^2 + x2^3 = level} inside the default region."""
-    ts = np.linspace(-1.55, float(np.cbrt(level)), n_per_branch)
+    ts = np.linspace(-1.55, float(np.cbrt(level)), CUSP_POINTS_PER_BRANCH)
     points = []
     for t in ts:
         rad = level - t ** 3

@@ -6,10 +6,12 @@ Newton's method on the critical-point system (grad p = 0) from a uniform
 grid of seeds, then filtering to the level set and deduplicating.  The
 Newton endpoints do not depend on the level, so they are cached per process
 (``NEWTON_CACHE_SIZE`` entries, keyed on the polynomial, the exact region
-bounds, the seed grid and the iteration limit): every level searched on one
-variety and region shares a single solve.  Only the hypersurface case (a
-single polynomial) is supported; systems of several polynomials are
-rejected.
+bounds and the seed grid): every level searched on one variety and region
+shares a single solve.  ``project_to_level``, the Newton projection onto a
+level set that the ball-radius probes and ``resolve`` use, lives here too.
+The tolerances, iteration limits and probe counts are the module constants
+below, not per-call settings.  Only the hypersurface case (a single
+polynomial) is supported; systems of several polynomials are rejected.
 """
 
 from __future__ import annotations
@@ -30,6 +32,9 @@ SEED_GRID = 21       # Newton seeds per axis
 NEWTON_MAX_ITER = 50
 MAX_SEEDS = 2_000_000
 NEWTON_CACHE_SIZE = 32  # cached Newton solves, one per (variety, region, seeds)
+PROJECTION_TOL = 1e-12   # |p - level| a projected point must reach
+PROJECTION_MAX_ITER = 60
+BALL_PROBES = 256        # projected probes per tested ball radius
 
 
 class OffVarietyError(ValueError):
@@ -136,48 +141,45 @@ def find_singular_points(
     region: Region,
     *,
     grid_points: int = SEED_GRID,
-    tol_crit: float = TOL_CRIT,
-    tol_on: float = TOL_ON,
-    merge_radius: float = MERGE_RADIUS,
-    max_iter: int = NEWTON_MAX_ITER,
 ) -> list[np.ndarray]:
     """All points in ``region`` where grad p = 0 and p = level.
 
-    Newton iteration on grad p = 0 runs from every grid seed simultaneously;
-    the minimal-norm step (pseudoinverse of the Hessian) keeps degenerate
-    critical points reachable.  Output is deduplicated within
-    ``merge_radius`` and sorted lexicographically by coordinates.
+    Newton iteration on grad p = 0 runs from every one of the
+    ``grid_points``-per-axis seeds simultaneously; the minimal-norm step
+    (pseudoinverse of the Hessian) keeps degenerate critical points
+    reachable.  An endpoint counts when |grad p| < ``TOL_CRIT`` and
+    |p - level| < ``TOL_ON``.  Output is deduplicated within
+    ``MERGE_RADIUS`` and sorted lexicographically by coordinates.
     """
     _reject_systems(p)
     if p.nvars != region.dim:
         raise ValueError(f"polynomial has {p.nvars} variables, region has dim {region.dim}")
-    X = _newton_endpoints(p, region.lower.tobytes(), region.upper.tobytes(),
-                          grid_points, max_iter)
-    grad_ok = np.linalg.norm(p.grad_many(X), axis=1) < tol_crit
-    on_level = np.abs(p.eval_many(X) - level) < tol_on
+    X = _newton_endpoints(p, region.lower.tobytes(), region.upper.tobytes(), grid_points)
+    grad_ok = np.linalg.norm(p.grad_many(X), axis=1) < TOL_CRIT
+    on_level = np.abs(p.eval_many(X) - level) < TOL_ON
     pad = 1e-9 * float(np.max(region.widths))
     cands = X[grad_ok & on_level & region.contains(X, pad=pad)]
     cands = cands[np.lexsort(cands.T[::-1])]  # primary key: first coordinate
     out: list[np.ndarray] = []
     # keep the first remaining candidate, drop every candidate within
-    # merge_radius of it; on the sorted order this keeps a candidate iff it is
-    # farther than merge_radius from every point kept before it
+    # MERGE_RADIUS of it; on the sorted order this keeps a candidate iff it is
+    # farther than MERGE_RADIUS from every point kept before it
     while cands.shape[0]:
         out.append(cands[0].copy())
-        cands = cands[np.linalg.norm(cands - cands[0], axis=1) > merge_radius]
+        cands = cands[np.linalg.norm(cands - cands[0], axis=1) > MERGE_RADIUS]
     return out
 
 
 @functools.lru_cache(maxsize=NEWTON_CACHE_SIZE)
 def _newton_endpoints(p: Polynomial, lower: bytes, upper: bytes,
-                      grid_points: int, max_iter: int) -> np.ndarray:
+                      grid_points: int) -> np.ndarray:
     """Finite endpoints of Newton's method on grad p = 0 from every grid seed
     of the region with these float64 bounds; read-only, shared by callers.
 
     The bounds are keyed by their bytes, so -0.0 and 0.0 get separate entries.
     """
     X = Region(np.frombuffer(lower), np.frombuffer(upper)).grid(grid_points)
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         finite = np.isfinite(X).all(axis=1)
         G = np.zeros_like(X)
         G[finite] = p.grad_many(X[finite])
@@ -192,52 +194,64 @@ def _newton_endpoints(p: Polynomial, lower: bytes, upper: bytes,
     return X
 
 
-def tangent_dimension(
-    p: Polynomial,
-    level: float,
-    x,
-    *,
-    tol_crit: float = TOL_CRIT,
-    tol_on: float = TOL_ON,
-):
+def tangent_dimension(p: Polynomial, level: float, x):
     """nvars-1 at a regular hypersurface point; the SINGULAR marker otherwise."""
     _reject_systems(p)
     value = p.eval(x)
-    if abs(value - level) >= tol_on:
+    if abs(value - level) >= TOL_ON:
         raise OffVarietyError(
             f"point {np.asarray(x)} is not on the level set: |p(x) - level| = {abs(value - level):.3e}"
         )
-    if np.linalg.norm(p.grad(x)) >= tol_crit:
+    if np.linalg.norm(p.grad(x)) >= TOL_CRIT:
         return p.nvars - 1
     return SINGULAR
 
 
-def _enclosing_ball_radius(
-    p: Polynomial,
-    level: float,
-    s: np.ndarray,
-    region: Region,
-    *,
-    rng_seed: int = 0,
-    samples_per_radius: int = 256,
-) -> float:
+def project_to_level(p: Polynomial, level: float, X) -> tuple[np.ndarray, np.ndarray]:
+    """First-order Newton projection of the rows of X onto {p = level}.
+
+    Each point moves along the gradient direction by (p(x)-level)/|grad p|^2,
+    for at most ``PROJECTION_MAX_ITER`` steps.  Returns (points, converged
+    mask); a row converged when |p(x) - level| <= ``PROJECTION_TOL``, and
+    non-converged rows hold their last iterate.
+    """
+    X = np.array(np.atleast_2d(np.asarray(X, dtype=float)))
+    for _ in range(PROJECTION_MAX_ITER):
+        finite = np.isfinite(X).all(axis=1)
+        f = np.full(X.shape[0], np.inf)
+        f[finite] = p.eval_many(X[finite]) - level
+        moving = finite & (np.abs(f) > PROJECTION_TOL)
+        if not moving.any():
+            break
+        G = p.grad_many(X[moving])
+        gn2 = (G * G).sum(axis=1)
+        safe = gn2 > 1e-30
+        shift = np.zeros_like(G)
+        shift[safe] = (f[moving][safe] / gn2[safe])[:, None] * G[safe]
+        X[moving] = X[moving] - shift
+    finite = np.isfinite(X).all(axis=1)
+    ok = np.zeros(X.shape[0], dtype=bool)
+    ok[finite] = np.abs(p.eval_many(X[finite]) - level) <= PROJECTION_TOL
+    return X, ok
+
+
+def _enclosing_ball_radius(p: Polynomial, level: float, s: np.ndarray, region: Region) -> float:
     """Largest tested radius r such that the squared distance to ``s``,
     restricted to the level set inside the ball of radius r (minus ``s``),
     shows no critical point among sampled on-variety points.
 
     A critical point of the distance would have (x - s) parallel to grad p;
-    sampled points are screened by the angle between the two.
+    sampled points are screened by the angle between the two; ``BALL_PROBES``
+    points are projected per tested radius from a generator seeded with 0.
     """
-    from .resolve import project_to_level  # local import: no cycle at module load
-
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(0)
     r_max = 0.5 * float(np.min(region.widths))
     radii = [r_max * 0.75 ** k for k in range(13)]
     best = radii[-1]
     for r in radii:
-        dirs = rng.standard_normal((samples_per_radius, p.nvars))
+        dirs = rng.standard_normal((BALL_PROBES, p.nvars))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        probes = s + dirs * rng.uniform(0.05 * r, r, size=(samples_per_radius, 1))
+        probes = s + dirs * rng.uniform(0.05 * r, r, size=(BALL_PROBES, 1))
         Y, ok = project_to_level(p, level, probes)
         Y = Y[ok]
         d = np.linalg.norm(Y - s, axis=1)
@@ -267,36 +281,34 @@ def stratify(
     region: Region,
     *,
     grid_points: int = SEED_GRID,
-    tol_crit: float = TOL_CRIT,
-    tol_on: float = TOL_ON,
-    merge_radius: float = MERGE_RADIUS,
 ) -> Stratification:
     """Stratification of {p = level}: singular points plus the top stratum.
 
-    Per singular point, ``ball_radii`` records a numerically estimated radius
-    within which the distance-to-the-point function has no critical value on
-    the punctured variety; a warning is issued when two singular points sit
-    closer than four times the largest such radius.
+    The singular points are ``find_singular_points`` with ``grid_points``
+    seeds per axis.  Per singular point, ``ball_radii`` records a
+    numerically estimated radius within which the distance-to-the-point
+    function has no critical value on the punctured variety; one warning,
+    naming the number of such pairs and the closest one, is issued when
+    singular points sit closer than four times the largest such radius.
     """
     _reject_systems(p)
-    sing = find_singular_points(
-        p, level, region,
-        grid_points=grid_points, tol_crit=tol_crit, tol_on=tol_on,
-        merge_radius=merge_radius,
-    )
+    sing = find_singular_points(p, level, region, grid_points=grid_points)
     radii = [_enclosing_ball_radius(p, level, s, region) for s in sing]
-    if len(sing) >= 2 and radii:
+    if len(sing) >= 2:
         r4 = 4.0 * max(radii)
-        for i in range(len(sing)):
-            for j in range(i + 1, len(sing)):
-                gap = float(np.linalg.norm(sing[i] - sing[j]))
-                if gap < r4:
-                    warnings.warn(
-                        f"singular points {i} and {j} are {gap:.3g} apart, closer than "
-                        f"4*max(ball radius) = {r4:.3g}; shrink the ball estimates",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
+        i, j = np.triu_indices(len(sing), k=1)
+        S = np.array(sing)
+        gaps = np.linalg.norm(S[i] - S[j], axis=1)
+        n_close = int(np.count_nonzero(gaps < r4))
+        if n_close:
+            k = int(np.argmin(gaps))  # the closest pair is one of the close ones
+            warnings.warn(
+                f"{n_close} pair(s) of singular points closer than 4*max(ball radius) "
+                f"= {r4:.3g}; closest: points {i[k]} and {j[k]}, {gaps[k]:.3g} apart; "
+                "shrink the ball estimates",
+                RuntimeWarning,
+                stacklevel=2,
+            )
     return Stratification(
         singular_points=sing,
         regular_dim=p.nvars - 1,

@@ -17,14 +17,13 @@ from .model import ChartPoint, GaussianLocationModel
 
 @dataclass(frozen=True)
 class FDSpec:
+    """Step of the central-difference probe."""
+
     step: float = 1e-6
-    scheme: str = "central"
 
     def __post_init__(self):
         if not 1e-9 <= self.step <= 1e-3:
             raise ValueError(f"finite-difference step {self.step} outside [1e-9, 1e-3]")
-        if self.scheme != "central":
-            raise ValueError(f"unsupported scheme {self.scheme!r}")
 
 
 def finite_diff_grad(f, q: ChartPoint, spec: FDSpec = FDSpec()) -> np.ndarray:

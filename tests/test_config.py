@@ -3,11 +3,12 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from stratopt.config import (ConfigError, ExperimentSpec, InitDistribution,
-                             format_config, load_config)
+from stratopt.config import (MODELS, TARGET_SURFACES, ConfigError, ExperimentSpec,
+                             InitDistribution, format_config, load_config)
 from stratopt.model import ChartPoint
-from stratopt.optim import Method, Mode
+from stratopt.optim import Method, Mode, OptimizerConfig
 from stratopt.presets import PRESET_NAMES, preset
 
 MINIMAL = """\
@@ -129,6 +130,53 @@ def test_optimizer_config_mapping(tmp_path):
     assert cfg.mode is Mode.STOCHASTIC
     assert cfg.damping == 0.5
     assert cfg.batch == 4
+
+
+def test_default_spec_has_the_default_optimizer_config():
+    spec = ExperimentSpec(target=ChartPoint(1, 0), init=(ChartPoint(1, 0),))
+    assert spec.optimizer_config() == OptimizerConfig()
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+points = st.builds(ChartPoint, finite, finite)
+# text the echo carries: no '#', no line breaks (Cc, Zl, Zp), no edge spaces
+echo_text = st.text(st.characters(blacklist_categories=("Cs", "Cc", "Zl", "Zp"),
+                                  blacklist_characters="#"),
+                    max_size=12).filter(lambda text: text == text.strip())
+
+
+@st.composite
+def ranges(draw):
+    lo, hi = sorted(draw(st.lists(finite, min_size=2, max_size=2, unique=True)))
+    return (lo, hi)
+
+
+@st.composite
+def specs(draw):
+    model = draw(st.sampled_from(MODELS))
+    init = draw(st.one_of(
+        st.lists(points, min_size=0 if model == "cusp" else 1, max_size=3).map(tuple),
+        st.builds(InitDistribution, ranges(), ranges(), st.integers(1, 10 ** 6),
+                  st.integers(-10 ** 12, 10 ** 12)),
+    ))
+    return ExperimentSpec(
+        name=draw(echo_text), model=model, eps=draw(positive if model != "cone" else finite),
+        method=draw(st.sampled_from(["gd", "ngd"])), step_size=draw(positive),
+        max_steps=draw(st.integers(0, 10 ** 9)), grad_tol=draw(finite),
+        loss_tol=draw(finite), damping=draw(st.floats(0.0, allow_infinity=False)),
+        step_cap=draw(positive), mode=draw(st.sampled_from(["population", "stochastic"])),
+        batch=draw(st.integers(1, 10 ** 6)), sample_seed=draw(st.integers(-10 ** 12, 10 ** 12)),
+        record_every=draw(st.integers(1, 10 ** 6)), init=init, target=draw(points),
+        target_surface=draw(st.sampled_from(TARGET_SURFACES)),
+        output_dir=draw(st.none() | echo_text),
+    )
+
+
+@settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(specs())
+def test_echo_parses_back_to_an_equal_spec(tmp_path, spec):
+    assert load_config(write(tmp_path, format_config(spec, header_comment="echo"))) == spec
 
 
 EXAMPLE = Path(__file__).resolve().parents[1] / "docs" / "example_experiment.cfg"

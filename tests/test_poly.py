@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from stratopt.poly import (DimensionMismatchError, Polynomial,
                            PolynomialParseError, axis_pair, cusp_curve,
@@ -102,6 +102,9 @@ def test_parse_errors():
         parse_polynomial("3.5")  # constant needs explicit nvars
     with pytest.raises(PolynomialParseError):
         parse_polynomial("x5", nvars=2)
+    for text, nvars in [("x0", 10), ("x0", 9), ("1", 0)]:  # nvars outside 1..MAX_NVARS
+        with pytest.raises(PolynomialParseError):
+            parse_polynomial(text, nvars=nvars)
 
 
 @pytest.mark.parametrize("text", [
@@ -172,6 +175,18 @@ def test_hessian_exactly_symmetric(p, seed):
     x = rng.uniform(-2, 2, size=p.nvars)
     H = p.hessian(x)
     assert np.array_equal(H, H.T)
+
+
+@settings(max_examples=300)
+@given(st.one_of(st.text(alphabet="x0123456789^*+-.eE \t", max_size=30), st.text(max_size=20),
+                 polynomials(max_nvars=8).map(Polynomial.to_string)),
+       st.none() | st.integers(-2, 12))
+def test_parse_fuzz_raises_only_parse_errors(text, nvars):
+    try:
+        p = parse_polynomial(text, nvars=nvars)
+    except PolynomialParseError:
+        return
+    assert parse_polynomial(p.to_string(), nvars=p.nvars) == p
 
 
 def test_eval_deterministic_term_order():

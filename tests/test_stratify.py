@@ -165,6 +165,15 @@ def test_close_singularities_warn():
         stratify(p, -1e-4, region)
 
 
+def test_close_singularities_warn_once_per_call():
+    # the singular set of x0^2 is the whole x1 axis: 21 points, 210 close pairs
+    with pytest.warns(RuntimeWarning) as record:
+        result = stratify(parse_polynomial("x0^2", nvars=2), 0.0, BOX2)
+    assert len(result.singular_points) == 21
+    assert len(record) == 1
+    assert "210 pair(s)" in str(record[0].message)
+
+
 # -- simplex strata ------------------------------------------------------------
 
 def test_simplex_point():

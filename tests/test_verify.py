@@ -12,8 +12,6 @@ def test_fd_spec_validation():
         FDSpec(step=1e-10)
     with pytest.raises(ValueError):
         FDSpec(step=1e-2)
-    with pytest.raises(ValueError):
-        FDSpec(scheme="forward")
 
 
 def test_fd_constant_function():
