@@ -7,7 +7,7 @@ from .poly import (AmbientPoint, DimensionMismatchError, Polynomial,
 from .stratify import (SINGULAR, OffVarietyError, Region, SimplexStrata,
                        Stratification, find_singular_points, simplex_strata,
                        stratify, tangent_dimension)
-from .resolve import (UNDEFINED, ComponentReport, Deformation, NoSamplesError,
+from .resolve import (ComponentReport, Deformation, NoSamplesError,
                       ProjectionError, ResolutionError, choose_resolution,
                       count_components, default_region, deform,
                       project_to_level, projected_gradient_field,

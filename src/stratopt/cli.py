@@ -46,8 +46,7 @@ def _cmd_stratify(args) -> int:
     print(f"regular stratum dimension: {result.regular_dim}")
     if args.csv:
         fields = [f"x{j}" for j in range(p.nvars)]
-        rows = [[tables.fmt(v) for v in s] for s in result.singular_points]
-        tables.write_csv(args.csv, fields, rows)
+        tables.write_csv(args.csv, fields, [s.tolist() for s in result.singular_points])
         print(f"singular points written to {args.csv}")
     return 0
 
@@ -69,7 +68,7 @@ def _cmd_resolve(args) -> int:
         Y, ok = project_to_level(p, chosen.level, X)
         keep = Y[ok & region.contains(Y, pad=1e-9)]
         fields = [f"x{j}" for j in range(p.nvars)]
-        tables.write_csv(args.csv, fields, [[tables.fmt(v) for v in y] for y in keep])
+        tables.write_csv(args.csv, fields, keep.tolist())
         print(f"{len(keep)} deformation samples written to {args.csv}")
     return 0
 

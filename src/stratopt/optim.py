@@ -259,19 +259,12 @@ def detect_stall(
     still above ``loss_tol``.  The report carries the ambient distance from
     the (first) stalled window's last point to the nearest singularity; when
     nothing stalls it describes the flattest window seen and the distance
-    from the final point.
+    from the final point.  A trajectory with fewer than ``window`` records
+    cannot stall: its report has no window (start -1, mean decrease NaN).
     """
     if window < 2:
         raise ValueError("window must be >= 2")
     records = traj.records
-    if len(records) < window:
-        raise ValueError(f"trajectory has {len(records)} records, shorter than window {window}")
-    losses = np.array([r.loss for r in records])
-    rel = (losses[:-1] - losses[1:]) / np.maximum(np.abs(losses[:-1]), 1e-300)
-    csum = np.concatenate([[0.0], np.cumsum(rel)])
-    n_windows = len(records) - window + 1
-    means = (csum[window - 1:window - 1 + n_windows] - csum[:n_windows]) / (window - 1)
-    end_losses = losses[window - 1:]
 
     def distance_from(idx: int) -> float:
         if not len(singularities):
@@ -279,6 +272,15 @@ def detect_stall(
         r = records[idx]
         x = np.array([r.mu1, r.mu2, r.mu3])
         return float(min(np.linalg.norm(x - np.asarray(s, dtype=float)) for s in singularities))
+
+    if len(records) < window:
+        return StallReport(False, -1, math.nan, distance_from(len(records) - 1))
+    losses = np.array([r.loss for r in records])
+    rel = (losses[:-1] - losses[1:]) / np.maximum(np.abs(losses[:-1]), 1e-300)
+    csum = np.concatenate([[0.0], np.cumsum(rel)])
+    n_windows = len(records) - window + 1
+    means = (csum[window - 1:window - 1 + n_windows] - csum[:n_windows]) / (window - 1)
+    end_losses = losses[window - 1:]
 
     stalled_mask = (means < plateau_tol) & (end_losses > loss_tol)
     if stalled_mask.any():

@@ -57,10 +57,6 @@ class Polynomial:
 
     # -- construction helpers -------------------------------------------------
 
-    @classmethod
-    def parse(cls, text: str, nvars: int | None = None) -> "Polynomial":
-        return parse_polynomial(text, nvars=nvars)
-
     def __add__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
             return NotImplemented

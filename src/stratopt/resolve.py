@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .poly import Polynomial
-from .stratify import TOL_CRIT, TOL_ON, Region, find_singular_points, project_to_level
+from .stratify import (SINGULAR, TOL_CRIT, Region, find_singular_points, project_to_level,
+                       tangent_dimension)
 
 DEFAULT_GRID_N = 64
 MAX_CORNERS = 4_000_000  # grid corners count_components may evaluate; 129^3 fits
@@ -36,20 +37,6 @@ class ProjectionError(RuntimeError):
 
 class NoSamplesError(RuntimeError):
     """No sampled variety points survive the exclusion filter."""
-
-
-class OffLevelSetError(ValueError):
-    """A queried field point does not lie on the level set."""
-
-
-class _UndefinedMarker:
-    __slots__ = ()
-
-    def __repr__(self):
-        return "UNDEFINED"
-
-
-UNDEFINED = _UndefinedMarker()
 
 
 @dataclass(frozen=True)
@@ -271,25 +258,22 @@ def projected_gradient_field(
     """Tangential part of an ambient gradient field along {p = level}.
 
     At each point the ambient gradient g is projected orthogonally to the
-    level set's normal: g - (g.n)n with n = grad p / |grad p|.  Where the
-    gradient of p vanishes there is no tangent space and the UNDEFINED
-    marker is returned for that point.
+    level set's normal: g - (g.n)n with n = grad p / |grad p|.  Each point
+    is classified by ``stratify.tangent_dimension``: a point off the level
+    set raises ``OffVarietyError``, and where the gradient of p vanishes
+    there is no tangent space and the ``stratify.SINGULAR`` marker is
+    returned for that point.
     """
     if p.nvars not in (2, 3):
         raise ValueError("field projection supports curves (2 vars) and surfaces (3 vars)")
     out = []
     for x in points:
         x = np.asarray(x, dtype=float)
-        value = p.eval(x)
-        if abs(value - level) > TOL_ON:
-            raise OffLevelSetError(
-                f"point {x} is off the level set: |p(x) - level| = {abs(value - level):.3e}"
-            )
+        if tangent_dimension(p, level, x) is SINGULAR:
+            out.append(SINGULAR)
+            continue
         n = p.grad(x)
         nn = np.linalg.norm(n)
-        if nn < TOL_CRIT:
-            out.append(UNDEFINED)
-            continue
         g = np.asarray(loss_grad_ambient(x), dtype=float)
         nhat = n / nn
         out.append(g - (g @ nhat) * nhat)

@@ -20,8 +20,8 @@ from .config import ExperimentSpec, InitDistribution, format_config
 from .model import Chart, ChartPoint, GaussianLocationModel
 from .optim import StallReport, Termination, Trajectory, detect_stall, run
 from .poly import cusp_curve, double_cone
-from .resolve import UNDEFINED, default_region, projected_gradient_field
-from .stratify import find_singular_points
+from .resolve import default_region, projected_gradient_field
+from .stratify import SINGULAR, find_singular_points
 
 ARTIFACT_VERSION = "stratopt 0.1.0"
 STALL_WINDOW = 100
@@ -66,11 +66,10 @@ def _target_mean(spec: ExperimentSpec, surface_chart: Chart) -> np.ndarray:
 
 
 def write_trajectory_csv(path, traj: Trajectory) -> Path:
-    rows = [[r.step, *map(tables.fmt, r[1:])] for r in traj.records]
-    return tables.write_csv(path, tables.TRAJ_FIELDS, rows)
+    return tables.write_csv(path, tables.TRAJ_FIELDS, traj.records)
 
 
-def _aggregate_rows(trajs: list[Trajectory]) -> list[list[str]]:
+def _aggregate_rows(trajs: list[Trajectory]) -> list[tuple[int, float, float]]:
     """Per-step mean and median loss; finished runs carry their last loss forward."""
     steps_per = [np.array([r.step for r in t.records]) for t in trajs]
     losses_per = [t.losses() for t in trajs]
@@ -81,21 +80,18 @@ def _aggregate_rows(trajs: list[Trajectory]) -> list[list[str]]:
         carried[i] = losses[np.clip(idx, 0, len(losses) - 1)]
     means = carried.mean(axis=0)
     medians = np.median(carried, axis=0)
-    return [
-        [int(s), tables.fmt(m), tables.fmt(md)]
-        for s, m, md in zip(union, means, medians)
-    ]
+    return list(zip(union.tolist(), means.tolist(), medians.tolist()))
 
 
-def _stall_row(surface: str, index: int, traj: Trajectory, report: StallReport) -> list[str]:
+def _stall_row(surface: str, index: int, traj: Trajectory, report: StallReport) -> list:
     return [
         surface,
-        str(index),
+        index,
         "true" if report.stalled else "false",
-        str(report.window_start),
-        tables.fmt(report.mean_rel_decrease),
-        tables.fmt(report.nearest_singularity_distance),
-        tables.fmt(traj.final.loss),
+        report.window_start,
+        report.mean_rel_decrease,
+        report.nearest_singularity_distance,
+        traj.final.loss,
         traj.terminated_by.value,
         traj.failure or "",
     ]
@@ -125,12 +121,10 @@ def _run_cusp_field(spec: ExperimentSpec, out: Path, result: ExperimentResult):
         points = _cusp_level_points(level)
         projections = projected_gradient_field(p, level, grad_field, points)
         for x, g in zip(points, projections):
-            if g is UNDEFINED:
-                rows.append([tables.fmt(level), tables.fmt(x[0]), tables.fmt(x[1]),
-                             "", "", "undefined"])
+            if g is SINGULAR:
+                rows.append([level, *x.tolist(), "", "", "undefined"])
             else:
-                rows.append([tables.fmt(level), tables.fmt(x[0]), tables.fmt(x[1]),
-                             tables.fmt(g[0]), tables.fmt(g[1]), "ok"])
+                rows.append([level, *x.tolist(), *g.tolist(), "ok"])
     result.quiver_path = tables.write_csv(out / "quiver.csv", tables.QUIVER_FIELDS, rows)
 
 
@@ -156,7 +150,7 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentResult:
     target_rows = []
     for surface, chart in _surfaces(spec):
         xbar = _target_mean(spec, chart)
-        target_rows.append([surface] + [tables.fmt(v) for v in xbar])
+        target_rows.append([surface, *xbar.tolist()])
         model = GaussianLocationModel(chart, xbar)
         trajs = []
         for i, q0 in enumerate(inits):
@@ -166,18 +160,10 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentResult:
             result.trajectory_paths[(surface, i)] = path
             if traj.terminated_by is Termination.FAILED:
                 result.n_failures += 1
-            if len(traj.records) >= STALL_WINDOW:
-                report = detect_stall(
-                    traj, window=STALL_WINDOW, plateau_tol=STALL_PLATEAU_TOL,
-                    singularities=apexes, loss_tol=cfg.loss_tol,
-                )
-            else:  # too short to stall: report distance from the endpoint
-                f = traj.final
-                dist = min(
-                    (float(np.linalg.norm(np.array([f.mu1, f.mu2, f.mu3]) - s)) for s in apexes),
-                    default=math.inf,
-                )
-                report = StallReport(False, -1, math.nan, dist)
+            report = detect_stall(
+                traj, window=STALL_WINDOW, plateau_tol=STALL_PLATEAU_TOL,
+                singularities=apexes, loss_tol=cfg.loss_tol,
+            )
             stall_rows.append(_stall_row(surface, i, traj, report))
         result.aggregate_paths[surface] = tables.write_csv(
             out / f"aggregate_{surface}.csv", tables.AGG_FIELDS, _aggregate_rows(trajs)

@@ -9,6 +9,7 @@ markers), and ``quiver`` (2-D tangential gradient field).
 
 from __future__ import annotations
 
+import html
 import math
 from pathlib import Path
 
@@ -80,7 +81,7 @@ class _Canvas:
     def text(self, px, py, s, size=12, color="#333", anchor="start"):
         self.parts.append(
             f'<text x="{px:.2f}" y="{py:.2f}" font-size="{size}" fill="{color}" '
-            f'font-family="sans-serif" text-anchor="{anchor}">{s}</text>'
+            f'font-family="sans-serif" text-anchor="{anchor}">{html.escape(s, quote=False)}</text>'
         )
 
     def axes(self, xlabel, ylabel, n_ticks=5):
@@ -99,7 +100,7 @@ class _Canvas:
         self.parts.append(
             f'<text x="18" y="{HEIGHT / 2:.2f}" font-size="12" fill="#333" '
             f'font-family="sans-serif" text-anchor="middle" '
-            f'transform="rotate(-90 18 {HEIGHT / 2:.2f})">{ylabel}</text>'
+            f'transform="rotate(-90 18 {HEIGHT / 2:.2f})">{html.escape(ylabel, quote=False)}</text>'
         )
 
     def legend(self, labels_colors):

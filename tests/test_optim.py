@@ -299,8 +299,11 @@ def test_stall_window_validation():
     traj = synthetic_trajectory([1.0] * 10)
     with pytest.raises(ValueError):
         detect_stall(traj, window=1)
-    with pytest.raises(ValueError):
-        detect_stall(traj, window=50)
+    # shorter than the window: no window, distance from the final point
+    report = detect_stall(traj, window=50, singularities=[np.zeros(3)])
+    assert (report.stalled, report.window_start) == (False, -1)
+    assert np.isnan(report.mean_rel_decrease)
+    assert report.nearest_singularity_distance == np.sqrt(2.0)
 
 
 # -- config validation ----------------------------------------------------------

@@ -6,12 +6,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from stratopt.poly import cusp_curve, double_cone, parse_polynomial
-from stratopt.resolve import (UNDEFINED, NoSamplesError, OffLevelSetError,
-                              ResolutionError, choose_resolution,
+from stratopt.resolve import (NoSamplesError, ResolutionError, choose_resolution,
                               count_components, deform, default_region,
                               project_to_level, projected_gradient_field,
                               proximity_check, smoothness_check)
-from stratopt.stratify import Region
+from stratopt.stratify import SINGULAR, OffVarietyError, Region
 
 CONE = double_cone()
 CUSP = cusp_curve()
@@ -249,7 +248,7 @@ def test_field_matches_direct_formula_and_arclength_oracle():
 def test_field_undefined_at_singularity():
     [proj] = projected_gradient_field(CUSP, 0.0, lambda x: np.array([1.0, 0.0]),
                                       [np.array([0.0, 0.0])])
-    assert proj is UNDEFINED
+    assert proj is SINGULAR
 
 
 def test_field_zero_when_gradient_is_normal():
@@ -260,7 +259,7 @@ def test_field_zero_when_gradient_is_normal():
 
 
 def test_field_rejects_off_level_points():
-    with pytest.raises(OffLevelSetError):
+    with pytest.raises(OffVarietyError):
         projected_gradient_field(CUSP, 0.0, lambda x: x, [np.array([1.0, 1.0])])
 
 

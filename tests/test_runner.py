@@ -145,6 +145,21 @@ def test_failed_trajectories_are_counted_not_raised(tmp_path):
     assert rows[1][7] != "failed"
 
 
+def test_failure_text_with_commas_stays_one_cell(tmp_path):
+    from stratopt.model import GaussianLocationModel
+    from stratopt.optim import run
+    spec = small_spec(model="cone", method="ngd", damping=0.0,
+                      init=(ChartPoint(0.0, 0.3),), max_steps=10)
+    res = run_experiment(spec, out_dir=tmp_path / "f")
+    model = GaussianLocationModel(Chart.cone(), Chart.cone().embed(spec.target))
+    failure = run(model, spec.init[0], spec.optimizer_config()).failure
+    assert "," in failure  # "... singular at (xi=0, theta=0.3) ..."
+    with open(res.stall_path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert [len(r) for r in rows] == [len(STALL_FIELDS)] * 2
+    assert rows[1][8] == failure
+
+
 def test_cusp_quiver(tmp_path):
     res = run_experiment(preset("fig1-cusp"), out_dir=tmp_path / "cusp")
     assert res.quiver_path is not None

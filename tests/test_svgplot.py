@@ -1,3 +1,5 @@
+import xml.etree.ElementTree as ET
+
 import pytest
 
 from stratopt.config import ExperimentSpec
@@ -53,6 +55,15 @@ def test_quiver_marks_undefined_point(tmp_path):
     svg = out.read_text()
     assert 'r="6" fill="#d62728"' in svg  # the singular point
     assert "<line" in svg
+
+
+def test_labels_are_escaped(run_dir, tmp_path):
+    src = tmp_path / "a&b<c.csv"
+    src.write_bytes(run_dir.trajectory_paths[("cone", 0)].read_bytes())
+    out = plot([str(src)], "loss_curves", tmp_path / "x.svg")
+    root = ET.parse(out).getroot()
+    texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert "a&b<c" in texts
 
 
 def test_empty_csv_errors_and_writes_nothing(tmp_path):
