@@ -1,0 +1,8 @@
+"""``python -m stratopt``: the same command as ``stratopt``."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

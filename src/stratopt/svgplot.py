@@ -5,6 +5,14 @@ as a standalone SVG with hand-placed axes.  Three kinds are supported:
 ``loss_curves`` (log-scale loss vs step), ``topview_trajectories``
 (trajectories projected on the (mu2, mu3) plane with start/end and target
 markers), and ``quiver`` (2-D tangential gradient field).
+
+Trajectory and aggregate CSVs are read column-wise with
+``tables.read_columns``; the small targets and quiver tables with
+``tables.read_csv``.  Every plotted value must be a finite number: a short
+row, a non-numeric cell or an unknown quiver status raises ``SchemaError``,
+a non-finite value ``PlotDataError``, each naming the file and line, and no
+SVG is written.  ``_Canvas.sx``/``sy`` map scalars and whole arrays with the
+same float operations, and every coordinate is written as ``%.2f``.
 """
 
 from __future__ import annotations
@@ -13,7 +21,10 @@ import html
 import math
 from pathlib import Path
 
+import numpy as np
+
 from . import tables
+from .tables import SchemaError
 
 KINDS = ("loss_curves", "topview_trajectories", "quiver")
 
@@ -25,12 +36,8 @@ PALETTE = [
 ]
 
 
-class SchemaError(ValueError):
-    """A CSV input does not carry one of the expected headers."""
-
-
 class PlotDataError(ValueError):
-    """No plottable rows in the inputs; no output file is written."""
+    """No plottable rows, or a non-finite value, in the inputs; no output file is written."""
 
 
 class _Canvas:
@@ -43,6 +50,7 @@ class _Canvas:
         ]
 
     def sx(self, x):
+        """Pixel x of a float or of a float array (element-wise, same rounding)."""
         x0, x1 = self.xlim
         span = (x1 - x0) or 1.0
         return MARGIN + (x - x0) / span * (WIDTH - 2 * MARGIN)
@@ -53,7 +61,9 @@ class _Canvas:
         return HEIGHT - MARGIN - (y - y0) / span * (HEIGHT - 2 * MARGIN)
 
     def polyline(self, xs, ys, color, width=1.5, dashed=False):
-        pts = " ".join(f"{self.sx(x):.2f},{self.sy(y):.2f}" for x, y in zip(xs, ys))
+        px = self.sx(np.asarray(xs, dtype=float)).tolist()
+        py = self.sy(np.asarray(ys, dtype=float)).tolist()
+        pts = " ".join(map("%.2f,%.2f".__mod__, zip(px, py)))
         dash = ' stroke-dasharray="6 4"' if dashed else ""
         self.parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="{width}"{dash}/>'
@@ -117,23 +127,60 @@ class _Canvas:
         return "\n".join(self.parts + ["</svg>"]) + "\n"
 
 
+def _where(path, row: int) -> str:
+    return f"{path}, line {tables.line_of(path, row)}"
+
+
+def _columns(path, fields, columns):
+    """The named columns of a numeric CSV as float arrays; every value must be finite."""
+    arrays = tables.read_columns(path, fields, columns)
+    if not arrays[0].size:
+        raise PlotDataError(f"{path}: no data rows")
+    bad = ~np.isfinite(np.stack(arrays))
+    if bad.any():
+        row = int(bad.any(axis=0).argmax())
+        col = int(bad[:, row].argmax())
+        raise PlotDataError(
+            f"{_where(path, row)}: {columns[col]} = {float(arrays[col][row])} is not finite"
+        )
+    return arrays
+
+
+def _text_rows(path, fields):
+    """The rows of a small text table, each with one cell per field."""
+    header, rows = tables.read_csv(path)
+    if header != fields:
+        raise SchemaError(f"{path}: expected header {fields}, got {header}")
+    for i, row in enumerate(rows):
+        if len(row) != len(fields):
+            raise SchemaError(f"{_where(path, i)}: {len(row)} cells where the header "
+                              f"has {len(fields)}")
+    return rows
+
+
+def _number(path, row: int, field: str, cell: str) -> float:
+    try:
+        value = float(cell)
+    except ValueError:
+        raise SchemaError(f"{_where(path, row)}: {field} = {cell!r} is not a number") from None
+    if not math.isfinite(value):
+        raise PlotDataError(f"{_where(path, row)}: {field} = {cell} is not finite")
+    return value
+
+
 def _loss_series(paths):
     series = []
     for path in paths:
-        header, rows = tables.read_csv(path)
+        header = tables.read_header(path)
         stem = Path(path).stem
         if header == tables.TRAJ_FIELDS:
-            if not rows:
-                raise PlotDataError(f"{path}: no data rows")
-            xs = [float(r[0]) for r in rows]
-            ys = [float(r[6]) for r in rows]
-            series.append((stem, xs, ys))
+            steps, loss = _columns(path, tables.TRAJ_FIELDS, ("step", "loss"))
+            series.append((stem, steps, loss))
         elif header == tables.AGG_FIELDS:
-            if not rows:
-                raise PlotDataError(f"{path}: no data rows")
-            xs = [float(r[0]) for r in rows]
-            series.append((stem + ":mean", xs, [float(r[1]) for r in rows]))
-            series.append((stem + ":median", xs, [float(r[2]) for r in rows]))
+            steps, mean, median = _columns(
+                path, tables.AGG_FIELDS, ("step", "mean_loss", "median_loss"))
+            series.append((stem + ":mean", steps, mean))
+            series.append((stem + ":median", steps, median))
         else:
             raise SchemaError(f"{path}: expected trajectory or aggregate CSV, got header {header}")
     return series
@@ -141,16 +188,18 @@ def _loss_series(paths):
 
 def _plot_loss_curves(paths):
     series = _loss_series(paths)
-    positive = [y for _, _, ys in series for y in ys if y > 0]
-    floor = min(positive) if positive else 1e-16
+    losses = np.concatenate([ys for _, _, ys in series])
+    positive = losses[losses > 0]
+    floor = float(positive.min()) if positive.size else 1e-16
+    # math.log10 per value: numpy's SIMD log10 may round differently.
     logged = [
-        (label, xs, [math.log10(max(y, floor)) for y in ys])
+        (label, xs, np.array([math.log10(y) for y in np.maximum(ys, floor).tolist()]))
         for label, xs, ys in series
     ]
-    xlo = min(x for _, xs, _ in logged for x in xs)
-    xhi = max(x for _, xs, _ in logged for x in xs)
-    ylo = min(y for _, _, ys in logged for y in ys)
-    yhi = max(y for _, _, ys in logged for y in ys)
+    xlo = float(min(xs.min() for _, xs, _ in logged))
+    xhi = float(max(xs.max() for _, xs, _ in logged))
+    ylo = float(min(ys.min() for _, _, ys in logged))
+    yhi = float(max(ys.max() for _, _, ys in logged))
     pad = 0.05 * max(yhi - ylo, 1e-9)
     canvas = _Canvas((xlo, xhi or 1.0), (ylo - pad, yhi + pad))
     canvas.axes("step", "log10 loss")
@@ -167,68 +216,67 @@ def _plot_topview(paths):
     trajectories = []
     targets = []
     for path in paths:
-        header, rows = tables.read_csv(path)
+        header = tables.read_header(path)
         if header == tables.TRAJ_FIELDS:
-            if not rows:
-                raise PlotDataError(f"{path}: no data rows")
-            mu2 = [float(r[4]) for r in rows]
-            mu3 = [float(r[5]) for r in rows]
+            mu2, mu3 = _columns(path, tables.TRAJ_FIELDS, ("mu2", "mu3"))
             trajectories.append((Path(path).stem, mu2, mu3))
         elif header == tables.TARGET_FIELDS:
-            for r in rows:
-                targets.append((r[0], float(r[2]), float(r[3])))
+            for i, r in enumerate(_text_rows(path, tables.TARGET_FIELDS)):
+                targets.append((_number(path, i, "mu2", r[2]), _number(path, i, "mu3", r[3])))
         else:
             raise SchemaError(f"{path}: expected trajectory or targets CSV, got header {header}")
     if not trajectories:
         raise PlotDataError("no trajectory CSVs among the inputs")
-    xs = [v for _, mu2, _ in trajectories for v in mu2] + [t[1] for t in targets]
-    ys = [v for _, _, mu3 in trajectories for v in mu3] + [t[2] for t in targets]
-    pad_x = 0.08 * max(max(xs) - min(xs), 1e-9)
-    pad_y = 0.08 * max(max(ys) - min(ys), 1e-9)
-    canvas = _Canvas((min(xs) - pad_x, max(xs) + pad_x), (min(ys) - pad_y, max(ys) + pad_y))
+    xs = np.concatenate([mu2 for _, mu2, _ in trajectories] + [[t[0] for t in targets]])
+    ys = np.concatenate([mu3 for _, _, mu3 in trajectories] + [[t[1] for t in targets]])
+    xlo, xhi, ylo, yhi = float(xs.min()), float(xs.max()), float(ys.min()), float(ys.max())
+    pad_x = 0.08 * max(xhi - xlo, 1e-9)
+    pad_y = 0.08 * max(yhi - ylo, 1e-9)
+    canvas = _Canvas((xlo - pad_x, xhi + pad_x), (ylo - pad_y, yhi + pad_y))
     canvas.axes("mu2", "mu3")
     labels = []
     for k, (label, mu2, mu3) in enumerate(trajectories):
         color = PALETTE[k % len(PALETTE)]
         canvas.polyline(mu2, mu3, color)
-        canvas.circle(mu2[0], mu3[0], 5, color)          # start
-        canvas.circle(mu2[-1], mu3[-1], 5, color, fill=False)  # end
+        canvas.circle(float(mu2[0]), float(mu3[0]), 5, color)          # start
+        canvas.circle(float(mu2[-1]), float(mu3[-1]), 5, color, fill=False)  # end
         labels.append((label, color))
-    for _, tx, ty in targets:
+    for tx, ty in targets:
         canvas.cross(tx, ty, 7, "#2ca02c")
     canvas.legend(labels)
     return canvas.render()
 
 
 def _plot_quiver(paths):
-    rows_all = []
+    arrows = []  # (level text, x1, x2, (gx, gy) or None where undefined)
     for path in paths:
-        header, rows = tables.read_csv(path)
-        if header != tables.QUIVER_FIELDS:
-            raise SchemaError(f"{path}: expected quiver CSV, got header {header}")
-        rows_all.extend(rows)
-    if not rows_all:
+        for i, r in enumerate(_text_rows(path, tables.QUIVER_FIELDS)):
+            x, y = _number(path, i, "x1", r[1]), _number(path, i, "x2", r[2])
+            _number(path, i, "level", r[0])  # the legend prints it as a number
+            if r[5] == "ok":
+                g = (_number(path, i, "gx", r[3]), _number(path, i, "gy", r[4]))
+            elif r[5] == "undefined":
+                g = None
+            else:
+                raise SchemaError(f"{_where(path, i)}: status {r[5]!r} is neither "
+                                  f"'ok' nor 'undefined'")
+            arrows.append((r[0], x, y, g))
+    if not arrows:
         raise PlotDataError("no quiver rows in the inputs")
-    pts = [(float(r[1]), float(r[2])) for r in rows_all]
-    xs, ys = [p[0] for p in pts], [p[1] for p in pts]
+    xs, ys = [a[1] for a in arrows], [a[2] for a in arrows]
     pad = 0.2 * max(max(xs) - min(xs), max(ys) - min(ys), 1e-9)
     canvas = _Canvas((min(xs) - pad, max(xs) + pad), (min(ys) - pad, max(ys) + pad))
     canvas.axes("x1", "x2")
-    levels = sorted({r[0] for r in rows_all})
+    levels = sorted({a[0] for a in arrows})
     level_color = {lvl: PALETTE[i % len(PALETTE)] for i, lvl in enumerate(levels)}
-    norms = [
-        math.hypot(float(r[3]), float(r[4]))
-        for r in rows_all if r[5] == "ok"
-    ]
+    norms = [math.hypot(*g) for _, _, _, g in arrows if g is not None]
     scale = 0.35 * pad / max(max(norms, default=1.0), 1e-12)
-    for r in rows_all:
-        x, y = float(r[1]), float(r[2])
-        color = level_color[r[0]]
-        if r[5] == "undefined":
+    for level, x, y, g in arrows:
+        if g is None:
             canvas.circle(x, y, 6, "#d62728")
             continue
-        gx, gy = float(r[3]) * scale, float(r[4]) * scale
-        canvas.line(x, y, x + gx, y + gy, color, width=1.5)
+        color = level_color[level]
+        canvas.line(x, y, x + g[0] * scale, y + g[1] * scale, color, width=1.5)
         canvas.circle(x, y, 2, color)
     canvas.legend([(f"level {float(lvl):g}", c) for lvl, c in level_color.items()])
     return canvas.render()

@@ -1,8 +1,15 @@
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import stratopt
 from stratopt import cli, resolve
 from stratopt.cli import main
-from stratopt.tables import read_csv
+from stratopt.tables import AGG_FIELDS, TARGET_FIELDS, TRAJ_FIELDS, read_csv, write_csv
 
 CONE_TEXT = "x1^2 + x2^2 - x0^2"
 
@@ -127,3 +134,97 @@ def test_check_suite_passes(capsys):
     assert rc == 0
     assert out.count("PASS") == 4
     assert "FAIL" not in out
+
+
+def _traj_row(step=0, mu2=-1.0, mu3=0.5, loss=0.5):
+    return (step, 1.0, 3.0, 1.0, mu2, mu3, loss, 1.0)
+
+
+def _write(path, fields, rows):
+    return str(write_csv(path, fields, rows))
+
+
+def _bad_trajectory_text(path):
+    path.write_text(",".join(TRAJ_FIELDS) + "\n0,1,3,1,-1,0.5,0.5,1\n1,1,3,1,-1,0.5,abc,1\n",
+                    encoding="utf-8")
+    return str(path)
+
+
+def _non_utf8_cell(path):
+    path.write_bytes((",".join(TRAJ_FIELDS) + "\n0,1,3,1,-1,0.5,0.5,1\n").encode()
+                     + b"1,1,3,1,-1,0.5,0.\xff5,1\n")
+    return str(path)
+
+
+def _short_trajectory_row(path):
+    path.write_text(",".join(TRAJ_FIELDS) + "\n0,1,3,1,-1,0.5,0.5,1\n1,1,3,1,-1,0.5,0.5\n",
+                    encoding="utf-8")
+    return str(path)
+
+
+def _short_target_row(path):
+    path.write_text("surface,mu1,mu2,mu3\ncone,1,-1\n", encoding="utf-8")
+    return str(path)
+
+
+def _bad_quiver_status(path):
+    path.write_text("level,x1,x2,gx,gy,status\n0,1,2,0.5,0.5,ok\n0,1,-1,0.5,0.5,maybe\n",
+                    encoding="utf-8")
+    return str(path)
+
+
+# (kind, build the bad file, its line named in the error, other inputs)
+BAD_PLOT_INPUTS = {
+    "short trajectory row": ("loss_curves", _short_trajectory_row, 3, False),
+    "short targets row": ("topview_trajectories", _short_target_row, 2, True),
+    "non-numeric cell": ("loss_curves", _bad_trajectory_text, 3, False),
+    "non-UTF-8 cell": ("loss_curves", _non_utf8_cell, 3, False),
+    "inf loss": ("loss_curves", lambda p: _write(
+        p, TRAJ_FIELDS, [_traj_row(), _traj_row(1, loss=math.inf)]), 3, False),
+    "nan loss": ("loss_curves", lambda p: _write(
+        p, TRAJ_FIELDS, [_traj_row(loss=math.nan)]), 2, False),
+    "nan aggregate median": ("loss_curves", lambda p: _write(
+        p, AGG_FIELDS, [(0, 1.0, 1.0), (1, 0.5, math.nan)]), 3, False),
+    "nan mu2": ("topview_trajectories", lambda p: _write(
+        p, TRAJ_FIELDS, [_traj_row(), _traj_row(1), _traj_row(2, mu2=math.nan)]), 4, False),
+    "inf mu3": ("topview_trajectories", lambda p: _write(
+        p, TRAJ_FIELDS, [_traj_row(mu3=-math.inf)]), 2, False),
+    "nan target mu3": ("topview_trajectories", lambda p: _write(
+        p, TARGET_FIELDS, [["cone", 1.0, -1.0, 0.0], ["hyperboloid", 1.0, -1.0, math.nan]]),
+        3, True),
+    "unknown quiver status": ("quiver", _bad_quiver_status, 3, False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_PLOT_INPUTS))
+def test_plot_rejects_malformed_rows(capsys, tmp_path, case):
+    kind, build, line, needs_trajectory = BAD_PLOT_INPUTS[case]
+    bad = build(tmp_path / "bad.csv")
+    inputs = [bad]
+    if needs_trajectory:
+        inputs.insert(0, _write(tmp_path / "good.csv", TRAJ_FIELDS, [_traj_row()]))
+    svg = tmp_path / "x.svg"
+    rc = main(["plot", *inputs, "--kind", kind, "--out", str(svg)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error: {bad}, line {line}: ")
+    assert not svg.exists()
+
+
+def test_plot_header_only_csv_is_a_data_error(capsys, tmp_path, recwarn):
+    empty = _write(tmp_path / "empty.csv", TRAJ_FIELDS, [])
+    svg = tmp_path / "x.svg"
+    assert main(["plot", empty, "--kind", "loss_curves", "--out", str(svg)]) == 2
+    assert capsys.readouterr().err == f"error: {empty}: no data rows\n"
+    assert not svg.exists()
+    assert not recwarn.list
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    src = Path(stratopt.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run([sys.executable, "-m", "stratopt", "stratify", "x0^2 - x1^2"],
+                          capture_output=True, text=True, env=env, check=False)
+    assert done.returncode == 0, done.stderr
+    assert "singular points: 1" in done.stdout

@@ -1,12 +1,14 @@
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from stratopt.config import ExperimentSpec
 from stratopt.model import ChartPoint
 from stratopt.presets import preset
 from stratopt.runner import run_experiment
-from stratopt.svgplot import PlotDataError, SchemaError, plot
+from stratopt.svgplot import HEIGHT, MARGIN, WIDTH, PlotDataError, SchemaError, _Canvas, plot
 from stratopt.tables import TRAJ_FIELDS, write_csv
 
 
@@ -90,3 +92,40 @@ def test_unknown_kind_rejected(run_dir, tmp_path):
 def test_no_inputs_rejected(tmp_path):
     with pytest.raises(PlotDataError):
         plot([], "loss_curves", tmp_path / "x.svg")
+
+
+# Coordinates on `.xx5` rounding boundaries (in data and in pixels), signed
+# zeros and the ends of the range, mixed with arbitrary values.
+EDGES = st.sampled_from([0.0, -0.0, 0.005, 0.015, 0.125, 0.375, 1.005, 2.675, -2.675,
+                         64.005, 100.125, 1e6, -1e6])
+COORD = EDGES | st.floats(-1e6, 1e6)
+
+
+def _reference_points(canvas, xs, ys) -> str:
+    """Per-point pixel mapping and formatting, one Python float at a time."""
+    (x0, x1), (y0, y1) = canvas.xlim, canvas.ylim
+    sx_span, sy_span = (x1 - x0) or 1.0, (y1 - y0) or 1.0
+    pts = []
+    for x, y in zip(xs, ys):
+        sx = MARGIN + (x - x0) / sx_span * (WIDTH - 2 * MARGIN)
+        sy = HEIGHT - MARGIN - (y - y0) / sy_span * (HEIGHT - 2 * MARGIN)
+        pts.append(f"{sx:.2f},{sy:.2f}")
+    return " ".join(pts)
+
+
+@given(st.lists(st.tuples(COORD, COORD), min_size=1, max_size=40),
+       st.tuples(COORD, COORD), st.tuples(COORD, COORD))
+def test_polyline_matches_per_point_formatting(points, xlim, ylim):
+    canvas = _Canvas(xlim, ylim)
+    xs, ys = [p[0] for p in points], [p[1] for p in points]
+    canvas.polyline(np.array(xs), np.array(ys), "#000")
+    expected = _reference_points(canvas, xs, ys)
+    assert canvas.parts[-1].startswith(f'<polyline points="{expected}" ')
+
+
+def test_polyline_on_pixel_rounding_boundaries():
+    # With this window a data value v lands on pixel 64 + v exactly.
+    canvas = _Canvas((0.0, 592.0), (0.0, 412.0))
+    xs = [0.005, 0.125, 0.375, 1.005, 2.675, 100.125, -0.0, -0.004]
+    canvas.polyline(np.array(xs), np.array(xs), "#000")
+    assert canvas.parts[-1].startswith(f'<polyline points="{_reference_points(canvas, xs, xs)}" ')

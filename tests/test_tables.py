@@ -1,9 +1,15 @@
 import math
+import re
 import struct
+import warnings
 
+import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
-from stratopt.tables import read_csv, write_csv
+from stratopt.optim import TrajectoryRecord
+from stratopt.tables import (AGG_FIELDS, TRAJ_FIELDS, SchemaError, line_of, read_columns,
+                             read_csv, write_csv)
 
 # NUL is left out: the stdlib csv reader rejects it on Python 3.10.
 TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00")
@@ -31,3 +37,106 @@ def test_write_read_round_trip(tmp_path_factory, rows):
                     assert _bits(float(cell)) == _bits(value)
             else:
                 assert cell == str(value)
+
+
+def _per_cell_line(row) -> str:
+    """The generic writer line: %.17g for any float, str() quoted per RFC 4180."""
+    out = []
+    for v in row:
+        if isinstance(v, float):
+            out.append("%.17g" % v)
+        else:
+            s = str(v)
+            if any(c in s for c in ',"\r\n'):
+                s = '"' + s.replace('"', '""') + '"'
+            out.append(s)
+    return ",".join(out)
+
+
+MIXED_CELL = (st.floats(allow_subnormal=True) | st.integers() | st.booleans()
+              | st.floats().map(np.float64) | TEXT)
+
+
+@given(st.lists(st.lists(MIXED_CELL, max_size=6) | st.tuples(st.integers(), st.floats()),
+                max_size=6))
+def test_write_csv_matches_per_cell_lines(tmp_path_factory, rows):
+    path = write_csv(tmp_path_factory.mktemp("mix") / "t.csv", ["a", "b"], rows)
+    expected = "\n".join(["a,b", *map(_per_cell_line, rows), ""])
+    assert path.read_bytes().decode("utf-8") == expected
+
+
+def test_write_csv_one_table_of_mixed_row_types(tmp_path):
+    rows = [
+        TrajectoryRecord(3, 0.1, -0.0, 5e-324, 1e308, -2.5, math.inf, math.nan),
+        (7, 0.30000000000000004, 2),
+        [True, 1.5, 2],
+        [np.float64(0.1), 4, "x"],
+        ["a,b", 'q"t', 1.0],
+        [2 ** 70, -3],
+        [],
+    ]
+    path = write_csv(tmp_path / "t.csv", ["a", "b"], rows)
+    lines = path.read_bytes().decode("utf-8").split("\n")
+    assert lines[1:-1] == [_per_cell_line(r) for r in rows]
+    assert lines[1] == "3,0.10000000000000001,-0,4.9406564584124654e-324,1e+308,-2.5,inf,nan"
+    assert lines[3] == "True,1.5,2"
+
+
+@given(st.lists(st.tuples(st.integers(-10 ** 6, 10 ** 6),
+                          st.floats(allow_nan=False, allow_infinity=False,
+                                    allow_subnormal=True),
+                          st.floats(allow_nan=False, allow_infinity=False,
+                                    allow_subnormal=True)),
+                min_size=1, max_size=8))
+def test_read_columns_bit_exact_with_float(tmp_path_factory, rows):
+    path = write_csv(tmp_path_factory.mktemp("num") / "t.csv", AGG_FIELDS, rows)
+    _, cells = read_csv(path)
+    step, median = read_columns(path, AGG_FIELDS, ("step", "median_loss"))
+    assert step.dtype == median.dtype == np.float64
+    assert [_bits(v) for v in step.tolist()] == [_bits(float(r[0])) for r in cells]
+    assert [_bits(v) for v in median.tolist()] == [_bits(float(r[2])) for r in cells]
+
+
+def test_read_columns_subnormals_and_extremes(tmp_path):
+    values = [5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+              1e-310, 1.7976931348623157e308, -0.0, 0.1, 1 / 3]
+    path = write_csv(tmp_path / "t.csv", AGG_FIELDS, [(k, v, -v) for k, v in enumerate(values)])
+    mean, median = read_columns(path, AGG_FIELDS, ("mean_loss", "median_loss"))
+    assert [_bits(v) for v in mean.tolist()] == [_bits(v) for v in values]
+    assert [_bits(v) for v in median.tolist()] == [_bits(-v) for v in values]
+
+
+def test_read_columns_header_only_is_empty_without_warning(tmp_path):
+    path = write_csv(tmp_path / "t.csv", TRAJ_FIELDS, [])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        step, loss = read_columns(path, TRAJ_FIELDS, ("step", "loss"))
+    assert step.size == loss.size == 0
+
+
+@pytest.mark.parametrize("body, message", [
+    ("0,1,2\n1,2\n", "line 3: 2 cells where the header has 3"),
+    ("0,1,2\n1,2,3,4\n", "line 3: 4 cells where the header has 3"),
+    ("0,1,2\n\n1,abc,3\n", "line 4: mean_loss = 'abc' is not a number"),
+    ("0,1,\n", "line 2: median_loss = '' is not a number"),
+    ("0,1,2\n   \n", "line 3: 1 cells where the header has 3"),
+])
+def test_read_columns_names_the_bad_line(tmp_path, body, message):
+    path = tmp_path / "t.csv"
+    path.write_text("step,mean_loss,median_loss\n" + body, encoding="utf-8")
+    with pytest.raises(SchemaError, match=re.escape(f"{path}, {message}")):
+        read_columns(path, AGG_FIELDS, ("step", "mean_loss"))
+
+
+def test_read_columns_checks_the_header(tmp_path):
+    path = write_csv(tmp_path / "t.csv", ["step", "mean_loss"], [(0, 1.0)])
+    with pytest.raises(SchemaError, match="expected header"):
+        read_columns(path, AGG_FIELDS, ("step",))
+
+
+def test_line_of_skips_blank_lines_and_counts_quoted_breaks(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text('a,b\n1,2\n\n"x\ny",3\n4,5\n', encoding="utf-8")
+    assert [line_of(path, k) for k in range(3)] == [2, 4, 6]
+    with pytest.raises(IndexError):
+        line_of(path, 3)
