@@ -18,11 +18,18 @@ from .config import load_config
 from .model import Chart, ChartPoint, GaussianLocationModel
 from .poly import Polynomial, parse_polynomial
 from .presets import PRESET_NAMES, preset
-from .resolve import DEFAULT_GRID_N, _candidates, _choose, count_components, project_to_level
+from .resolve import DEFAULT_GRID_N, _candidates, _choose, _projected_samples, count_components
 from .runner import run_experiment
 from .stratify import SEED_GRID, Region, stratify
 from .svgplot import KINDS, plot
 from .verify import FDSpec, finite_diff_grad, monte_carlo_fim
+
+
+def _nonnegative_int(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
 
 
 def _parse_region(text: str, dim: int) -> Region:
@@ -63,9 +70,7 @@ def _cmd_resolve(args) -> int:
     print(f"chosen level: {chosen.level:+g}")
     print("smoothness check: pass")  # _choose returns only a candidate that passed it
     if args.csv:
-        rng = np.random.default_rng(0)
-        X = region.sample(args.samples, rng)
-        Y, ok = project_to_level(p, chosen.level, X)
+        Y, ok = _projected_samples(chosen, args.samples, seed=0)
         keep = Y[ok & region.contains(Y, pad=1e-9)]
         fields = [f"x{j}" for j in range(p.nvars)]
         tables.write_csv(args.csv, fields, keep.tolist())
@@ -195,7 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--region", default="-2,2")
     r.add_argument("--nvars", type=int, default=None)
     r.add_argument("--grid-n", type=int, default=DEFAULT_GRID_N)
-    r.add_argument("--samples", type=int, default=2000)
+    r.add_argument("--samples", type=_nonnegative_int, default=2000,
+                   help="points sampled for --csv")
     r.add_argument("--csv", default=None, help="write sampled deformation points to this CSV")
     r.set_defaults(func=_cmd_resolve)
 

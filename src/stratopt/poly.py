@@ -131,6 +131,32 @@ class Polynomial:
             out += term
         return out
 
+    def eval_grid(self, axes) -> np.ndarray:
+        """Evaluate on the tensor grid of the 1-D ``axes``, one per variable.
+
+        ``out[i0, i1, ...]`` is the value at ``(axes[0][i0], axes[1][i1], ...)``.
+        Each term is built from per-axis powers by broadcasting, with the same
+        float operations in the same order as ``eval_many`` on the grid's
+        points, so the two agree bit for bit; no coordinate array is formed.
+        """
+        axes = [np.asarray(a, dtype=float) for a in axes]
+        if len(axes) != self.nvars or any(a.ndim != 1 for a in axes):
+            raise DimensionMismatchError(
+                f"expected {self.nvars} 1-D axes, got shapes {[a.shape for a in axes]}"
+            )
+        shape = tuple(a.shape[0] for a in axes)
+        # axis j as an array of shape (1, ..., n_j, ..., 1)
+        axes = [a.reshape(tuple(-1 if k == j else 1 for k in range(self.nvars)))
+                for j, a in enumerate(axes)]
+        out = np.zeros(shape)
+        for (exps, c) in self.terms:
+            term = c
+            for j, e in enumerate(exps):
+                if e:
+                    term = term * axes[j] ** e
+            out += term
+        return out
+
     def grad_many(self, X) -> np.ndarray:
         X = self._as_points(X)
         out = np.empty((X.shape[0], self.nvars))

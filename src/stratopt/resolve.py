@@ -4,15 +4,26 @@ A deformation at a regular value c is a smooth hypersurface approximating
 the singular one away from its singular points.  The preferred deformation
 level is chosen by connectivity: among the two candidate signs, the one
 whose level set has fewer connected components wins (an empty level set
-never wins).  Components are counted on an occupancy grid: occupied cells
-that share a face are labelled in numpy by min-label hooking and pointer
-jumping (Shiloach & Vishkin 1982), so the count is deterministic.
+never wins).  Components are counted on an occupancy grid.  The polynomial
+is evaluated on the grid's corner lattice by ``Polynomial.eval_grid`` (no
+corner coordinates are stored), and a cell is occupied when its corners'
+signs differ: the cell test of marching cubes (Lorensen & Cline 1987), made
+from boolean sign masks OR-reduced over each axis.  Occupied cells that
+share a face are labelled in numpy by min-label hooking and pointer jumping
+(Shiloach & Vishkin 1982), so the count is deterministic.
 ``scipy.ndimage.label`` would label faster, but the runtime dependencies
 stay ``numpy`` only.
+
+``smoothness_check`` and ``proximity_check`` draw the same seeded samples
+and project them onto the same level; the projection is cached per process
+(``SAMPLE_CACHE_SIZE`` entries), so checking one deformation with both
+costs one solve.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +33,11 @@ from .stratify import (SINGULAR, TOL_CRIT, Region, find_singular_points, project
                        tangent_dimension)
 
 DEFAULT_GRID_N = 64
-MAX_CORNERS = 4_000_000  # grid corners count_components may evaluate; 129^3 fits
+# grid corners count_components may evaluate, each holding one float64 value
+# and three boolean sign masks (no coordinates); 129^3 fits
+MAX_CORNERS = 4_000_000
 DEFAULT_SAMPLES = 10_000
+SAMPLE_CACHE_SIZE = 8  # cached projected check samples, one per (deformation, samples, seed)
 DIVERGENCE_BUDGET = 0.01  # fraction of samples allowed to miss the variety
 
 
@@ -50,6 +64,8 @@ class Deformation:
     def __post_init__(self):
         if self.base.nvars != self.region.dim:
             raise ValueError("polynomial nvars and region dimension differ")
+        if not math.isfinite(self.level):
+            raise ValueError(f"deformation level must be finite, got {self.level}")
 
 
 @dataclass(frozen=True)
@@ -71,8 +87,12 @@ def deform(p: Polynomial, c: float, region: Region | None = None) -> Deformation
 def count_components(d: Deformation, grid_n: int = DEFAULT_GRID_N) -> ComponentReport:
     """Connected components of {base = level} on an occupancy grid.
 
-    A cell is occupied iff base - level changes sign over the cell's corners;
-    occupied cells sharing a face belong to one component.
+    base - level is evaluated once on the (grid_n + 1)^dim corner lattice
+    (``Polynomial.eval_grid``).  A cell is occupied iff some corner is <= 0,
+    some corner is >= 0 and no corner is NaN (a NaN value, e.g. from an
+    overflow to inf - inf, leaves its cells unoccupied); the three sign masks
+    are OR-reduced over each axis's face slices.  Occupied cells sharing a
+    face belong to one component.
     """
     if grid_n < 16:
         raise ValueError(f"grid_n must be >= 16, got {grid_n}")
@@ -81,22 +101,19 @@ def count_components(d: Deformation, grid_n: int = DEFAULT_GRID_N) -> ComponentR
         raise ValueError(f"grid_n={grid_n} in {dim} dimensions needs {(grid_n + 1) ** dim} "
                          f"corners, more than MAX_CORNERS={MAX_CORNERS}; lower grid_n")
     axes = [np.linspace(region.lower[j], region.upper[j], grid_n + 1) for j in range(dim)]
-    shape = (grid_n + 1,) * dim
-    corners = np.empty(shape + (dim,))  # filled in place: no dense mesh beside it
-    for j, m in enumerate(np.meshgrid(*axes, indexing="ij", sparse=True)):
-        corners[..., j] = m
-    vals = (p.eval_many(corners.reshape(-1, dim)) - d.level).reshape(shape)
-    del corners  # the largest array; free it before the cell passes
-    mins = vals
-    maxs = vals
-    for ax in range(dim):
+    vals = p.eval_grid(axes)
+    vals -= d.level
+    # weak inequalities: a corner exactly on the level set marks the cell
+    below, above, undefined = vals <= 0.0, vals >= 0.0, np.isnan(vals)
+    del vals  # freed before the cell passes, so later arrays reuse its pages
+    for ax in range(dim):  # a cell's flag: its 2^dim corners' flags, OR-reduced
         head, tail = _face_slices(dim, ax)
-        mins = np.minimum(mins[head], mins[tail])
-        maxs = np.maximum(maxs[head], maxs[tail])
-    # weak inequalities: a corner exactly on the level set still marks the cell
-    occupied = (mins <= 0.0) & (maxs >= 0.0)
-    del vals, mins, maxs  # freed before labeling, so later arrays reuse their pages
-    n_occ = int(occupied.sum())
+        below = below[head] | below[tail]
+        above = above[head] | above[tail]
+        undefined = undefined[head] | undefined[tail]
+    occupied = below & above & ~undefined
+    del below, above, undefined
+    n_occ = int(np.count_nonzero(occupied))
     spacing = float(np.max(region.widths) / grid_n)
     if n_occ == 0:
         return ComponentReport(count=0, grid_spacing=spacing, occupied_cells=0)
@@ -161,9 +178,7 @@ def smoothness_check(d: Deformation, samples: int = DEFAULT_SAMPLES, seed: int =
     sing = find_singular_points(d.base, d.level, d.region)
     if sing:
         return False
-    rng = np.random.default_rng(seed)
-    X = d.region.sample(samples, rng)
-    Y, ok = project_to_level(d.base, d.level, X)
+    Y, ok = _projected_samples(d, samples, seed)
     n_diverged = int((~ok).sum())
     if n_diverged > DIVERGENCE_BUDGET * samples:
         raise ProjectionError(
@@ -171,6 +186,27 @@ def smoothness_check(d: Deformation, samples: int = DEFAULT_SAMPLES, seed: int =
         )
     G = d.base.grad_many(Y[ok])
     return bool((np.linalg.norm(G, axis=1) >= TOL_CRIT).all())
+
+
+def _projected_samples(d: Deformation, samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """``samples`` uniform points of ``d.region`` drawn from ``default_rng(seed)``
+    and projected onto {base = level}: ``project_to_level``'s (points,
+    converged mask), read-only and shared by callers."""
+    return _cached_projection(d.base, np.float64(d.level).tobytes(), d.region.lower.tobytes(),
+                              d.region.upper.tobytes(), samples, seed)
+
+
+@functools.lru_cache(maxsize=SAMPLE_CACHE_SIZE)
+def _cached_projection(p: Polynomial, level: bytes, lower: bytes, upper: bytes,
+                       samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_projected_samples`` keyed by the float64 bytes of the level and the
+    region bounds, so -0.0 and 0.0 get separate entries."""
+    region = Region(np.frombuffer(lower), np.frombuffer(upper))
+    X = region.sample(samples, np.random.default_rng(seed))
+    Y, ok = project_to_level(p, float(np.frombuffer(level)[0]), X)
+    Y.setflags(write=False)
+    ok.setflags(write=False)
+    return Y, ok
 
 
 def choose_resolution(
@@ -190,8 +226,8 @@ def choose_resolution(
 
 def _candidates(p: Polynomial, eps: float, region: Region | None) -> list[Deformation]:
     """The deformations at +eps and -eps, in tie-break order."""
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     region = region or default_region(p.nvars)
     return [deform(p, +eps, region), deform(p, -eps, region)]
 
@@ -229,9 +265,7 @@ def proximity_check(
     """
     if exclusion_radius <= 0:
         raise ValueError(f"exclusion_radius must be positive, got {exclusion_radius}")
-    rng = np.random.default_rng(seed)
-    X = d.region.sample(samples, rng)
-    Y, ok = project_to_level(d.base, d.level, X)
+    Y, ok = _projected_samples(d, samples, seed)
     Y = Y[ok & d.region.contains(Y, pad=1e-9)]
     sing = find_singular_points(d.base, 0.0, d.region)
     if sing:

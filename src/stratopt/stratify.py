@@ -154,6 +154,8 @@ def find_singular_points(
     _reject_systems(p)
     if p.nvars != region.dim:
         raise ValueError(f"polynomial has {p.nvars} variables, region has dim {region.dim}")
+    if not math.isfinite(level):
+        raise ValueError(f"level must be finite, got {level}")
     X = _newton_endpoints(p, region.lower.tobytes(), region.upper.tobytes(), grid_points)
     grad_ok = np.linalg.norm(p.grad_many(X), axis=1) < TOL_CRIT
     on_level = np.abs(p.eval_many(X) - level) < TOL_ON
@@ -216,19 +218,24 @@ def project_to_level(p: Polynomial, level: float, X) -> tuple[np.ndarray, np.nda
     non-converged rows hold their last iterate.
     """
     X = np.array(np.atleast_2d(np.asarray(X, dtype=float)))
+    # a row that stops moving is never updated again, so each step evaluates
+    # only the rows that moved in the step before
+    active = np.arange(X.shape[0])
     for _ in range(PROJECTION_MAX_ITER):
-        finite = np.isfinite(X).all(axis=1)
-        f = np.full(X.shape[0], np.inf)
-        f[finite] = p.eval_many(X[finite]) - level
+        Xa = X[active]
+        finite = np.isfinite(Xa).all(axis=1)
+        f = np.full(active.shape[0], np.inf)
+        f[finite] = p.eval_many(Xa[finite]) - level
         moving = finite & (np.abs(f) > PROJECTION_TOL)
-        if not moving.any():
+        active = active[moving]
+        if not active.size:
             break
-        G = p.grad_many(X[moving])
+        G = p.grad_many(Xa[moving])
         gn2 = (G * G).sum(axis=1)
         safe = gn2 > 1e-30
         shift = np.zeros_like(G)
         shift[safe] = (f[moving][safe] / gn2[safe])[:, None] * G[safe]
-        X[moving] = X[moving] - shift
+        X[active] = Xa[moving] - shift
     finite = np.isfinite(X).all(axis=1)
     ok = np.zeros(X.shape[0], dtype=bool)
     ok[finite] = np.abs(p.eval_many(X[finite]) - level) <= PROJECTION_TOL

@@ -62,6 +62,37 @@ def test_resolve_counts_each_level_once(capsys, monkeypatch):
     assert "chosen level: +0.1" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [
+    ["stratify", CONE_TEXT, "--level", "nan"],
+    ["stratify", CONE_TEXT, "--level=-inf"],
+    ["resolve", CONE_TEXT, "--eps", "nan"],
+    ["resolve", CONE_TEXT, "--eps", "inf"],
+])
+def test_non_finite_levels_exit_2(capsys, argv):
+    assert main(argv) == 2
+    assert "must be" in capsys.readouterr().err
+
+
+def test_negative_samples_is_a_usage_error(capsys, monkeypatch, tmp_path):
+    def no_count(*args, **kwargs):
+        raise AssertionError("components counted before the arguments were checked")
+    monkeypatch.setattr(cli, "count_components", no_count)
+    with pytest.raises(SystemExit) as exc:
+        main(["resolve", CONE_TEXT, "--eps", "0.1", "--samples", "-3",
+              "--csv", str(tmp_path / "out.csv")])
+    assert exc.value.code == 2
+    assert "argument --samples: must be >= 0, got -3" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_zero_samples_writes_header_only_csv(capsys, tmp_path):
+    csv_out = tmp_path / "samples.csv"
+    assert main(["resolve", CONE_TEXT, "--eps", "0.1", "--grid-n", "32",
+                 "--samples", "0", "--csv", str(csv_out)]) == 0
+    assert csv_out.read_text() == "x0,x1,x2\n"
+    assert "0 deformation samples written" in capsys.readouterr().out
+
+
 def test_bad_polynomial_is_reported(capsys):
     rc = main(["stratify", "x0^^2"])
     assert rc == 2

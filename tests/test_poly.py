@@ -194,3 +194,36 @@ def test_eval_deterministic_term_order():
     p2 = Polynomial(2, {(1, 1): -1.0, (0, 2): 1e-8, (2, 0): 1.0})
     x = [0.123456789, 7.6543210987]
     assert p1.eval(x) == p2.eval(x)  # bitwise: same sorted term order
+
+
+@st.composite
+def lattices(draw):
+    """A polynomial in 1-4 variables with exponents 0-5 and a constant term,
+    and one short axis per variable holding -0.0 and a negative value."""
+    nvars = draw(st.integers(1, 4))
+    exps = st.tuples(*[st.integers(0, 5)] * nvars)
+    coeff = st.floats(-4, 4, allow_nan=False)
+    coeffs = draw(st.dictionaries(exps, coeff, min_size=1, max_size=6))
+    coeffs[(0,) * nvars] = draw(coeff)
+    coord = st.floats(-3, 3, allow_nan=False)
+    axes = [np.array(draw(st.lists(coord, max_size=3)) + [-0.0, draw(st.floats(-3, -1e-3))])
+            for _ in range(nvars)]
+    return Polynomial(nvars, coeffs), axes
+
+
+@given(lattices())
+def test_eval_grid_bit_identical_to_eval_many(case):
+    p, axes = case
+    points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, p.nvars)
+    want = p.eval_many(points).reshape([len(a) for a in axes])
+    got = p.eval_grid(axes)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_eval_grid_shapes():
+    assert np.array_equal(Polynomial(2, {}).eval_grid([[0.0, 1.0], [2.0]]), np.zeros((2, 1)))
+    with pytest.raises(DimensionMismatchError):
+        CUSP.eval_grid([[0.0, 1.0]])
+    with pytest.raises(DimensionMismatchError):
+        CUSP.eval_grid([[0.0, 1.0], [[2.0]]])

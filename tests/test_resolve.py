@@ -1,12 +1,15 @@
+import functools
 import itertools
+import math
 from collections import deque
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from stratopt.poly import cusp_curve, double_cone, parse_polynomial
-from stratopt.resolve import (NoSamplesError, ResolutionError, choose_resolution,
+from stratopt import resolve
+from stratopt.poly import Polynomial, cusp_curve, double_cone, parse_polynomial
+from stratopt.resolve import (Deformation, NoSamplesError, ResolutionError, choose_resolution,
                               count_components, deform, default_region,
                               project_to_level, projected_gradient_field,
                               proximity_check, smoothness_check)
@@ -54,20 +57,36 @@ def test_empty_level_set_counts_zero():
     assert count_components(deform(sq, -0.5), 32).count == 0
 
 
-def flood_fill_components(d, grid_n):
-    """Oracle: (components, occupied cells) by breadth-first search over the
-    occupied cells, with occupancy taken from the 2^dim corners of each cell."""
+def corner_values(d, grid_n):
+    """base - level at the grid corners, evaluated point by point with eval_many."""
     dim = d.region.dim
     axes = [np.linspace(d.region.lower[j], d.region.upper[j], grid_n + 1) for j in range(dim)]
     corners = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
-    vals = (d.base.eval_many(corners) - d.level).reshape((grid_n + 1,) * dim)
-    below = np.zeros((grid_n,) * dim, dtype=bool)
-    above = np.zeros((grid_n,) * dim, dtype=bool)
-    for offset in itertools.product((0, 1), repeat=dim):
-        v = vals[tuple(slice(o, o + grid_n) for o in offset)]
+    return (d.base.eval_many(corners) - d.level).reshape((grid_n + 1,) * dim)
+
+
+def cell_corners(vals):
+    """Each cell's 2^dim corner values, one array per corner offset."""
+    n = vals.shape[0] - 1
+    return [vals[tuple(slice(o, o + n) for o in offset)]
+            for offset in itertools.product((0, 1), repeat=vals.ndim)]
+
+
+def flood_fill_components(d, grid_n):
+    """Oracle: (components, occupied cells) by breadth-first search over the
+    occupied cells, with occupancy taken from the 2^dim corners of each cell."""
+    below = np.zeros((grid_n,) * d.region.dim, dtype=bool)
+    above = np.zeros((grid_n,) * d.region.dim, dtype=bool)
+    for v in cell_corners(corner_values(d, grid_n)):
         below |= v <= 0.0
         above |= v >= 0.0
-    occupied = {tuple(int(i) for i in c) for c in np.argwhere(below & above)}
+    return flood_fill(below & above)
+
+
+def flood_fill(cells):
+    """(components, occupied cells) of a boolean cell array, by breadth-first search."""
+    dim = cells.ndim
+    occupied = {tuple(int(i) for i in c) for c in np.argwhere(cells)}
     seen, count = set(), 0
     for start in sorted(occupied):
         if start in seen:
@@ -116,6 +135,24 @@ def test_count_components_matches_flood_fill_at_grid_128():
     assert rep.count == 2
 
 
+def test_nan_corners_leave_their_cells_unoccupied():
+    # 1e308 * 4 overflows, so corners with |x0|, |x1| both near 2 evaluate to
+    # inf - inf = NaN; the reference is the min/max rule, under which NaN
+    # propagates through np.minimum/np.maximum and fails both comparisons
+    d = deform(parse_polynomial("1e308*x0^2 - 1e308*x1^2"), 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = corner_values(d, 64)
+        corners = cell_corners(vals)
+        mins = functools.reduce(np.minimum, corners)
+        maxs = functools.reduce(np.maximum, corners)
+        rep = count_components(d, 64)
+        # cells with a NaN corner would be occupied if NaN corners were skipped
+        skipping_nan = flood_fill_components(d, 64)
+    assert np.isnan(vals).any()
+    assert (rep.count, rep.occupied_cells) == flood_fill((mins <= 0.0) & (maxs >= 0.0))
+    assert rep.occupied_cells < skipping_nan[1]
+
+
 def test_grid_n_validated():
     with pytest.raises(ValueError):
         count_components(deform(CONE, 0.1), 8)
@@ -127,8 +164,8 @@ def test_corner_guard_refuses_before_building_the_grid(monkeypatch):
     sphere8 = parse_polynomial(" + ".join(f"x{j}^2" for j in range(8)))
 
     def no_grid(*args, **kwargs):
-        raise AssertionError("the corner grid was built")
-    monkeypatch.setattr(np, "meshgrid", no_grid)
+        raise AssertionError("the corner grid was evaluated")
+    monkeypatch.setattr(Polynomial, "eval_grid", no_grid)
     with pytest.raises(ValueError, match="corners"):
         count_components(deform(sphere8, 1.0), 16)
 
@@ -163,6 +200,20 @@ def test_both_levels_empty_is_an_error():
     region = Region.cube(-2.0, 2.0, 1)
     with pytest.raises(ResolutionError):
         choose_resolution(p, 1.0, region, grid_n=32)
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, 0.0, -0.1])
+def test_eps_must_be_positive_and_finite(eps):
+    with pytest.raises(ValueError, match=f"got {eps}"):
+        choose_resolution(CONE, eps)
+
+
+@pytest.mark.parametrize("level", [math.nan, math.inf, -math.inf])
+def test_deformation_level_must_be_finite(level):
+    with pytest.raises(ValueError, match=f"got {level}"):
+        deform(CONE, level)
+    with pytest.raises(ValueError, match=f"got {level}"):
+        Deformation(CONE, level, default_region(3))
 
 
 # -- smoothness_check --------------------------------------------------------------
@@ -204,6 +255,29 @@ def test_proximity_shrinks_with_level():
     near = proximity_check(deform(CONE, 0.001), exclusion_radius=0.5, samples=3000, seed=7)
     far = proximity_check(deform(CONE, 0.1), exclusion_radius=0.5, samples=3000, seed=7)
     assert near < far
+
+
+def test_checks_share_one_projection_of_the_samples(monkeypatch):
+    resolve._cached_projection.cache_clear()
+    calls = []
+
+    def counted(p, level, X):
+        calls.append((level, len(X)))
+        return project_to_level(p, level, X)
+    monkeypatch.setattr(resolve, "project_to_level", counted)
+    chosen = choose_resolution(double_cone(), 0.1)
+    proximity_check(chosen, 0.3)
+    assert chosen.level == 0.1
+    assert calls.count((0.1, resolve.DEFAULT_SAMPLES)) == 1
+
+
+def test_cached_samples_match_a_fresh_projection():
+    d = deform(CONE, 0.1)
+    Y, ok = resolve._projected_samples(d, 500, seed=4)
+    X = d.region.sample(500, np.random.default_rng(4))
+    Y2, ok2 = project_to_level(CONE, 0.1, X)
+    assert np.array_equal(Y, Y2) and np.array_equal(ok, ok2)
+    assert not Y.flags.writeable and not ok.flags.writeable
 
 
 def test_proximity_requires_positive_radius():

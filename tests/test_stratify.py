@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -5,7 +7,8 @@ from hypothesis import given, strategies as st
 from stratopt.poly import (Polynomial, axis_pair, cusp_curve, double_cone,
                           parse_polynomial)
 from stratopt.resolve import choose_resolution, proximity_check
-from stratopt.stratify import (SINGULAR, OffVarietyError, Region,
+from stratopt.stratify import (PROJECTION_MAX_ITER, PROJECTION_TOL, SINGULAR,
+                               OffVarietyError, Region, project_to_level,
                                find_singular_points, simplex_strata, stratify,
                                tangent_dimension)
 
@@ -101,6 +104,44 @@ def test_polynomial_systems_rejected():
 def test_region_mismatch_rejected():
     with pytest.raises(ValueError):
         find_singular_points(CONE, 0.0, BOX2)
+
+
+@pytest.mark.parametrize("level", [math.nan, math.inf, -math.inf])
+def test_non_finite_level_rejected(level):
+    with pytest.raises(ValueError, match=f"level must be finite, got {level}"):
+        find_singular_points(CONE, level, BOX3)
+
+
+def project_every_row(p, level, X):
+    """Reference projection that re-evaluates every row at every step."""
+    X = np.array(X, dtype=float)
+    for _ in range(PROJECTION_MAX_ITER):
+        finite = np.isfinite(X).all(axis=1)
+        f = np.full(X.shape[0], np.inf)
+        f[finite] = p.eval_many(X[finite]) - level
+        moving = finite & (np.abs(f) > PROJECTION_TOL)
+        if not moving.any():
+            break
+        G = p.grad_many(X[moving])
+        gn2 = (G * G).sum(axis=1)
+        shift = np.zeros_like(G)
+        safe = gn2 > 1e-30
+        shift[safe] = (f[moving][safe] / gn2[safe])[:, None] * G[safe]
+        X[moving] = X[moving] - shift
+    return X
+
+
+@pytest.mark.parametrize("p, level", [(CONE, 0.0), (CONE, 0.1), (CUSP, 0.0), (CUSP, -0.2)])
+def test_projection_matches_every_row_reference(p, level):
+    # at level 0 rows near the singular point converge slowly, so the rows
+    # still moving shrink over many steps; NaN and inf rows never move
+    X = np.random.default_rng(2).uniform(-2.0, 2.0, size=(2000, p.nvars))
+    X[::97] = np.nan
+    X[5::101, 0] = np.inf
+    Y, ok = project_to_level(p, level, X)
+    want = project_every_row(p, level, X)
+    assert np.array_equal(Y, want, equal_nan=True)
+    assert 0.0 < ok.mean() < 1.0
 
 
 # -- tangent_dimension --------------------------------------------------------
