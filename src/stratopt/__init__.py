@@ -1,9 +1,8 @@
 """stratopt: singular parameter spaces as polynomial zero sets, their smooth
 deformations, and gradient-descent learning dynamics on chart coordinates."""
 
-from .poly import (AmbientPoint, DimensionMismatchError, Polynomial,
-                   PolynomialParseError, axis_pair, cusp_curve, double_cone,
-                   parse_polynomial)
+from .poly import (DimensionMismatchError, Polynomial, PolynomialParseError,
+                   axis_pair, cusp_curve, double_cone, parse_polynomial)
 from .stratify import (SINGULAR, OffVarietyError, Region, SimplexStrata,
                        Stratification, find_singular_points, simplex_strata,
                        stratify, tangent_dimension)

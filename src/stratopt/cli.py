@@ -70,7 +70,7 @@ def _cmd_resolve(args) -> int:
     print(f"chosen level: {chosen.level:+g}")
     print("smoothness check: pass")  # _choose returns only a candidate that passed it
     if args.csv:
-        Y, ok = _projected_samples(chosen, args.samples, seed=0)
+        Y, ok = _projected_samples(chosen, args.samples, 0)
         keep = Y[ok & region.contains(Y, pad=1e-9)]
         fields = [f"x{j}" for j in range(p.nvars)]
         tables.write_csv(args.csv, fields, keep.tolist())

@@ -5,8 +5,6 @@ pairs sorted lexicographically by exponent vector.  The term order is fixed
 at construction, so evaluation sums in a deterministic order and results are
 bit-reproducible across runs.  Coefficients are doubles; exponents are
 nonnegative integers.
-
-Points are plain 1-D float arrays (``AmbientPoint`` below is just an alias).
 """
 
 from __future__ import annotations
@@ -16,8 +14,6 @@ import re
 from typing import Mapping
 
 import numpy as np
-
-AmbientPoint = np.ndarray
 
 MAX_NVARS = 8
 
@@ -122,14 +118,7 @@ class Polynomial:
     def eval_many(self, X) -> np.ndarray:
         """Evaluate at each row of ``X`` (shape (m, nvars)); no finiteness checks."""
         X = self._as_points(X)
-        out = np.zeros(X.shape[0])
-        for (exps, c) in self.terms:
-            term = np.full(X.shape[0], c)
-            for j, e in enumerate(exps):
-                if e:
-                    term *= X[:, j] ** e
-            out += term
-        return out
+        return self._sum_terms(X.T, (X.shape[0],))
 
     def eval_grid(self, axes) -> np.ndarray:
         """Evaluate on the tensor grid of the 1-D ``axes``, one per variable.
@@ -148,12 +137,17 @@ class Polynomial:
         # axis j as an array of shape (1, ..., n_j, ..., 1)
         axes = [a.reshape(tuple(-1 if k == j else 1 for k in range(self.nvars)))
                 for j, a in enumerate(axes)]
+        return self._sum_terms(axes, shape)
+
+    def _sum_terms(self, columns, shape) -> np.ndarray:
+        """Sum of the terms, in ``self.terms`` order, over an output of ``shape``;
+        ``columns[j]`` holds the values of variable j, broadcastable to it."""
         out = np.zeros(shape)
         for (exps, c) in self.terms:
             term = c
             for j, e in enumerate(exps):
                 if e:
-                    term = term * axes[j] ** e
+                    term = term * columns[j] ** e
             out += term
         return out
 

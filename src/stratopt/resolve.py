@@ -100,8 +100,7 @@ def count_components(d: Deformation, grid_n: int = DEFAULT_GRID_N) -> ComponentR
     if (grid_n + 1) ** dim > MAX_CORNERS:
         raise ValueError(f"grid_n={grid_n} in {dim} dimensions needs {(grid_n + 1) ** dim} "
                          f"corners, more than MAX_CORNERS={MAX_CORNERS}; lower grid_n")
-    axes = [np.linspace(region.lower[j], region.upper[j], grid_n + 1) for j in range(dim)]
-    vals = p.eval_grid(axes)
+    vals = p.eval_grid(region.axes(grid_n + 1))
     vals -= d.level
     # weak inequalities: a corner exactly on the level set marks the cell
     below, above, undefined = vals <= 0.0, vals >= 0.0, np.isnan(vals)
@@ -188,22 +187,13 @@ def smoothness_check(d: Deformation, samples: int = DEFAULT_SAMPLES, seed: int =
     return bool((np.linalg.norm(G, axis=1) >= TOL_CRIT).all())
 
 
+@functools.lru_cache(maxsize=SAMPLE_CACHE_SIZE)
 def _projected_samples(d: Deformation, samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """``samples`` uniform points of ``d.region`` drawn from ``default_rng(seed)``
     and projected onto {base = level}: ``project_to_level``'s (points,
     converged mask), read-only and shared by callers."""
-    return _cached_projection(d.base, np.float64(d.level).tobytes(), d.region.lower.tobytes(),
-                              d.region.upper.tobytes(), samples, seed)
-
-
-@functools.lru_cache(maxsize=SAMPLE_CACHE_SIZE)
-def _cached_projection(p: Polynomial, level: bytes, lower: bytes, upper: bytes,
-                       samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """``_projected_samples`` keyed by the float64 bytes of the level and the
-    region bounds, so -0.0 and 0.0 get separate entries."""
-    region = Region(np.frombuffer(lower), np.frombuffer(upper))
-    X = region.sample(samples, np.random.default_rng(seed))
-    Y, ok = project_to_level(p, float(np.frombuffer(level)[0]), X)
+    X = d.region.sample(samples, np.random.default_rng(seed))
+    Y, ok = project_to_level(d.base, d.level, X)
     Y.setflags(write=False)
     ok.setflags(write=False)
     return Y, ok
@@ -263,8 +253,10 @@ def proximity_check(
     Newton-projected onto the base variety; the maximum projection distance
     is returned.
     """
-    if exclusion_radius <= 0:
-        raise ValueError(f"exclusion_radius must be positive, got {exclusion_radius}")
+    if not (math.isfinite(exclusion_radius) and exclusion_radius > 0):
+        raise ValueError(f"exclusion_radius must be positive and finite, got {exclusion_radius}")
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     Y, ok = _projected_samples(d, samples, seed)
     Y = Y[ok & d.region.contains(Y, pad=1e-9)]
     sing = find_singular_points(d.base, 0.0, d.region)

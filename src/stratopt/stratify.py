@@ -5,10 +5,12 @@ gradient of p vanishes on the level set.  They are located by running
 Newton's method on the critical-point system (grad p = 0) from a uniform
 grid of seeds, then filtering to the level set and deduplicating.  The
 Newton endpoints do not depend on the level, so they are cached per process
-(``NEWTON_CACHE_SIZE`` entries, keyed on the polynomial, the exact region
-bounds and the seed grid): every level searched on one variety and region
-shares a single solve.  ``project_to_level``, the Newton projection onto a
-level set that the ball-radius probes and ``resolve`` use, lives here too.
+(``NEWTON_CACHE_SIZE`` entries, keyed on the polynomial, the region and the
+seed grid): every level searched on one variety and region shares a single
+solve.  A ``Region`` is a value, with read-only copied bounds and equality by
+their bytes, so an equal region built from other arrays finds that solve.
+``project_to_level``, the Newton projection onto a level set that the
+ball-radius probes and ``resolve`` use, lives here too.
 The tolerances, iteration limits and probe counts are the module constants
 below, not per-call settings.  Only the hypersurface case (a single
 polynomial) is supported; systems of several polynomials are rejected.
@@ -51,24 +53,39 @@ class _SingularMarker:
 SINGULAR = _SingularMarker()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Region:
-    """Axis-aligned box given by componentwise lower < upper bounds."""
+    """Axis-aligned box given by componentwise lower < upper bounds.
+
+    A value: its bounds are read-only float64 copies, and regions with the
+    same bound bytes are equal and hash alike (a -0.0 bound differs from 0.0).
+    """
 
     lower: np.ndarray
     upper: np.ndarray
 
     def __post_init__(self):
-        lo = np.atleast_1d(np.asarray(self.lower, dtype=float))
-        hi = np.atleast_1d(np.asarray(self.upper, dtype=float))
+        lo = np.array(self.lower, dtype=float, ndmin=1)
+        hi = np.array(self.upper, dtype=float, ndmin=1)
         if lo.shape != hi.shape or lo.ndim != 1:
             raise ValueError("lower and upper must be 1-D vectors of equal length")
         if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
             raise ValueError("region bounds must be finite")
         if not (lo < hi).all():
             raise ValueError("region requires lower < upper componentwise")
+        lo.setflags(write=False)
+        hi.setflags(write=False)
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
+
+    def _key(self) -> tuple[bytes, bytes]:
+        return self.lower.tobytes(), self.upper.tobytes()
+
+    def __eq__(self, other):
+        return isinstance(other, Region) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @classmethod
     def cube(cls, lo: float, hi: float, dim: int) -> "Region":
@@ -97,10 +114,12 @@ class Region:
             raise ValueError("need at least 2 grid points per axis")
         if points_per_axis ** self.dim > MAX_SEEDS:
             raise ValueError("seed grid too large; lower points_per_axis")
-        axes = [np.linspace(self.lower[j], self.upper[j], points_per_axis)
-                for j in range(self.dim)]
-        mesh = np.meshgrid(*axes, indexing="ij")
+        mesh = np.meshgrid(*self.axes(points_per_axis), indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=1)
+
+    def axes(self, n: int) -> list[np.ndarray]:
+        """``n`` evenly spaced coordinates from lower to upper bound, per axis."""
+        return [np.linspace(lo, hi, n) for lo, hi in zip(self.lower, self.upper)]
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(self.lower, self.upper, size=(n, self.dim))
@@ -156,7 +175,7 @@ def find_singular_points(
         raise ValueError(f"polynomial has {p.nvars} variables, region has dim {region.dim}")
     if not math.isfinite(level):
         raise ValueError(f"level must be finite, got {level}")
-    X = _newton_endpoints(p, region.lower.tobytes(), region.upper.tobytes(), grid_points)
+    X = _newton_endpoints(p, region, grid_points)
     grad_ok = np.linalg.norm(p.grad_many(X), axis=1) < TOL_CRIT
     on_level = np.abs(p.eval_many(X) - level) < TOL_ON
     pad = 1e-9 * float(np.max(region.widths))
@@ -173,14 +192,10 @@ def find_singular_points(
 
 
 @functools.lru_cache(maxsize=NEWTON_CACHE_SIZE)
-def _newton_endpoints(p: Polynomial, lower: bytes, upper: bytes,
-                      grid_points: int) -> np.ndarray:
+def _newton_endpoints(p: Polynomial, region: Region, grid_points: int) -> np.ndarray:
     """Finite endpoints of Newton's method on grad p = 0 from every grid seed
-    of the region with these float64 bounds; read-only, shared by callers.
-
-    The bounds are keyed by their bytes, so -0.0 and 0.0 get separate entries.
-    """
-    X = Region(np.frombuffer(lower), np.frombuffer(upper)).grid(grid_points)
+    of ``region``; read-only, shared by callers."""
+    X = region.grid(grid_points)
     for _ in range(NEWTON_MAX_ITER):
         finite = np.isfinite(X).all(axis=1)
         G = np.zeros_like(X)

@@ -13,7 +13,7 @@ from stratopt.resolve import (Deformation, NoSamplesError, ResolutionError, choo
                               count_components, deform, default_region,
                               project_to_level, projected_gradient_field,
                               proximity_check, smoothness_check)
-from stratopt.stratify import SINGULAR, OffVarietyError, Region
+from stratopt.stratify import SINGULAR, OffVarietyError, Region, _newton_endpoints
 
 CONE = double_cone()
 CUSP = cusp_curve()
@@ -258,7 +258,7 @@ def test_proximity_shrinks_with_level():
 
 
 def test_checks_share_one_projection_of_the_samples(monkeypatch):
-    resolve._cached_projection.cache_clear()
+    resolve._projected_samples.cache_clear()
     calls = []
 
     def counted(p, level, X):
@@ -283,6 +283,32 @@ def test_cached_samples_match_a_fresh_projection():
 def test_proximity_requires_positive_radius():
     with pytest.raises(ValueError):
         proximity_check(deform(CONE, 0.1), exclusion_radius=0.0)
+
+
+@pytest.mark.parametrize("radius, samples, match", [
+    (math.nan, 100, "exclusion_radius"),
+    (math.inf, 100, "exclusion_radius"),
+    (0.5, 0, "samples"),
+    (0.5, -5, "samples"),
+])
+def test_proximity_rejects_bad_arguments_by_name(radius, samples, match):
+    with pytest.raises(ValueError, match=match):
+        proximity_check(deform(CONE, 0.1), exclusion_radius=radius, samples=samples)
+
+
+def test_deformations_are_values():
+    assert deform(double_cone(), 0.1) == deform(double_cone(), 0.1)
+    assert hash(deform(double_cone(), 0.1)) == hash(deform(double_cone(), 0.1))
+    assert deform(CONE, 0.1) != deform(CONE, -0.1)
+
+
+def test_equal_deformations_hit_the_caches():
+    resolve._projected_samples.cache_clear()
+    _newton_endpoints.cache_clear()
+    for region in (Region.cube(-2.0, 2.0, 3), Region(np.full(3, -2.0), np.full(3, 2.0))):
+        assert smoothness_check(deform(CONE, 0.1, region), samples=500)
+    assert resolve._projected_samples.cache_info().hits == 1
+    assert _newton_endpoints.cache_info().hits == 1
 
 
 # -- projected_gradient_field -----------------------------------------------------------

@@ -8,9 +8,9 @@ from stratopt.poly import (Polynomial, axis_pair, cusp_curve, double_cone,
                           parse_polynomial)
 from stratopt.resolve import choose_resolution, proximity_check
 from stratopt.stratify import (PROJECTION_MAX_ITER, PROJECTION_TOL, SINGULAR,
-                               OffVarietyError, Region, project_to_level,
-                               find_singular_points, simplex_strata, stratify,
-                               tangent_dimension)
+                               OffVarietyError, Region, _newton_endpoints,
+                               project_to_level, find_singular_points,
+                               simplex_strata, stratify, tangent_dimension)
 
 CONE = double_cone()
 CUSP = cusp_curve()
@@ -71,17 +71,16 @@ def test_deterministic_and_idempotent():
 
 
 def test_one_newton_solve_per_variety(monkeypatch):
-    # the Newton loop is the only caller of hessian_many; a region no other
-    # test uses makes the first search a fresh solve
+    # the Newton loop is the only caller of hessian_many
+    _newton_endpoints.cache_clear()
     calls = []
     hessian_many = Polynomial.hessian_many
     monkeypatch.setattr(Polynomial, "hessian_many",
                         lambda self, X: calls.append(len(X)) or hessian_many(self, X))
-    region = Region.cube(-2.0, 2.5, 3)
-    strat = stratify(CONE, 0.0, region)
+    strat = stratify(CONE, 0.0, BOX3)
     assert len(strat.singular_points) == 1 and calls
     solve = list(calls)
-    chosen = choose_resolution(CONE, 0.1, region)
+    chosen = choose_resolution(CONE, 0.1, Region(np.full(3, -2.0), np.full(3, 2.0)))
     proximity_check(chosen, 0.3)
     assert chosen.level == 0.1
     assert calls == solve
@@ -249,6 +248,28 @@ def test_region_validation():
         Region(np.array([0.0, 0.0]), np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
         Region(np.array([0.0]), np.array([np.inf]))
+
+
+def test_equal_bounds_make_equal_regions():
+    a = Region(np.array([-2.0, -1.0]), np.array([2.0, 1.0]))
+    b = Region(np.array([-2.0, -1.0]), np.array([2.0, 1.0]))
+    assert a == b and hash(a) == hash(b)
+    assert Region.cube(-2.0, 2.0, 3) == Region.cube(-2.0, 2.0, 3)
+    assert a != BOX2 and BOX2 != BOX3
+
+
+def test_negative_zero_bound_makes_a_different_region():
+    assert Region(np.array([-0.0]), np.array([1.0])) != Region(np.array([0.0]), np.array([1.0]))
+
+
+def test_region_bounds_are_read_only_copies():
+    lo, hi = np.array([-1.0, -1.0]), np.array([1.0, 1.0])
+    box = Region(lo, hi)
+    with pytest.raises(ValueError):
+        box.lower[0] = 3.0
+    lo[0] = 3.0
+    hi[1] = -5.0
+    assert box.lower.tolist() == [-1.0, -1.0] and box.upper.tolist() == [1.0, 1.0]
 
 
 def test_region_grid_shape():
