@@ -127,6 +127,9 @@ class Polynomial:
         Each term is built from per-axis powers by broadcasting, with the same
         float operations in the same order as ``eval_many`` on the grid's
         points, so the two agree bit for bit; no coordinate array is formed.
+        A term in a subset of the variables only spans those axes, and the
+        terms are summed at their own broadcast shape until the sum covers
+        the whole grid (see ``_sum_terms``).  Returns a new writable array.
         """
         axes = [np.asarray(a, dtype=float) for a in axes]
         if len(axes) != self.nvars or any(a.ndim != 1 for a in axes):
@@ -141,14 +144,27 @@ class Polynomial:
 
     def _sum_terms(self, columns, shape) -> np.ndarray:
         """Sum of the terms, in ``self.terms`` order, over an output of ``shape``;
-        ``columns[j]`` holds the values of variable j, broadcastable to it."""
-        out = np.zeros(shape)
+        ``columns[j]`` holds the values of variable j, broadcastable to it.
+
+        The partial sum starts at ``0.0`` and keeps the broadcast shape of the
+        terms added so far: while that is smaller than ``shape`` a term is
+        added out of place, and once it is full every further term is added
+        in place.  Each element sees the same float adds, in the same order,
+        as adding every term into a full array of zeros.  The result is a
+        new, writable, C-contiguous float64 array of ``shape``.
+        """
+        out = np.zeros(())
         for (exps, c) in self.terms:
             term = c
             for j, e in enumerate(exps):
                 if e:
                     term = term * columns[j] ** e
-            out += term
+            if np.shape(out) == shape:
+                out += term
+            else:
+                out = out + term
+        if np.shape(out) != shape:
+            out = np.broadcast_to(out, shape).copy()
         return out
 
     def grad_many(self, X) -> np.ndarray:

@@ -166,7 +166,10 @@ def find_singular_points(
     Newton iteration on grad p = 0 runs from every one of the
     ``grid_points``-per-axis seeds simultaneously; the minimal-norm step
     (pseudoinverse of the Hessian) keeps degenerate critical points
-    reachable.  An endpoint counts when |grad p| < ``TOL_CRIT`` and
+    reachable.  The endpoints are cached per polynomial, region and seed
+    grid (``_newton_endpoints``: one pseudoinverse per round for a
+    polynomial of degree at most 2, and an early stop once a round moves
+    no row).  An endpoint counts when |grad p| < ``TOL_CRIT`` and
     |p - level| < ``TOL_ON``.  Output is deduplicated within
     ``MERGE_RADIUS`` and sorted lexicographically by coordinates.
     """
@@ -194,8 +197,18 @@ def find_singular_points(
 @functools.lru_cache(maxsize=NEWTON_CACHE_SIZE)
 def _newton_endpoints(p: Polynomial, region: Region, grid_points: int) -> np.ndarray:
     """Finite endpoints of Newton's method on grad p = 0 from every grid seed
-    of ``region``; read-only, shared by callers."""
+    of ``region``; read-only, shared by callers.
+
+    A round steps every finite row whose gradient is finite and nonzero by
+    ``-pinv(H) @ grad``.  The Hessian of a polynomial of degree at most 2 is
+    constant, so its pseudoinverse is taken once, at the first such row, and
+    repeated for the others; a higher degree pseudoinverts each row's own
+    Hessian.  The loop ends after ``NEWTON_MAX_ITER`` rounds, when no row is
+    left to step, or when a round leaves every stepped row bitwise unchanged,
+    since each later round would repeat it.
+    """
     X = region.grid(grid_points)
+    constant_hessian = p.degree <= 2
     for _ in range(NEWTON_MAX_ITER):
         finite = np.isfinite(X).all(axis=1)
         G = np.zeros_like(X)
@@ -203,9 +216,16 @@ def _newton_endpoints(p: Polynomial, region: Region, grid_points: int) -> np.nda
         active = finite & np.isfinite(G).all(axis=1) & (np.linalg.norm(G, axis=1) > 1e-14)
         if not active.any():
             break
-        H = p.hessian_many(X[active])
-        step = -np.einsum("kij,kj->ki", np.linalg.pinv(H), G[active])
-        X[active] = X[active] + step
+        Xa = X[active]
+        if constant_hessian:
+            H_pinv = np.repeat(np.linalg.pinv(p.hessian_many(Xa[:1])), Xa.shape[0], axis=0)
+        else:
+            H_pinv = np.linalg.pinv(p.hessian_many(Xa))
+        step = -np.einsum("kij,kj->ki", H_pinv, G[active])
+        moved = Xa + step
+        if moved.tobytes() == Xa.tobytes():
+            break
+        X[active] = moved
     X = X[np.isfinite(X).all(axis=1)]
     X.setflags(write=False)
     return X

@@ -61,8 +61,11 @@ class _Canvas:
         return HEIGHT - MARGIN - (y - y0) / span * (HEIGHT - 2 * MARGIN)
 
     def polyline(self, xs, ys, color, width=1.5, dashed=False):
-        px = self.sx(np.asarray(xs, dtype=float)).tolist()
-        py = self.sy(np.asarray(ys, dtype=float)).tolist()
+        # a window far narrower than the data maps points to +-inf pixels; do
+        # that silently, as the same division of Python floats does
+        with np.errstate(over="ignore"):
+            px = self.sx(np.asarray(xs, dtype=float)).tolist()
+            py = self.sy(np.asarray(ys, dtype=float)).tolist()
         pts = " ".join(map("%.2f,%.2f".__mod__, zip(px, py)))
         dash = ' stroke-dasharray="6 4"' if dashed else ""
         self.parts.append(

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from stratopt.poly import (DimensionMismatchError, Polynomial,
                            PolynomialParseError, axis_pair, cusp_curve,
@@ -198,26 +198,37 @@ def test_eval_deterministic_term_order():
 
 @st.composite
 def lattices(draw):
-    """A polynomial in 1-4 variables with exponents 0-5 and a constant term,
-    and one short axis per variable holding -0.0 and a negative value."""
+    """A polynomial in 1-4 variables with exponents 0-5, often with a constant
+    term (it may be the only term, or there may be no term at all), and one
+    short axis per variable holding -0.0 and a negative value."""
     nvars = draw(st.integers(1, 4))
     exps = st.tuples(*[st.integers(0, 5)] * nvars)
     coeff = st.floats(-4, 4, allow_nan=False)
-    coeffs = draw(st.dictionaries(exps, coeff, min_size=1, max_size=6))
-    coeffs[(0,) * nvars] = draw(coeff)
+    coeffs = draw(st.dictionaries(exps, coeff, max_size=6))
+    if draw(st.booleans()):
+        coeffs[(0,) * nvars] = draw(coeff)
     coord = st.floats(-3, 3, allow_nan=False)
     axes = [np.array(draw(st.lists(coord, max_size=3)) + [-0.0, draw(st.floats(-3, -1e-3))])
             for _ in range(nvars)]
     return Polynomial(nvars, coeffs), axes
 
 
+AXES3 = [np.array([-0.0, -1.5, 2.0]), np.array([0.5, -0.0]), np.array([-2.0, 0.0, 1.0, 3.0])]
+
+
 @given(lattices())
+@example((Polynomial(3, {}), AXES3))                       # the zero polynomial
+@example((Polynomial(3, {(0, 0, 0): -2.5}), AXES3))        # constant only
+@example((Polynomial(3, {(0, 0, 1): 1.0}), AXES3))         # never spans the grid
+@example((Polynomial(3, {(0, 1, 1): 2.0, (1, 0, 0): -1.0}), AXES3))  # first term: x1*x2
 def test_eval_grid_bit_identical_to_eval_many(case):
     p, axes = case
     points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, p.nvars)
     want = p.eval_many(points).reshape([len(a) for a in axes])
     got = p.eval_grid(axes)
     assert got.shape == want.shape
+    assert got.dtype == np.float64
+    assert got.flags.c_contiguous and got.flags.writeable
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 

@@ -57,6 +57,22 @@ def test_empty_level_set_counts_zero():
     assert count_components(deform(sq, -0.5), 32).count == 0
 
 
+@pytest.mark.parametrize("p, level, count", [
+    (Polynomial(3, {}), 0.0, 1),                       # every cell is on the level set
+    (Polynomial(3, {(0, 0, 0): 2.5}), 0.1, 0),         # constant only: empty
+    (parse_polynomial("x0", nvars=3), 0.1, 1),         # a plane
+    (parse_polynomial("x1^2", nvars=3), 1.0, 2),       # two parallel planes
+    (parse_polynomial("x1*x2 - x0^2", nvars=3), 0.3, 2),
+])
+def test_components_of_polynomials_missing_variables(p, level, count):
+    # the corner values of these never or only late span the whole lattice
+    # before the level is subtracted from them in place
+    rep = count_components(deform(p, level), 32)
+    assert rep.count == count
+    if p.terms == ():
+        assert rep.occupied_cells == 32 ** 3
+
+
 def corner_values(d, grid_n):
     """base - level at the grid corners, evaluated point by point with eval_many."""
     dim = d.region.dim

@@ -1,14 +1,15 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from stratopt.poly import (Polynomial, axis_pair, cusp_curve, double_cone,
                           parse_polynomial)
 from stratopt.resolve import choose_resolution, proximity_check
-from stratopt.stratify import (PROJECTION_MAX_ITER, PROJECTION_TOL, SINGULAR,
-                               OffVarietyError, Region, _newton_endpoints,
+from stratopt.stratify import (NEWTON_MAX_ITER, PROJECTION_MAX_ITER, PROJECTION_TOL,
+                               SINGULAR, OffVarietyError, Region, _newton_endpoints,
                                project_to_level, find_singular_points,
                                simplex_strata, stratify, tangent_dimension)
 
@@ -84,6 +85,92 @@ def test_one_newton_solve_per_variety(monkeypatch):
     proximity_check(chosen, 0.3)
     assert chosen.level == 0.1
     assert calls == solve
+
+
+def newton_every_round(p, region, grid_points=11):
+    """Reference Newton search: every row's own Hessian, one batched
+    pseudoinverse per round and all NEWTON_MAX_ITER rounds."""
+    X = region.grid(grid_points)
+    for _ in range(NEWTON_MAX_ITER):
+        finite = np.isfinite(X).all(axis=1)
+        G = np.zeros_like(X)
+        G[finite] = p.grad_many(X[finite])
+        active = finite & np.isfinite(G).all(axis=1) & (np.linalg.norm(G, axis=1) > 1e-14)
+        if not active.any():
+            break
+        step = -np.einsum("kij,kj->ki", np.linalg.pinv(p.hessian_many(X[active])), G[active])
+        X[active] = X[active] + step
+    return X[np.isfinite(X).all(axis=1)]
+
+
+def newton_search(p, region, grid_points=11):
+    # uncached, so each call runs the loop
+    return _newton_endpoints.__wrapped__(p, region, grid_points)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def quadrics(draw):
+    """A polynomial of degree <= 2 in 1-3 variables; small integer and zero
+    coefficients make rank-deficient Hessians common."""
+    nvars = draw(st.integers(1, 3))
+    monomials = [e for e in itertools.product(range(3), repeat=nvars) if sum(e) <= 2]
+    coeff = st.sampled_from([0.0, 0.0, 1.0, -1.0, 2.0, -0.5]) | st.floats(-3, 3)
+    return Polynomial(nvars, {e: draw(coeff) for e in monomials})
+
+
+@settings(max_examples=60, deadline=None)
+@given(quadrics(), st.integers(2, 9))
+def test_newton_search_matches_every_round_reference_on_quadrics(p, grid_points):
+    region = Region.cube(-2.0, 2.0, p.nvars)
+    # a subnormal coefficient overflows the pseudoinverse (1/s) in both
+    # searches; the rows that overflow must still agree bit for bit
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert same_bits(newton_search(p, region, grid_points),
+                         newton_every_round(p, region, grid_points))
+
+
+@pytest.mark.parametrize("text", [
+    "x0^2 + x1",                     # rank-deficient constant Hessian
+    "x0^2 + x1^3",                   # cusp_curve
+    "x0^3 - 3*x0*x1^2 + x2^2 - 0.5*x2",
+])
+def test_newton_search_matches_every_round_reference(text):
+    p = parse_polynomial(text)
+    region = Region.cube(-2.0, 2.0, p.nvars)
+    assert same_bits(newton_search(p, region), newton_every_round(p, region))
+
+
+def count_pinv_calls(monkeypatch):
+    calls = []
+    pinv = np.linalg.pinv
+    monkeypatch.setattr(np.linalg, "pinv", lambda H: calls.append(H.shape) or pinv(H))
+    return calls
+
+
+@pytest.mark.parametrize("p", [CONE, axis_pair(), parse_polynomial("x0^2 + x1")])
+def test_quadric_newton_round_pseudoinverts_one_matrix(monkeypatch, p):
+    calls = count_pinv_calls(monkeypatch)
+    newton_search(p, Region.cube(-2.0, 2.0, p.nvars))
+    assert calls and all(shape == (1, p.nvars, p.nvars) for shape in calls)
+
+
+@pytest.mark.parametrize("text, rounds", [
+    ("x0^2 + x1^2 - x2", 2),  # one step to the x2 axis, then a zero step
+    ("x0 + x1 + x2", 1),      # the zero Hessian makes every step zero
+])
+def test_newton_search_stops_at_a_fixed_point(monkeypatch, text, rounds):
+    # no row's gradient ever vanishes, so only the fixed point ends the loop
+    # before NEWTON_MAX_ITER rounds
+    p = parse_polynomial(text)
+    calls = count_pinv_calls(monkeypatch)
+    got = newton_search(p, BOX3)
+    assert len(calls) == rounds
+    monkeypatch.undo()
+    assert same_bits(got, newton_every_round(p, BOX3))
 
 
 def test_returned_points_do_not_alias_the_search_cache():

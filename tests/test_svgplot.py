@@ -2,7 +2,7 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from stratopt.config import ExperimentSpec
 from stratopt.model import ChartPoint
@@ -113,8 +113,10 @@ def _reference_points(canvas, xs, ys) -> str:
     return " ".join(pts)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @given(st.lists(st.tuples(COORD, COORD), min_size=1, max_size=40),
        st.tuples(COORD, COORD), st.tuples(COORD, COORD))
+@example([(0.0, 0.005)], (0.0, 0.0), (0.0, 5e-324))  # overflows to -inf px, silently
 def test_polyline_matches_per_point_formatting(points, xlim, ylim):
     canvas = _Canvas(xlim, ylim)
     xs, ys = [p[0] for p in points], [p[1] for p in points]
