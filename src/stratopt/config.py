@@ -43,6 +43,8 @@ class InitDistribution:
     def __post_init__(self):
         if self.count < 1:
             raise ValueError("init_count must be >= 1")
+        if self.seed < 0:
+            raise ValueError("init_seed must be >= 0")
         if not (self.xi_range[0] < self.xi_range[1]
                 and self.theta_range[0] < self.theta_range[1]):
             raise ValueError("init ranges must satisfy lo < hi")

@@ -81,8 +81,9 @@ class OptimizerConfig:
             raise ValueError("step_cap must be positive")
         if self.damping < 0:
             raise ValueError("damping must be >= 0")
-        if self.max_steps < 0:
-            raise ValueError("max_steps must be >= 0")
+        for name in ("max_steps", "sample_seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
         if self.mode is Mode.STOCHASTIC and self.batch < 1:

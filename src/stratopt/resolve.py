@@ -29,8 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .poly import Polynomial
-from .stratify import (SINGULAR, TOL_CRIT, Region, find_singular_points, project_to_level,
-                       tangent_dimension)
+from .stratify import Region, _level_masks, _on_level_rows, find_singular_points, project_to_level
 
 DEFAULT_GRID_N = 64
 # grid corners count_components may evaluate, each holding one float64 value
@@ -183,8 +182,8 @@ def smoothness_check(d: Deformation, samples: int = DEFAULT_SAMPLES, seed: int =
         raise ProjectionError(
             f"{n_diverged}/{samples} projections failed to reach level {d.level}"
         )
-    G = d.base.grad_many(Y[ok])
-    return bool((np.linalg.norm(G, axis=1) >= TOL_CRIT).all())
+    _, _, singular = _level_masks(d.base, d.level, Y[ok])
+    return not singular.any()
 
 
 @functools.lru_cache(maxsize=SAMPLE_CACHE_SIZE)
@@ -280,27 +279,22 @@ def projected_gradient_field(
     level: float,
     loss_grad_ambient,
     points,
-) -> list:
+) -> tuple[np.ndarray, np.ndarray]:
     """Tangential part of an ambient gradient field along {p = level}.
 
-    At each point the ambient gradient g is projected orthogonally to the
-    level set's normal: g - (g.n)n with n = grad p / |grad p|.  Each point
-    is classified by ``stratify.tangent_dimension``: a point off the level
-    set raises ``OffVarietyError``, and where the gradient of p vanishes
-    there is no tangent space and the ``stratify.SINGULAR`` marker is
-    returned for that point.
+    At each row of the (m, n) array ``points`` the ambient gradient g is
+    projected off the level set's normal: g - (g.n)n, n = grad p / |grad p|.
+    ``loss_grad_ambient`` is called once, on all rows, and its result is
+    broadcast to (m, n).  A non-finite row raises ``ValueError``, a row off
+    the level set ``OffVarietyError``.  Returns the tangents, NaN in the rows
+    where grad p vanishes, and the mask of those singular rows.
     """
     if p.nvars not in (2, 3):
         raise ValueError("field projection supports curves (2 vars) and surfaces (3 vars)")
-    out = []
-    for x in points:
-        x = np.asarray(x, dtype=float)
-        if tangent_dimension(p, level, x) is SINGULAR:
-            out.append(SINGULAR)
-            continue
-        n = p.grad(x)
-        nn = np.linalg.norm(n)
-        g = np.asarray(loss_grad_ambient(x), dtype=float)
-        nhat = n / nn
-        out.append(g - (g @ nhat) * nhat)
-    return out
+    X = np.asarray(points, dtype=float)
+    N, singular = _on_level_rows(p, level, X)
+    G = np.broadcast_to(loss_grad_ambient(X), X.shape)
+    N[singular] = np.nan  # no normal, so no tangent
+    # batched matmuls give the bits of one point's 1-D dot; norm(axis=1) and einsum do not
+    Nh = N / np.sqrt(N[:, None, :] @ N[:, :, None])[:, 0]
+    return G - (G[:, None, :] @ Nh[:, :, None])[:, 0] * Nh, singular

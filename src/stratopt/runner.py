@@ -21,7 +21,7 @@ from .model import Chart, ChartPoint, GaussianLocationModel
 from .optim import StallReport, Termination, Trajectory, detect_stall, run
 from .poly import cusp_curve, double_cone
 from .resolve import default_region, projected_gradient_field
-from .stratify import SINGULAR, find_singular_points
+from .stratify import find_singular_points
 
 ARTIFACT_VERSION = "stratopt 0.1.0"
 STALL_WINDOW = 100
@@ -118,13 +118,10 @@ def _run_cusp_field(spec: ExperimentSpec, out: Path, result: ExperimentResult):
     grad_field = lambda x: x - xbar
     rows = []
     for level in (0.0, 0.25 * spec.eps, spec.eps):
-        points = _cusp_level_points(level)
-        projections = projected_gradient_field(p, level, grad_field, points)
-        for x, g in zip(points, projections):
-            if g is SINGULAR:
-                rows.append([level, *x.tolist(), "", "", "undefined"])
-            else:
-                rows.append([level, *x.tolist(), *g.tolist(), "ok"])
+        points = np.array(_cusp_level_points(level))
+        tangent, singular = projected_gradient_field(p, level, grad_field, points)
+        rows += [[level, *x, "", "", "undefined"] if s else [level, *x, *g, "ok"]
+                 for x, g, s in zip(points.tolist(), tangent.tolist(), singular.tolist())]
     result.quiver_path = tables.write_csv(out / "quiver.csv", tables.QUIVER_FIELDS, rows)
 
 

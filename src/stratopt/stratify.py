@@ -169,9 +169,9 @@ def find_singular_points(
     reachable.  The endpoints are cached per polynomial, region and seed
     grid (``_newton_endpoints``: one pseudoinverse per round for a
     polynomial of degree at most 2, and an early stop once a round moves
-    no row).  An endpoint counts when |grad p| < ``TOL_CRIT`` and
-    |p - level| < ``TOL_ON``.  Output is deduplicated within
-    ``MERGE_RADIUS`` and sorted lexicographically by coordinates.
+    no row).  An endpoint counts when ``_level_masks`` finds it singular.
+    Output is deduplicated within ``MERGE_RADIUS`` and sorted
+    lexicographically by coordinates.
     """
     _reject_systems(p)
     if p.nvars != region.dim:
@@ -179,10 +179,9 @@ def find_singular_points(
     if not math.isfinite(level):
         raise ValueError(f"level must be finite, got {level}")
     X = _newton_endpoints(p, region, grid_points)
-    grad_ok = np.linalg.norm(p.grad_many(X), axis=1) < TOL_CRIT
-    on_level = np.abs(p.eval_many(X) - level) < TOL_ON
+    _, _, singular = _level_masks(p, level, X)
     pad = 1e-9 * float(np.max(region.widths))
-    cands = X[grad_ok & on_level & region.contains(X, pad=pad)]
+    cands = X[singular & region.contains(X, pad=pad)]
     cands = cands[np.lexsort(cands.T[::-1])]  # primary key: first coordinate
     out: list[np.ndarray] = []
     # keep the first remaining candidate, drop every candidate within
@@ -231,17 +230,34 @@ def _newton_endpoints(p: Polynomial, region: Region, grid_points: int) -> np.nda
     return X
 
 
+def _level_masks(p: Polynomial, level: float, X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gradients of p at the rows of the (m, n) array ``X``, the on-level mask
+    (|p - level| < ``TOL_ON``) and the singular mask (on the level and
+    |grad p| < ``TOL_CRIT``)."""
+    G = p.grad_many(X)
+    on_level = np.abs(p.eval_many(X) - level) < TOL_ON
+    return G, on_level, on_level & (np.linalg.norm(G, axis=1) < TOL_CRIT)
+
+
+def _on_level_rows(p: Polynomial, level: float, X) -> tuple[np.ndarray, np.ndarray]:
+    """``_level_masks``' gradients and singular mask for given points, which must
+    be finite (else ``ValueError``) and on {p = level} (else ``OffVarietyError``)."""
+    finite = np.isfinite(X).all(axis=-1)
+    if not finite.all():
+        raise ValueError(f"point has non-finite entries: {X[np.argmin(finite)]}")
+    G, on_level, singular = _level_masks(p, level, X)
+    if not on_level.all():
+        x = X[np.argmin(on_level)]
+        gap = abs(p.eval(x) - level)
+        raise OffVarietyError(f"point {x} is not on the level set: |p(x) - level| = {gap:.3e}")
+    return G, singular
+
+
 def tangent_dimension(p: Polynomial, level: float, x):
     """nvars-1 at a regular hypersurface point; the SINGULAR marker otherwise."""
     _reject_systems(p)
-    value = p.eval(x)
-    if abs(value - level) >= TOL_ON:
-        raise OffVarietyError(
-            f"point {np.asarray(x)} is not on the level set: |p(x) - level| = {abs(value - level):.3e}"
-        )
-    if np.linalg.norm(p.grad(x)) >= TOL_CRIT:
-        return p.nvars - 1
-    return SINGULAR
+    _, singular = _on_level_rows(p, level, np.asarray(x)[None])
+    return SINGULAR if singular[0] else p.nvars - 1
 
 
 def project_to_level(p: Polynomial, level: float, X) -> tuple[np.ndarray, np.ndarray]:

@@ -60,23 +60,22 @@ class _Canvas:
         span = (y1 - y0) or 1.0
         return HEIGHT - MARGIN - (y - y0) / span * (HEIGHT - 2 * MARGIN)
 
-    def polyline(self, xs, ys, color, width=1.5, dashed=False):
+    def polyline(self, xs, ys, color):
         # a window far narrower than the data maps points to +-inf pixels; do
         # that silently, as the same division of Python floats does
         with np.errstate(over="ignore"):
             px = self.sx(np.asarray(xs, dtype=float)).tolist()
             py = self.sy(np.asarray(ys, dtype=float)).tolist()
         pts = " ".join(map("%.2f,%.2f".__mod__, zip(px, py)))
-        dash = ' stroke-dasharray="6 4"' if dashed else ""
         self.parts.append(
-            f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="{width}"{dash}/>'
+            f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )
 
-    def line(self, x1, y1, x2, y2, color, width=1.0):
+    def line(self, x1, y1, x2, y2, color):
         self.parts.append(
             f'<line x1="{self.sx(x1):.2f}" y1="{self.sy(y1):.2f}" '
             f'x2="{self.sx(x2):.2f}" y2="{self.sy(y2):.2f}" '
-            f'stroke="{color}" stroke-width="{width}"/>'
+            f'stroke="{color}" stroke-width="1.5"/>'
         )
 
     def circle(self, x, y, r, color, fill=True):
@@ -97,15 +96,14 @@ class _Canvas:
             f'font-family="sans-serif" text-anchor="{anchor}">{html.escape(s, quote=False)}</text>'
         )
 
-    def axes(self, xlabel, ylabel, n_ticks=5):
+    def axes(self, xlabel, ylabel):
         x0, x1 = self.xlim
         y0, y1 = self.ylim
         self.parts.append(
             f'<rect x="{MARGIN}" y="{MARGIN}" width="{WIDTH - 2 * MARGIN}" '
             f'height="{HEIGHT - 2 * MARGIN}" fill="none" stroke="#999"/>'
         )
-        for k in range(n_ticks):
-            f = k / (n_ticks - 1)
+        for f in (0.0, 0.25, 0.5, 0.75, 1.0):  # five ticks per axis, ends included
             xv, yv = x0 + f * (x1 - x0), y0 + f * (y1 - y0)
             self.text(self.sx(xv), HEIGHT - MARGIN + 18, f"{xv:.3g}", size=10, anchor="middle")
             self.text(MARGIN - 8, self.sy(yv) + 4, f"{yv:.3g}", size=10, anchor="end")
@@ -279,7 +277,7 @@ def _plot_quiver(paths):
             canvas.circle(x, y, 6, "#d62728")
             continue
         color = level_color[level]
-        canvas.line(x, y, x + g[0] * scale, y + g[1] * scale, color, width=1.5)
+        canvas.line(x, y, x + g[0] * scale, y + g[1] * scale, color)
         canvas.circle(x, y, 2, color)
     canvas.legend([(f"level {float(lvl):g}", c) for lvl, c in level_color.items()])
     return canvas.render()

@@ -139,6 +139,19 @@ def test_config_error_paths_surface(capsys, tmp_path):
     assert "unknown key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, lines", [
+    ("sample_seed", "mode = stochastic\nsample_seed = -1\ninit = 1.2 0.3\n"),
+    ("init_seed", "init_xi = 0.25 2.0\ninit_theta = -3.0 3.0\ninit_count = 2\ninit_seed = -5\n"),
+], ids=["sample_seed", "init_seed"])
+def test_run_with_negative_seed_leaves_no_directory(capsys, tmp_path, key, lines):
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text("[experiment]\nmodel = cone\nmax_steps = 5\ntarget = 1.0 0.0\n" + lines,
+                   encoding="utf-8")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "run")]) == 2
+    assert f"{key} must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_plot_from_run(capsys, tmp_path):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("[experiment]\nmodel = cone\nmethod = gd\nmax_steps = 60\n"

@@ -158,7 +158,7 @@ def specs(draw):
     init = draw(st.one_of(
         st.lists(points, min_size=0 if model == "cusp" else 1, max_size=3).map(tuple),
         st.builds(InitDistribution, ranges(), ranges(), st.integers(1, 10 ** 6),
-                  st.integers(-10 ** 12, 10 ** 12)),
+                  st.integers(0, 10 ** 12)),
     ))
     return ExperimentSpec(
         name=draw(echo_text), model=model, eps=draw(positive if model != "cone" else finite),
@@ -166,7 +166,7 @@ def specs(draw):
         max_steps=draw(st.integers(0, 10 ** 9)), grad_tol=draw(finite),
         loss_tol=draw(finite), damping=draw(st.floats(0.0, allow_infinity=False)),
         step_cap=draw(positive), mode=draw(st.sampled_from(["population", "stochastic"])),
-        batch=draw(st.integers(1, 10 ** 6)), sample_seed=draw(st.integers(-10 ** 12, 10 ** 12)),
+        batch=draw(st.integers(1, 10 ** 6)), sample_seed=draw(st.integers(0, 10 ** 12)),
         record_every=draw(st.integers(1, 10 ** 6)), init=init, target=draw(points),
         target_surface=draw(st.sampled_from(TARGET_SURFACES)),
         output_dir=draw(st.none() | echo_text),
@@ -197,6 +197,28 @@ def test_bad_optimizer_settings_rejected_at_load(tmp_path, key, value):
     with pytest.raises(ConfigError) as err:
         load_config(write(tmp_path, text))
     assert key in str(err.value)
+
+
+SEEDED = """\
+[experiment]
+model = cone
+mode = stochastic
+sample_seed = 3
+target = 1.0 0.0
+init_xi = 0.25 2.0
+init_theta = -3.0 3.0
+init_count = 2
+init_seed = 7
+"""
+
+
+@pytest.mark.parametrize("key", ["sample_seed", "init_seed"])
+def test_negative_seeds_rejected_at_load(tmp_path, key):
+    assert load_config(write(tmp_path, SEEDED)).sample_seed == 3
+    text, n = re.subn(rf"^{key} = \S+", f"{key} = -1", SEEDED, flags=re.M)
+    assert n == 1
+    with pytest.raises(ConfigError, match=key):
+        load_config(write(tmp_path, text))
 
 
 @pytest.mark.parametrize("key, value", [

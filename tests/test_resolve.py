@@ -13,7 +13,7 @@ from stratopt.resolve import (Deformation, NoSamplesError, ResolutionError, choo
                               count_components, deform, default_region,
                               project_to_level, projected_gradient_field,
                               proximity_check, smoothness_check)
-from stratopt.stratify import SINGULAR, OffVarietyError, Region, _newton_endpoints
+from stratopt.stratify import OffVarietyError, Region, _newton_endpoints
 
 CONE = double_cone()
 CUSP = cusp_curve()
@@ -351,7 +351,7 @@ def arclength_tangential_derivative(level, t, xbar, h=1e-6):
 def test_field_matches_direct_formula_and_arclength_oracle():
     pt = np.array([1.0, -1.0])
     g = np.array([1.0, 0.0])
-    [proj] = projected_gradient_field(CUSP, 0.0, lambda x: g, [pt])
+    (proj,), _ = projected_gradient_field(CUSP, 0.0, lambda x: g, [pt])
     expected = np.array([9.0 / 13.0, -6.0 / 13.0])  # g minus its normal part
     assert np.allclose(proj, expected, atol=1e-12)
     assert np.linalg.norm(proj) > 0
@@ -362,21 +362,27 @@ def test_field_matches_direct_formula_and_arclength_oracle():
 
 
 def test_field_undefined_at_singularity():
-    [proj] = projected_gradient_field(CUSP, 0.0, lambda x: np.array([1.0, 0.0]),
-                                      [np.array([0.0, 0.0])])
-    assert proj is SINGULAR
+    (proj,), (singular,) = projected_gradient_field(CUSP, 0.0, lambda x: np.array([1.0, 0.0]),
+                                                    [np.array([0.0, 0.0])])
+    assert singular and np.isnan(proj).all()
 
 
 def test_field_zero_when_gradient_is_normal():
     pt = np.array([1.0, -1.0])
     n = CUSP.grad(pt)
-    [proj] = projected_gradient_field(CUSP, 0.0, lambda x: 3.0 * n, [pt])
+    (proj,), _ = projected_gradient_field(CUSP, 0.0, lambda x: 3.0 * n, [pt])
     assert np.linalg.norm(proj) < 1e-12
 
 
 def test_field_rejects_off_level_points():
     with pytest.raises(OffVarietyError):
         projected_gradient_field(CUSP, 0.0, lambda x: x, [np.array([1.0, 1.0])])
+
+
+def test_field_rejects_non_finite_points():
+    with pytest.raises(ValueError, match="non-finite"):
+        projected_gradient_field(CUSP, 0.0, lambda x: x,
+                                 [np.array([1.0, -1.0]), np.array([np.inf, -np.inf])])
 
 
 def test_field_dimension_guard():
@@ -391,8 +397,63 @@ def test_field_orthogonal_to_normal(seed):
     t = rng.uniform(-1.4, -0.1)
     pt = np.array([np.sqrt(-t ** 3), t])  # on the cusp curve
     g = rng.normal(size=2)
-    [proj] = projected_gradient_field(CUSP, 0.0, lambda x: g, [pt])
+    (proj,), _ = projected_gradient_field(CUSP, 0.0, lambda x: g, [pt])
     assert abs(proj @ CUSP.grad(pt)) < 1e-10 * max(1.0, np.linalg.norm(CUSP.grad(pt)))
+
+
+def per_point_field(p, level, loss_grad_ambient, points):
+    """Reference: the tangential gradient one point at a time."""
+    out = []
+    for x in points:
+        n = p.grad(x)
+        nhat = n / np.linalg.norm(n)
+        g = loss_grad_ambient(x)
+        out.append(g - (g @ nhat) * nhat)
+    return np.array(out)
+
+
+@given(st.integers(0, 2 ** 31 - 1), st.sampled_from([0.0, 0.01, 0.05, 0.2]),
+       st.integers(1, 30))
+def test_field_matches_per_point_formula(seed, c, m):
+    rng = np.random.default_rng(seed)
+    xbar = rng.normal(size=3)
+    # the cusp {x0^2 + x1^3 = c}, away from its singular point
+    t = rng.uniform(-1.5, -0.1, size=m)
+    cusp = np.column_stack([rng.choice([-1.0, 1.0], size=m) * np.sqrt(c - t ** 3), t])
+    # the cone level {x1^2 + x2^2 - x0^2 = +-c}, away from the apex
+    r = rng.uniform(0.5, 1.5, size=m)
+    th = rng.uniform(-np.pi, np.pi, size=m)
+    for p, level, pts in (
+        (CUSP, c, cusp),
+        (CONE, c, np.column_stack([np.sqrt(r ** 2 - c), r * np.cos(th), r * np.sin(th)])),
+        (CONE, -c, np.column_stack([np.sqrt(r ** 2 + c), r * np.cos(th), r * np.sin(th)])),
+    ):
+        grad = lambda x: x - xbar[:p.nvars]
+        tangent, singular = projected_gradient_field(p, level, grad, pts)
+        assert not singular.any()
+        np.testing.assert_allclose(tangent, per_point_field(p, level, grad, pts),
+                                   rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("m", [1, 2, 23, 200])
+def test_field_makes_one_gradient_and_one_callback_call(monkeypatch, m):
+    calls = {"grad_many": 0, "callback": 0}
+    grad_many = Polynomial.grad_many
+
+    def counted_grad_many(self, X):
+        calls["grad_many"] += 1
+        return grad_many(self, X)
+
+    def callback(X):
+        calls["callback"] += 1
+        return X
+
+    monkeypatch.setattr(Polynomial, "grad_many", counted_grad_many)
+    t = np.linspace(-1.5, 0.0, m)
+    tangent, singular = projected_gradient_field(CUSP, 0.0, callback,
+                                                 np.column_stack([np.sqrt(-t ** 3), t]))
+    assert calls == {"grad_many": 1, "callback": 1}
+    assert tangent.shape == (m, 2) and singular.shape == (m,)
 
 
 # -- projection helper ---------------------------------------------------------------

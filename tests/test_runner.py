@@ -5,7 +5,9 @@ import pytest
 
 from stratopt.config import ExperimentSpec, InitDistribution, load_config
 from stratopt.model import Chart, ChartPoint
-from stratopt.presets import preset
+from stratopt.poly import double_cone
+from stratopt.presets import PRESET_NAMES, preset
+from stratopt.resolve import choose_resolution
 from stratopt.runner import run_experiment, write_trajectory_csv
 from stratopt.tables import AGG_FIELDS, STALL_FIELDS, TRAJ_FIELDS, read_csv
 
@@ -173,6 +175,14 @@ def test_cusp_quiver(tmp_path):
     assert levels == [0.0, 0.05, 0.2]
     oks = [r for r in rows if r[5] == "ok"]
     assert all(np.isfinite([float(r[3]), float(r[4])]).all() for r in oks)
+
+
+@pytest.mark.parametrize("name", [n for n in PRESET_NAMES
+                                  if preset(n).model in ("hyperboloid", "both")])
+def test_hyperboloid_presets_run_at_the_oracle_level(name):
+    # the runner builds Chart.hyperboloid(spec.eps), the level set at +eps
+    spec = preset(name)
+    assert choose_resolution(double_cone(), spec.eps).level == spec.eps
 
 
 def test_write_trajectory_csv_standalone(tmp_path):
