@@ -11,12 +11,11 @@ from .resolve import (ComponentReport, Deformation, NoSamplesError,
                       count_components, default_region, deform,
                       project_to_level, projected_gradient_field,
                       proximity_check, smoothness_check)
-from .model import (Chart, ChartKind, ChartPoint, GaussianLocationModel,
-                    sample_mean)
+from .model import Chart, ChartPoint, GaussianLocationModel, sample_mean
 from .optim import (Method, Mode, OptimizerConfig, SingularFIMError,
                     StallReport, Termination, Trajectory, TrajectoryRecord,
                     detect_stall, gd_step, ngd_step, run)
-from .verify import FDSpec, finite_diff_grad, monte_carlo_fim
+from .verify import finite_diff_grad, monte_carlo_fim
 from .config import (ConfigError, ExperimentSpec, InitDistribution,
                      format_config, load_config)
 from .presets import PRESET_NAMES, preset

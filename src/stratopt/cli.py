@@ -22,7 +22,7 @@ from .resolve import DEFAULT_GRID_N, _candidates, _choose, _projected_samples, c
 from .runner import run_experiment
 from .stratify import SEED_GRID, Region, stratify
 from .svgplot import KINDS, plot
-from .verify import FDSpec, finite_diff_grad, monte_carlo_fim
+from .verify import finite_diff_grad, monte_carlo_fim
 
 
 def _nonnegative_int(text: str) -> int:
@@ -70,7 +70,7 @@ def _cmd_resolve(args) -> int:
     print(f"chosen level: {chosen.level:+g}")
     print("smoothness check: pass")  # _choose returns only a candidate that passed it
     if args.csv:
-        Y, ok = _projected_samples(chosen, args.samples, 0)
+        Y, ok = _projected_samples(chosen, args.samples)
         keep = Y[ok & region.contains(Y, pad=1e-9)]
         fields = [f"x{j}" for j in range(p.nvars)]
         tables.write_csv(args.csv, fields, keep.tolist())
@@ -126,7 +126,7 @@ def _check_chart_gradients(rng) -> tuple[bool, str]:
         xbar = Chart.cone().embed(ChartPoint(float(rng.uniform(-2, 2)), float(rng.uniform(-4, 4))))
         xbar = xbar + rng.normal(0, 0.5, size=3)
         m = GaussianLocationModel(chart, xbar)
-        fd = finite_diff_grad(m.loss, q, FDSpec(step=1e-6))
+        fd = finite_diff_grad(m.loss, q)
         g = m.loss_grad(q)
         worst = max(worst, float(np.linalg.norm(fd - g) / max(1.0, np.linalg.norm(g))))
     return worst < 1e-6, f"max rel err {worst:.3e}"

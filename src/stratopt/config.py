@@ -6,8 +6,9 @@ fields of ``ExperimentSpec``: each scalar field is one key, parsed by its
 annotation, and ``init``/``target`` (chart points, or the ``init_*``
 distribution keys) are the only keys with their own syntax.
 ``format_config`` echoes every resolved setting in field order (defaults
-included), and the echo parses back to an equal spec, which is what makes
-the metadata file written next to each run sufficient to reproduce it.
+included) under a version comment, and the echo parses back to an equal
+spec, which is what makes the metadata file written next to each run
+sufficient to reproduce it.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from pathlib import Path
 from .model import ChartPoint
 from .optim import OptimizerConfig
 
+ARTIFACT_VERSION = "stratopt 0.1.0"
 MODELS = ("cone", "hyperboloid", "both", "cusp")
 TARGET_SURFACES = ("cone", "model")
 
@@ -55,17 +57,17 @@ class ExperimentSpec:
     name: str = "experiment"
     model: str = "cone"
     eps: float = 0.0
-    method: str = "gd"
-    step_size: float = 0.01
-    max_steps: int = 100_000
-    grad_tol: float = 1e-10
-    loss_tol: float = 1e-10
-    damping: float = 1e-8
-    step_cap: float = 1.0
-    mode: str = "population"
-    batch: int = 16
-    sample_seed: int = 0
-    record_every: int = 1
+    method: str = OptimizerConfig.method.value
+    step_size: float = OptimizerConfig.step_size
+    max_steps: int = OptimizerConfig.max_steps
+    grad_tol: float = OptimizerConfig.grad_tol
+    loss_tol: float = OptimizerConfig.loss_tol
+    damping: float = OptimizerConfig.damping
+    step_cap: float = OptimizerConfig.step_cap
+    mode: str = OptimizerConfig.mode.value
+    batch: int = OptimizerConfig.batch
+    sample_seed: int = OptimizerConfig.sample_seed
+    record_every: int = OptimizerConfig.record_every
     init: tuple[ChartPoint, ...] | InitDistribution = field(default=())
     target: ChartPoint | None = None
     target_surface: str = "cone"
@@ -138,9 +140,14 @@ def load_config(path) -> ExperimentSpec:
     """Parse an experiment file; errors carry the offending line number."""
     path = Path(path)
     try:
-        lines = path.read_text(encoding="utf-8").splitlines()
+        data = path.read_bytes()
     except OSError as exc:
         raise ConfigError(path, 0, f"cannot read config: {exc}") from None
+    try:
+        lines = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:  # reported at the line of the first bad byte
+        raise ConfigError(path, data.count(b"\n", 0, exc.start) + 1,
+                          f"not UTF-8: byte {data[exc.start]:#04x} ({exc.reason})") from None
     raw: dict[str, tuple[str, int]] = {}
     in_section = False
     for lineno, line in enumerate(lines, 1):
@@ -208,13 +215,10 @@ def load_config(path) -> ExperimentSpec:
         raise ConfigError(path, 0, str(exc)) from None
 
 
-def format_config(spec: ExperimentSpec, header_comment: str | None = None) -> str:
-    """Full echo of a spec, defaults included; parses back to an equal spec."""
-    lines = []
-    if header_comment:
-        for piece in header_comment.splitlines():
-            lines.append(f"# {piece}")
-    lines.append("[experiment]")
+def format_config(spec: ExperimentSpec) -> str:
+    """Full echo of a spec under a version comment, defaults included; parses
+    back to an equal spec."""
+    lines = [f"# {ARTIFACT_VERSION} experiment echo", "[experiment]"]
     for f in fields(spec):
         value = getattr(spec, f.name)
         if isinstance(value, InitDistribution):

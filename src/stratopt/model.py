@@ -16,39 +16,32 @@ methods and the optimizer's step evaluate the same code.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 
-class ChartKind(enum.Enum):
-    CONE = "cone"
-    HYPERBOLOID = "hyperboloid"
-
-
 @dataclass(frozen=True)
 class Chart:
-    """A 2-parameter chart of a surface in R^3."""
+    """A 2-parameter chart of a surface in R^3: the cone's signed-radius
+    chart when ``eps == 0``, the hyperboloid r = sqrt(xi^2 + eps) when ``eps > 0``."""
 
-    kind: ChartKind
-    eps: float = 0.0
+    eps: float
 
     def __post_init__(self):
-        if self.kind is ChartKind.HYPERBOLOID:
-            if not self.eps > 0:
-                raise ValueError("hyperboloid chart requires eps > 0")
-        elif self.eps != 0.0:
-            raise ValueError("cone chart takes no eps")
+        if not self.eps >= 0:  # also rejects NaN
+            raise ValueError(f"chart requires eps >= 0, got {self.eps}")
 
     @classmethod
     def cone(cls) -> "Chart":
-        return cls(ChartKind.CONE)
+        return cls(0.0)
 
     @classmethod
     def hyperboloid(cls, eps: float) -> "Chart":
-        return cls(ChartKind.HYPERBOLOID, float(eps))
+        if not eps > 0:
+            raise ValueError("hyperboloid chart requires eps > 0")
+        return cls(float(eps))
 
     @property
     def intrinsic_dim(self) -> int:
@@ -65,7 +58,7 @@ class Chart:
         Jacobian rows ``(j10, j11)`` and ``(j20, j21)``; row 0 is always (1, 0).
         """
         c, s = math.cos(theta), math.sin(theta)
-        if self.kind is ChartKind.CONE:
+        if self.eps == 0.0:
             radial, dradial = xi, 1.0
         else:
             radial = math.sqrt(xi * xi + self.eps)

@@ -28,6 +28,8 @@ from .model import ChartPoint, GaussianLocationModel, chain_rule, information
 
 EPS = float(np.finfo(float).eps)
 BLOCK_NORMALS = 12_288  # standard normals per block of stochastic batch means
+STALL_WINDOW = 100  # consecutive records in a stall window
+STALL_PLATEAU_TOL = 1e-5  # mean relative loss decrease below which a window stalls
 
 
 class Method(enum.Enum):
@@ -86,8 +88,9 @@ class OptimizerConfig:
                 raise ValueError(f"{name} must be >= 0")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
-        if self.mode is Mode.STOCHASTIC and self.batch < 1:
-            raise ValueError("stochastic mode needs batch >= 1")
+        if self.mode is Mode.STOCHASTIC and not 1 <= self.batch <= BLOCK_NORMALS // 3:
+            raise ValueError(f"stochastic mode needs 1 <= batch <= {BLOCK_NORMALS // 3}, "
+                             f"got batch {self.batch}")
 
 
 class TrajectoryRecord(NamedTuple):
@@ -191,7 +194,8 @@ def _batch_means(rng: np.random.Generator, mu_star: np.ndarray, batch: int):
     """Endless stream of mu_star + the mean of ``batch`` N(0, I_3) draws.
 
     Drawn in blocks of about BLOCK_NORMALS normals, so memory does not grow
-    with ``batch``; the generator fills a block in the same order as one
+    with ``batch`` (``OptimizerConfig`` caps it at a third of BLOCK_NORMALS,
+    one mean per block); the generator fills a block in the same order as one
     ``(batch, 3)`` draw per mean, so the stream does not depend on the block size.
     """
     rows = max(1, BLOCK_NORMALS // (3 * batch))
@@ -246,25 +250,20 @@ def run(m: GaussianLocationModel, q0: ChartPoint, cfg: OptimizerConfig) -> Traje
             return Trajectory(records, Termination.FAILED, failure=f"step {t + 1}: {exc}")
 
 
-def detect_stall(
-    traj: Trajectory,
-    window: int = 100,
-    plateau_tol: float = 1e-5,
-    singularities=(),
-    loss_tol: float = 1e-10,
-) -> StallReport:
+def detect_stall(traj: Trajectory, singularities=(),
+                 loss_tol: float = OptimizerConfig.loss_tol) -> StallReport:
     """Flag a window of records whose loss has stopped decreasing.
 
-    A trajectory stalls when some window of ``window`` consecutive records
-    has mean relative loss decrease below ``plateau_tol`` while the loss is
-    still above ``loss_tol``.  The report carries the ambient distance from
-    the (first) stalled window's last point to the nearest singularity; when
-    nothing stalls it describes the flattest window seen and the distance
-    from the final point.  A trajectory with fewer than ``window`` records
-    cannot stall: its report has no window (start -1, mean decrease NaN).
+    A trajectory stalls when some window of ``STALL_WINDOW`` consecutive
+    records has mean relative loss decrease below ``STALL_PLATEAU_TOL`` while
+    the loss is still above ``loss_tol``.  The report carries the ambient
+    distance from the (first) stalled window's last point to the nearest
+    singularity; when nothing stalls it describes the flattest window seen
+    and the distance from the final point.  A trajectory with fewer than
+    ``STALL_WINDOW`` records cannot stall: its report has no window (start
+    -1, mean decrease NaN).
     """
-    if window < 2:
-        raise ValueError("window must be >= 2")
+    window = STALL_WINDOW
     records = traj.records
 
     def distance_from(idx: int) -> float:
@@ -283,7 +282,7 @@ def detect_stall(
     means = (csum[window - 1:window - 1 + n_windows] - csum[:n_windows]) / (window - 1)
     end_losses = losses[window - 1:]
 
-    stalled_mask = (means < plateau_tol) & (end_losses > loss_tol)
+    stalled_mask = (means < STALL_PLATEAU_TOL) & (end_losses > loss_tol)
     if stalled_mask.any():
         j = int(np.argmax(stalled_mask))
         return StallReport(

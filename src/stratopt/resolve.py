@@ -14,10 +14,10 @@ share a face are labelled in numpy by min-label hooking and pointer jumping
 ``scipy.ndimage.label`` would label faster, but the runtime dependencies
 stay ``numpy`` only.
 
-``smoothness_check`` and ``proximity_check`` draw the same seeded samples
-and project them onto the same level; the projection is cached per process
-(``SAMPLE_CACHE_SIZE`` entries), so checking one deformation with both
-costs one solve.
+``smoothness_check`` and ``proximity_check`` draw the same ``CHECK_SAMPLES``
+uniform samples from seed 0 and project them onto the same level; the
+projection is cached per process (``SAMPLE_CACHE_SIZE`` entries), so checking
+one deformation with both costs one solve.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ DEFAULT_GRID_N = 64
 # grid corners count_components may evaluate, each holding one float64 value
 # and three boolean sign masks (no coordinates); 129^3 fits
 MAX_CORNERS = 4_000_000
-DEFAULT_SAMPLES = 10_000
-SAMPLE_CACHE_SIZE = 8  # cached projected check samples, one per (deformation, samples, seed)
+CHECK_SAMPLES = 10_000  # uniform samples behind the smoothness and proximity checks
+SAMPLE_CACHE_SIZE = 8  # cached projected samples, one per (deformation, samples)
 DIVERGENCE_BUDGET = 0.01  # fraction of samples allowed to miss the variety
 
 
@@ -163,35 +163,33 @@ def _count_roots(n: int, a: np.ndarray, b: np.ndarray) -> int:
             parent = jumped
 
 
-def smoothness_check(d: Deformation, samples: int = DEFAULT_SAMPLES, seed: int = 0) -> bool:
+def smoothness_check(d: Deformation) -> bool:
     """True iff no probe on {base = level} has a vanishing gradient.
 
-    Probes are seeded uniform samples Newton-projected onto the level set,
-    plus any critical points of base located on it (uniform sampling alone
-    cannot witness a measure-zero singular point).  Projection failures are
-    tolerated up to 1% of the sample budget.
+    Probes are the ``CHECK_SAMPLES`` seeded uniform samples Newton-projected
+    onto the level set, plus any critical points of base located on it
+    (uniform sampling alone cannot witness a measure-zero singular point).
+    Projection failures are tolerated up to 1% of the samples.
     """
-    if samples < 100:
-        raise ValueError(f"samples must be >= 100, got {samples}")
     sing = find_singular_points(d.base, d.level, d.region)
     if sing:
         return False
-    Y, ok = _projected_samples(d, samples, seed)
+    Y, ok = _projected_samples(d, CHECK_SAMPLES)
     n_diverged = int((~ok).sum())
-    if n_diverged > DIVERGENCE_BUDGET * samples:
+    if n_diverged > DIVERGENCE_BUDGET * CHECK_SAMPLES:
         raise ProjectionError(
-            f"{n_diverged}/{samples} projections failed to reach level {d.level}"
+            f"{n_diverged}/{CHECK_SAMPLES} projections failed to reach level {d.level}"
         )
     _, _, singular = _level_masks(d.base, d.level, Y[ok])
     return not singular.any()
 
 
 @functools.lru_cache(maxsize=SAMPLE_CACHE_SIZE)
-def _projected_samples(d: Deformation, samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """``samples`` uniform points of ``d.region`` drawn from ``default_rng(seed)``
+def _projected_samples(d: Deformation, samples: int) -> tuple[np.ndarray, np.ndarray]:
+    """``samples`` uniform points of ``d.region`` drawn from ``default_rng(0)``
     and projected onto {base = level}: ``project_to_level``'s (points,
     converged mask), read-only and shared by callers."""
-    X = d.region.sample(samples, np.random.default_rng(seed))
+    X = d.region.sample(samples, np.random.default_rng(0))
     Y, ok = project_to_level(d.base, d.level, X)
     Y.setflags(write=False)
     ok.setflags(write=False)
@@ -239,24 +237,17 @@ def _choose(candidates: list[Deformation], reports: list[ComponentReport]) -> De
     )
 
 
-def proximity_check(
-    d: Deformation,
-    exclusion_radius: float,
-    samples: int = DEFAULT_SAMPLES,
-    seed: int = 0,
-) -> float:
+def proximity_check(d: Deformation, exclusion_radius: float) -> float:
     """Max distance from the deformation to the base variety, away from singularities.
 
-    Points are sampled on {base = level}, those within ``exclusion_radius``
-    of any singular point of {base = 0} are dropped, and each survivor is
-    Newton-projected onto the base variety; the maximum projection distance
-    is returned.
+    The ``CHECK_SAMPLES`` points are sampled on {base = level}, those within
+    ``exclusion_radius`` of any singular point of {base = 0} are dropped, and
+    each survivor is Newton-projected onto the base variety; the maximum
+    projection distance is returned.
     """
     if not (math.isfinite(exclusion_radius) and exclusion_radius > 0):
         raise ValueError(f"exclusion_radius must be positive and finite, got {exclusion_radius}")
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    Y, ok = _projected_samples(d, samples, seed)
+    Y, ok = _projected_samples(d, CHECK_SAMPLES)
     Y = Y[ok & d.region.contains(Y, pad=1e-9)]
     sing = find_singular_points(d.base, 0.0, d.region)
     if sing:

@@ -23,9 +23,6 @@ from .poly import cusp_curve, double_cone
 from .resolve import default_region, projected_gradient_field
 from .stratify import find_singular_points
 
-ARTIFACT_VERSION = "stratopt 0.1.0"
-STALL_WINDOW = 100
-STALL_PLATEAU_TOL = 1e-5
 CUSP_POINTS_PER_BRANCH = 12
 
 
@@ -130,10 +127,7 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentResult:
     out = Path(out_dir or spec.output_dir or Path("out") / spec.name)
     out.mkdir(parents=True, exist_ok=True)
     metadata_path = out / "metadata.cfg"
-    metadata_path.write_text(
-        format_config(spec, header_comment=f"{ARTIFACT_VERSION} experiment echo"),
-        encoding="utf-8",
-    )
+    metadata_path.write_text(format_config(spec), encoding="utf-8")
     result = ExperimentResult(out_dir=out, metadata_path=metadata_path)
 
     if spec.model == "cusp":
@@ -157,10 +151,7 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentResult:
             result.trajectory_paths[(surface, i)] = path
             if traj.terminated_by is Termination.FAILED:
                 result.n_failures += 1
-            report = detect_stall(
-                traj, window=STALL_WINDOW, plateau_tol=STALL_PLATEAU_TOL,
-                singularities=apexes, loss_tol=cfg.loss_tol,
-            )
+            report = detect_stall(traj, singularities=apexes, loss_tol=cfg.loss_tol)
             stall_rows.append(_stall_row(surface, i, traj, report))
         result.aggregate_paths[surface] = tables.write_csv(
             out / f"aggregate_{surface}.csv", tables.AGG_FIELDS, _aggregate_rows(trajs)

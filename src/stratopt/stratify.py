@@ -55,7 +55,8 @@ SINGULAR = _SingularMarker()
 
 @dataclass(frozen=True, eq=False)
 class Region:
-    """Axis-aligned box given by componentwise lower < upper bounds.
+    """Axis-aligned box given by componentwise lower < upper bounds, each
+    width finite.
 
     A value: its bounds are read-only float64 copies, and regions with the
     same bound bytes are equal and hash alike (a -0.0 bound differs from 0.0).
@@ -73,6 +74,10 @@ class Region:
             raise ValueError("region bounds must be finite")
         if not (lo < hi).all():
             raise ValueError("region requires lower < upper componentwise")
+        with np.errstate(over="ignore"):
+            width = hi - lo
+        if not np.isfinite(width).all():
+            raise ValueError(f"region width upper - lower must be finite, got {width.tolist()}")
         lo.setflags(write=False)
         hi.setflags(write=False)
         object.__setattr__(self, "lower", lo)

@@ -34,6 +34,7 @@ PALETTE = [
     "#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd",
     "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf",
 ]
+TEXT_COLOR = "#333"
 
 
 class PlotDataError(ValueError):
@@ -90,9 +91,9 @@ class _Canvas:
             f'stroke="{color}" stroke-width="2" fill="none"/>'
         )
 
-    def text(self, px, py, s, size=12, color="#333", anchor="start"):
+    def text(self, px, py, s, size=12, anchor="start"):
         self.parts.append(
-            f'<text x="{px:.2f}" y="{py:.2f}" font-size="{size}" fill="{color}" '
+            f'<text x="{px:.2f}" y="{py:.2f}" font-size="{size}" fill="{TEXT_COLOR}" '
             f'font-family="sans-serif" text-anchor="{anchor}">{html.escape(s, quote=False)}</text>'
         )
 
@@ -109,7 +110,7 @@ class _Canvas:
             self.text(MARGIN - 8, self.sy(yv) + 4, f"{yv:.3g}", size=10, anchor="end")
         self.text(WIDTH / 2, HEIGHT - MARGIN + 38, xlabel, anchor="middle")
         self.parts.append(
-            f'<text x="18" y="{HEIGHT / 2:.2f}" font-size="12" fill="#333" '
+            f'<text x="18" y="{HEIGHT / 2:.2f}" font-size="12" fill="{TEXT_COLOR}" '
             f'font-family="sans-serif" text-anchor="middle" '
             f'transform="rotate(-90 18 {HEIGHT / 2:.2f})">{html.escape(ylabel, quote=False)}</text>'
         )

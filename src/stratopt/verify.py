@@ -8,27 +8,16 @@ draws.  Tests use them to cross-check the closed forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .model import ChartPoint, GaussianLocationModel
 
-
-@dataclass(frozen=True)
-class FDSpec:
-    """Step of the central-difference probe."""
-
-    step: float = 1e-6
-
-    def __post_init__(self):
-        if not 1e-9 <= self.step <= 1e-3:
-            raise ValueError(f"finite-difference step {self.step} outside [1e-9, 1e-3]")
+FD_STEP = 1e-6  # step of the central-difference probe
 
 
-def finite_diff_grad(f, q: ChartPoint, spec: FDSpec = FDSpec()) -> np.ndarray:
+def finite_diff_grad(f, q: ChartPoint) -> np.ndarray:
     """Central-difference gradient of a scalar function of a chart point."""
-    h = spec.step
+    h = FD_STEP
     out = np.empty(2)
     probes = [
         (ChartPoint(q.xi + h, q.theta), ChartPoint(q.xi - h, q.theta)),

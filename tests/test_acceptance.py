@@ -18,7 +18,7 @@ from stratopt.resolve import count_components, deform
 from stratopt.runner import run_experiment
 from stratopt.stratify import Region, find_singular_points, simplex_strata
 from stratopt.tables import read_csv
-from stratopt.verify import FDSpec, finite_diff_grad, monte_carlo_fim
+from stratopt.verify import finite_diff_grad, monte_carlo_fim
 
 CONE_CHART = Chart.cone()
 
@@ -67,7 +67,7 @@ def test_c02_gradient_oracle():
         xbar = xbar + rng.normal(0, 0.5, size=3)
         m = GaussianLocationModel(chart, xbar)
         g = m.loss_grad(q)
-        fd = finite_diff_grad(m.loss, q, FDSpec(step=1e-6))
+        fd = finite_diff_grad(m.loss, q)
         gn = float(np.linalg.norm(g))
         min_norm = min(min_norm, gn)
         worst_rel = max(worst_rel, float(np.linalg.norm(fd - g)) / gn)

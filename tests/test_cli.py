@@ -125,6 +125,12 @@ def test_run_reports_failures_in_exit_code(tmp_path):
     assert rc == 1
 
 
+def test_overflowing_region_width_exits_2(capsys):
+    # each bound is finite, but the width is not; the origin would be missed
+    assert main(["stratify", "x0^2 + x1^2", "--region=-1e308,1e308"]) == 2
+    assert "region width" in capsys.readouterr().err
+
+
 def test_run_unknown_preset_is_usage_error(capsys):
     with pytest.raises(SystemExit) as err:
         main(["run", "--preset", "fig99"])
@@ -137,6 +143,14 @@ def test_config_error_paths_surface(capsys, tmp_path):
     rc = main(["run", str(cfg)])
     assert rc == 2
     assert "unknown key" in capsys.readouterr().err
+
+
+def test_non_utf8_config_names_path_and_line(capsys, tmp_path):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes("[experiment]\nname = caf\u00e9\n".encode("latin-1"))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "run")]) == 2
+    assert f"{cfg}:2: not UTF-8" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("key, lines", [

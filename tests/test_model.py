@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from stratopt.model import (Chart, ChartKind, ChartPoint,
-                            GaussianLocationModel, sample_mean)
+from stratopt.model import Chart, ChartPoint, GaussianLocationModel, sample_mean
 from stratopt.poly import double_cone
-from stratopt.verify import FDSpec, finite_diff_grad
+from stratopt.verify import finite_diff_grad
 
 CONE = Chart.cone()
 
@@ -21,8 +20,10 @@ def hyperboloid(eps=0.05):
 def test_chart_validation():
     with pytest.raises(ValueError):
         Chart.hyperboloid(0.0)
-    with pytest.raises(ValueError):
-        Chart(ChartKind.CONE, eps=0.3)
+    for eps in (-0.1, math.nan):
+        with pytest.raises(ValueError):
+            Chart(eps)
+    assert Chart(0.0) == CONE
     assert CONE.intrinsic_dim == 2 and CONE.ambient_dim == 3
 
 
@@ -131,7 +132,7 @@ def test_loss_grad_matches_fd_at_random_configurations():
         xbar = xbar + rng.normal(0, 0.5, size=3)
         m = GaussianLocationModel(chart, xbar)
         g = m.loss_grad(q)
-        fd = finite_diff_grad(m.loss, q, FDSpec(step=1e-6))
+        fd = finite_diff_grad(m.loss, q)
         worst = max(worst, float(np.linalg.norm(fd - g) / max(1.0, np.linalg.norm(g))))
     assert worst < 1e-6
 

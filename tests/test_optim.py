@@ -4,7 +4,7 @@ import pytest
 from stratopt import tables
 from stratopt.model import Chart, ChartPoint, GaussianLocationModel
 from stratopt.optim import (Method, Mode, OptimizerConfig, SingularFIMError,
-                            Termination, TrajectoryRecord, detect_stall,
+                            STALL_WINDOW, Termination, TrajectoryRecord, detect_stall,
                             gd_step, ngd_step, run)
 
 CONE = Chart.cone()
@@ -129,8 +129,7 @@ def test_opposite_ray_is_captured_by_the_apex():
     assert traj.terminated_by is Termination.MAX_STEPS
     assert traj.final.loss == pytest.approx(1.0, abs=1e-3)
     assert abs(traj.final.xi) < 0.05
-    report = detect_stall(traj, window=100, plateau_tol=1e-5,
-                          singularities=[np.zeros(3)])
+    report = detect_stall(traj, singularities=[np.zeros(3)])
     assert report.stalled
     assert report.nearest_singularity_distance < 0.1
 
@@ -278,12 +277,12 @@ def synthetic_trajectory(losses):
 
 def test_geometric_decrease_is_not_a_stall():
     traj = synthetic_trajectory([0.9 ** i for i in range(200)])
-    assert not detect_stall(traj, window=50, plateau_tol=1e-5).stalled
+    assert not detect_stall(traj).stalled
 
 
 def test_constant_loss_above_tolerance_is_a_stall():
     traj = synthetic_trajectory([0.5] * 120)
-    rep = detect_stall(traj, window=50, plateau_tol=1e-5)
+    rep = detect_stall(traj)
     assert rep.stalled
     assert rep.mean_rel_decrease < 1e-5
     assert rep.window_start == 0
@@ -292,15 +291,13 @@ def test_constant_loss_above_tolerance_is_a_stall():
 def test_converged_plateau_is_not_a_stall():
     # flat but *below* the loss tolerance: that is convergence, not a stall
     traj = synthetic_trajectory([1e-12] * 120)
-    assert not detect_stall(traj, window=50, plateau_tol=1e-5, loss_tol=1e-10).stalled
+    assert not detect_stall(traj, loss_tol=1e-10).stalled
 
 
 def test_stall_window_validation():
-    traj = synthetic_trajectory([1.0] * 10)
-    with pytest.raises(ValueError):
-        detect_stall(traj, window=1)
     # shorter than the window: no window, distance from the final point
-    report = detect_stall(traj, window=50, singularities=[np.zeros(3)])
+    traj = synthetic_trajectory([1.0] * (STALL_WINDOW - 1))
+    report = detect_stall(traj, singularities=[np.zeros(3)])
     assert (report.stalled, report.window_start) == (False, -1)
     assert np.isnan(report.mean_rel_decrease)
     assert report.nearest_singularity_distance == np.sqrt(2.0)

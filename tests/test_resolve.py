@@ -235,28 +235,23 @@ def test_deformation_level_must_be_finite(level):
 # -- smoothness_check --------------------------------------------------------------
 
 def test_deformed_cone_is_smooth():
-    assert smoothness_check(deform(CONE, 0.1), samples=2000, seed=1)
+    assert smoothness_check(deform(CONE, 0.1))
 
 
 def test_singular_cone_fails_smoothness():
-    assert not smoothness_check(deform(CONE, 0.0), samples=2000, seed=1)
-
-
-def test_smoothness_sample_floor():
-    with pytest.raises(ValueError):
-        smoothness_check(deform(CONE, 0.1), samples=50)
+    assert not smoothness_check(deform(CONE, 0.0))
 
 
 # -- proximity_check -----------------------------------------------------------------
 
 def test_proximity_small_deformation_near_base():
     # analytic bound away from the apex: |sqrt(xi^2+c) - |xi|| <= c / (2|xi|)
-    md = proximity_check(deform(CONE, 0.01), exclusion_radius=0.5, samples=4000, seed=3)
+    md = proximity_check(deform(CONE, 0.01), exclusion_radius=0.5)
     assert md < 0.02
 
 
 def test_proximity_identity_at_zero_level():
-    md = proximity_check(deform(CONE, 0.0), exclusion_radius=0.5, samples=2000, seed=3)
+    md = proximity_check(deform(CONE, 0.0), exclusion_radius=0.5)
     assert md < 1e-9
 
 
@@ -264,12 +259,12 @@ def test_proximity_no_samples_when_exclusion_covers_region():
     # ambient points of the c=0.01 deformation inside [-2,2]^3 stay within
     # norm sqrt(2*4+0.01) < 2.84, so a radius-4 exclusion swallows them all
     with pytest.raises(NoSamplesError):
-        proximity_check(deform(CONE, 0.01), exclusion_radius=4.0, samples=2000, seed=3)
+        proximity_check(deform(CONE, 0.01), exclusion_radius=4.0)
 
 
 def test_proximity_shrinks_with_level():
-    near = proximity_check(deform(CONE, 0.001), exclusion_radius=0.5, samples=3000, seed=7)
-    far = proximity_check(deform(CONE, 0.1), exclusion_radius=0.5, samples=3000, seed=7)
+    near = proximity_check(deform(CONE, 0.001), exclusion_radius=0.5)
+    far = proximity_check(deform(CONE, 0.1), exclusion_radius=0.5)
     assert near < far
 
 
@@ -284,13 +279,13 @@ def test_checks_share_one_projection_of_the_samples(monkeypatch):
     chosen = choose_resolution(double_cone(), 0.1)
     proximity_check(chosen, 0.3)
     assert chosen.level == 0.1
-    assert calls.count((0.1, resolve.DEFAULT_SAMPLES)) == 1
+    assert calls.count((0.1, resolve.CHECK_SAMPLES)) == 1
 
 
 def test_cached_samples_match_a_fresh_projection():
     d = deform(CONE, 0.1)
-    Y, ok = resolve._projected_samples(d, 500, seed=4)
-    X = d.region.sample(500, np.random.default_rng(4))
+    Y, ok = resolve._projected_samples(d, 500)
+    X = d.region.sample(500, np.random.default_rng(0))
     Y2, ok2 = project_to_level(CONE, 0.1, X)
     assert np.array_equal(Y, Y2) and np.array_equal(ok, ok2)
     assert not Y.flags.writeable and not ok.flags.writeable
@@ -301,15 +296,10 @@ def test_proximity_requires_positive_radius():
         proximity_check(deform(CONE, 0.1), exclusion_radius=0.0)
 
 
-@pytest.mark.parametrize("radius, samples, match", [
-    (math.nan, 100, "exclusion_radius"),
-    (math.inf, 100, "exclusion_radius"),
-    (0.5, 0, "samples"),
-    (0.5, -5, "samples"),
-])
-def test_proximity_rejects_bad_arguments_by_name(radius, samples, match):
-    with pytest.raises(ValueError, match=match):
-        proximity_check(deform(CONE, 0.1), exclusion_radius=radius, samples=samples)
+@pytest.mark.parametrize("radius", [math.nan, math.inf])
+def test_proximity_rejects_bad_arguments_by_name(radius):
+    with pytest.raises(ValueError, match="exclusion_radius"):
+        proximity_check(deform(CONE, 0.1), exclusion_radius=radius)
 
 
 def test_deformations_are_values():
@@ -322,7 +312,7 @@ def test_equal_deformations_hit_the_caches():
     resolve._projected_samples.cache_clear()
     _newton_endpoints.cache_clear()
     for region in (Region.cube(-2.0, 2.0, 3), Region(np.full(3, -2.0), np.full(3, 2.0))):
-        assert smoothness_check(deform(CONE, 0.1, region), samples=500)
+        assert smoothness_check(deform(CONE, 0.1, region))
     assert resolve._projected_samples.cache_info().hits == 1
     assert _newton_endpoints.cache_info().hits == 1
 

@@ -110,6 +110,8 @@ def test_targets_csv(tiny_run):
 
 def test_metadata_reloads_to_equal_spec(tiny_run):
     assert load_config(tiny_run.metadata_path) == small_spec()
+    text = tiny_run.metadata_path.read_text(encoding="utf-8")
+    assert text.startswith("# stratopt 0.1.0 experiment echo\n[experiment]\n")
 
 
 def test_rerun_is_byte_identical(tmp_path):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -335,6 +336,15 @@ def test_region_validation():
         Region(np.array([0.0, 0.0]), np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
         Region(np.array([0.0]), np.array([np.inf]))
+
+
+def test_region_width_must_be_finite():
+    # each bound is finite, but 1e308 - (-1e308) overflows; no numpy warning either
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="width"):
+            Region.cube(-1e308, 1e308, 2)
+    assert Region.cube(-1e300, 1e300, 2).widths.tolist() == [2e300, 2e300]
 
 
 def test_equal_bounds_make_equal_regions():
