@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .model import ChartPoint
-from .optim import OptimizerConfig
+from .optim import OptimizerConfig, SettingError
 
 ARTIFACT_VERSION = "stratopt 0.1.0"
 MODELS = ("cone", "hyperboloid", "both", "cusp")
@@ -44,12 +44,12 @@ class InitDistribution:
 
     def __post_init__(self):
         if self.count < 1:
-            raise ValueError("init_count must be >= 1")
+            raise SettingError("init_count", "init_count must be >= 1")
         if self.seed < 0:
-            raise ValueError("init_seed must be >= 0")
-        if not (self.xi_range[0] < self.xi_range[1]
-                and self.theta_range[0] < self.theta_range[1]):
-            raise ValueError("init ranges must satisfy lo < hi")
+            raise SettingError("init_seed", "init_seed must be >= 0")
+        for key, (lo, hi) in (("init_xi", self.xi_range), ("init_theta", self.theta_range)):
+            if not lo < hi:
+                raise SettingError(key, f"{key} must satisfy lo < hi, got {lo!r} {hi!r}")
 
 
 @dataclass(frozen=True)
@@ -78,20 +78,22 @@ class ExperimentSpec:
             text = getattr(self, key)
             if text is not None and ("#" in text or text != text.strip()
                                      or len(text.splitlines()) > 1):
-                raise ValueError(f"{key} {text!r} would not survive the metadata echo: "
-                                 "no '#', line breaks, or leading or trailing spaces")
+                raise SettingError(key, f"{key} {text!r} would not survive the metadata "
+                                   "echo: no '#', line breaks, or leading or trailing spaces")
         if self.model not in MODELS:
-            raise ValueError(f"model must be one of {MODELS}, got {self.model!r}")
+            raise SettingError("model", f"model must be one of {MODELS}, got {self.model!r}")
         if self.target_surface not in TARGET_SURFACES:
-            raise ValueError(f"target_surface must be one of {TARGET_SURFACES}")
+            raise SettingError("target_surface", f"target_surface must be one of "
+                               f"{TARGET_SURFACES}, got {self.target_surface!r}")
         self.optimizer_config()  # rejects bad optimizer settings here, where the spec enters
         if self.target is None:
-            raise ValueError("target is required")
+            raise SettingError("target", "target is required")
         if self.model in ("hyperboloid", "both", "cusp") and not self.eps > 0:
-            raise ValueError(f"model={self.model} requires eps > 0")
+            raise SettingError("eps", f"model={self.model} requires eps > 0")
         if self.model != "cusp":
             if isinstance(self.init, tuple) and len(self.init) == 0:
-                raise ValueError("init is required (fixed chart point(s) or a distribution)")
+                raise SettingError("init", "init is required (fixed chart point(s) or a "
+                                   "distribution)")
 
     def optimizer_config(self) -> OptimizerConfig:
         return OptimizerConfig(**{f.name: getattr(self, f.name) for f in fields(OptimizerConfig)})
@@ -137,7 +139,12 @@ KNOWN_KEYS = _SCALAR_KEYS.keys() | {"init", "target"} | _DIST_KEYS
 
 
 def load_config(path) -> ExperimentSpec:
-    """Parse an experiment file; errors carry the offending line number."""
+    """Parse an experiment file; errors carry the offending line number.
+
+    A setting the spec rejects is reported at the line of its key; a key the
+    file omits (a required ``target`` or ``init``, or the ``eps`` a model
+    needs) has no line.
+    """
     path = Path(path)
     try:
         data = path.read_bytes()
@@ -207,12 +214,12 @@ def load_config(path) -> ExperimentSpec:
         seed = _parse_int(path, raw["init_seed"][1], "init_seed", raw["init_seed"][0])
         try:
             kwargs["init"] = InitDistribution(xi_range, theta_range, count, seed)
-        except ValueError as exc:  # reported at the first init_* line
-            raise ConfigError(path, min(raw[key][1] for key in dist_keys), str(exc)) from None
+        except SettingError as exc:
+            raise ConfigError(path, raw[exc.key][1], str(exc)) from None
     try:
         return ExperimentSpec(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(path, 0, str(exc)) from None
+    except SettingError as exc:  # reported at the line of its key, if the file sets it
+        raise ConfigError(path, raw.get(exc.key, ("", 0))[1], str(exc)) from None
 
 
 def format_config(spec: ExperimentSpec) -> str:

@@ -10,14 +10,18 @@ termination reason.  The step is float arithmetic on one ``Chart.local``
 call per step: its ambient point and Jacobian entries give the recorded
 loss and gradient (``model.chain_rule``), the NGD matrix
 (``model.information``) and the update.  Stochastic mode descends toward a
-fresh batch mean each step, drawn in blocks from a seeded generator in the
-same order as one draw per step, while the recorded loss and gradient stay
-population quantities.
+fresh batch mean each step, while the recorded loss and gradient stay
+population quantities.  The noise of those means is one seeded stream per
+``(sample_seed, batch)``, drawn in blocks in the same order as one draw per
+step; it is cached and shared read-only by every trajectory of an experiment,
+and each trajectory adds its own target mean.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -57,6 +61,14 @@ class NonFiniteStepError(RuntimeError):
     """An update produced a non-finite iterate."""
 
 
+class SettingError(ValueError):
+    """A setting outside its domain; ``key`` names it as a config key."""
+
+    def __init__(self, key: str, message: str):
+        super().__init__(message)
+        self.key = key
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     method: Method = Method.GD
@@ -72,25 +84,29 @@ class OptimizerConfig:
     record_every: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "method", Method(self.method))
-        object.__setattr__(self, "mode", Mode(self.mode))
+        for name, kind in (("method", Method), ("mode", Mode)):
+            try:
+                object.__setattr__(self, name, kind(getattr(self, name)))
+            except ValueError:
+                raise SettingError(name, f"{name} must be one of "
+                                   f"{tuple(k.value for k in kind)}, "
+                                   f"got {getattr(self, name)!r}") from None
         for name in ("step_size", "step_cap", "damping", "grad_tol", "loss_tol"):
             if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if not self.step_size > 0:
-            raise ValueError("step_size must be positive")
-        if not self.step_cap > 0:
-            raise ValueError("step_cap must be positive")
+                raise SettingError(name, f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("step_size", "step_cap"):
+            if not getattr(self, name) > 0:
+                raise SettingError(name, f"{name} must be positive")
         if self.damping < 0:
-            raise ValueError("damping must be >= 0")
+            raise SettingError("damping", "damping must be >= 0")
         for name in ("max_steps", "sample_seed"):
             if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+                raise SettingError(name, f"{name} must be >= 0")
         if self.record_every < 1:
-            raise ValueError("record_every must be >= 1")
+            raise SettingError("record_every", "record_every must be >= 1")
         if self.mode is Mode.STOCHASTIC and not 1 <= self.batch <= BLOCK_NORMALS // 3:
-            raise ValueError(f"stochastic mode needs 1 <= batch <= {BLOCK_NORMALS // 3}, "
-                             f"got batch {self.batch}")
+            raise SettingError("batch", f"stochastic mode needs 1 <= batch <= "
+                               f"{BLOCK_NORMALS // 3}, got batch {self.batch}")
 
 
 class TrajectoryRecord(NamedTuple):
@@ -190,17 +206,37 @@ def ngd_step(m: GaussianLocationModel, q: ChartPoint, cfg: OptimizerConfig) -> C
     return _step(m, q, cfg)
 
 
-def _batch_means(rng: np.random.Generator, mu_star: np.ndarray, batch: int):
+@functools.lru_cache(maxsize=1)
+def _noise_stream(seed: int, batch: int) -> tuple[np.random.Generator, list[np.ndarray]]:
+    """The seeded generator of a batch-mean noise stream and its blocks drawn so far.
+
+    Each block is a read-only array of batch means, one row per step (see
+    ``_batch_means``).  The generator has drawn exactly the listed blocks, so
+    the consumer that first reaches block ``len(blocks)`` draws and appends
+    it.  The cache keeps one stream, since every trajectory of an experiment
+    uses the same seed and batch.
+    """
+    return np.random.default_rng(seed), []
+
+
+def _batch_means(mu_star: np.ndarray, seed: int, batch: int):
     """Endless stream of mu_star + the mean of ``batch`` N(0, I_3) draws.
 
-    Drawn in blocks of about BLOCK_NORMALS normals, so memory does not grow
+    Drawn in blocks of about BLOCK_NORMALS normals, so a draw does not grow
     with ``batch`` (``OptimizerConfig`` caps it at a third of BLOCK_NORMALS,
     one mean per block); the generator fills a block in the same order as one
-    ``(batch, 3)`` draw per mean, so the stream does not depend on the block size.
+    ``(batch, 3)`` draw per mean, so the stream does not depend on the block
+    size.  The blocks come from ``_noise_stream`` and are drawn only when a
+    consumer first needs them.
     """
+    rng, blocks = _noise_stream(seed, batch)
     rows = max(1, BLOCK_NORMALS // (3 * batch))
-    while True:
-        yield from (mu_star + rng.standard_normal((rows, batch, 3)).mean(axis=1)).tolist()
+    for i in itertools.count():
+        if i == len(blocks):
+            block = rng.standard_normal((rows, batch, 3)).mean(axis=1)
+            block.flags.writeable = False
+            blocks.append(block)
+        yield from (mu_star + blocks[i]).tolist()
 
 
 def run(m: GaussianLocationModel, q0: ChartPoint, cfg: OptimizerConfig) -> Trajectory:
@@ -215,7 +251,7 @@ def run(m: GaussianLocationModel, q0: ChartPoint, cfg: OptimizerConfig) -> Traje
     """
     local_at = m.chart.local
     target = m.target_mean.tolist()
-    means = (_batch_means(np.random.default_rng(cfg.sample_seed), m.target_mean, cfg.batch)
+    means = (_batch_means(m.target_mean, cfg.sample_seed, cfg.batch)
              if cfg.mode is Mode.STOCHASTIC else None)
     grad_tol, loss_tol, max_steps = cfg.grad_tol, cfg.loss_tol, cfg.max_steps
     xi, theta = float(q0.xi), float(q0.theta)

@@ -67,16 +67,24 @@ def write_trajectory_csv(path, traj: Trajectory) -> Path:
 
 
 def _aggregate_rows(trajs: list[Trajectory]) -> list[tuple[int, float, float]]:
-    """Per-step mean and median loss; finished runs carry their last loss forward."""
+    """Per-step mean and median loss; finished runs carry their last loss forward.
+
+    The step union and the median are taken by sorting, with the same values
+    as ``np.unique`` and ``np.median`` on finite losses; those two functions
+    import ``numpy.ma`` on first use, which costs more than the sort.
+    """
     steps_per = [np.array([r.step for r in t.records]) for t in trajs]
     losses_per = [t.losses() for t in trajs]
-    union = np.unique(np.concatenate(steps_per))
+    every = np.sort(np.concatenate(steps_per))
+    union = every[np.concatenate(([True], every[1:] != every[:-1]))]
     carried = np.empty((len(trajs), union.size))
     for i, (steps, losses) in enumerate(zip(steps_per, losses_per)):
         idx = np.searchsorted(steps, union, side="right") - 1
         carried[i] = losses[np.clip(idx, 0, len(losses) - 1)]
     means = carried.mean(axis=0)
-    medians = np.median(carried, axis=0)
+    ordered = np.sort(carried, axis=0)
+    half = len(trajs) // 2
+    medians = ordered[half] if len(trajs) % 2 else (ordered[half - 1] + ordered[half]) / 2
     return list(zip(union.tolist(), means.tolist(), medians.tolist()))
 
 

@@ -61,6 +61,7 @@ def test_hyperboloid_requires_eps(tmp_path):
     with pytest.raises(ConfigError) as err:
         load_config(path)
     assert "eps" in str(err.value)
+    assert str(err.value).startswith(f"{path}: ")  # the file sets no eps line
 
 
 def test_duplicate_key_rejected(tmp_path):
@@ -182,6 +183,12 @@ def test_echo_parses_back_to_an_equal_spec(tmp_path, spec):
 EXAMPLE = Path(__file__).resolve().parents[1] / "docs" / "example_experiment.cfg"
 
 
+def line_of(text, key):
+    """The 1-based line of the setting ``key`` in config ``text``."""
+    return next(n for n, line in enumerate(text.splitlines(), 1)
+                if line.partition("=")[0].strip() == key)
+
+
 @pytest.mark.parametrize("key, value", [
     ("step_size", "0"),
     ("step_size", "inf"),
@@ -189,13 +196,22 @@ EXAMPLE = Path(__file__).resolve().parents[1] / "docs" / "example_experiment.cfg
     ("loss_tol", "nan"),
     ("grad_tol", "-inf"),
     ("damping", "inf"),  # rejected although the example uses method = gd
+    ("method", "sgd"),
+    ("mode", "online"),
+    ("max_steps", "-1"),
+    ("record_every", "0"),
+    ("model", "plane"),
+    ("eps", "0"),
+    ("target_surface", "sphere"),
 ])
 def test_bad_optimizer_settings_rejected_at_load(tmp_path, key, value):
     text, n = re.subn(rf"^{key} = \S+", f"{key} = {value}",
                       EXAMPLE.read_text(encoding="utf-8"), flags=re.M)
     assert n == 1
+    path = write(tmp_path, text)
     with pytest.raises(ConfigError) as err:
-        load_config(write(tmp_path, text))
+        load_config(path)
+    assert str(err.value).startswith(f"{path}:{line_of(text, key)}: ")
     assert key in str(err.value)
 
 
@@ -215,8 +231,10 @@ init_seed = 7
 def test_stochastic_batch_is_capped_at_load(tmp_path):
     # a third of optim.BLOCK_NORMALS: one batch mean per block of normals
     assert load_config(write(tmp_path, SEEDED + "batch = 4096\n")).batch == 4096
-    with pytest.raises(ConfigError, match="batch 4097"):
-        load_config(write(tmp_path, SEEDED + "batch = 4097\n"))
+    path = write(tmp_path, SEEDED + "batch = 4097\n")
+    with pytest.raises(ConfigError, match="batch 4097") as err:
+        load_config(path)
+    assert str(err.value).startswith(f"{path}:10: ")
 
 
 @pytest.mark.parametrize("key", ["sample_seed", "init_seed"])
@@ -224,8 +242,10 @@ def test_negative_seeds_rejected_at_load(tmp_path, key):
     assert load_config(write(tmp_path, SEEDED)).sample_seed == 3
     text, n = re.subn(rf"^{key} = \S+", f"{key} = -1", SEEDED, flags=re.M)
     assert n == 1
-    with pytest.raises(ConfigError, match=key):
-        load_config(write(tmp_path, text))
+    path = write(tmp_path, text)
+    with pytest.raises(ConfigError, match=key) as err:
+        load_config(path)
+    assert str(err.value).startswith(f"{path}:{line_of(text, key)}: ")
 
 
 @pytest.mark.parametrize("key, value", [

@@ -1,7 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from stratopt import tables
+from stratopt import optim, tables
 from stratopt.model import Chart, ChartPoint, GaussianLocationModel
 from stratopt.optim import (Method, Mode, OptimizerConfig, SingularFIMError,
                             STALL_WINDOW, Termination, TrajectoryRecord, detect_stall,
@@ -177,6 +179,65 @@ def test_stochastic_mode_deterministic_given_seed():
                             mode="stochastic", batch=8, sample_seed=12))
     assert [(r.xi, r.theta) for r in a.records] != \
            [(r.xi, r.theta) for r in c.records]
+
+
+def reference_means(mu_star, seed, batch, steps):
+    """One generator, one ``(batch, 3)`` draw per step: the stream's definition."""
+    rng = np.random.default_rng(seed)
+    return [(mu_star + rng.standard_normal((batch, 3)).mean(axis=0)).tolist()
+            for _ in range(steps)]
+
+
+def take(means, steps):
+    return list(itertools.islice(means, steps))
+
+
+def block_rows(batch):
+    return max(1, optim.BLOCK_NORMALS // (3 * batch))
+
+
+@pytest.mark.parametrize("batch", [1, 3, 29, 4096])
+def test_shared_stream_is_one_draw_per_step(batch):
+    optim._noise_stream.cache_clear()
+    rows = block_rows(batch)
+    steps = 2 * rows + 1  # crosses two block boundaries
+    mu_star = np.array([0.25, -1.5, 3.0])
+    assert take(optim._batch_means(mu_star, 5, batch), steps) == \
+        reference_means(mu_star, 5, batch, steps)
+    _, blocks = optim._noise_stream(5, batch)
+    assert [len(block) for block in blocks] == [rows] * 3  # drawn only when needed
+    assert not any(block.flags.writeable for block in blocks)
+
+
+def test_shared_stream_with_interleaved_seeds():
+    # each stream evicts the other from the one-entry cache
+    optim._noise_stream.cache_clear()
+    batch, steps = 29, 2 * block_rows(29) + 3
+    mu_star = np.array([1.0, 0.0, -1.0])
+    a, b = optim._batch_means(mu_star, 1, batch), optim._batch_means(mu_star, 2, batch)
+    got_a, got_b = zip(*((next(a), next(b)) for _ in range(steps)))
+    assert list(got_a) == reference_means(mu_star, 1, batch, steps)
+    assert list(got_b) == reference_means(mu_star, 2, batch, steps)
+
+
+def test_late_consumer_reads_the_grown_stream(monkeypatch):
+    optim._noise_stream.cache_clear()
+    seeds = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(optim.np.random, "default_rng",
+                        lambda seed: seeds.append(seed) or default_rng(seed))
+    batch, rows = 3, block_rows(3)
+    mu_a, mu_b = np.array([0.5, 0.5, 0.0]), np.array([-2.0, 1.0, 0.125])
+    first = optim._batch_means(mu_a, 9, batch)
+    head = take(first, rows + 1)  # two blocks drawn
+    second = optim._batch_means(mu_b, 9, batch)
+    late = take(second, 3 * rows)  # reads both, then draws the third
+    head += take(first, 2 * rows)  # reads the third
+    assert seeds == [9]
+    assert head == reference_means(mu_a, 9, batch, 3 * rows + 1)
+    assert late == reference_means(mu_b, 9, batch, 3 * rows)
+    monkeypatch.undo()
+    assert head == take(optim._batch_means(mu_a, 9, batch), 3 * rows + 1)
 
 
 def test_failed_step_records_partial_trajectory():

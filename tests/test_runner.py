@@ -2,13 +2,16 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
+from stratopt import optim
 from stratopt.config import ExperimentSpec, InitDistribution, load_config
 from stratopt.model import Chart, ChartPoint
+from stratopt.optim import Termination, Trajectory, TrajectoryRecord
 from stratopt.poly import double_cone
 from stratopt.presets import PRESET_NAMES, preset
 from stratopt.resolve import choose_resolution
-from stratopt.runner import run_experiment, write_trajectory_csv
+from stratopt.runner import _aggregate_rows, run_experiment, write_trajectory_csv
 from stratopt.tables import AGG_FIELDS, STALL_FIELDS, TRAJ_FIELDS, read_csv
 
 
@@ -124,6 +127,60 @@ def test_rerun_is_byte_identical(tmp_path):
     assert files_a == files_b and files_a
     for name in files_a:
         assert (a.out_dir / name).read_bytes() == (b.out_dir / name).read_bytes()
+
+
+def csv_bytes(out_dir):
+    return {p.name: p.read_bytes() for p in sorted(out_dir.glob("*.csv"))}
+
+
+def test_stochastic_experiment_draws_its_stream_once(tmp_path, monkeypatch):
+    spec = small_spec(init=InitDistribution((0.5, 1.5), (-2.0, 2.0), 4, 99),
+                      max_steps=200, mode="stochastic", batch=12, sample_seed=21)
+    seeds = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(optim.np.random, "default_rng",
+                        lambda seed: seeds.append(seed) or default_rng(seed))
+    optim._noise_stream.cache_clear()
+    first = run_experiment(spec, out_dir=tmp_path / "first")
+    assert seeds == [99, 21]  # the init draw, then one stream for 8 trajectories
+    again = run_experiment(spec, out_dir=tmp_path / "again")  # reads the cached stream
+    assert seeds == [99, 21, 99]
+    optim._noise_stream.cache_clear()
+    fresh = run_experiment(spec, out_dir=tmp_path / "fresh")
+    assert seeds == [99, 21, 99, 99, 21]
+    want = csv_bytes(fresh.out_dir)
+    assert len(want) == 2 * 4 + 4
+    assert csv_bytes(first.out_dir) == want
+    assert csv_bytes(again.out_dir) == want
+
+
+def aggregate_reference(trajs):
+    """The aggregate rows through ``np.unique`` and ``np.median``."""
+    steps_per = [np.array([r.step for r in t.records]) for t in trajs]
+    union = np.unique(np.concatenate(steps_per))
+    carried = np.empty((len(trajs), union.size))
+    for i, (steps, t) in enumerate(zip(steps_per, trajs)):
+        idx = np.searchsorted(steps, union, side="right") - 1
+        carried[i] = t.losses()[np.clip(idx, 0, len(steps) - 1)]
+    return list(zip(union.tolist(), carried.mean(axis=0).tolist(),
+                    np.median(carried, axis=0).tolist()))
+
+
+losses = st.one_of(st.sampled_from([0.0, 1e-12, 0.5, 1.0]), st.floats(0.0, 1e300))
+loss_paths = st.lists(st.tuples(st.sets(st.integers(0, 60), min_size=1),
+                                st.lists(losses, min_size=61, max_size=61)),
+                      min_size=1, max_size=7)
+
+
+@given(loss_paths)
+@example([({0, 5}, [1.0] * 61), ({0, 3, 9}, [0.5] * 61)])  # even count, one repeated loss
+@example([({0}, [2.0] * 61), ({4}, [1.0] * 61), ({0, 4}, [3.0] * 61)])  # odd count
+def test_aggregate_rows_match_unique_and_median(paths):
+    trajs = [Trajectory([TrajectoryRecord(s, 1.0, 0.0, 1.0, 1.0, 0.0, loss[s], 1.0)
+                         for s in sorted(steps)], Termination.MAX_STEPS)
+             for steps, loss in paths]
+    bits = lambda rows: [(s, a.hex(), b.hex()) for s, a, b in rows]
+    assert bits(_aggregate_rows(trajs)) == bits(aggregate_reference(trajs))
 
 
 def test_on_model_target_differs_on_hyperboloid(tmp_path):
