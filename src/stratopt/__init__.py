@@ -11,8 +11,8 @@ from .resolve import (ComponentReport, Deformation, NoSamplesError,
                       count_components, default_region, deform,
                       project_to_level, projected_gradient_field,
                       proximity_check, smoothness_check)
-from .model import Chart, ChartPoint, GaussianLocationModel, sample_mean
-from .optim import (Method, Mode, OptimizerConfig, SingularFIMError,
+from .model import Chart, ChartPoint, GaussianLocationModel
+from .optim import (METHODS, MODES, OptimizerConfig, SingularFIMError,
                     StallReport, Termination, Trajectory, TrajectoryRecord,
                     detect_stall, gd_step, ngd_step, run)
 from .verify import finite_diff_grad, monte_carlo_fim

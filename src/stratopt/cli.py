@@ -22,7 +22,7 @@ from .resolve import DEFAULT_GRID_N, _candidates, _choose, _projected_samples, c
 from .runner import run_experiment
 from .stratify import SEED_GRID, Region, stratify
 from .svgplot import KINDS, plot
-from .verify import finite_diff_grad, monte_carlo_fim
+from .verify import FD_STEP, finite_diff_grad, monte_carlo_fim
 
 
 def _nonnegative_int(text: str) -> int:
@@ -98,7 +98,7 @@ def _cmd_plot(args) -> int:
 
 def _check_poly_gradients(rng) -> tuple[bool, str]:
     worst = 0.0
-    h = 1e-6
+    h = FD_STEP
     for _ in range(20):
         nvars = int(rng.integers(1, 5))
         n_terms = int(rng.integers(1, 7))

@@ -53,21 +53,12 @@ class InitDistribution:
 
 
 @dataclass(frozen=True)
-class ExperimentSpec:
+class ExperimentSpec(OptimizerConfig):
+    """An experiment: the optimizer settings it inherits plus what to run them on."""
+
     name: str = "experiment"
     model: str = "cone"
     eps: float = 0.0
-    method: str = OptimizerConfig.method.value
-    step_size: float = OptimizerConfig.step_size
-    max_steps: int = OptimizerConfig.max_steps
-    grad_tol: float = OptimizerConfig.grad_tol
-    loss_tol: float = OptimizerConfig.loss_tol
-    damping: float = OptimizerConfig.damping
-    step_cap: float = OptimizerConfig.step_cap
-    mode: str = OptimizerConfig.mode.value
-    batch: int = OptimizerConfig.batch
-    sample_seed: int = OptimizerConfig.sample_seed
-    record_every: int = OptimizerConfig.record_every
     init: tuple[ChartPoint, ...] | InitDistribution = field(default=())
     target: ChartPoint | None = None
     target_surface: str = "cone"
@@ -85,7 +76,7 @@ class ExperimentSpec:
         if self.target_surface not in TARGET_SURFACES:
             raise SettingError("target_surface", f"target_surface must be one of "
                                f"{TARGET_SURFACES}, got {self.target_surface!r}")
-        self.optimizer_config()  # rejects bad optimizer settings here, where the spec enters
+        super().__post_init__()  # rejects bad optimizer settings here, where the spec enters
         if self.target is None:
             raise SettingError("target", "target is required")
         if self.model in ("hyperboloid", "both", "cusp") and not self.eps > 0:
@@ -94,9 +85,6 @@ class ExperimentSpec:
             if isinstance(self.init, tuple) and len(self.init) == 0:
                 raise SettingError("init", "init is required (fixed chart point(s) or a "
                                    "distribution)")
-
-    def optimizer_config(self) -> OptimizerConfig:
-        return OptimizerConfig(**{f.name: getattr(self, f.name) for f in fields(OptimizerConfig)})
 
 
 def _parse_float(path, lineno, key, text) -> float:

@@ -43,14 +43,6 @@ class Chart:
             raise ValueError("hyperboloid chart requires eps > 0")
         return cls(float(eps))
 
-    @property
-    def intrinsic_dim(self) -> int:
-        return 2
-
-    @property
-    def ambient_dim(self) -> int:
-        return 3
-
     def local(self, xi: float, theta: float) -> tuple[float, ...]:
         """The chart at (xi, theta) as floats: the one place its formulas live.
 
@@ -132,12 +124,3 @@ def information(local) -> tuple[float, float, float]:
     _, _, _, j10, j11, j20, j21 = local
     return 1.0 + j10 * j10 + j20 * j20, j10 * j11 + j20 * j21, j11 * j11 + j21 * j21
 
-
-def sample_mean(mu_star, n: int, seed: int) -> np.ndarray:
-    """Empirical mean of n draws from N(mu_star, I_3); deterministic given seed."""
-    if n < 1:
-        raise ValueError(f"need n >= 1 draws, got {n}")
-    mu_star = np.asarray(mu_star, dtype=float)
-    if mu_star.shape != (3,):
-        raise ValueError("mu_star must be a 3-vector")
-    return mu_star + np.random.default_rng(seed).standard_normal((n, 3)).mean(axis=0)

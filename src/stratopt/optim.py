@@ -34,16 +34,8 @@ EPS = float(np.finfo(float).eps)
 BLOCK_NORMALS = 12_288  # standard normals per block of stochastic batch means
 STALL_WINDOW = 100  # consecutive records in a stall window
 STALL_PLATEAU_TOL = 1e-5  # mean relative loss decrease below which a window stalls
-
-
-class Method(enum.Enum):
-    GD = "gd"
-    NGD = "ngd"
-
-
-class Mode(enum.Enum):
-    POPULATION = "population"
-    STOCHASTIC = "stochastic"
+METHODS = ("gd", "ngd")
+MODES = ("population", "stochastic")
 
 
 class Termination(enum.Enum):
@@ -71,26 +63,23 @@ class SettingError(ValueError):
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    method: Method = Method.GD
+    method: str = "gd"
     step_size: float = 0.01
     max_steps: int = 100_000
     grad_tol: float = 1e-10
     loss_tol: float = 1e-10
     damping: float = 1e-8        # NGD only
     step_cap: float = 1.0
-    mode: Mode = Mode.POPULATION
+    mode: str = "population"
     batch: int = 16              # stochastic only
     sample_seed: int = 0         # stochastic only
     record_every: int = 1
 
     def __post_init__(self):
-        for name, kind in (("method", Method), ("mode", Mode)):
-            try:
-                object.__setattr__(self, name, kind(getattr(self, name)))
-            except ValueError:
-                raise SettingError(name, f"{name} must be one of "
-                                   f"{tuple(k.value for k in kind)}, "
-                                   f"got {getattr(self, name)!r}") from None
+        for name, allowed in (("method", METHODS), ("mode", MODES)):
+            if getattr(self, name) not in allowed:
+                raise SettingError(name, f"{name} must be one of {allowed}, "
+                                   f"got {getattr(self, name)!r}")
         for name in ("step_size", "step_cap", "damping", "grad_tol", "loss_tol"):
             if not math.isfinite(getattr(self, name)):
                 raise SettingError(name, f"{name} must be finite, got {getattr(self, name)}")
@@ -104,7 +93,7 @@ class OptimizerConfig:
                 raise SettingError(name, f"{name} must be >= 0")
         if self.record_every < 1:
             raise SettingError("record_every", "record_every must be >= 1")
-        if self.mode is Mode.STOCHASTIC and not 1 <= self.batch <= BLOCK_NORMALS // 3:
+        if self.mode == "stochastic" and not 1 <= self.batch <= BLOCK_NORMALS // 3:
             raise SettingError("batch", f"stochastic mode needs 1 <= batch <= "
                                f"{BLOCK_NORMALS // 3}, got batch {self.batch}")
 
@@ -162,7 +151,7 @@ def _update(xi: float, theta: float, g0: float, g1: float, local,
     overflow, or a non-finite gradient or direction, which propagates
     through the cap) raises NonFiniteStepError.
     """
-    if cfg.method is Method.NGD:
+    if cfg.method == "ngd":
         a00, a01, a11 = information(local)
         a00 += cfg.damping
         a11 += cfg.damping
@@ -194,15 +183,15 @@ def _step(m: GaussianLocationModel, q: ChartPoint, cfg: OptimizerConfig) -> Char
 
 def gd_step(m: GaussianLocationModel, q: ChartPoint, cfg: OptimizerConfig) -> ChartPoint:
     """One capped gradient step q - lr * grad."""
-    if cfg.method is not Method.GD:
-        raise ValueError("gd_step requires cfg.method == Method.GD")
+    if cfg.method != "gd":
+        raise ValueError("gd_step requires cfg.method == 'gd'")
     return _step(m, q, cfg)
 
 
 def ngd_step(m: GaussianLocationModel, q: ChartPoint, cfg: OptimizerConfig) -> ChartPoint:
     """One capped natural gradient step q - lr * (F + damping I)^-1 grad."""
-    if cfg.method is not Method.NGD:
-        raise ValueError("ngd_step requires cfg.method == Method.NGD")
+    if cfg.method != "ngd":
+        raise ValueError("ngd_step requires cfg.method == 'ngd'")
     return _step(m, q, cfg)
 
 
@@ -252,7 +241,7 @@ def run(m: GaussianLocationModel, q0: ChartPoint, cfg: OptimizerConfig) -> Traje
     local_at = m.chart.local
     target = m.target_mean.tolist()
     means = (_batch_means(m.target_mean, cfg.sample_seed, cfg.batch)
-             if cfg.mode is Mode.STOCHASTIC else None)
+             if cfg.mode == "stochastic" else None)
     grad_tol, loss_tol, max_steps = cfg.grad_tol, cfg.loss_tol, cfg.max_steps
     xi, theta = float(q0.xi), float(q0.theta)
     records = []

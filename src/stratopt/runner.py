@@ -103,7 +103,8 @@ def _stall_row(surface: str, index: int, traj: Trajectory, report: StallReport) 
 
 
 def _cusp_level_points(level: float) -> list[np.ndarray]:
-    """Deterministic sample of {x1^2 + x2^3 = level} inside the default region."""
+    """Deterministic sample of {x0^2 + x1^3 = level} (``cusp_curve``) inside the
+    default region; the quiver CSV names these coordinates x1, x2."""
     ts = np.linspace(-1.55, float(np.cbrt(level)), CUSP_POINTS_PER_BRANCH)
     points = []
     for t in ts:
@@ -142,7 +143,6 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentResult:
         _run_cusp_field(spec, out, result)
         return result
 
-    cfg = spec.optimizer_config()
     inits = _initial_points(spec)
     apexes = find_singular_points(double_cone(), 0.0, default_region(3))
     stall_rows = []
@@ -153,13 +153,13 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentResult:
         model = GaussianLocationModel(chart, xbar)
         trajs = []
         for i, q0 in enumerate(inits):
-            traj = run(model, q0, cfg)
+            traj = run(model, q0, spec)
             trajs.append(traj)
             path = write_trajectory_csv(out / f"traj_{surface}_{i:03d}.csv", traj)
             result.trajectory_paths[(surface, i)] = path
             if traj.terminated_by is Termination.FAILED:
                 result.n_failures += 1
-            report = detect_stall(traj, singularities=apexes, loss_tol=cfg.loss_tol)
+            report = detect_stall(traj, singularities=apexes, loss_tol=spec.loss_tol)
             stall_rows.append(_stall_row(surface, i, traj, report))
         result.aggregate_paths[surface] = tables.write_csv(
             out / f"aggregate_{surface}.csv", tables.AGG_FIELDS, _aggregate_rows(trajs)

@@ -53,6 +53,13 @@ class _SingularMarker:
 SINGULAR = _SingularMarker()
 
 
+def _drops_overflow(fn):
+    """``fn`` without numpy's overflow and invalid-value warnings: in a huge
+    region its sums can overflow to inf or NaN rows, which it drops.  Each
+    function gets its own errstate, since numpy 1.x's is not reentrant."""
+    return np.errstate(over="ignore", invalid="ignore")(fn)
+
+
 @dataclass(frozen=True, eq=False)
 class Region:
     """Axis-aligned box given by componentwise lower < upper bounds, each
@@ -199,6 +206,7 @@ def find_singular_points(
 
 
 @functools.lru_cache(maxsize=NEWTON_CACHE_SIZE)
+@_drops_overflow
 def _newton_endpoints(p: Polynomial, region: Region, grid_points: int) -> np.ndarray:
     """Finite endpoints of Newton's method on grad p = 0 from every grid seed
     of ``region``; read-only, shared by callers.
@@ -235,6 +243,7 @@ def _newton_endpoints(p: Polynomial, region: Region, grid_points: int) -> np.nda
     return X
 
 
+@_drops_overflow
 def _level_masks(p: Polynomial, level: float, X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients of p at the rows of the (m, n) array ``X``, the on-level mask
     (|p - level| < ``TOL_ON``) and the singular mask (on the level and
@@ -265,6 +274,7 @@ def tangent_dimension(p: Polynomial, level: float, x):
     return SINGULAR if singular[0] else p.nvars - 1
 
 
+@_drops_overflow
 def project_to_level(p: Polynomial, level: float, X) -> tuple[np.ndarray, np.ndarray]:
     """First-order Newton projection of the rows of X onto {p = level}.
 
@@ -298,6 +308,7 @@ def project_to_level(p: Polynomial, level: float, X) -> tuple[np.ndarray, np.nda
     return X, ok
 
 
+@_drops_overflow
 def _enclosing_ball_radius(p: Polynomial, level: float, s: np.ndarray, region: Region) -> float:
     """Largest tested radius r such that the squared distance to ``s``,
     restricted to the level set inside the ball of radius r (minus ``s``),

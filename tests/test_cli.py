@@ -131,6 +131,15 @@ def test_overflowing_region_width_exits_2(capsys):
     assert "region width" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("polynomial, bound", [("x0^2 + x1^2", "1e300"),
+                                               ("x0^2*x1 - x1^3", "1e200")])
+def test_huge_finite_region_runs_without_warnings(capsys, polynomial, bound):
+    # the Newton seeds overflow to inf/NaN rows, which the search drops
+    assert main(["stratify", polynomial, f"--region=-{bound},{bound}"]) == 0
+    assert f"s0 = (0, 0)  ball_radius = {bound.replace('e', 'e+')}" in capsys.readouterr().out
+
+
 def test_run_unknown_preset_is_usage_error(capsys):
     with pytest.raises(SystemExit) as err:
         main(["run", "--preset", "fig99"])

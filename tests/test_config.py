@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from stratopt.config import (MODELS, TARGET_SURFACES, ConfigError, ExperimentSpec,
                              InitDistribution, format_config, load_config)
 from stratopt.model import ChartPoint
-from stratopt.optim import Method, Mode, OptimizerConfig
+from stratopt.optim import OptimizerConfig
 from stratopt.presets import PRESET_NAMES, preset
 
 MINIMAL = """\
@@ -126,16 +127,63 @@ def test_optimizer_config_mapping(tmp_path):
     text = ("[experiment]\nmodel = cone\nmethod = ngd\ntarget = 1 0\ninit = 1 0\n"
             "damping = 0.5\nmode = stochastic\nbatch = 4\n")
     spec = load_config(write(tmp_path, text))
-    cfg = spec.optimizer_config()
-    assert cfg.method is Method.NGD
-    assert cfg.mode is Mode.STOCHASTIC
-    assert cfg.damping == 0.5
-    assert cfg.batch == 4
+    assert isinstance(spec, OptimizerConfig)  # optim.run takes the spec itself
+    assert spec.method == "ngd"
+    assert spec.mode == "stochastic"
+    assert spec.damping == 0.5
+    assert spec.batch == 4
 
 
 def test_default_spec_has_the_default_optimizer_config():
     spec = ExperimentSpec(target=ChartPoint(1, 0), init=(ChartPoint(1, 0),))
-    assert spec.optimizer_config() == OptimizerConfig()
+    default = OptimizerConfig()
+    for f in fields(OptimizerConfig):
+        assert getattr(spec, f.name) == getattr(default, f.name), f.name
+
+
+def test_spec_declares_only_its_experiment_fields():
+    own = ["name", "model", "eps", "init", "target", "target_surface", "output_dir"]
+    assert issubclass(ExperimentSpec, OptimizerConfig)
+    assert list(ExperimentSpec.__annotations__) == own
+    assert [f.name for f in fields(ExperimentSpec)] == \
+        [f.name for f in fields(OptimizerConfig)] + own
+
+
+# a metadata.cfg echo in the older field order: name, model and eps first
+OLDER_ORDER_ECHO = """\
+# stratopt 0.1.0 experiment echo
+[experiment]
+name = fig5b-ngd
+model = both
+eps = 0.05
+method = ngd
+step_size = 0.02
+max_steps = 5000
+grad_tol = 1e-10
+loss_tol = 1e-08
+damping = 1e-08
+step_cap = 1.0
+mode = population
+batch = 16
+sample_seed = 0
+record_every = 10
+init_xi = 0.25 2.0
+init_theta = -3.141592653589793 3.141592653589793
+init_count = 20
+init_seed = 20260505
+target = 1.0 0.0
+target_surface = cone
+"""
+
+
+def test_older_order_echo_loads_to_an_equal_spec(tmp_path):
+    spec = load_config(write(tmp_path, OLDER_ORDER_ECHO))
+    assert spec == preset("fig5b-ngd")
+    # the echo of today holds the same lines; name, model and eps now follow
+    # the optimizer settings
+    echo = format_config(spec).splitlines()
+    assert sorted(echo) == sorted(OLDER_ORDER_ECHO.splitlines())
+    assert echo.index("name = fig5b-ngd") == echo.index("record_every = 10") + 1
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)

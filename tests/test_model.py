@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from stratopt.model import Chart, ChartPoint, GaussianLocationModel, sample_mean
+from stratopt.model import Chart, ChartPoint, GaussianLocationModel
 from stratopt.poly import double_cone
 from stratopt.verify import finite_diff_grad
 
@@ -24,7 +24,6 @@ def test_chart_validation():
         with pytest.raises(ValueError):
             Chart(eps)
     assert Chart(0.0) == CONE
-    assert CONE.intrinsic_dim == 2 and CONE.ambient_dim == 3
 
 
 def test_embed_cone():
@@ -174,30 +173,3 @@ def test_fim_positive_semidefinite(xi, theta, eps):
     if eps > 0.0:
         assert eig.min() >= min(eps, 1.0) - 1e-12
 
-
-# -- sampling -------------------------------------------------------------------
-
-def test_sample_mean_deterministic():
-    a = sample_mean([0.5, -1.0, 2.0], 1000, seed=9)
-    b = sample_mean([0.5, -1.0, 2.0], 1000, seed=9)
-    assert np.array_equal(a, b)
-
-
-def test_sample_mean_law_of_large_numbers():
-    mu = np.array([0.5, -1.0, 2.0])
-    n = 1_000_000
-    m = sample_mean(mu, n, seed=123)
-    assert np.abs(m - mu).max() < 4.0 / math.sqrt(n)
-
-
-def test_sample_mean_single_draw():
-    one = sample_mean([0.0, 0.0, 0.0], 1, seed=3)
-    assert one.shape == (3,)
-    assert np.linalg.norm(one) > 0  # a single draw, not the mean itself
-
-
-def test_sample_mean_validation():
-    with pytest.raises(ValueError):
-        sample_mean([0.0, 0.0, 0.0], 0, seed=1)
-    with pytest.raises(ValueError):
-        sample_mean([0.0, 0.0], 5, seed=1)

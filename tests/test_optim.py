@@ -5,7 +5,7 @@ import pytest
 
 from stratopt import optim, tables
 from stratopt.model import Chart, ChartPoint, GaussianLocationModel
-from stratopt.optim import (Method, Mode, OptimizerConfig, SingularFIMError,
+from stratopt.optim import (OptimizerConfig, SettingError, SingularFIMError,
                             STALL_WINDOW, Termination, TrajectoryRecord, detect_stall,
                             gd_step, ngd_step, run)
 
@@ -375,5 +375,10 @@ def test_config_validation():
         OptimizerConfig(damping=-1e-9)
     with pytest.raises(ValueError):
         OptimizerConfig(mode="stochastic", batch=0)
-    assert OptimizerConfig(method="ngd").method is Method.NGD
-    assert OptimizerConfig(mode="population").mode is Mode.POPULATION
+    assert OptimizerConfig(method="ngd").method == "ngd"
+    assert OptimizerConfig(mode="stochastic").mode == "stochastic"
+    with pytest.raises(SettingError, match=r"method must be one of \('gd', 'ngd'\), got 'GD'"):
+        OptimizerConfig(method="GD")
+    with pytest.raises(SettingError, match=r"mode must be one of \('population', "
+                                           r"'stochastic'\), got None"):
+        OptimizerConfig(mode=None)

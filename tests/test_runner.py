@@ -213,7 +213,7 @@ def test_failure_text_with_commas_stays_one_cell(tmp_path):
                       init=(ChartPoint(0.0, 0.3),), max_steps=10)
     res = run_experiment(spec, out_dir=tmp_path / "f")
     model = GaussianLocationModel(Chart.cone(), Chart.cone().embed(spec.target))
-    failure = run(model, spec.init[0], spec.optimizer_config()).failure
+    failure = run(model, spec.init[0], spec).failure
     assert "," in failure  # "... singular at (xi=0, theta=0.3) ..."
     with open(res.stall_path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
