@@ -71,6 +71,10 @@ class ExperimentSpec(OptimizerConfig):
                                      or len(text.splitlines()) > 1):
                 raise SettingError(key, f"{key} {text!r} would not survive the metadata "
                                    "echo: no '#', line breaks, or leading or trailing spaces")
+        if self.name in ("", ".", "..") or "/" in self.name or "\\" in self.name:
+            raise SettingError("name", f"name {self.name!r} must be one directory name, "
+                               "since the run directory is out/<name>: not empty, '.' or "
+                               "'..', and no '/' or '\\'")
         if self.model not in MODELS:
             raise SettingError("model", f"model must be one of {MODELS}, got {self.model!r}")
         if self.target_surface not in TARGET_SURFACES:

@@ -24,11 +24,11 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .model import ChartPoint, GaussianLocationModel, chain_rule, information
+from .tables import TrajectoryRecord
 
 EPS = float(np.finfo(float).eps)
 BLOCK_NORMALS = 12_288  # standard normals per block of stochastic batch means
@@ -96,19 +96,6 @@ class OptimizerConfig:
         if self.mode == "stochastic" and not 1 <= self.batch <= BLOCK_NORMALS // 3:
             raise SettingError("batch", f"stochastic mode needs 1 <= batch <= "
                                f"{BLOCK_NORMALS // 3}, got batch {self.batch}")
-
-
-class TrajectoryRecord(NamedTuple):
-    """One trajectory row; the fields are ``tables.TRAJ_FIELDS``."""
-
-    step: int
-    xi: float
-    theta: float
-    mu1: float
-    mu2: float
-    mu3: float
-    loss: float
-    grad_norm: float
 
 
 @dataclass

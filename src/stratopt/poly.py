@@ -206,8 +206,6 @@ class Polynomial:
         """Exact (exactly symmetric) Hessian at a single point."""
         return self.hessian_many(self._check_point(x)[None, :])[0]
 
-    __call__ = eval
-
     # -- text form ---------------------------------------------------------------
 
     def to_string(self) -> str:

@@ -21,73 +21,79 @@ behavior under the chain-rule gradient:
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 from .config import ExperimentSpec, InitDistribution
 from .model import ChartPoint
 
-PRESET_NAMES = (
-    "fig1-cusp", "fig5a", "fig5b-gd", "fig5b-ngd", "fig6-cone", "fig6-hyp",
+_FIG5B_GD = ExperimentSpec(
+    name="fig5b-gd",
+    model="both",
+    eps=0.05,
+    method="gd",
+    step_size=0.02,
+    max_steps=5_000,
+    loss_tol=1e-8,
+    record_every=10,
+    init=InitDistribution(
+        xi_range=(0.25, 2.0),
+        theta_range=(-math.pi, math.pi),
+        count=20,
+        seed=20260505,
+    ),
+    target=ChartPoint(1.0, 0.0),
+    target_surface="cone",
 )
+_FIG6_CONE = ExperimentSpec(
+    name="fig6-cone",
+    model="cone",
+    eps=0.0,
+    method="gd",
+    step_size=0.05,
+    max_steps=50_000,
+    record_every=10,
+    init=(ChartPoint(1.0, 3.13),),
+    target=ChartPoint(-1.0, 0.0),
+    target_surface="cone",  # the cone point the cone run can never rotate to reach
+)
+
+# name -> frozen spec, in the order the presets are listed and reproduced
+PRESETS = {spec.name: spec for spec in (
+    ExperimentSpec(
+        name="fig1-cusp",
+        model="cusp",
+        eps=0.2,
+        target=ChartPoint(1.0, -1.0),  # ambient (x1, x2) target on the curve
+    ),
+    ExperimentSpec(
+        name="fig5a",
+        model="both",
+        eps=0.05,
+        method="gd",
+        step_size=0.01,
+        max_steps=50_000,
+        record_every=1,
+        init=(
+            ChartPoint(1.0, 3.04),   # swings past the apex
+            ChartPoint(1.8, 0.8),    # stays far from the apex
+            ChartPoint(0.6, -1.2),
+        ),
+        target=ChartPoint(1.0, 0.0),
+        target_surface="cone",
+    ),
+    _FIG5B_GD,
+    replace(_FIG5B_GD, name="fig5b-ngd", method="ngd"),
+    _FIG6_CONE,
+    # the resolved surface carries its own true parameterization
+    replace(_FIG6_CONE, name="fig6-hyp", model="hyperboloid", eps=0.05, target_surface="model"),
+)}
+PRESET_NAMES = tuple(PRESETS)
 
 
 def preset(name: str) -> ExperimentSpec:
     """The frozen spec for one of the shipped experiment presets."""
-    if name == "fig1-cusp":
-        return ExperimentSpec(
-            name=name,
-            model="cusp",
-            eps=0.2,
-            target=ChartPoint(1.0, -1.0),  # ambient (x1, x2) target on the curve
-        )
-    if name == "fig5a":
-        return ExperimentSpec(
-            name=name,
-            model="both",
-            eps=0.05,
-            method="gd",
-            step_size=0.01,
-            max_steps=50_000,
-            record_every=1,
-            init=(
-                ChartPoint(1.0, 3.04),   # swings past the apex
-                ChartPoint(1.8, 0.8),    # stays far from the apex
-                ChartPoint(0.6, -1.2),
-            ),
-            target=ChartPoint(1.0, 0.0),
-            target_surface="cone",
-        )
-    if name in ("fig5b-gd", "fig5b-ngd"):
-        return ExperimentSpec(
-            name=name,
-            model="both",
-            eps=0.05,
-            method="gd" if name == "fig5b-gd" else "ngd",
-            step_size=0.02,
-            max_steps=5_000,
-            loss_tol=1e-8,
-            record_every=10,
-            init=InitDistribution(
-                xi_range=(0.25, 2.0),
-                theta_range=(-math.pi, math.pi),
-                count=20,
-                seed=20260505,
-            ),
-            target=ChartPoint(1.0, 0.0),
-            target_surface="cone",
-        )
-    if name in ("fig6-cone", "fig6-hyp"):
-        return ExperimentSpec(
-            name=name,
-            model="cone" if name == "fig6-cone" else "hyperboloid",
-            eps=0.0 if name == "fig6-cone" else 0.05,
-            method="gd",
-            step_size=0.05,
-            max_steps=50_000,
-            record_every=10,
-            init=(ChartPoint(1.0, 3.13),),
-            target=ChartPoint(-1.0, 0.0),
-            # the resolved surface carries its own true parameterization; the
-            # cone run targets the cone point it can never rotate to reach
-            target_surface="cone" if name == "fig6-cone" else "model",
-        )
-    raise KeyError(f"unknown preset {name!r}; known presets: {', '.join(PRESET_NAMES)}")
+    try:
+        return PRESETS[name]
+    except KeyError:
+        raise KeyError(f"unknown preset {name!r}; known presets: "
+                       f"{', '.join(PRESET_NAMES)}") from None

@@ -99,8 +99,9 @@ def count_components(d: Deformation, grid_n: int = DEFAULT_GRID_N) -> ComponentR
     if (grid_n + 1) ** dim > MAX_CORNERS:
         raise ValueError(f"grid_n={grid_n} in {dim} dimensions needs {(grid_n + 1) ** dim} "
                          f"corners, more than MAX_CORNERS={MAX_CORNERS}; lower grid_n")
-    vals = p.eval_grid(region.axes(grid_n + 1))
-    vals -= d.level
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow gives inf or NaN corners
+        vals = p.eval_grid(region.axes(grid_n + 1))
+        vals -= d.level
     # weak inequalities: a corner exactly on the level set marks the cell
     below, above, undefined = vals <= 0.0, vals >= 0.0, np.isnan(vals)
     del vals  # freed before the cell passes, so later arrays reuse its pages

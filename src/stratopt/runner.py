@@ -62,10 +62,6 @@ def _target_mean(spec: ExperimentSpec, surface_chart: Chart) -> np.ndarray:
     return chart.embed(spec.target)
 
 
-def write_trajectory_csv(path, traj: Trajectory) -> Path:
-    return tables.write_csv(path, tables.TRAJ_FIELDS, traj.records)
-
-
 def _aggregate_rows(trajs: list[Trajectory]) -> list[tuple[int, float, float]]:
     """Per-step mean and median loss; finished runs carry their last loss forward.
 
@@ -155,7 +151,8 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentResult:
         for i, q0 in enumerate(inits):
             traj = run(model, q0, spec)
             trajs.append(traj)
-            path = write_trajectory_csv(out / f"traj_{surface}_{i:03d}.csv", traj)
+            path = tables.write_csv(out / f"traj_{surface}_{i:03d}.csv", tables.TRAJ_FIELDS,
+                                    traj.records)
             result.trajectory_paths[(surface, i)] = path
             if traj.terminated_by is Termination.FAILED:
                 result.n_failures += 1

@@ -151,8 +151,6 @@ class Stratification:
 
     singular_points: list[np.ndarray]
     regular_dim: int
-    variety: Polynomial
-    level: float
     ball_radii: list[float] = field(default_factory=list)
 
 
@@ -386,8 +384,6 @@ def stratify(
     return Stratification(
         singular_points=sing,
         regular_dim=p.nvars - 1,
-        variety=p,
-        level=float(level),
         ball_radii=radii,
     )
 

@@ -26,8 +26,6 @@ import numpy as np
 from . import tables
 from .tables import SchemaError
 
-KINDS = ("loss_curves", "topview_trajectories", "quiver")
-
 WIDTH, HEIGHT = 720, 540
 MARGIN = 64.0
 PALETTE = [
@@ -284,18 +282,21 @@ def _plot_quiver(paths):
     return canvas.render()
 
 
+_PLOTTERS = {
+    "loss_curves": _plot_loss_curves,
+    "topview_trajectories": _plot_topview,
+    "quiver": _plot_quiver,
+}
+KINDS = tuple(_PLOTTERS)
+
+
 def plot(csv_paths, kind: str, out_path) -> Path:
     """Render CSVs to a standalone SVG; nothing is written when inputs are bad."""
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
     if not csv_paths:
         raise PlotDataError("no input CSVs")
-    if kind == "loss_curves":
-        svg = _plot_loss_curves(csv_paths)
-    elif kind == "topview_trajectories":
-        svg = _plot_topview(csv_paths)
-    else:
-        svg = _plot_quiver(csv_paths)
+    svg = _PLOTTERS[kind](csv_paths)
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     out_path.write_text(svg, encoding="utf-8")

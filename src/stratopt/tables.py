@@ -1,5 +1,6 @@
-"""CSV schemas shared by the experiment runner, the plotter, and tests, the
-one writer that turns cell values into CSV text, and its readers.
+"""CSV schemas shared by the experiment runner, the plotter, and tests (a
+trajectory row is a ``TrajectoryRecord``, whose fields are ``TRAJ_FIELDS``),
+the one writer that turns cell values into CSV text, and its readers.
 
 All files are UTF-8 with LF line endings.  ``write_csv`` formats a float
 cell (``np.float64`` included) as ``%.17g``, so reals survive a write/read
@@ -20,10 +21,25 @@ from __future__ import annotations
 import csv
 import functools
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-TRAJ_FIELDS = ["step", "xi", "theta", "mu1", "mu2", "mu3", "loss", "grad_norm"]
+
+class TrajectoryRecord(NamedTuple):
+    """One trajectory row; its fields are the columns of a trajectory CSV."""
+
+    step: int
+    xi: float
+    theta: float
+    mu1: float
+    mu2: float
+    mu3: float
+    loss: float
+    grad_norm: float
+
+
+TRAJ_FIELDS = list(TrajectoryRecord._fields)
 AGG_FIELDS = ["step", "mean_loss", "median_loss"]
 STALL_FIELDS = [
     "surface", "init_index", "stalled", "window_start", "mean_rel_decrease",

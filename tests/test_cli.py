@@ -140,6 +140,17 @@ def test_huge_finite_region_runs_without_warnings(capsys, polynomial, bound):
     assert f"s0 = (0, 0)  ball_radius = {bound.replace('e', 'e+')}" in capsys.readouterr().out
 
 
+@pytest.mark.filterwarnings("error")
+def test_huge_finite_region_resolve_exits_2_without_warnings(capsys):
+    # the corner lattice overflows to inf/NaN corners, which leave their cells empty
+    argv = ["resolve", "x0^2 + x1^2", "--eps", "0.1", "--region=-1e300,1e300"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out.splitlines() == ["level +0.1: 1 component(s), 4 occupied cells",
+                                "level -0.1: 0 component(s), 0 occupied cells"]
+    assert err == "error: 10000/10000 projections failed to reach level 0.1\n"
+
+
 def test_run_unknown_preset_is_usage_error(capsys):
     with pytest.raises(SystemExit) as err:
         main(["run", "--preset", "fig99"])
@@ -173,6 +184,20 @@ def test_run_with_negative_seed_leaves_no_directory(capsys, tmp_path, key, lines
     assert main(["run", str(cfg), "--out", str(tmp_path / "run")]) == 2
     assert f"{key} must be >= 0" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("name", ["", ".", "..", "a/b", "a\\b", "ABSOLUTE"])
+def test_run_with_a_name_that_is_not_one_directory_leaves_nothing(capsys, tmp_path,
+                                                                  monkeypatch, name):
+    # the default run directory is out/<name>; ABSOLUTE stands for a path under tmp_path
+    name = str(tmp_path / "abs") if name == "ABSOLUTE" else name
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"[experiment]\nname = {name}\nmodel = cone\nmax_steps = 5\n"
+                   "init = 1.2 0.3\ntarget = 1.0 0.0\n", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", str(cfg)]) == 2
+    assert f"{cfg}:2: name {name!r} must be one directory name" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.cfg"]
 
 
 def test_plot_from_run(capsys, tmp_path):

@@ -193,6 +193,9 @@ points = st.builds(ChartPoint, finite, finite)
 echo_text = st.text(st.characters(blacklist_categories=("Cs", "Cc", "Zl", "Zp"),
                                   blacklist_characters="#"),
                     max_size=12).filter(lambda text: text == text.strip())
+# a name the run directory out/<name> can take: one directory name
+dir_name = echo_text.filter(lambda text: text not in ("", ".", "..")
+                            and "/" not in text and "\\" not in text)
 
 
 @st.composite
@@ -210,7 +213,7 @@ def specs(draw):
                   st.integers(0, 10 ** 12)),
     ))
     return ExperimentSpec(
-        name=draw(echo_text), model=model, eps=draw(positive if model != "cone" else finite),
+        name=draw(dir_name), model=model, eps=draw(positive if model != "cone" else finite),
         method=draw(st.sampled_from(["gd", "ngd"])), step_size=draw(positive),
         max_steps=draw(st.integers(0, 10 ** 9)), grad_tol=draw(finite),
         loss_tol=draw(finite), damping=draw(st.floats(0.0, allow_infinity=False)),

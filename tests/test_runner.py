@@ -11,8 +11,8 @@ from stratopt.optim import Termination, Trajectory, TrajectoryRecord
 from stratopt.poly import double_cone
 from stratopt.presets import PRESET_NAMES, preset
 from stratopt.resolve import choose_resolution
-from stratopt.runner import _aggregate_rows, run_experiment, write_trajectory_csv
-from stratopt.tables import AGG_FIELDS, STALL_FIELDS, TRAJ_FIELDS, read_csv
+from stratopt.runner import _aggregate_rows, run_experiment
+from stratopt.tables import AGG_FIELDS, STALL_FIELDS, TRAJ_FIELDS, read_csv, write_csv
 
 
 def small_spec(**overrides):
@@ -249,7 +249,7 @@ def test_write_trajectory_csv_standalone(tmp_path):
     from stratopt.optim import OptimizerConfig, run
     m = GaussianLocationModel(Chart.cone(), [1.0, 1.0, 0.0])
     traj = run(m, ChartPoint(1.5, 0.5), OptimizerConfig(method="gd", max_steps=20))
-    path = write_trajectory_csv(tmp_path / "t.csv", traj)
+    path = write_csv(tmp_path / "t.csv", TRAJ_FIELDS, traj.records)
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == TRAJ_FIELDS
