@@ -68,6 +68,9 @@ def _cmd_resolve(args) -> int:
               f"{rep.occupied_cells} occupied cells")
     chosen = _choose(candidates, reports)
     print(f"chosen level: {chosen.level:+g}")
+    if chosen is candidates[0] and reports[0].count == reports[1].count:
+        print(f"tie: both levels have {reports[0].count} component(s); "
+              f"{chosen.level:+g} wins only by tie-break")
     print("smoothness check: pass")  # _choose returns only a candidate that passed it
     if args.csv:
         Y, ok = _projected_samples(chosen, args.samples)

@@ -13,6 +13,7 @@ sufficient to reproduce it.
 
 from __future__ import annotations
 
+import codecs
 import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -131,7 +132,8 @@ KNOWN_KEYS = _SCALAR_KEYS.keys() | {"init", "target"} | _DIST_KEYS
 
 
 def load_config(path) -> ExperimentSpec:
-    """Parse an experiment file; errors carry the offending line number.
+    """Parse an experiment file, UTF-8 with or without a BOM; errors carry
+    the offending line number.
 
     A setting the spec rejects is reported at the line of its key; a key the
     file omits (a required ``target`` or ``init``, or the ``eps`` a model
@@ -142,6 +144,9 @@ def load_config(path) -> ExperimentSpec:
         data = path.read_bytes()
     except OSError as exc:
         raise ConfigError(path, 0, f"cannot read config: {exc}") from None
+    # cut from the bytes: decoding with utf-8-sig would give an exc.start
+    # 3 bytes short of its place in data
+    data = data.removeprefix(codecs.BOM_UTF8)
     try:
         lines = data.decode("utf-8").splitlines()
     except UnicodeDecodeError as exc:  # reported at the line of the first bad byte

@@ -29,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .poly import Polynomial
-from .stratify import Region, _level_masks, _on_level_rows, find_singular_points, project_to_level
+from .stratify import (OffVarietyError, Region, find_singular_points, level_masks,
+                       project_to_level)
 
 DEFAULT_GRID_N = 64
 # grid corners count_components may evaluate, each holding one float64 value
@@ -181,7 +182,7 @@ def smoothness_check(d: Deformation) -> bool:
         raise ProjectionError(
             f"{n_diverged}/{CHECK_SAMPLES} projections failed to reach level {d.level}"
         )
-    _, _, singular = _level_masks(d.base, d.level, Y[ok])
+    _, _, singular = level_masks(d.base, d.level, Y[ok])
     return not singular.any()
 
 
@@ -266,26 +267,29 @@ def proximity_check(d: Deformation, exclusion_radius: float) -> float:
     return float(np.max(np.linalg.norm(Y[okz] - Z[okz], axis=1)))
 
 
-def projected_gradient_field(
-    p: Polynomial,
-    level: float,
-    loss_grad_ambient,
-    points,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Tangential part of an ambient gradient field along {p = level}.
+def projected_gradient_field(p: Polynomial, level: float, points,
+                             G) -> tuple[np.ndarray, np.ndarray]:
+    """Tangential part of ambient gradient rows along {p = level}.
 
-    At each row of the (m, n) array ``points`` the ambient gradient g is
-    projected off the level set's normal: g - (g.n)n, n = grad p / |grad p|.
-    ``loss_grad_ambient`` is called once, on all rows, and its result is
-    broadcast to (m, n).  A non-finite row raises ``ValueError``, a row off
-    the level set ``OffVarietyError``.  Returns the tangents, NaN in the rows
-    where grad p vanishes, and the mask of those singular rows.
+    At each row of the (m, n) array ``points`` the matching row g of ``G``,
+    broadcast to (m, n), is projected off the level set's normal:
+    g - (g.n)n, n = grad p / |grad p|.  A non-finite point raises
+    ``ValueError``; then the first point off the level set (``level_masks``)
+    raises ``OffVarietyError``.  Returns the tangents, NaN in the rows where
+    grad p vanishes, and the mask of those singular rows.
     """
     if p.nvars not in (2, 3):
         raise ValueError("field projection supports curves (2 vars) and surfaces (3 vars)")
     X = np.asarray(points, dtype=float)
-    N, singular = _on_level_rows(p, level, X)
-    G = np.broadcast_to(loss_grad_ambient(X), X.shape)
+    finite = np.isfinite(X).all(axis=-1)
+    if not finite.all():
+        raise ValueError(f"point has non-finite entries: {X[np.argmin(finite)]}")
+    N, on_level, singular = level_masks(p, level, X)
+    if not on_level.all():
+        x = X[np.argmin(on_level)]
+        raise OffVarietyError(f"point {x} is not on the level set: "
+                              f"|p(x) - level| = {abs(p.eval(x) - level):.3e}")
+    G = np.broadcast_to(G, X.shape)
     N[singular] = np.nan  # no normal, so no tangent
     # batched matmuls give the bits of one point's 1-D dot; norm(axis=1) and einsum do not
     Nh = N / np.sqrt(N[:, None, :] @ N[:, :, None])[:, 0]

@@ -1,15 +1,17 @@
 """Execute experiment specs and write their artifact files.
 
-Every run directory gets a ``metadata.cfg`` echoing the fully resolved spec
-(defaults and seeds included) so the run can be reproduced bit-identically,
-plus per-initialization trajectory CSVs, per-surface aggregate loss curves,
-a stall report, and the target means.  The cusp model instead emits a quiver
-CSV of tangentially projected gradients along the curve and its deformations.
+A run writes per-initialization trajectory CSVs, per-surface aggregate loss
+curves, a stall report, and the target means; the cusp model instead emits a
+quiver CSV of tangentially projected gradients along the curve and its
+deformations.  Last comes ``metadata.cfg``, echoing the fully resolved spec
+(defaults and seeds included) so the run can be reproduced bit-identically;
+a directory without it holds no finished run.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -24,6 +26,9 @@ from .resolve import default_region, projected_gradient_field
 from .stratify import find_singular_points
 
 CUSP_POINTS_PER_BRANCH = 12
+# every file name a run writes besides metadata.cfg
+_RUN_FILE = re.compile(r"(traj_(cone|hyperboloid)_\d{3,}|aggregate_(cone|hyperboloid)"
+                       r"|stalls|targets|quiver)\.csv")
 
 
 @dataclass
@@ -117,28 +122,26 @@ def _cusp_level_points(level: float) -> list[np.ndarray]:
 def _run_cusp_field(spec: ExperimentSpec, out: Path, result: ExperimentResult):
     p = cusp_curve()
     xbar = np.array([spec.target.xi, spec.target.theta])  # ambient 2-D target
-    grad_field = lambda x: x - xbar
     rows = []
     for level in (0.0, 0.25 * spec.eps, spec.eps):
         points = np.array(_cusp_level_points(level))
-        tangent, singular = projected_gradient_field(p, level, grad_field, points)
+        tangent, singular = projected_gradient_field(p, level, points, points - xbar)
         rows += [[level, *x, "", "", "undefined"] if s else [level, *x, *g, "ok"]
                  for x, g, s in zip(points.tolist(), tangent.tolist(), singular.tolist())]
     result.quiver_path = tables.write_csv(out / "quiver.csv", tables.QUIVER_FIELDS, rows)
 
 
-def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentResult:
-    """Run a spec and write its artifact files; never raises on a failed trajectory."""
-    out = Path(out_dir or spec.output_dir or Path("out") / spec.name)
-    out.mkdir(parents=True, exist_ok=True)
-    metadata_path = out / "metadata.cfg"
-    metadata_path.write_text(format_config(spec), encoding="utf-8")
-    result = ExperimentResult(out_dir=out, metadata_path=metadata_path)
+def _clear_run_files(out: Path) -> None:
+    """Delete the files an earlier run wrote into ``out``, ``metadata.cfg``
+    first; files of any other name stay."""
+    (out / "metadata.cfg").unlink(missing_ok=True)
+    if out.is_dir():
+        for path in out.iterdir():
+            if _RUN_FILE.fullmatch(path.name):
+                path.unlink()
 
-    if spec.model == "cusp":
-        _run_cusp_field(spec, out, result)
-        return result
 
+def _run_charts(spec: ExperimentSpec, out: Path, result: ExperimentResult):
     inits = _initial_points(spec)
     apexes = find_singular_points(double_cone(), 0.0, default_region(3))
     stall_rows = []
@@ -163,4 +166,21 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentResult:
         )
     result.stall_path = tables.write_csv(out / "stalls.csv", tables.STALL_FIELDS, stall_rows)
     result.targets_path = tables.write_csv(out / "targets.csv", tables.TARGET_FIELDS, target_rows)
+
+
+def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentResult:
+    """Run a spec and write its artifact files; never raises on a failed trajectory.
+
+    The runner's own files from an earlier run in the directory are deleted
+    first, and ``metadata.cfg`` is written last, so a directory without it
+    holds no finished run, even when the run raised.
+    """
+    out = Path(out_dir or spec.output_dir or Path("out") / spec.name)
+    _clear_run_files(out)
+    result = ExperimentResult(out_dir=out, metadata_path=out / "metadata.cfg")
+    if spec.model == "cusp":
+        _run_cusp_field(spec, out, result)
+    else:
+        _run_charts(spec, out, result)
+    result.metadata_path.write_text(format_config(spec), encoding="utf-8")
     return result

@@ -43,16 +43,6 @@ class OffVarietyError(ValueError):
     """The queried point does not lie on the level set."""
 
 
-class _SingularMarker:
-    __slots__ = ()
-
-    def __repr__(self):
-        return "SINGULAR"
-
-
-SINGULAR = _SingularMarker()
-
-
 def _drops_overflow(fn):
     """``fn`` without numpy's overflow and invalid-value warnings: in a huge
     region its sums can overflow to inf or NaN rows, which it drops.  Each
@@ -179,7 +169,7 @@ def find_singular_points(
     reachable.  The endpoints are cached per polynomial, region and seed
     grid (``_newton_endpoints``: one pseudoinverse per round for a
     polynomial of degree at most 2, and an early stop once a round moves
-    no row).  An endpoint counts when ``_level_masks`` finds it singular.
+    no row).  An endpoint counts when ``level_masks`` finds it singular.
     Output is deduplicated within ``MERGE_RADIUS`` and sorted
     lexicographically by coordinates.
     """
@@ -189,7 +179,7 @@ def find_singular_points(
     if not math.isfinite(level):
         raise ValueError(f"level must be finite, got {level}")
     X = _newton_endpoints(p, region, grid_points)
-    _, _, singular = _level_masks(p, level, X)
+    _, _, singular = level_masks(p, level, X)
     pad = 1e-9 * float(np.max(region.widths))
     cands = X[singular & region.contains(X, pad=pad)]
     cands = cands[np.lexsort(cands.T[::-1])]  # primary key: first coordinate
@@ -242,34 +232,14 @@ def _newton_endpoints(p: Polynomial, region: Region, grid_points: int) -> np.nda
 
 
 @_drops_overflow
-def _level_masks(p: Polynomial, level: float, X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def level_masks(p: Polynomial, level: float, X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients of p at the rows of the (m, n) array ``X``, the on-level mask
     (|p - level| < ``TOL_ON``) and the singular mask (on the level and
-    |grad p| < ``TOL_CRIT``)."""
+    |grad p| < ``TOL_CRIT``): the one test that classifies points against a
+    level set."""
     G = p.grad_many(X)
     on_level = np.abs(p.eval_many(X) - level) < TOL_ON
     return G, on_level, on_level & (np.linalg.norm(G, axis=1) < TOL_CRIT)
-
-
-def _on_level_rows(p: Polynomial, level: float, X) -> tuple[np.ndarray, np.ndarray]:
-    """``_level_masks``' gradients and singular mask for given points, which must
-    be finite (else ``ValueError``) and on {p = level} (else ``OffVarietyError``)."""
-    finite = np.isfinite(X).all(axis=-1)
-    if not finite.all():
-        raise ValueError(f"point has non-finite entries: {X[np.argmin(finite)]}")
-    G, on_level, singular = _level_masks(p, level, X)
-    if not on_level.all():
-        x = X[np.argmin(on_level)]
-        gap = abs(p.eval(x) - level)
-        raise OffVarietyError(f"point {x} is not on the level set: |p(x) - level| = {gap:.3e}")
-    return G, singular
-
-
-def tangent_dimension(p: Polynomial, level: float, x):
-    """nvars-1 at a regular hypersurface point; the SINGULAR marker otherwise."""
-    _reject_systems(p)
-    _, singular = _on_level_rows(p, level, np.asarray(x)[None])
-    return SINGULAR if singular[0] else p.nvars - 1
 
 
 @_drops_overflow
@@ -363,7 +333,6 @@ def stratify(
     naming the number of such pairs and the closest one, is issued when
     singular points sit closer than four times the largest such radius.
     """
-    _reject_systems(p)
     sing = find_singular_points(p, level, region, grid_points=grid_points)
     radii = [_enclosing_ball_radius(p, level, s, region) for s in sing]
     if len(sing) >= 2:

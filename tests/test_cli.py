@@ -62,6 +62,28 @@ def test_resolve_counts_each_level_once(capsys, monkeypatch):
     assert "chosen level: +0.1" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("polynomial, eps, counts", [
+    (CONE_TEXT, "0.001", (1, 1)),
+    ("x0*x1", "0.1", (2, 2)),
+])
+def test_resolve_says_when_the_tie_break_chose(capsys, polynomial, eps, counts):
+    assert main(["resolve", polynomial, "--eps", eps]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2:4] == [f"chosen level: +{eps}",
+                          f"tie: both levels have {counts[0]} component(s); "
+                          f"+{eps} wins only by tie-break"]
+    assert [line.split()[2] for line in lines[:2]] == [str(n) for n in counts]
+
+
+def test_resolve_without_a_tie_prints_no_tie_line(capsys):
+    assert main(["resolve", CONE_TEXT, "--eps", "0.1"]) == 0
+    assert capsys.readouterr().out == (
+        "level +0.1: 1 component(s), 15160 occupied cells\n"
+        "level -0.1: 2 component(s), 13848 occupied cells\n"
+        "chosen level: +0.1\n"
+        "smoothness check: pass\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["stratify", CONE_TEXT, "--level", "nan"],
     ["stratify", CONE_TEXT, "--level=-inf"],
@@ -183,6 +205,20 @@ def test_run_with_negative_seed_leaves_no_directory(capsys, tmp_path, key, lines
                    encoding="utf-8")
     assert main(["run", str(cfg), "--out", str(tmp_path / "run")]) == 2
     assert f"{key} must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("lines, error", [
+    ("model = both\neps = 0.1\ntarget = 1.0 0.0\ninit = 1e200 0.3\n", "non-finite loss"),
+    ("model = hyperboloid\neps = 0.1\ntarget_surface = model\ntarget = 1e200 0\n"
+     "init = 1.0 0.3\n", "target_mean must be a finite 3-vector"),
+    ("model = cusp\neps = 1e9\ntarget = 1.0 0.0\n", "is not on the level set"),
+], ids=["init overflows the loss", "target overflows the chart", "cusp level off its samples"])
+def test_run_that_raises_leaves_no_directory(capsys, tmp_path, lines, error):
+    cfg = tmp_path / "raises.cfg"
+    cfg.write_text("[experiment]\nmax_steps = 5\n" + lines, encoding="utf-8")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "run")]) == 2
+    assert error in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 
 

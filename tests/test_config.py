@@ -1,3 +1,4 @@
+import codecs
 import math
 import re
 from dataclasses import fields
@@ -25,6 +26,19 @@ def write(tmp_path, text, name="exp.cfg"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def test_config_with_a_utf8_bom_loads_as_without(tmp_path):
+    bom = tmp_path / "bom.cfg"
+    bom.write_bytes(codecs.BOM_UTF8 + MINIMAL.encode())
+    assert load_config(bom) == load_config(write(tmp_path, MINIMAL))
+
+
+def test_bad_byte_after_a_bom_is_reported_at_its_line(tmp_path):
+    bom = tmp_path / "bom.cfg"
+    bom.write_bytes(codecs.BOM_UTF8 + b"[experiment]\nmodel = cone\nname = caf\xe9\n")
+    with pytest.raises(ConfigError, match=r"bom\.cfg:3: not UTF-8: byte 0xe9"):
+        load_config(bom)
 
 
 def test_minimal_config_gets_defaults(tmp_path):

@@ -341,7 +341,8 @@ def arclength_tangential_derivative(level, t, xbar, h=1e-6):
 def test_field_matches_direct_formula_and_arclength_oracle():
     pt = np.array([1.0, -1.0])
     g = np.array([1.0, 0.0])
-    (proj,), _ = projected_gradient_field(CUSP, 0.0, lambda x: g, [pt])
+    (proj,), (singular,) = projected_gradient_field(CUSP, 0.0, [pt], g)
+    assert not singular
     expected = np.array([9.0 / 13.0, -6.0 / 13.0])  # g minus its normal part
     assert np.allclose(proj, expected, atol=1e-12)
     assert np.linalg.norm(proj) > 0
@@ -352,33 +353,51 @@ def test_field_matches_direct_formula_and_arclength_oracle():
 
 
 def test_field_undefined_at_singularity():
-    (proj,), (singular,) = projected_gradient_field(CUSP, 0.0, lambda x: np.array([1.0, 0.0]),
-                                                    [np.array([0.0, 0.0])])
+    (proj,), (singular,) = projected_gradient_field(CUSP, 0.0, [np.array([0.0, 0.0])],
+                                                    np.array([1.0, 0.0]))
     assert singular and np.isnan(proj).all()
+
+
+def test_field_singular_only_at_the_cone_apex():
+    rng = np.random.default_rng(11)
+    xi = rng.uniform(0.2, 2.0, size=50) * rng.choice([-1.0, 1.0], size=50)
+    th = rng.uniform(-np.pi, np.pi, size=50)
+    # the apex, a hand-picked point, and regular points from the radial chart
+    pts = np.vstack([[0.0, 0.0, 0.0], [1.0, 1.0, 0.0],
+                     np.column_stack([xi, xi * np.cos(th), xi * np.sin(th)])])
+    tangent, singular = projected_gradient_field(CONE, 0.0, pts, np.array([1.0, 2.0, 3.0]))
+    assert singular[0] and np.isnan(tangent[0]).all()
+    assert not singular[1:].any() and np.isfinite(tangent[1:]).all()
+
+
+def test_field_rejects_cone_point_off_level():
+    with pytest.raises(OffVarietyError, match=r"\|p\(x\) - level\| = 1\.000e\+00"):
+        projected_gradient_field(CONE, 0.0, [np.array([1.0, 1.0, 1.0])], np.zeros(3))
 
 
 def test_field_zero_when_gradient_is_normal():
     pt = np.array([1.0, -1.0])
     n = CUSP.grad(pt)
-    (proj,), _ = projected_gradient_field(CUSP, 0.0, lambda x: 3.0 * n, [pt])
+    (proj,), _ = projected_gradient_field(CUSP, 0.0, [pt], 3.0 * n)
     assert np.linalg.norm(proj) < 1e-12
 
 
 def test_field_rejects_off_level_points():
     with pytest.raises(OffVarietyError):
-        projected_gradient_field(CUSP, 0.0, lambda x: x, [np.array([1.0, 1.0])])
+        projected_gradient_field(CUSP, 0.0, [np.array([1.0, 1.0])], np.zeros(2))
 
 
 def test_field_rejects_non_finite_points():
+    # row 0 is off the level too: the non-finite check comes first
     with pytest.raises(ValueError, match="non-finite"):
-        projected_gradient_field(CUSP, 0.0, lambda x: x,
-                                 [np.array([1.0, -1.0]), np.array([np.inf, -np.inf])])
+        projected_gradient_field(CUSP, 0.0, [np.array([1.0, 1.0]), np.array([np.inf, -np.inf])],
+                                 np.zeros(2))
 
 
 def test_field_dimension_guard():
     p4 = parse_polynomial("x0^2 + x1^2 + x2^2 + x3^2", nvars=4)
     with pytest.raises(ValueError):
-        projected_gradient_field(p4, 1.0, lambda x: x, [np.zeros(4)])
+        projected_gradient_field(p4, 1.0, [np.zeros(4)], np.zeros(4))
 
 
 @given(st.integers(0, 2 ** 31 - 1))
@@ -387,17 +406,16 @@ def test_field_orthogonal_to_normal(seed):
     t = rng.uniform(-1.4, -0.1)
     pt = np.array([np.sqrt(-t ** 3), t])  # on the cusp curve
     g = rng.normal(size=2)
-    (proj,), _ = projected_gradient_field(CUSP, 0.0, lambda x: g, [pt])
+    (proj,), _ = projected_gradient_field(CUSP, 0.0, [pt], g)
     assert abs(proj @ CUSP.grad(pt)) < 1e-10 * max(1.0, np.linalg.norm(CUSP.grad(pt)))
 
 
-def per_point_field(p, level, loss_grad_ambient, points):
+def per_point_field(p, points, G):
     """Reference: the tangential gradient one point at a time."""
     out = []
-    for x in points:
+    for x, g in zip(points, G):
         n = p.grad(x)
         nhat = n / np.linalg.norm(n)
-        g = loss_grad_ambient(x)
         out.append(g - (g @ nhat) * nhat)
     return np.array(out)
 
@@ -418,31 +436,29 @@ def test_field_matches_per_point_formula(seed, c, m):
         (CONE, c, np.column_stack([np.sqrt(r ** 2 - c), r * np.cos(th), r * np.sin(th)])),
         (CONE, -c, np.column_stack([np.sqrt(r ** 2 + c), r * np.cos(th), r * np.sin(th)])),
     ):
-        grad = lambda x: x - xbar[:p.nvars]
-        tangent, singular = projected_gradient_field(p, level, grad, pts)
+        G = pts - xbar[:p.nvars]
+        tangent, singular = projected_gradient_field(p, level, pts, G)
         assert not singular.any()
-        np.testing.assert_allclose(tangent, per_point_field(p, level, grad, pts),
+        np.testing.assert_allclose(tangent, per_point_field(p, pts, G),
                                    rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize("m", [1, 2, 23, 200])
 def test_field_makes_one_gradient_and_one_callback_call(monkeypatch, m):
-    calls = {"grad_many": 0, "callback": 0}
+    """One ``grad_many`` call for all m rows; the ambient gradient rows are
+    an argument, so the field calls no loss-gradient callback."""
+    calls = []
     grad_many = Polynomial.grad_many
 
     def counted_grad_many(self, X):
-        calls["grad_many"] += 1
+        calls.append(X.shape)
         return grad_many(self, X)
-
-    def callback(X):
-        calls["callback"] += 1
-        return X
 
     monkeypatch.setattr(Polynomial, "grad_many", counted_grad_many)
     t = np.linspace(-1.5, 0.0, m)
-    tangent, singular = projected_gradient_field(CUSP, 0.0, callback,
-                                                 np.column_stack([np.sqrt(-t ** 3), t]))
-    assert calls == {"grad_many": 1, "callback": 1}
+    X = np.column_stack([np.sqrt(-t ** 3), t])
+    tangent, singular = projected_gradient_field(CUSP, 0.0, X, X)
+    assert calls == [(m, 2)]
     assert tangent.shape == (m, 2) and singular.shape == (m,)
 
 

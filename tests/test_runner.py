@@ -133,6 +133,28 @@ def csv_bytes(out_dir):
     return {p.name: p.read_bytes() for p in sorted(out_dir.glob("*.csv"))}
 
 
+def test_rerun_in_place_equals_a_fresh_run(tmp_path):
+    out = tmp_path / "run"
+    run_experiment(preset("fig1-cusp"), out_dir=out)
+    run_experiment(small_spec(max_steps=20), out_dir=out)  # 3 inits on both surfaces
+    (out / "notes.txt").write_text("not the runner's\n", encoding="utf-8")
+    spec = small_spec(model="cone", init=(ChartPoint(1.5, 0.4),), max_steps=20)
+    run_experiment(spec, out_dir=out)
+    fresh = run_experiment(spec, out_dir=tmp_path / "fresh")
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        [p.name for p in fresh.out_dir.iterdir()] + ["notes.txt"])
+    assert csv_bytes(out) == csv_bytes(fresh.out_dir)
+    assert (out / "metadata.cfg").read_bytes() == fresh.metadata_path.read_bytes()
+
+
+def test_failed_rerun_leaves_no_metadata(tmp_path):
+    out = tmp_path / "run"
+    run_experiment(small_spec(max_steps=20), out_dir=out)
+    with pytest.raises(ValueError, match="non-finite loss"):
+        run_experiment(small_spec(init=(ChartPoint(1e200, 0.3),)), out_dir=out)
+    assert not (out / "metadata.cfg").exists()
+
+
 def test_stochastic_experiment_draws_its_stream_once(tmp_path, monkeypatch):
     spec = small_spec(init=InitDistribution((0.5, 1.5), (-2.0, 2.0), 4, 99),
                       max_steps=200, mode="stochastic", batch=12, sample_seed=21)

@@ -10,9 +10,9 @@ from stratopt.poly import (Polynomial, axis_pair, cusp_curve, double_cone,
                           parse_polynomial)
 from stratopt.resolve import choose_resolution, proximity_check
 from stratopt.stratify import (NEWTON_MAX_ITER, PROJECTION_MAX_ITER, PROJECTION_TOL,
-                               SINGULAR, OffVarietyError, Region, _newton_endpoints,
-                               project_to_level, find_singular_points,
-                               simplex_strata, stratify, tangent_dimension)
+                               Region, _newton_endpoints, project_to_level,
+                               find_singular_points, level_masks, simplex_strata,
+                               stratify)
 
 CONE = double_cone()
 CUSP = cusp_curve()
@@ -231,23 +231,26 @@ def test_projection_matches_every_row_reference(p, level):
     assert 0.0 < ok.mean() < 1.0
 
 
-# -- tangent_dimension --------------------------------------------------------
+# -- tangent dimension, by level_masks ------------------------------------------
+
+def tangent_dim(p, level, x):
+    """nvars - 1 where ``level_masks`` calls x on the level and regular, None
+    where it calls x singular."""
+    _, on, sing = level_masks(p, level, np.atleast_2d(np.asarray(x, dtype=float)))
+    assert on[0]
+    return None if sing[0] else p.nvars - 1
+
 
 def test_tangent_dimension_regular_cone_point():
-    assert tangent_dimension(CONE, 0.0, [1, 1, 0]) == 2
+    assert tangent_dim(CONE, 0.0, [1, 1, 0]) == 2
 
 
 def test_tangent_dimension_apex_is_singular():
-    assert tangent_dimension(CONE, 0.0, [0, 0, 0]) is SINGULAR
+    assert tangent_dim(CONE, 0.0, [0, 0, 0]) is None
 
 
 def test_tangent_dimension_cusp_regular():
-    assert tangent_dimension(CUSP, 0.0, [1, -1]) == 1
-
-
-def test_tangent_dimension_off_variety_errors():
-    with pytest.raises(OffVarietyError):
-        tangent_dimension(CONE, 0.0, [1, 1, 1])
+    assert tangent_dim(CUSP, 0.0, [1, -1]) == 1
 
 
 def test_every_regular_sample_reports_top_dimension():
@@ -257,7 +260,7 @@ def test_every_regular_sample_reports_top_dimension():
         xi = rng.uniform(0.2, 2.0) * rng.choice([-1.0, 1.0])
         th = rng.uniform(-np.pi, np.pi)
         x = np.array([xi, xi * np.cos(th), xi * np.sin(th)])
-        assert tangent_dimension(CONE, 0.0, x) == 2
+        assert tangent_dim(CONE, 0.0, x) == 2
 
 
 # -- stratify -----------------------------------------------------------------
