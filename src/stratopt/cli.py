@@ -18,17 +18,20 @@ from .config import load_config
 from .model import Chart, ChartPoint, GaussianLocationModel
 from .poly import Polynomial, parse_polynomial
 from .presets import PRESET_NAMES, preset
-from .resolve import DEFAULT_GRID_N, _candidates, _choose, _projected_samples, count_components
+from .resolve import (DEFAULT_GRID_N, MAX_SAMPLES, _candidates, _choose, _projected_samples,
+                      count_components)
 from .runner import run_experiment
 from .stratify import SEED_GRID, Region, stratify
 from .svgplot import KINDS, plot
 from .verify import FD_STEP, finite_diff_grad, monte_carlo_fim
 
 
-def _nonnegative_int(text: str) -> int:
+def _sample_count(text: str) -> int:
     n = int(text)
     if n < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    if n > MAX_SAMPLES:
+        raise argparse.ArgumentTypeError(f"must be <= {MAX_SAMPLES}, got {n}")
     return n
 
 
@@ -203,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--region", default="-2,2")
     r.add_argument("--nvars", type=int, default=None)
     r.add_argument("--grid-n", type=int, default=DEFAULT_GRID_N)
-    r.add_argument("--samples", type=_nonnegative_int, default=2000,
+    r.add_argument("--samples", type=_sample_count, default=2000,
                    help="points sampled for --csv")
     r.add_argument("--csv", default=None, help="write sampled deformation points to this CSV")
     r.set_defaults(func=_cmd_resolve)

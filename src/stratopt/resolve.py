@@ -4,13 +4,17 @@ A deformation at a regular value c is a smooth hypersurface approximating
 the singular one away from its singular points.  The preferred deformation
 level is chosen by connectivity: among the two candidate signs, the one
 whose level set has fewer connected components wins (an empty level set
-never wins).  Components are counted on an occupancy grid.  The polynomial
-is evaluated on the grid's corner lattice by ``Polynomial.eval_grid`` (no
-corner coordinates are stored), and a cell is occupied when its corners'
-signs differ: the cell test of marching cubes (Lorensen & Cline 1987), made
-from boolean sign masks OR-reduced over each axis.  Occupied cells that
-share a face are labelled in numpy by min-label hooking and pointer jumping
-(Shiloach & Vishkin 1982), so the count is deterministic.
+never wins).  Components are counted on an occupancy grid whose corner
+lattice is streamed along x0, in slabs of consecutive corner planes (about
+``SLAB_CORNERS`` corners, at least two planes each).  A slab is evaluated by
+``Polynomial.eval_grid`` (no corner coordinates are stored), and a cell is
+occupied when its corners' signs differ: the cell test of marching cubes
+(Lorensen & Cline 1987), made from boolean sign masks OR-reduced over each
+axis.  As in Hoshen & Kopelman's (1976) layer-by-layer cluster labelling,
+only a slab's last cell layer is kept, to join it to the next slab, so a
+slab and the occupied cells set the memory, not the lattice.  Occupied
+cells that share a face are labelled in numpy by min-label hooking and
+pointer jumping (Shiloach & Vishkin 1982), so the count is deterministic.
 ``scipy.ndimage.label`` would label faster, but the runtime dependencies
 stay ``numpy`` only.
 
@@ -33,10 +37,15 @@ from .stratify import (OffVarietyError, Region, find_singular_points, level_mask
                        project_to_level)
 
 DEFAULT_GRID_N = 64
-# grid corners count_components may evaluate, each holding one float64 value
-# and three boolean sign masks (no coordinates); 129^3 fits
+# grid corners count_components may evaluate: a bound on its work, as the slabs
+# bound its memory; 129^3 fits
 MAX_CORNERS = 4_000_000
+# corners in a slab of x0 corner planes, rounded down to whole planes (at least
+# two, one cell layer): the default 3-D grid is one slab (2.2 MB of float64), as
+# every slab adds a fixed cost of numpy calls
+SLAB_CORNERS = (DEFAULT_GRID_N + 1) ** 3
 CHECK_SAMPLES = 10_000  # uniform samples behind the smoothness and proximity checks
+MAX_SAMPLES = 1_000_000  # most projected samples `stratopt resolve --csv` may ask for
 SAMPLE_CACHE_SIZE = 8  # cached projected samples, one per (deformation, samples)
 DIVERGENCE_BUDGET = 0.01  # fraction of samples allowed to miss the variety
 
@@ -87,12 +96,14 @@ def deform(p: Polynomial, c: float, region: Region | None = None) -> Deformation
 def count_components(d: Deformation, grid_n: int = DEFAULT_GRID_N) -> ComponentReport:
     """Connected components of {base = level} on an occupancy grid.
 
-    base - level is evaluated once on the (grid_n + 1)^dim corner lattice
-    (``Polynomial.eval_grid``).  A cell is occupied iff some corner is <= 0,
-    some corner is >= 0 and no corner is NaN (a NaN value, e.g. from an
-    overflow to inf - inf, leaves its cells unoccupied); the three sign masks
-    are OR-reduced over each axis's face slices.  Occupied cells sharing a
-    face belong to one component.
+    base - level is evaluated on the (grid_n + 1)^dim corner lattice
+    (``Polynomial.eval_grid``), one slab of consecutive x0 corner planes at a
+    time.  A cell is occupied iff some corner is <= 0, some corner is >= 0
+    and no corner is NaN (a NaN value, e.g. from an overflow to inf - inf,
+    leaves its cells unoccupied); the three sign masks are OR-reduced over
+    each axis's face slices.  Occupied cells sharing a face belong to one
+    component; a slab's first cell layer is joined to the previous slab's
+    last one.
     """
     if grid_n < 16:
         raise ValueError(f"grid_n must be >= 16, got {grid_n}")
@@ -100,36 +111,50 @@ def count_components(d: Deformation, grid_n: int = DEFAULT_GRID_N) -> ComponentR
     if (grid_n + 1) ** dim > MAX_CORNERS:
         raise ValueError(f"grid_n={grid_n} in {dim} dimensions needs {(grid_n + 1) ** dim} "
                          f"corners, more than MAX_CORNERS={MAX_CORNERS}; lower grid_n")
+    axes = region.axes(grid_n + 1)
+    layers = max(1, SLAB_CORNERS // (grid_n + 1) ** (dim - 1) - 1)  # cell layers per slab
+    # occupied cells get ids 0..n_occ-1 in C order; an edge joins two face-adjacent ones
+    n_occ, ends_a, ends_b = 0, [], []
+    last_occupied = last_ids = None
+    for start in range(0, grid_n, layers):
+        stop = min(start + layers, grid_n)
+        occupied = _occupied_cells(p, d.level, [axes[0][start:stop + 1], *axes[1:]])
+        n = int(np.count_nonzero(occupied))
+        ids = np.zeros(occupied.shape, dtype=np.int32)
+        ids[occupied] = np.arange(n_occ, n_occ + n, dtype=np.int32)
+        n_occ += n
+        faces = [(occupied[head], occupied[tail], ids[head], ids[tail])
+                 for head, tail in (_face_slices(dim, ax) for ax in range(dim))]
+        if last_occupied is not None:  # the faces between this slab and the previous one
+            faces.append((last_occupied, occupied[0], last_ids, ids[0]))
+        for occ_a, occ_b, ids_a, ids_b in faces:
+            both = occ_a & occ_b
+            ends_a.append(ids_a[both])
+            ends_b.append(ids_b[both])
+        last_occupied, last_ids = occupied[-1].copy(), ids[-1].copy()
+    spacing = float(np.max(region.widths) / grid_n)
+    if n_occ == 0:
+        return ComponentReport(count=0, grid_spacing=spacing, occupied_cells=0)
+    return ComponentReport(count=_count_roots(n_occ, np.concatenate(ends_a),
+                                              np.concatenate(ends_b)),
+                           grid_spacing=spacing, occupied_cells=n_occ)
+
+
+def _occupied_cells(p: Polynomial, level: float, axes: list[np.ndarray]) -> np.ndarray:
+    """Occupancy of the cells of the tensor grid of ``axes`` on {p = level}."""
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow gives inf or NaN corners
-        vals = p.eval_grid(region.axes(grid_n + 1))
-        vals -= d.level
+        vals = p.eval_grid(axes)
+        vals -= level
     # weak inequalities: a corner exactly on the level set marks the cell
     below, above, undefined = vals <= 0.0, vals >= 0.0, np.isnan(vals)
     del vals  # freed before the cell passes, so later arrays reuse its pages
+    dim = len(axes)
     for ax in range(dim):  # a cell's flag: its 2^dim corners' flags, OR-reduced
         head, tail = _face_slices(dim, ax)
         below = below[head] | below[tail]
         above = above[head] | above[tail]
         undefined = undefined[head] | undefined[tail]
-    occupied = below & above & ~undefined
-    del below, above, undefined
-    n_occ = int(np.count_nonzero(occupied))
-    spacing = float(np.max(region.widths) / grid_n)
-    if n_occ == 0:
-        return ComponentReport(count=0, grid_spacing=spacing, occupied_cells=0)
-    # occupied cells get ids 0..n_occ-1; an edge joins two face-adjacent ones
-    ids = np.zeros(occupied.shape, dtype=np.int32)
-    ids[occupied] = np.arange(n_occ, dtype=np.int32)
-    ends_a, ends_b = [], []
-    for ax in range(dim):
-        head, tail = _face_slices(dim, ax)
-        both = occupied[head] & occupied[tail]
-        ends_a.append(ids[head][both])
-        ends_b.append(ids[tail][both])
-    del ids
-    return ComponentReport(count=_count_roots(n_occ, np.concatenate(ends_a),
-                                              np.concatenate(ends_b)),
-                           grid_spacing=spacing, occupied_cells=n_occ)
+    return below & above & ~undefined
 
 
 def _face_slices(dim: int, ax: int) -> tuple[tuple, tuple]:

@@ -84,6 +84,17 @@ def test_resolve_without_a_tie_prints_no_tie_line(capsys):
         "smoothness check: pass\n")
 
 
+def test_resolve_at_grid_128_counts_across_slabs(capsys):
+    # 129^3 corners are streamed in many x0 slabs; the counts are those of
+    # the whole corner lattice
+    assert main(["resolve", CONE_TEXT, "--eps", "0.1", "--grid-n", "128"]) == 0
+    assert capsys.readouterr().out == (
+        "level +0.1: 1 component(s), 60752 occupied cells\n"
+        "level -0.1: 2 component(s), 55424 occupied cells\n"
+        "chosen level: +0.1\n"
+        "smoothness check: pass\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["stratify", CONE_TEXT, "--level", "nan"],
     ["stratify", CONE_TEXT, "--level=-inf"],
@@ -95,15 +106,19 @@ def test_non_finite_levels_exit_2(capsys, argv):
     assert "must be" in capsys.readouterr().err
 
 
-def test_negative_samples_is_a_usage_error(capsys, monkeypatch, tmp_path):
+@pytest.mark.parametrize("samples, message", [
+    ("-3", "must be >= 0, got -3"),
+    ("100000000", f"must be <= {resolve.MAX_SAMPLES}, got 100000000"),  # would need GBs
+], ids=["negative", "above MAX_SAMPLES"])
+def test_out_of_range_samples_is_a_usage_error(capsys, monkeypatch, tmp_path, samples, message):
     def no_count(*args, **kwargs):
         raise AssertionError("components counted before the arguments were checked")
     monkeypatch.setattr(cli, "count_components", no_count)
     with pytest.raises(SystemExit) as exc:
-        main(["resolve", CONE_TEXT, "--eps", "0.1", "--samples", "-3",
+        main(["resolve", CONE_TEXT, "--eps", "0.1", "--samples", samples,
               "--csv", str(tmp_path / "out.csv")])
     assert exc.value.code == 2
-    assert "argument --samples: must be >= 0, got -3" in capsys.readouterr().err
+    assert f"argument --samples: {message}" in capsys.readouterr().err
     assert not (tmp_path / "out.csv").exists()
 
 

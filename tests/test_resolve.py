@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -132,15 +133,22 @@ LABELING_CASES = [  # (variety, level, components of the level set in [-2, 2]^di
     (CONE, 0.1, 1),
     (CONE, -0.1, 2),
     (EIGHT_WELLS, 0.5, 8),
+    (parse_polynomial("x0^2 - 0.5"), 0.0, 2),
 ]
+# the default slab, then slabs of one cell layer each: every face normal to x0
+# is then a seam between two slabs
+SLAB_SIZES = [resolve.SLAB_CORNERS, 1]
 
 
 @pytest.mark.parametrize("grid_n", [16, 64])
 @pytest.mark.parametrize("variety, level, components", LABELING_CASES)
-def test_count_components_matches_flood_fill(variety, level, components, grid_n):
+def test_count_components_matches_flood_fill(variety, level, components, grid_n, monkeypatch):
     d = deform(variety, level)
-    rep = count_components(d, grid_n)
-    assert (rep.count, rep.occupied_cells) == flood_fill_components(d, grid_n)
+    expected = flood_fill_components(d, grid_n)
+    for slab_corners in SLAB_SIZES:
+        monkeypatch.setattr(resolve, "SLAB_CORNERS", slab_corners)
+        rep = count_components(d, grid_n)
+        assert (rep.count, rep.occupied_cells) == expected
     assert rep.count == components
 
 
@@ -151,7 +159,7 @@ def test_count_components_matches_flood_fill_at_grid_128():
     assert rep.count == 2
 
 
-def test_nan_corners_leave_their_cells_unoccupied():
+def test_nan_corners_leave_their_cells_unoccupied(monkeypatch):
     # 1e308 * 4 overflows, so corners with |x0|, |x1| both near 2 evaluate to
     # inf - inf = NaN; the reference is the min/max rule, under which NaN
     # propagates through np.minimum/np.maximum and fails both comparisons
@@ -161,12 +169,28 @@ def test_nan_corners_leave_their_cells_unoccupied():
         corners = cell_corners(vals)
         mins = functools.reduce(np.minimum, corners)
         maxs = functools.reduce(np.maximum, corners)
-        rep = count_components(d, 64)
         # cells with a NaN corner would be occupied if NaN corners were skipped
         skipping_nan = flood_fill_components(d, 64)
     assert np.isnan(vals).any()
-    assert (rep.count, rep.occupied_cells) == flood_fill((mins <= 0.0) & (maxs >= 0.0))
+    expected = flood_fill((mins <= 0.0) & (maxs >= 0.0))
+    for slab_corners in SLAB_SIZES:
+        monkeypatch.setattr(resolve, "SLAB_CORNERS", slab_corners)
+        rep = count_components(d, 64)
+        assert (rep.count, rep.occupied_cells) == expected
     assert rep.occupied_cells < skipping_nan[1]
+
+
+@pytest.mark.parametrize("variety", [CONE, parse_polynomial("x0*x1*x2")],
+                         ids=["cone", "x0*x1*x2"])
+def test_count_components_holds_one_slab_not_the_lattice(variety):
+    # the whole 129^3 lattice peaked at 22.5 MiB (cone) and 32.8 MiB (x0*x1*x2)
+    tracemalloc.start()
+    try:
+        count_components(deform(variety, 0.1), 128)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_grid_n_validated():
