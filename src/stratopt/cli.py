@@ -18,8 +18,7 @@ from .config import load_config
 from .model import Chart, ChartPoint, GaussianLocationModel
 from .poly import Polynomial, parse_polynomial
 from .presets import PRESET_NAMES, preset
-from .resolve import (DEFAULT_GRID_N, MAX_SAMPLES, _candidates, _choose, _projected_samples,
-                      count_components)
+from .resolve import DEFAULT_GRID_N, MAX_SAMPLES, choose, count_levels, level_samples
 from .runner import run_experiment
 from .stratify import SEED_GRID, Region, stratify
 from .svgplot import KINDS, plot
@@ -64,20 +63,20 @@ def _cmd_stratify(args) -> int:
 def _cmd_resolve(args) -> int:
     p = parse_polynomial(args.polynomial, nvars=args.nvars)
     region = _parse_region(args.region, p.nvars)
-    candidates = _candidates(p, args.eps, region)
-    reports = [count_components(d, args.grid_n) for d in candidates]
-    for d, rep in zip(candidates, reports):
+    levels = count_levels(p, args.eps, region, args.grid_n)
+    for d, rep in levels:
         print(f"level {d.level:+g}: {rep.count} component(s), "
               f"{rep.occupied_cells} occupied cells")
-    chosen = _choose(candidates, reports)
+    chosen, reason = choose(levels)
     print(f"chosen level: {chosen.level:+g}")
-    if chosen is candidates[0] and reports[0].count == reports[1].count:
-        print(f"tie: both levels have {reports[0].count} component(s); "
+    if reason == "tie":
+        print(f"tie: both levels have {levels[0][1].count} component(s); "
               f"{chosen.level:+g} wins only by tie-break")
-    print("smoothness check: pass")  # _choose returns only a candidate that passed it
+    elif reason == "smoothness":  # of two levels, the other one was skipped
+        print(f"fallback: {-chosen.level:+g} fails the smoothness check")
+    print("smoothness check: pass")  # choose returns only a level that passed it
     if args.csv:
-        Y, ok = _projected_samples(chosen, args.samples)
-        keep = Y[ok & region.contains(Y, pad=1e-9)]
+        keep = level_samples(chosen, args.samples)
         fields = [f"x{j}" for j in range(p.nvars)]
         tables.write_csv(args.csv, fields, keep.tolist())
         print(f"{len(keep)} deformation samples written to {args.csv}")

@@ -24,6 +24,9 @@ from .optim import OptimizerConfig, SettingError
 ARTIFACT_VERSION = "stratopt 0.1.0"
 MODELS = ("cone", "hyperboloid", "both", "cusp")
 TARGET_SURFACES = ("cone", "model")
+# most initial points an init_* distribution may draw: each is one trajectory,
+# and the draw itself is two float64 arrays of init_count entries
+MAX_INIT_COUNT = 10_000
 
 
 class ConfigError(ValueError):
@@ -44,13 +47,16 @@ class InitDistribution:
     seed: int
 
     def __post_init__(self):
-        if self.count < 1:
-            raise SettingError("init_count", "init_count must be >= 1")
+        if not 1 <= self.count <= MAX_INIT_COUNT:
+            raise SettingError("init_count", f"init_count must be between 1 and "
+                               f"MAX_INIT_COUNT={MAX_INIT_COUNT}, got {self.count}")
         if self.seed < 0:
             raise SettingError("init_seed", "init_seed must be >= 0")
         for key, (lo, hi) in (("init_xi", self.xi_range), ("init_theta", self.theta_range)):
             if not lo < hi:
                 raise SettingError(key, f"{key} must satisfy lo < hi, got {lo!r} {hi!r}")
+            if not math.isfinite(hi - lo):  # as a Region's width: rng.uniform needs it finite
+                raise SettingError(key, f"{key} width hi - lo must be finite, got {lo!r} {hi!r}")
 
 
 @dataclass(frozen=True)

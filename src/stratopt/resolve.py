@@ -223,45 +223,47 @@ def _projected_samples(d: Deformation, samples: int) -> tuple[np.ndarray, np.nda
     return Y, ok
 
 
-def choose_resolution(
-    p: Polynomial,
-    eps: float,
-    region: Region | None = None,
-    grid_n: int = DEFAULT_GRID_N,
-) -> Deformation:
-    """Pick the deformation level in {+eps, -eps} with fewer components.
-
-    Empty level sets (count 0) never win; ties break toward +eps.  The chosen
-    deformation must pass the smoothness check.
-    """
-    candidates = _candidates(p, eps, region)
-    return _choose(candidates, [count_components(c, grid_n) for c in candidates])
-
-
-def _candidates(p: Polynomial, eps: float, region: Region | None) -> list[Deformation]:
-    """The deformations at +eps and -eps, in tie-break order."""
+def count_levels(p: Polynomial, eps: float, region: Region | None = None,
+                 grid_n: int = DEFAULT_GRID_N) -> list[tuple[Deformation, ComponentReport]]:
+    """The deformations at +eps then -eps (tie-break order) with their component reports."""
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be positive and finite, got {eps}")
     region = region or default_region(p.nvars)
-    return [deform(p, +eps, region), deform(p, -eps, region)]
+    return [(d, count_components(d, grid_n)) for d in (deform(p, +eps, region),
+                                                       deform(p, -eps, region))]
 
 
-def _choose(candidates: list[Deformation], reports: list[ComponentReport]) -> Deformation:
-    """``choose_resolution`` on the candidates' component reports."""
-    eps = candidates[0].level
-    viable = [(r.count, i) for i, r in enumerate(reports) if r.count > 0]
+def choose(levels: list[tuple[Deformation, ComponentReport]]) -> tuple[Deformation, str]:
+    """The deformation to resolve at, and why it won.
+
+    Empty level sets (count 0) never win; fewer components come first, and
+    the first of ``levels`` (+eps) first on a tie.  The first level in that
+    order that passes ``smoothness_check`` wins, for the reason ``"count"``
+    (it has the fewest components), ``"tie"`` (the other level has as many)
+    or ``"smoothness"`` (a level before it failed the check).
+    """
+    eps = levels[0][0].level
+    viable = sorted((r.count, i) for i, (_, r) in enumerate(levels) if r.count > 0)
     if not viable:
-        raise ResolutionError(
-            f"both levels +/-{eps} give empty varieties on the region"
-        )
-    viable.sort()  # fewest components; index 0 (+eps) wins ties
-    for _, i in viable:
-        if smoothness_check(candidates[i]):
-            return candidates[i]
-    raise ResolutionError(
-        f"no smooth deformation at levels +/-{eps}: "
-        f"component counts {[r.count for r in reports]}"
-    )
+        raise ResolutionError(f"both levels +/-{eps} give empty varieties on the region")
+    for k, (count, i) in enumerate(viable):
+        if smoothness_check(levels[i][0]):
+            tie = [c for c, _ in viable].count(count) > 1
+            return levels[i][0], "smoothness" if k else "tie" if tie else "count"
+    raise ResolutionError(f"no smooth deformation at levels +/-{eps}: "
+                          f"component counts {[r.count for _, r in levels]}")
+
+
+def choose_resolution(p: Polynomial, eps: float, region: Region | None = None,
+                      grid_n: int = DEFAULT_GRID_N) -> Deformation:
+    """The deformation level in {+eps, -eps} that ``choose`` picks."""
+    return choose(count_levels(p, eps, region, grid_n))[0]
+
+
+def level_samples(d: Deformation, samples: int) -> np.ndarray:
+    """The converged points of ``_projected_samples`` that lie in ``d.region``."""
+    Y, ok = _projected_samples(d, samples)
+    return Y[ok & d.region.contains(Y, pad=1e-9)]
 
 
 def proximity_check(d: Deformation, exclusion_radius: float) -> float:
@@ -274,8 +276,7 @@ def proximity_check(d: Deformation, exclusion_radius: float) -> float:
     """
     if not (math.isfinite(exclusion_radius) and exclusion_radius > 0):
         raise ValueError(f"exclusion_radius must be positive and finite, got {exclusion_radius}")
-    Y, ok = _projected_samples(d, CHECK_SAMPLES)
-    Y = Y[ok & d.region.contains(Y, pad=1e-9)]
+    Y = level_samples(d, CHECK_SAMPLES)
     sing = find_singular_points(d.base, 0.0, d.region)
     if sing:
         dists = np.min(

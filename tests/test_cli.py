@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import stratopt
-from stratopt import cli, resolve
+from stratopt import resolve
 from stratopt.cli import main
 from stratopt.tables import AGG_FIELDS, TARGET_FIELDS, TRAJ_FIELDS, read_csv, write_csv
 
@@ -56,7 +56,6 @@ def test_resolve_counts_each_level_once(capsys, monkeypatch):
         calls.append(args[0].level)
         return count_components(*args, **kwargs)
     monkeypatch.setattr(resolve, "count_components", counted)
-    monkeypatch.setattr(cli, "count_components", counted)
     assert main(["resolve", CONE_TEXT, "--eps", "0.1", "--grid-n", "32"]) == 0
     assert calls == [0.1, -0.1]
     assert "chosen level: +0.1" in capsys.readouterr().out
@@ -82,6 +81,23 @@ def test_resolve_without_a_tie_prints_no_tie_line(capsys):
         "level -0.1: 2 component(s), 13848 occupied cells\n"
         "chosen level: +0.1\n"
         "smoothness check: pass\n")
+
+
+@pytest.mark.parametrize("polynomial, stdout", [
+    ("x0*x1 - 0.1", "level +0.1: 2 component(s), 122 occupied cells\n"
+                    "level -0.1: 1 component(s), 252 occupied cells\n"
+                    "chosen level: +0.1\n"
+                    "fallback: -0.1 fails the smoothness check\n"
+                    "smoothness check: pass\n"),
+    ("0.1 - x0^2 - x1^2", "level +0.1: 1 component(s), 4 occupied cells\n"
+                          "level -0.1: 1 component(s), 60 occupied cells\n"
+                          "chosen level: -0.1\n"
+                          "fallback: +0.1 fails the smoothness check\n"
+                          "smoothness check: pass\n"),
+], ids=["fewer components but singular", "tie won by a single point"])
+def test_resolve_says_when_a_level_fails_the_smoothness_check(capsys, polynomial, stdout):
+    assert main(["resolve", polynomial, "--eps", "0.1"]) == 0
+    assert capsys.readouterr().out == stdout
 
 
 def test_resolve_at_grid_128_counts_across_slabs(capsys):
@@ -113,7 +129,7 @@ def test_non_finite_levels_exit_2(capsys, argv):
 def test_out_of_range_samples_is_a_usage_error(capsys, monkeypatch, tmp_path, samples, message):
     def no_count(*args, **kwargs):
         raise AssertionError("components counted before the arguments were checked")
-    monkeypatch.setattr(cli, "count_components", no_count)
+    monkeypatch.setattr(resolve, "count_components", no_count)
     with pytest.raises(SystemExit) as exc:
         main(["resolve", CONE_TEXT, "--eps", "0.1", "--samples", samples,
               "--csv", str(tmp_path / "out.csv")])
@@ -223,17 +239,30 @@ def test_run_with_negative_seed_leaves_no_directory(capsys, tmp_path, key, lines
     assert not (tmp_path / "run").exists()
 
 
+INIT_DIST = ("model = cone\ntarget = 1.0 0.0\ninit_xi = {xi}\ninit_theta = -3.0 3.0\n"
+             "init_count = {count}\ninit_seed = 0\n")
+
+
 @pytest.mark.parametrize("lines, error", [
     ("model = both\neps = 0.1\ntarget = 1.0 0.0\ninit = 1e200 0.3\n", "non-finite loss"),
     ("model = hyperboloid\neps = 0.1\ntarget_surface = model\ntarget = 1e200 0\n"
      "init = 1.0 0.3\n", "target_mean must be a finite 3-vector"),
     ("model = cusp\neps = 1e9\ntarget = 1.0 0.0\n", "is not on the level set"),
-], ids=["init overflows the loss", "target overflows the chart", "cusp level off its samples"])
+    # would draw two 7.45 GiB arrays of initial points
+    (INIT_DIST.format(xi="0.25 2.0", count=1_000_000_000),
+     "raises.cfg:7: init_count must be between 1 and MAX_INIT_COUNT=10000, got 1000000000"),
+    # rng.uniform would raise OverflowError: high - low range exceeds valid bounds
+    (INIT_DIST.format(xi="-1e308 1e308", count=2),
+     "raises.cfg:5: init_xi width hi - lo must be finite, got -1e+308 1e+308"),
+], ids=["init overflows the loss", "target overflows the chart", "cusp level off its samples",
+        "init_count above the cap", "init_xi width overflows"])
 def test_run_that_raises_leaves_no_directory(capsys, tmp_path, lines, error):
     cfg = tmp_path / "raises.cfg"
     cfg.write_text("[experiment]\nmax_steps = 5\n" + lines, encoding="utf-8")
     assert main(["run", str(cfg), "--out", str(tmp_path / "run")]) == 2
-    assert error in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert error in err
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "run").exists()
 
 

@@ -7,8 +7,8 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from stratopt.config import (MODELS, TARGET_SURFACES, ConfigError, ExperimentSpec,
-                             InitDistribution, format_config, load_config)
+from stratopt.config import (MAX_INIT_COUNT, MODELS, TARGET_SURFACES, ConfigError,
+                             ExperimentSpec, InitDistribution, format_config, load_config)
 from stratopt.model import ChartPoint
 from stratopt.optim import OptimizerConfig
 from stratopt.presets import PRESET_NAMES, preset
@@ -214,7 +214,9 @@ dir_name = echo_text.filter(lambda text: text not in ("", ".", "..")
 
 @st.composite
 def ranges(draw):
-    lo, hi = sorted(draw(st.lists(finite, min_size=2, max_size=2, unique=True)))
+    # the width hi - lo must be finite, as a Region's
+    lo, hi = sorted(draw(st.lists(finite, min_size=2, max_size=2, unique=True)
+                         .filter(lambda ends: math.isfinite(ends[1] - ends[0]))))
     return (lo, hi)
 
 
@@ -223,7 +225,7 @@ def specs(draw):
     model = draw(st.sampled_from(MODELS))
     init = draw(st.one_of(
         st.lists(points, min_size=0 if model == "cusp" else 1, max_size=3).map(tuple),
-        st.builds(InitDistribution, ranges(), ranges(), st.integers(1, 10 ** 6),
+        st.builds(InitDistribution, ranges(), ranges(), st.integers(1, MAX_INIT_COUNT),
                   st.integers(0, 10 ** 12)),
     ))
     return ExperimentSpec(
@@ -369,6 +371,11 @@ def test_spec_invariants():
         InitDistribution((1.0, 0.0), (0.0, 1.0), 5, 0)
     with pytest.raises(ValueError):
         InitDistribution((0.0, 1.0), (0.0, 1.0), 0, 0)
+    InitDistribution((0.0, 1.0), (0.0, 1.0), MAX_INIT_COUNT, 0)
+    with pytest.raises(ValueError, match="init_count"):
+        InitDistribution((0.0, 1.0), (0.0, 1.0), MAX_INIT_COUNT + 1, 0)
+    with pytest.raises(ValueError, match="init_theta width"):  # finite ends, infinite width
+        InitDistribution((0.0, 1.0), (-1e308, 1e308), 5, 0)
 
 
 def test_unknown_preset():

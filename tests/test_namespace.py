@@ -1,5 +1,7 @@
+import ast
 import pkgutil
 import types
+from pathlib import Path
 
 import stratopt
 import stratopt.stratify
@@ -13,3 +15,15 @@ def test_package_namespace_is_its_modules():
     assert public <= modules
     assert all(isinstance(getattr(stratopt, name), types.ModuleType) for name in public)
     assert stratopt.__version__ == "0.1.0"
+
+
+def test_no_module_imports_another_modules_private_names():
+    # a private name is its module's own business; a shared step gets a public name
+    found = []
+    for path in sorted(Path(stratopt.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level > 0 or (node.module or "").split(".")[0] == "stratopt"):
+                found += [f"{path.name}:{node.lineno}: {alias.name}" for alias in node.names
+                          if alias.name.startswith("_") and not alias.name.endswith("__")]
+    assert found == []

@@ -10,10 +10,10 @@ from hypothesis import given, strategies as st
 
 from stratopt import resolve
 from stratopt.poly import Polynomial, cusp_curve, double_cone, parse_polynomial
-from stratopt.resolve import (Deformation, NoSamplesError, ResolutionError, choose_resolution,
-                              count_components, deform, default_region,
-                              project_to_level, projected_gradient_field,
-                              proximity_check, smoothness_check)
+from stratopt.resolve import (Deformation, NoSamplesError, ResolutionError, choose,
+                              choose_resolution, count_components, count_levels, deform,
+                              default_region, level_samples, project_to_level,
+                              projected_gradient_field, proximity_check, smoothness_check)
 from stratopt.stratify import OffVarietyError, Region, _newton_endpoints
 
 CONE = double_cone()
@@ -242,6 +242,28 @@ def test_both_levels_empty_is_an_error():
         choose_resolution(p, 1.0, region, grid_n=32)
 
 
+@pytest.mark.parametrize("text, eps, level, reason", [
+    ("x1^2 + x2^2 - x0^2", 0.1, +0.1, "count"),
+    ("x1^2 + x2^2 - x0^2", 0.001, +0.001, "tie"),  # (1, 1): grid 64 misses the neck
+    ("x0*x1", 0.1, +0.1, "tie"),  # (2, 2): the two levels are mirror images
+    ("x0*x1 - 0.1", 0.1, +0.1, "smoothness"),  # -0.1 is the singular axis cross
+    ("0.1 - x0^2 - x1^2", 0.1, -0.1, "smoothness"),  # +0.1 is the single point 0
+])
+def test_choose_names_the_rule_that_won(text, eps, level, reason):
+    levels = count_levels(parse_polynomial(text), eps)
+    assert [d.level for d, _ in levels] == [+eps, -eps]
+    chosen, why = choose(levels)
+    assert (chosen.level, why) == (level, reason)
+
+
+def test_choose_resolution_is_choose_on_the_counted_levels(monkeypatch):
+    calls = []
+    monkeypatch.setattr(resolve, "smoothness_check",
+                        lambda d: calls.append(d.level) or d.level < 0)
+    assert choose_resolution(CONE, 0.1).level == -0.1
+    assert calls == [0.1, -0.1]  # the level with fewer components is checked first
+
+
 @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, 0.0, -0.1])
 def test_eps_must_be_positive_and_finite(eps):
     with pytest.raises(ValueError, match=f"got {eps}"):
@@ -313,6 +335,14 @@ def test_cached_samples_match_a_fresh_projection():
     Y2, ok2 = project_to_level(CONE, 0.1, X)
     assert np.array_equal(Y, Y2) and np.array_equal(ok, ok2)
     assert not Y.flags.writeable and not ok.flags.writeable
+
+
+def test_level_samples_keep_the_converged_points_in_the_region():
+    d = deform(CONE, 0.1)
+    Y, ok = resolve._projected_samples(d, resolve.CHECK_SAMPLES)
+    expected = Y[ok & d.region.contains(Y, pad=1e-9)]
+    assert 0 < len(expected) < len(Y)
+    assert np.array_equal(level_samples(d, resolve.CHECK_SAMPLES), expected)
 
 
 def test_proximity_requires_positive_radius():
