@@ -10,7 +10,10 @@ seed grid): every level searched on one variety and region shares a single
 solve.  A ``Region`` is a value, with read-only copied bounds and equality by
 their bytes, so an equal region built from other arrays finds that solve.
 ``project_to_level``, the Newton projection onto a level set that the
-ball-radius probes and ``resolve`` use, lives here too.
+ball-radius probes and ``resolve`` use, lives here too.  It keeps the rows
+still moving as contiguous coordinate columns and drops a row's column once
+it stops, so its per-step work is whole-column arithmetic; every row gets
+the bits of the row-by-row iteration.
 The tolerances, iteration limits and probe counts are the module constants
 below, not per-call settings.  Only the hypersurface case (a single
 polynomial) is supported; systems of several polynomials are rejected.
@@ -242,38 +245,65 @@ def level_masks(p: Polynomial, level: float, X) -> tuple[np.ndarray, np.ndarray,
     return G, on_level, on_level & (np.linalg.norm(G, axis=1) < TOL_CRIT)
 
 
+def _sum_of_squares(cols):
+    """Sum of the squared columns with the float adds of numpy's row sum
+    ``(G * G).sum(axis=1)``: left to right up to 7 columns, and pairwise,
+    ``((s0+s1)+(s2+s3))+((s4+s5)+(s6+s7))``, at ``MAX_NVARS = 8``."""
+    sq = [g * g for g in cols]
+    if len(sq) == 8:
+        return ((sq[0] + sq[1]) + (sq[2] + sq[3])) + ((sq[4] + sq[5]) + (sq[6] + sq[7]))
+    total = sq[0]
+    for s in sq[1:]:
+        total = total + s
+    return total
+
+
 @_drops_overflow
 def project_to_level(p: Polynomial, level: float, X) -> tuple[np.ndarray, np.ndarray]:
     """First-order Newton projection of the rows of X onto {p = level}.
 
     Each point moves along the gradient direction by (p(x)-level)/|grad p|^2,
-    for at most ``PROJECTION_MAX_ITER`` steps.  Returns (points, converged
-    mask); a row converged when |p(x) - level| <= ``PROJECTION_TOL``, and
-    non-converged rows hold their last iterate.
+    for at most ``PROJECTION_MAX_ITER`` steps; a non-finite row, or one
+    whose p is NaN, never moves, and one with |grad p|^2 <= 1e-30 steps by
+    exactly zero.  Returns (points, converged mask); a row converged when
+    |p(x) - level| <= ``PROJECTION_TOL``, and non-converged rows hold their
+    last iterate.  A non-finite ``level`` is a ``ValueError``.
+
+    The rows still moving live in one contiguous (n, k) block of coordinate
+    columns beside their row numbers, so each step works on whole columns;
+    p and its partials are evaluated on the block's transpose.  When rows
+    stop, one mask selection drops their columns and each stopped row is
+    written to the output once, converged or not by the value that stopped
+    it.  Every row has the bits of the row-by-row iteration:
+    ``_sum_of_squares`` keeps numpy's order for |grad p|^2.
     """
-    X = np.array(np.atleast_2d(np.asarray(X, dtype=float)))
-    # a row that stops moving is never updated again, so each step evaluates
-    # only the rows that moved in the step before
-    active = np.arange(X.shape[0])
-    for _ in range(PROJECTION_MAX_ITER):
-        Xa = X[active]
-        finite = np.isfinite(Xa).all(axis=1)
-        f = np.full(active.shape[0], np.inf)
-        f[finite] = p.eval_many(Xa[finite]) - level
-        moving = finite & (np.abs(f) > PROJECTION_TOL)
-        active = active[moving]
-        if not active.size:
-            break
-        G = p.grad_many(Xa[moving])
-        gn2 = (G * G).sum(axis=1)
-        safe = gn2 > 1e-30
-        shift = np.zeros_like(G)
-        shift[safe] = (f[moving][safe] / gn2[safe])[:, None] * G[safe]
-        X[active] = Xa[moving] - shift
-    finite = np.isfinite(X).all(axis=1)
+    if not math.isfinite(level):
+        raise ValueError(f"level must be finite, got {level}")
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    out = np.empty(X.shape)
     ok = np.zeros(X.shape[0], dtype=bool)
-    ok[finite] = np.abs(p.eval_many(X[finite]) - level) <= PROJECTION_TOL
-    return X, ok
+    rows = np.arange(X.shape[0])
+    C = X.T.copy()
+    partials = [p.diff(j) for j in range(p.nvars)]
+    for step in range(PROJECTION_MAX_ITER + 1):
+        finite = np.isfinite(C).all(axis=0)
+        f = p.eval_many(C.T) - level
+        # the last pass only settles the rows still moving after the last step
+        moving = finite & (np.abs(f) > PROJECTION_TOL) & (step < PROJECTION_MAX_ITER)
+        if not moving.all():
+            done = ~moving
+            out[rows[done]] = C[:, done].T
+            ok[rows[done]] = finite[done] & (np.abs(f[done]) <= PROJECTION_TOL)
+            rows, C, f = rows[moving], C[:, moving], f[moving]
+        if not rows.size:
+            break
+        G = [d.eval_many(C.T) for d in partials]
+        gn2 = _sum_of_squares(G)
+        safe = gn2 > 1e-30
+        scale = np.divide(f, gn2, out=np.zeros_like(f), where=safe)
+        for j, g in enumerate(G):
+            C[j] -= np.where(safe, scale * g, 0.0)
+    return out, ok
 
 
 @_drops_overflow

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -109,6 +110,24 @@ def test_resolve_at_grid_128_counts_across_slabs(capsys):
         "level -0.1: 2 component(s), 55424 occupied cells\n"
         "chosen level: +0.1\n"
         "smoothness check: pass\n")
+
+
+def test_resolve_cusp_csv_is_pinned(capsys, monkeypatch, tmp_path):
+    # the README's cusp command; its samples come from the projection, whose
+    # rows near the cusp run all PROJECTION_MAX_ITER steps
+    monkeypatch.chdir(tmp_path)
+    assert main(["resolve", "x0^2 + x1^3", "--eps", "0.1", "--csv", "cusp.csv"]) == 0
+    assert capsys.readouterr().out == (
+        "level +0.1: 1 component(s), 130 occupied cells\n"
+        "level -0.1: 1 component(s), 100 occupied cells\n"
+        "chosen level: +0.1\n"
+        "tie: both levels have 1 component(s); +0.1 wins only by tie-break\n"
+        "smoothness check: pass\n"
+        "1992 deformation samples written to cusp.csv\n")
+    data = (tmp_path / "cusp.csv").read_bytes()
+    assert data.count(b"\n") == 1993
+    assert hashlib.sha256(data).hexdigest() == (
+        "fd31a863c7c48dca65d9f8c44f115b5f25c9959fed753ee10e7b638be8666dbf")
 
 
 @pytest.mark.parametrize("argv", [

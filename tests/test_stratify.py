@@ -218,7 +218,15 @@ def project_every_row(p, level, X):
     return X
 
 
-@pytest.mark.parametrize("p, level", [(CONE, 0.0), (CONE, 0.1), (CUSP, 0.0), (CUSP, -0.2)])
+@pytest.mark.parametrize("p, level", [
+    (CONE, 0.0), (CONE, 0.1), (CUSP, 0.0), (CUSP, -0.2),
+    (parse_polynomial("x0^2 - 0.5"), 0.1),
+    (parse_polynomial("x0*x1*x2"), 0.1),
+    (parse_polynomial("x0*x3 - x1*x2"), 0.0),
+    # at 8 variables numpy sums |grad p|^2 pairwise, not left to right
+    (parse_polynomial("x0^2+x1^2+x2^2+x3^2+x4^2+x5^2+x6^2-x7^2"), 0.1),
+    (parse_polynomial("x0*x1 - x2*x3 + x4^3 - x5*x6*x7"), 0.1),
+])
 def test_projection_matches_every_row_reference(p, level):
     # at level 0 rows near the singular point converge slowly, so the rows
     # still moving shrink over many steps; NaN and inf rows never move
@@ -227,8 +235,42 @@ def test_projection_matches_every_row_reference(p, level):
     X[5::101, 0] = np.inf
     Y, ok = project_to_level(p, level, X)
     want = project_every_row(p, level, X)
-    assert np.array_equal(Y, want, equal_nan=True)
+    assert Y.tobytes() == want.tobytes()
+    assert np.array_equal(ok, np.isfinite(want).all(axis=1)
+                          & (np.abs(p.eval_many(want) - level) <= PROJECTION_TOL))
     assert 0.0 < ok.mean() < 1.0
+
+
+@pytest.mark.parametrize("p, X, converged", [
+    # p and one partial overflow to inf, so the first step is inf / inf and
+    # leaves a NaN row, which never moves again
+    (CUSP, [[1e200, 1e200], [0.5, -0.5]], [False, True]),
+    # |grad p|^2 = 1e-32 steps by exactly zero, which keeps x0 = -0.0
+    (parse_polynomial("x0*x1"), [[-0.0, -1e-16], [1.0, 1.0]], [False, True]),
+    (CUSP, np.empty((0, 2)), []),
+], ids=["overflow after one step", "zero step keeps -0.0", "no rows"])
+def test_projection_edge_rows_match_every_row_reference(p, X, converged):
+    X = np.array(X, dtype=float)
+    Y, ok = project_to_level(p, 0.1, X)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = project_every_row(p, 0.1, X)
+    assert Y.shape == want.shape and Y.tobytes() == want.tobytes()
+    assert ok.tolist() == converged
+
+
+def test_projection_reads_a_read_only_input():
+    X = np.random.default_rng(3).uniform(-2.0, 2.0, size=(50, 3))
+    X.setflags(write=False)
+    before = X.copy()
+    Y, ok = project_to_level(CONE, 0.1, X)
+    assert X.tobytes() == before.tobytes()
+    assert Y.flags.writeable and ok.all()
+
+
+@pytest.mark.parametrize("level", [math.nan, math.inf, -math.inf])
+def test_projection_rejects_a_non_finite_level(level):
+    with pytest.raises(ValueError, match=f"level must be finite, got {level}"):
+        project_to_level(CUSP, level, np.zeros((3, 2)))
 
 
 # -- tangent dimension, by level_masks ------------------------------------------
