@@ -233,7 +233,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, RuntimeError, NotImplementedError, OSError) as exc:
+    except (ValueError, RuntimeError, RuntimeWarning, NotImplementedError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

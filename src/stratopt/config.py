@@ -4,7 +4,8 @@ One ``[experiment]`` section per file; ``#`` starts a comment; unknown keys
 are hard errors.  The keys, their parsers and the echo all come from the
 fields of ``ExperimentSpec``: each scalar field is one key, parsed by its
 annotation, and ``init``/``target`` (chart points, or the ``init_*``
-distribution keys) are the only keys with their own syntax.
+distribution keys, one per ``InitDistribution`` field) are the only keys
+with their own syntax.
 ``format_config`` echoes every resolved setting in field order (defaults
 included) under a version comment, and the echo parses back to an equal
 spec, which is what makes the metadata file written next to each run
@@ -22,7 +23,10 @@ from .model import ChartPoint
 from .optim import OptimizerConfig, SettingError
 
 ARTIFACT_VERSION = "stratopt 0.1.0"
-MODELS = ("cone", "hyperboloid", "both", "cusp")
+# the chart surfaces each model runs on; the cusp runs on none (a quiver field)
+SURFACES = {"cone": ("cone",), "hyperboloid": ("hyperboloid",),
+            "both": ("cone", "hyperboloid"), "cusp": ()}
+MODELS = tuple(SURFACES)
 TARGET_SURFACES = ("cone", "model")
 # most initial points an init_* distribution may draw: each is one trajectory,
 # and the draw itself is two float64 arrays of init_count entries
@@ -90,12 +94,11 @@ class ExperimentSpec(OptimizerConfig):
         super().__post_init__()  # rejects bad optimizer settings here, where the spec enters
         if self.target is None:
             raise SettingError("target", "target is required")
-        if self.model in ("hyperboloid", "both", "cusp") and not self.eps > 0:
+        if self.model != "cone" and not self.eps > 0:  # every other model deforms
             raise SettingError("eps", f"model={self.model} requires eps > 0")
-        if self.model != "cusp":
-            if isinstance(self.init, tuple) and len(self.init) == 0:
-                raise SettingError("init", "init is required (fixed chart point(s) or a "
-                                   "distribution)")
+        if SURFACES[self.model] and not self.init:  # also [] or None, which echo no line
+            raise SettingError("init", "init is required (fixed chart point(s) or a "
+                               "distribution)")
 
 
 def _parse_float(path, lineno, key, text) -> float:
@@ -129,12 +132,14 @@ def _parse_text(path, lineno, key, text) -> str:
 
 # one key per scalar field, parsed by its annotation; an annotation missing
 # here fails at import
-_PARSERS = {"str": _parse_text, "str | None": _parse_text,
-            "float": _parse_float, "int": _parse_int}
+_PARSERS = {"str": _parse_text, "str | None": _parse_text, "float": _parse_float,
+            "int": _parse_int, "tuple[float, float]": _parse_pair}
 _SCALAR_KEYS = {f.name: _PARSERS[f.type] for f in fields(ExperimentSpec)
                 if f.name not in ("init", "target")}
-_DIST_KEYS = {"init_xi", "init_theta", "init_count", "init_seed"}
-KNOWN_KEYS = _SCALAR_KEYS.keys() | {"init", "target"} | _DIST_KEYS
+# one init_* key per InitDistribution field: init_ and the name without _range
+_DIST_KEYS = {"init_" + f.name.removesuffix("_range"): (f.name, _PARSERS[f.type])
+              for f in fields(InitDistribution)}
+KNOWN_KEYS = _SCALAR_KEYS.keys() | {"init", "target"} | _DIST_KEYS.keys()
 
 
 def load_config(path) -> ExperimentSpec:
@@ -191,7 +196,7 @@ def load_config(path) -> ExperimentSpec:
         xi, theta = _parse_pair(path, raw["target"][1], "target", raw["target"][0])
         kwargs["target"] = ChartPoint(xi, theta)
 
-    dist_keys = _DIST_KEYS & raw.keys()
+    dist_keys = [key for key in raw if key in _DIST_KEYS]
     if "init" in raw and dist_keys:
         raise ConfigError(path, raw["init"][1],
                           "give either fixed init points or an init_* distribution, not both")
@@ -206,17 +211,14 @@ def load_config(path) -> ExperimentSpec:
             points.append(ChartPoint(xi, theta))
         kwargs["init"] = tuple(points)
     elif dist_keys:
-        missing = _DIST_KEYS - dist_keys
-        if missing:
-            any_line = raw[next(iter(dist_keys))][1]
-            raise ConfigError(path, any_line,
+        missing = _DIST_KEYS.keys() - raw.keys()
+        if missing:  # reported at the first init_* line
+            raise ConfigError(path, raw[dist_keys[0]][1],
                               f"init distribution needs {sorted(missing)} as well")
-        xi_range = _parse_pair(path, raw["init_xi"][1], "init_xi", raw["init_xi"][0])
-        theta_range = _parse_pair(path, raw["init_theta"][1], "init_theta", raw["init_theta"][0])
-        count = _parse_int(path, raw["init_count"][1], "init_count", raw["init_count"][0])
-        seed = _parse_int(path, raw["init_seed"][1], "init_seed", raw["init_seed"][0])
+        dist = {name: parse(path, raw[key][1], key, raw[key][0])
+                for key, (name, parse) in _DIST_KEYS.items()}
         try:
-            kwargs["init"] = InitDistribution(xi_range, theta_range, count, seed)
+            kwargs["init"] = InitDistribution(**dist)
         except SettingError as exc:
             raise ConfigError(path, raw[exc.key][1], str(exc)) from None
     try:
@@ -232,10 +234,10 @@ def format_config(spec: ExperimentSpec) -> str:
     for f in fields(spec):
         value = getattr(spec, f.name)
         if isinstance(value, InitDistribution):
-            lines.append(f"init_xi = {value.xi_range[0]!r} {value.xi_range[1]!r}")
-            lines.append(f"init_theta = {value.theta_range[0]!r} {value.theta_range[1]!r}")
-            lines.append(f"init_count = {value.count}")
-            lines.append(f"init_seed = {value.seed}")
+            for key, (name, _) in _DIST_KEYS.items():
+                v = getattr(value, name)  # a (lo, hi) range or an integer
+                lines.append(f"{key} = " + (" ".join(map(repr, v)) if isinstance(v, tuple)
+                                            else str(v)))
         elif f.name == "init":
             if value:
                 lines.append("init = " + "; ".join(f"{q.xi!r} {q.theta!r}" for q in value))

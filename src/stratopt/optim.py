@@ -23,7 +23,7 @@ import enum
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -80,9 +80,10 @@ class OptimizerConfig:
             if getattr(self, name) not in allowed:
                 raise SettingError(name, f"{name} must be one of {allowed}, "
                                    f"got {getattr(self, name)!r}")
-        for name in ("step_size", "step_cap", "damping", "grad_tol", "loss_tol"):
-            if not math.isfinite(getattr(self, name)):
-                raise SettingError(name, f"{name} must be finite, got {getattr(self, name)}")
+        for f in fields(self):  # every float field, a subclass's eps too
+            value = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(value):
+                raise SettingError(f.name, f"{f.name} must be finite, got {value}")
         for name in ("step_size", "step_cap"):
             if not getattr(self, name) > 0:
                 raise SettingError(name, f"{name} must be positive")

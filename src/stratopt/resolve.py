@@ -304,8 +304,6 @@ def projected_gradient_field(p: Polynomial, level: float, points,
     raises ``OffVarietyError``.  Returns the tangents, NaN in the rows where
     grad p vanishes, and the mask of those singular rows.
     """
-    if p.nvars not in (2, 3):
-        raise ValueError("field projection supports curves (2 vars) and surfaces (3 vars)")
     X = np.asarray(points, dtype=float)
     finite = np.isfinite(X).all(axis=-1)
     if not finite.all():

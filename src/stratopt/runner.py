@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tables
-from .config import ExperimentSpec, InitDistribution, format_config
+from .config import SURFACES, ExperimentSpec, InitDistribution, format_config
 from .model import Chart, ChartPoint, GaussianLocationModel
 from .optim import StallReport, Termination, Trajectory, detect_stall, run
 from .poly import cusp_curve, double_cone
@@ -44,13 +44,8 @@ class ExperimentResult:
 
 
 def _surfaces(spec: ExperimentSpec) -> list[tuple[str, Chart]]:
-    if spec.model == "cone":
-        return [("cone", Chart.cone())]
-    if spec.model == "hyperboloid":
-        return [("hyperboloid", Chart.hyperboloid(spec.eps))]
-    if spec.model == "both":
-        return [("cone", Chart.cone()), ("hyperboloid", Chart.hyperboloid(spec.eps))]
-    raise ValueError(f"no chart surfaces for model {spec.model!r}")
+    return [(surface, Chart.hyperboloid(spec.eps) if surface == "hyperboloid" else Chart.cone())
+            for surface in SURFACES[spec.model]]
 
 
 def _initial_points(spec: ExperimentSpec) -> list[ChartPoint]:

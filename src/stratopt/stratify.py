@@ -330,18 +330,15 @@ def _enclosing_ball_radius(p: Polynomial, level: float, s: np.ndarray, region: R
         # the lower cutoff scales with r so slow projections that stall a hair
         # away from s itself are not mistaken for distinct variety points
         keep = (d > max(1e-6, 1e-3 * r)) & (d <= r)
-        Y = Y[keep]
+        Y, d = Y[keep], d[keep]
         if Y.shape[0] == 0:
             best = r
             break
-        G = p.grad_many(Y)
-        gn = np.linalg.norm(G, axis=1)
-        radial = Y - s
-        rn = np.linalg.norm(radial, axis=1)
-        usable = gn > 1e-13
-        cosang = np.abs((G[usable] * radial[usable]).sum(axis=1) / (gn[usable] * rn[usable]))
-        critical = (~usable).any() or (cosang > 1.0 - 1e-6).any()
-        if not critical:
+        G, _, singular = level_masks(p, level, Y)
+        if singular.any():  # a singular probe is a critical point
+            continue
+        cosang = np.abs((G * (Y - s)).sum(axis=1) / (np.linalg.norm(G, axis=1) * d))
+        if not (cosang > 1.0 - 1e-6).any():
             best = r
             break
     return best

@@ -248,11 +248,11 @@ def _plot_topview(paths):
 
 
 def _plot_quiver(paths):
-    arrows = []  # (level text, x1, x2, (gx, gy) or None where undefined)
+    arrows = []  # (level, x1, x2, (gx, gy) or None where undefined)
     for path in paths:
         for i, r in enumerate(_text_rows(path, tables.QUIVER_FIELDS)):
             x, y = _number(path, i, "x1", r[1]), _number(path, i, "x2", r[2])
-            _number(path, i, "level", r[0])  # the legend prints it as a number
+            level = _number(path, i, "level", r[0])
             if r[5] == "ok":
                 g = (_number(path, i, "gx", r[3]), _number(path, i, "gy", r[4]))
             elif r[5] == "undefined":
@@ -260,14 +260,14 @@ def _plot_quiver(paths):
             else:
                 raise SchemaError(f"{_where(path, i)}: status {r[5]!r} is neither "
                                   f"'ok' nor 'undefined'")
-            arrows.append((r[0], x, y, g))
+            arrows.append((level, x, y, g))
     if not arrows:
         raise PlotDataError("no quiver rows in the inputs")
     xs, ys = [a[1] for a in arrows], [a[2] for a in arrows]
     pad = 0.2 * max(max(xs) - min(xs), max(ys) - min(ys), 1e-9)
     canvas = _Canvas((min(xs) - pad, max(xs) + pad), (min(ys) - pad, max(ys) + pad))
     canvas.axes("x1", "x2")
-    levels = sorted({a[0] for a in arrows})
+    levels = sorted({a[0] for a in arrows})  # by value: 2.5 before 10
     level_color = {lvl: PALETTE[i % len(PALETTE)] for i, lvl in enumerate(levels)}
     norms = [math.hypot(*g) for _, _, _, g in arrows if g is not None]
     scale = 0.35 * pad / max(max(norms, default=1.0), 1e-12)
@@ -278,7 +278,7 @@ def _plot_quiver(paths):
         color = level_color[level]
         canvas.line(x, y, x + g[0] * scale, y + g[1] * scale, color)
         canvas.circle(x, y, 2, color)
-    canvas.legend([(f"level {float(lvl):g}", c) for lvl, c in level_color.items()])
+    canvas.legend([(f"level {lvl:g}", c) for lvl, c in level_color.items()])
     return canvas.render()
 
 

@@ -223,6 +223,22 @@ def test_huge_finite_region_resolve_exits_2_without_warnings(capsys):
     assert err == "error: 10000/10000 projections failed to reach level 0.1\n"
 
 
+@pytest.mark.filterwarnings("error")
+def test_close_pair_warning_as_an_error_exits_2(capsys):
+    # x0^2 is singular along the line x0 = 0: 21 points, 210 close pairs
+    assert main(["stratify", "x0^2", "--nvars", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: 210 pair(s) of singular points closer than 4*max(ball radius)")
+    assert err.count("\n") == 1
+
+
+def test_close_pair_warning_leaves_the_output_as_it_is(capsys):
+    with pytest.warns(RuntimeWarning, match="210 pair"):
+        assert main(["stratify", "x0^2", "--nvars", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "singular points: 21" in out and out.endswith("regular stratum dimension: 1\n")
+
+
 def test_run_unknown_preset_is_usage_error(capsys):
     with pytest.raises(SystemExit) as err:
         main(["run", "--preset", "fig99"])

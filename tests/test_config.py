@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from stratopt.config import (MAX_INIT_COUNT, MODELS, TARGET_SURFACES, ConfigError,
                              ExperimentSpec, InitDistribution, format_config, load_config)
 from stratopt.model import ChartPoint
-from stratopt.optim import OptimizerConfig
+from stratopt.optim import OptimizerConfig, SettingError
 from stratopt.presets import PRESET_NAMES, preset
 
 MINIMAL = """\
@@ -376,6 +376,38 @@ def test_spec_invariants():
         InitDistribution((0.0, 1.0), (0.0, 1.0), MAX_INIT_COUNT + 1, 0)
     with pytest.raises(ValueError, match="init_theta width"):  # finite ends, infinite width
         InitDistribution((0.0, 1.0), (-1e308, 1e308), 5, 0)
+
+
+@pytest.mark.parametrize("eps", [math.inf, -math.inf, math.nan])
+def test_non_finite_eps_is_rejected_where_the_spec_enters(eps):
+    # the echo would write 'eps = inf', which load_config rejects
+    with pytest.raises(SettingError, match="eps must be finite") as err:
+        ExperimentSpec(model="cone", eps=eps, target=ChartPoint(1, 0), init=(ChartPoint(1, 0),))
+    assert err.value.key == "eps"
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_only_the_cone_runs_undeformed_and_only_the_cusp_without_init(model):
+    undeformed = dict(model=model, eps=0.0, target=ChartPoint(1, 0), init=(ChartPoint(1, 0),))
+    if model == "cone":
+        ExperimentSpec(**undeformed)
+    else:
+        with pytest.raises(SettingError, match=f"model={model} requires eps > 0"):
+            ExperimentSpec(**undeformed)
+    no_init = dict(model=model, eps=0.1, target=ChartPoint(1, 0))
+    if model == "cusp":
+        ExperimentSpec(**no_init)
+    else:
+        with pytest.raises(SettingError, match="init is required"):
+            ExperimentSpec(**no_init)
+
+
+@pytest.mark.parametrize("init", [(), [], None])
+def test_missing_init_is_rejected_in_every_empty_form(init):
+    # the echo writes no init line for any of them, and that echo cannot load
+    with pytest.raises(SettingError, match="init is required") as err:
+        ExperimentSpec(model="cone", target=ChartPoint(1, 0), init=init)
+    assert err.value.key == "init"
 
 
 def test_unknown_preset():

@@ -448,9 +448,10 @@ def test_field_rejects_non_finite_points():
                                  np.zeros(2))
 
 
-def test_field_dimension_guard():
+def test_field_rejects_a_4_variable_point_off_level():
+    # any number of variables: the origin is off the unit 3-sphere
     p4 = parse_polynomial("x0^2 + x1^2 + x2^2 + x3^2", nvars=4)
-    with pytest.raises(ValueError):
+    with pytest.raises(OffVarietyError):
         projected_gradient_field(p4, 1.0, [np.zeros(4)], np.zeros(4))
 
 
@@ -495,6 +496,25 @@ def test_field_matches_per_point_formula(seed, c, m):
         assert not singular.any()
         np.testing.assert_allclose(tangent, per_point_field(p, pts, G),
                                    rtol=1e-14, atol=0.0)
+
+
+def test_field_in_4_variables_matches_per_point_formula():
+    rng = np.random.default_rng(4)
+    pts = rng.normal(size=(40, 4))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)  # on the unit 3-sphere
+    G = rng.normal(size=(40, 4))
+    p4 = parse_polynomial("x0^2 + x1^2 + x2^2 + x3^2", nvars=4)
+    tangent, singular = projected_gradient_field(p4, 1.0, pts, G)
+    assert not singular.any()
+    np.testing.assert_allclose(tangent, per_point_field(p4, pts, G), rtol=1e-14, atol=0.0)
+    assert np.abs((tangent * pts).sum(axis=1)).max() < 1e-14  # normal to the radius
+    # the 4-variable cone x0*x3 = x1*x2 is singular only at its apex
+    cone4 = parse_polynomial("x0*x3 - x1*x2", nvars=4)
+    X = np.array([[0.0, 0.0, 0.0, 0.0], [1.0, 2.0, 3.0, 6.0], [2.0, 1.0, 4.0, 2.0]])
+    tangent, singular = projected_gradient_field(cone4, 0.0, X, G[:3])
+    assert singular.tolist() == [True, False, False] and np.isnan(tangent[0]).all()
+    np.testing.assert_allclose(tangent[1:], per_point_field(cone4, X[1:], G[1:3]),
+                               rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize("m", [1, 2, 23, 200])

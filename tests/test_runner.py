@@ -11,7 +11,7 @@ from stratopt.optim import Termination, Trajectory, TrajectoryRecord
 from stratopt.poly import double_cone
 from stratopt.presets import PRESET_NAMES, preset
 from stratopt.resolve import choose_resolution
-from stratopt.runner import _aggregate_rows, run_experiment
+from stratopt.runner import _aggregate_rows, _surfaces, run_experiment
 from stratopt.tables import AGG_FIELDS, STALL_FIELDS, TRAJ_FIELDS, read_csv, write_csv
 
 
@@ -276,3 +276,15 @@ def test_write_trajectory_csv_standalone(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == TRAJ_FIELDS
     assert len(rows) == len(traj.records) + 1
+
+
+@pytest.mark.parametrize("model, charts", [
+    ("cone", [("cone", 0.0)]),
+    ("hyperboloid", [("hyperboloid", 0.05)]),
+    ("both", [("cone", 0.0), ("hyperboloid", 0.05)]),
+    ("cusp", []),
+])
+def test_surfaces_come_from_the_model_table(model, charts):
+    spec = ExperimentSpec(model=model, eps=0.05, target=ChartPoint(1, 0),
+                          init=(ChartPoint(1, 0),))
+    assert [(surface, chart.eps) for surface, chart in _surfaces(spec)] == charts

@@ -9,7 +9,7 @@ from stratopt.model import ChartPoint
 from stratopt.presets import preset
 from stratopt.runner import run_experiment
 from stratopt.svgplot import HEIGHT, MARGIN, WIDTH, PlotDataError, SchemaError, _Canvas, plot
-from stratopt.tables import TRAJ_FIELDS, write_csv
+from stratopt.tables import QUIVER_FIELDS, TRAJ_FIELDS, write_csv
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +57,16 @@ def test_quiver_marks_undefined_point(tmp_path):
     svg = out.read_text()
     assert 'r="6" fill="#d62728"' in svg  # the singular point
     assert "<line" in svg
+
+
+def test_quiver_legend_lists_levels_by_value(tmp_path):
+    # as text, "10" sorts before "2.5"
+    rows = [[level, x, 0.0, 1.0, 0.0, "ok"]
+            for level in (0.0, 10.0, 2.5) for x in (-1.0, 1.0)]
+    src = write_csv(tmp_path / "quiver.csv", QUIVER_FIELDS, rows)
+    root = ET.parse(plot([str(src)], "quiver", tmp_path / "q.svg")).getroot()
+    texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert [t for t in texts if t.startswith("level ")] == ["level 0", "level 2.5", "level 10"]
 
 
 def test_labels_are_escaped(run_dir, tmp_path):
