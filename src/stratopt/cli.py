@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 
 import numpy as np
 
@@ -18,7 +19,8 @@ from .config import load_config
 from .model import Chart, ChartPoint, GaussianLocationModel
 from .poly import Polynomial, parse_polynomial
 from .presets import PRESET_NAMES, preset
-from .resolve import DEFAULT_GRID_N, MAX_SAMPLES, choose, count_levels, level_samples
+from .resolve import (DEFAULT_GRID_N, MAX_SAMPLES, count_levels, decide, level_samples,
+                      local_pieces)
 from .runner import run_experiment
 from .stratify import SEED_GRID, Region, stratify
 from .svgplot import KINDS, plot
@@ -67,8 +69,13 @@ def _cmd_resolve(args) -> int:
     for d, rep in levels:
         print(f"level {d.level:+g}: {rep.count} component(s), "
               f"{rep.occupied_cells} occupied cells")
-    chosen, reason = choose(levels)
+    chosen, reason, inertia = decide(p, args.eps, region, levels=levels)
     print(f"chosen level: {chosen.level:+g}")
+    if inertia is not None:  # the Morse rule ordered the levels
+        print("morse: " + "; ".join(
+            f"{n} singular point(s) of Hessian inertia {k}: {local_pieces(k[0])} local "
+            f"piece(s) at {args.eps:+g}, {local_pieces(k[1])} at {-args.eps:+g}"
+            for k, n in Counter(inertia).items()))
     if reason == "tie":
         print(f"tie: both levels have {levels[0][1].count} component(s); "
               f"{chosen.level:+g} wins only by tie-break")

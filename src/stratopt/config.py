@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .model import ChartPoint
-from .optim import OptimizerConfig, SettingError
+from .optim import OptimizerConfig, SettingError, check_int_fields
 
 ARTIFACT_VERSION = "stratopt 0.1.0"
 # the chart surfaces each model runs on; the cusp runs on none (a quiver field)
@@ -51,6 +51,7 @@ class InitDistribution:
     seed: int
 
     def __post_init__(self):
+        check_int_fields(self, prefix="init_")
         if not 1 <= self.count <= MAX_INIT_COUNT:
             raise SettingError("init_count", f"init_count must be between 1 and "
                                f"MAX_INIT_COUNT={MAX_INIT_COUNT}, got {self.count}")
@@ -76,6 +77,8 @@ class ExperimentSpec(OptimizerConfig):
     output_dir: str | None = None
 
     def __post_init__(self):
+        if not isinstance(self.init, InitDistribution):  # a list of points echoes as a tuple
+            object.__setattr__(self, "init", tuple(self.init or ()))
         for key in ("name", "output_dir"):
             text = getattr(self, key)
             if text is not None and ("#" in text or text != text.strip()
@@ -96,7 +99,7 @@ class ExperimentSpec(OptimizerConfig):
             raise SettingError("target", "target is required")
         if self.model != "cone" and not self.eps > 0:  # every other model deforms
             raise SettingError("eps", f"model={self.model} requires eps > 0")
-        if SURFACES[self.model] and not self.init:  # also [] or None, which echo no line
+        if SURFACES[self.model] and not self.init:  # an empty init echoes no line
             raise SettingError("init", "init is required (fixed chart point(s) or a "
                                "distribution)")
 

@@ -23,6 +23,7 @@ import enum
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -61,6 +62,19 @@ class SettingError(ValueError):
         self.key = key
 
 
+def check_int_fields(obj, prefix: str = ""):
+    """Raise ``SettingError`` (key ``prefix`` + field name) at the first
+    ``int`` field of the dataclass ``obj`` that holds no integer whose echo
+    loads back as itself: any ``numbers.Integral`` (numpy integers too)
+    passes, a ``bool`` does not."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if f.type == "int" and (isinstance(value, bool)
+                                or not isinstance(value, numbers.Integral)):
+            raise SettingError(prefix + f.name, f"{prefix}{f.name} must be an integer, "
+                               f"got {value!r}")
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     method: str = "gd"
@@ -84,6 +98,7 @@ class OptimizerConfig:
             value = getattr(self, f.name)
             if f.type == "float" and not math.isfinite(value):
                 raise SettingError(f.name, f"{f.name} must be finite, got {value}")
+        check_int_fields(self)
         for name in ("step_size", "step_cap"):
             if not getattr(self, name) > 0:
                 raise SettingError(name, f"{name} must be positive")

@@ -1,12 +1,23 @@
 """Smooth deformations {p = c} of a singular variety {p = 0}.
 
 A deformation at a regular value c is a smooth hypersurface approximating
-the singular one away from its singular points.  The preferred deformation
-level is chosen by connectivity: among the two candidate signs, the one
-whose level set has fewer connected components wins (an empty level set
-never wins).  Components are counted on an occupancy grid whose corner
-lattice is streamed along x0, in slabs of consecutive corner planes (about
-``SLAB_CORNERS`` corners, at least two planes each).  A slab is evaluated by
+the singular one away from its singular points.  ``decide`` picks the sign
+of c = +/-eps by one rule.  By the Morse lemma (Milnor 1963, *Morse
+Theory*, section 2), near a singular point of Hessian inertia (k+, k-) the
+level {p = +eps} is S^(k+ - 1) x R^(k-) for every small eps: 1 piece if
+k+ >= 2, 2 if k+ = 1 and none if k+ = 0 (-eps swaps k+ and k-).  When every
+singular point of {p = 0} in the region is such a point and indefinite
+(k+, k- >= 1), and every one has fewer local pieces at the same sign, that
+sign wins: going from the other level to it joins two local pieces or adds
+a handle, so it has no more components on the whole region either.  This
+sees necks of width ~sqrt(eps) that no grid over the whole box resolves,
+and costs one Hessian per point.  Otherwise (no singular point, a
+degenerate or definite one, or points that prefer no common sign) the sign
+is chosen by connectivity over the whole region: the level set with fewer
+connected components wins (an empty level set never wins).  Components are
+counted on an occupancy grid whose corner lattice is streamed along x0, in
+slabs of consecutive corner planes (about ``SLAB_CORNERS`` corners, at
+least two planes each).  A slab is evaluated by
 ``Polynomial.eval_grid`` (no corner coordinates are stored), and a cell is
 occupied when its corners' signs differ: the cell test of marching cubes
 (Lorensen & Cline 1987), made from boolean sign masks OR-reduced over each
@@ -33,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .poly import Polynomial
-from .stratify import (OffVarietyError, Region, find_singular_points, level_masks,
+from .stratify import (TOL_CRIT, OffVarietyError, Region, find_singular_points, level_masks,
                        project_to_level)
 
 DEFAULT_GRID_N = 64
@@ -48,6 +59,15 @@ CHECK_SAMPLES = 10_000  # uniform samples behind the smoothness and proximity ch
 MAX_SAMPLES = 1_000_000  # most projected samples `stratopt resolve --csv` may ask for
 SAMPLE_CACHE_SIZE = 8  # cached projected samples, one per (deformation, samples)
 DIVERGENCE_BUDGET = 0.01  # fraction of samples allowed to miss the variety
+# a singular point is degenerate when a Hessian eigenvalue is at most
+# MORSE_TOL * sqrt(c) in size, c the largest |coefficient| of degree >= 2.
+# Newton stops a row at |grad p| <= 1e-14 (``_newton_endpoints``), which leaves
+# c*x^3 at eigenvalue sqrt(12e-14 * c) ~ 3.5e-7 * sqrt(c), while a Morse point
+# c*x^2 has 2c: the test reads both alike at every coefficient scale (a Morse
+# point below c ~ 2.5e-9 reads degenerate and falls back to the counts).  Not
+# relative to the largest eigenvalue: all can be small alike at a degenerate
+# point (x0^2*x1 - x1^3: -1.67e-7 and 3.1e-7)
+MORSE_TOL = math.sqrt(TOL_CRIT)
 
 
 class ResolutionError(RuntimeError):
@@ -196,10 +216,13 @@ def smoothness_check(d: Deformation) -> bool:
     Probes are the ``CHECK_SAMPLES`` seeded uniform samples Newton-projected
     onto the level set, plus any critical points of base located on it
     (uniform sampling alone cannot witness a measure-zero singular point).
-    Projection failures are tolerated up to 1% of the samples.
+    A critical point nearer to {base = 0} than to the level is the base
+    variety's own, not the level's: the two levels' ``TOL_ON`` bands overlap
+    when |level| < 2 * ``TOL_ON``.  Projection failures are tolerated up to
+    1% of the samples.
     """
-    sing = find_singular_points(d.base, d.level, d.region)
-    if sing:
+    values = [d.base.eval(s) for s in find_singular_points(d.base, d.level, d.region)]
+    if any(abs(v - d.level) <= abs(v) for v in values):
         return False
     Y, ok = _projected_samples(d, CHECK_SAMPLES)
     n_diverged = int((~ok).sum())
@@ -223,41 +246,114 @@ def _projected_samples(d: Deformation, samples: int) -> tuple[np.ndarray, np.nda
     return Y, ok
 
 
+def _check_eps(eps: float):
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be positive and finite, got {eps}")
+
+
 def count_levels(p: Polynomial, eps: float, region: Region | None = None,
                  grid_n: int = DEFAULT_GRID_N) -> list[tuple[Deformation, ComponentReport]]:
     """The deformations at +eps then -eps (tie-break order) with their component reports."""
-    if not (math.isfinite(eps) and eps > 0):
-        raise ValueError(f"eps must be positive and finite, got {eps}")
+    _check_eps(eps)
     region = region or default_region(p.nvars)
     return [(d, count_components(d, grid_n)) for d in (deform(p, +eps, region),
                                                        deform(p, -eps, region))]
 
 
+def _first_smooth(order: list[Deformation], reason: str, failure: str) -> tuple[Deformation, str]:
+    """The first of ``order`` that passes ``smoothness_check``, with ``reason``,
+    or ``"smoothness"`` when a level before it failed the check."""
+    for k, d in enumerate(order):
+        if smoothness_check(d):
+            return d, "smoothness" if k else reason
+    raise ResolutionError(failure)
+
+
 def choose(levels: list[tuple[Deformation, ComponentReport]]) -> tuple[Deformation, str]:
-    """The deformation to resolve at, and why it won.
+    """The deformation to resolve at by the global component counts, and why it won.
 
     Empty level sets (count 0) never win; fewer components come first, and
     the first of ``levels`` (+eps) first on a tie.  The first level in that
     order that passes ``smoothness_check`` wins, for the reason ``"count"``
     (it has the fewest components), ``"tie"`` (the other level has as many)
-    or ``"smoothness"`` (a level before it failed the check).
+    or ``"smoothness"`` (a level before it failed the check).  ``decide``
+    applies this rule when the Morse rule does not.
     """
     eps = levels[0][0].level
     viable = sorted((r.count, i) for i, (_, r) in enumerate(levels) if r.count > 0)
     if not viable:
         raise ResolutionError(f"both levels +/-{eps} give empty varieties on the region")
-    for k, (count, i) in enumerate(viable):
-        if smoothness_check(levels[i][0]):
-            tie = [c for c, _ in viable].count(count) > 1
-            return levels[i][0], "smoothness" if k else "tie" if tie else "count"
-    raise ResolutionError(f"no smooth deformation at levels +/-{eps}: "
-                          f"component counts {[r.count for _, r in levels]}")
+    counts = [c for c, _ in viable]
+    return _first_smooth([levels[i][0] for _, i in viable],
+                         "tie" if counts.count(counts[0]) > 1 else "count",
+                         f"no smooth deformation at levels +/-{eps}: "
+                         f"component counts {[r.count for _, r in levels]}")
+
+
+def local_pieces(k: int) -> int:
+    """Pieces of {q = +eps} near a Morse point of {q = 0} whose Hessian has
+    ``k`` positive eigenvalues, for every small eps > 0: S^(k-1) x R^(n-k) is
+    connected if k >= 2, two pieces if k = 1 and empty if k = 0."""
+    return 1 if k >= 2 else 2 if k == 1 else 0
+
+
+def morse_inertia(p: Polynomial, region: Region) -> tuple[tuple[int, int], ...] | None:
+    """The Hessian inertia (k+, k-) of each singular point of {p = 0} in
+    ``region``, in ``find_singular_points`` order; None when there is no
+    singular point or one is degenerate (an eigenvalue within ``MORSE_TOL``
+    times the square root of p's largest |coefficient| of degree >= 2)."""
+    scale = max((abs(c) for e, c in p.terms if sum(e) >= 2), default=0.0)
+    inertia = []
+    for s in find_singular_points(p, 0.0, region):
+        eig = np.linalg.eigvalsh(p.hessian(s))
+        if np.min(np.abs(eig)) <= MORSE_TOL * math.sqrt(scale):
+            return None
+        inertia.append((int(np.count_nonzero(eig > 0)), int(np.count_nonzero(eig < 0))))
+    return tuple(inertia) or None
+
+
+def decide(p: Polynomial, eps: float, region: Region | None = None,
+           grid_n: int = DEFAULT_GRID_N,
+           levels: list[tuple[Deformation, ComponentReport]] | None = None
+           ) -> tuple[Deformation, str, tuple[tuple[int, int], ...] | None]:
+    """The deformation level in {+eps, -eps} to resolve {p = 0} at, why it
+    won (``"morse"``, ``"count"``, ``"tie"`` or ``"smoothness"``), and the
+    singular points' inertia when the Morse rule ordered the levels (None
+    when the global counts did).
+
+    The Morse rule comes first: when ``morse_inertia`` classifies every
+    singular point of {p = 0}, every point is indefinite (k+, k- >= 1) and
+    every one has fewer ``local_pieces`` at the same sign, that sign is tried
+    first and the other second (reason ``"morse"``).  Otherwise ``choose``
+    decides on the global counts: ``levels`` (``count_levels(p, eps, region,
+    grid_n)``) when the caller has them, else counted here.  That covers no
+    singular point or a degenerate one; a definite point, whose small sphere
+    at one sign and nothing at the other say nothing of the rest of the
+    variety; and points that tie, such as (1, 1), or disagree.  Either way
+    the first level in order that passes ``smoothness_check`` wins, for the
+    reason ``"smoothness"`` when a level before it failed.
+    """
+    _check_eps(eps)
+    region = region or default_region(p.nvars)
+    inertia = morse_inertia(p, region)
+    # +1 (-1) at an indefinite point with fewer local pieces at +eps (-eps), else 0
+    prefer = {local_pieces(km) - local_pieces(kp) if kp and km else 0
+              for kp, km in inertia or ()}
+    if prefer not in ({1}, {-1}):
+        return (*choose(levels or count_levels(p, eps, region, grid_n)), None)
+    sign = prefer.pop()
+    order = [deform(p, sign * eps, region), deform(p, -sign * eps, region)]
+    chosen, why = _first_smooth(order, "morse", f"no smooth deformation at levels +/-{eps}: "
+                                                f"singular points of inertia {list(inertia)}")
+    return chosen, why, inertia
 
 
 def choose_resolution(p: Polynomial, eps: float, region: Region | None = None,
                       grid_n: int = DEFAULT_GRID_N) -> Deformation:
-    """The deformation level in {+eps, -eps} that ``choose`` picks."""
-    return choose(count_levels(p, eps, region, grid_n))[0]
+    """The deformation level in {+eps, -eps} that ``decide`` picks: by the
+    singular points' Hessian inertia when all are Morse points, with no
+    component counted, else by the global counts at ``grid_n``."""
+    return decide(p, eps, region, grid_n)[0]
 
 
 def level_samples(d: Deformation, samples: int) -> np.ndarray:

@@ -63,15 +63,16 @@ def test_resolve_counts_each_level_once(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("polynomial, eps, counts", [
-    (CONE_TEXT, "0.001", (1, 1)),
-    ("x0*x1", "0.1", (2, 2)),
+    ("x0^2*x1 - x1^3", "0.1", (3, 3)),  # a degenerate point
+    ("x0*x1", "0.1", (2, 2)),  # a Morse point of inertia (1, 1): no sign preferred
 ])
 def test_resolve_says_when_the_tie_break_chose(capsys, polynomial, eps, counts):
     assert main(["resolve", polynomial, "--eps", eps]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[2:4] == [f"chosen level: +{eps}",
-                          f"tie: both levels have {counts[0]} component(s); "
-                          f"+{eps} wins only by tie-break"]
+    assert lines[2:] == [f"chosen level: +{eps}",
+                         f"tie: both levels have {counts[0]} component(s); "
+                         f"+{eps} wins only by tie-break",
+                         "smoothness check: pass"]
     assert [line.split()[2] for line in lines[:2]] == [str(n) for n in counts]
 
 
@@ -81,7 +82,32 @@ def test_resolve_without_a_tie_prints_no_tie_line(capsys):
         "level +0.1: 1 component(s), 15160 occupied cells\n"
         "level -0.1: 2 component(s), 13848 occupied cells\n"
         "chosen level: +0.1\n"
+        "morse: 1 singular point(s) of Hessian inertia (2, 1): "
+        "1 local piece(s) at +0.1, 2 at -0.1\n"
         "smoothness check: pass\n")
+
+
+@pytest.mark.parametrize("eps", ["0.001", "0.0001", "1e-12"])
+def test_resolve_decides_by_morse_where_the_grid_ties(capsys, eps):
+    # grid 64 misses the neck of width ~sqrt(eps) and counts (1, 1); the
+    # apex's inertia (2, 1) makes +eps one piece near it and -eps two
+    assert main(["resolve", CONE_TEXT, "--eps", eps]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[2] for line in lines[:2]] == ["1", "1"]
+    assert lines[2:] == [f"chosen level: +{eps}",
+                         f"morse: 1 singular point(s) of Hessian inertia (2, 1): "
+                         f"1 local piece(s) at +{eps}, 2 at -{eps}",
+                         "smoothness check: pass"]
+
+
+def test_resolve_ties_in_four_variables(capsys):
+    # inertia (2, 2) prefers neither sign, so the counts decide; swapping two
+    # columns maps det to -det, so the two levels are mirror images and tie
+    assert main(["resolve", "x0*x3 - x1*x2", "--eps", "0.1", "--grid-n", "32"]) == 0
+    assert capsys.readouterr().out.splitlines()[2:] == [
+        "chosen level: +0.1",
+        "tie: both levels have 1 component(s); +0.1 wins only by tie-break",
+        "smoothness check: pass"]
 
 
 @pytest.mark.parametrize("polynomial, stdout", [
@@ -109,6 +135,8 @@ def test_resolve_at_grid_128_counts_across_slabs(capsys):
         "level +0.1: 1 component(s), 60752 occupied cells\n"
         "level -0.1: 2 component(s), 55424 occupied cells\n"
         "chosen level: +0.1\n"
+        "morse: 1 singular point(s) of Hessian inertia (2, 1): "
+        "1 local piece(s) at +0.1, 2 at -0.1\n"
         "smoothness check: pass\n")
 
 

@@ -4,6 +4,7 @@ import re
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -384,6 +385,46 @@ def test_non_finite_eps_is_rejected_where_the_spec_enters(eps):
     with pytest.raises(SettingError, match="eps must be finite") as err:
         ExperimentSpec(model="cone", eps=eps, target=ChartPoint(1, 0), init=(ChartPoint(1, 0),))
     assert err.value.key == "eps"
+
+
+INT_SETTINGS = [f.name for f in fields(ExperimentSpec) if f.type == "int"]
+
+
+@pytest.mark.parametrize("key", INT_SETTINGS)
+@pytest.mark.parametrize("value", [2.5, True, "3"])
+def test_non_integer_int_settings_are_rejected_where_the_spec_enters(key, value):
+    # the echo would write e.g. 'max_steps = 2.5', which load_config rejects
+    with pytest.raises(SettingError, match=f"{key} must be an integer") as err:
+        ExperimentSpec(model="cone", target=ChartPoint(1, 0), init=(ChartPoint(1, 0),),
+                       **{key: value})
+    assert err.value.key == key
+
+
+@pytest.mark.parametrize("key", ["count", "seed"])
+@pytest.mark.parametrize("value", [2.5, True])
+def test_non_integer_init_draws_are_rejected(key, value):
+    draw = dict(xi_range=(0.0, 1.0), theta_range=(0.0, 1.0), count=5, seed=0)
+    with pytest.raises(SettingError, match=f"init_{key} must be an integer") as err:
+        InitDistribution(**{**draw, key: value})
+    assert err.value.key == f"init_{key}"
+
+
+def test_integer_settings_echo_and_reload(tmp_path):
+    # numpy integers are integers too
+    spec = ExperimentSpec(model="cone", target=ChartPoint(1, 0), max_steps=np.int64(250),
+                          record_every=np.int32(5), batch=np.uint8(4),
+                          init=InitDistribution((0.5, 1.0), (0.0, 1.0), np.int64(3), np.int16(2)))
+    echo = format_config(spec)
+    assert "max_steps = 250\n" in echo and "record_every = 5\n" in echo
+    assert load_config(write(tmp_path, echo)) == spec
+
+
+def test_init_list_is_stored_as_a_tuple(tmp_path):
+    spec = ExperimentSpec(model="cone", target=ChartPoint(1, 0),
+                          init=[ChartPoint(1, 0), ChartPoint(0.5, 2.0)])
+    assert spec.init == (ChartPoint(1, 0), ChartPoint(0.5, 2.0))
+    reloaded = load_config(write(tmp_path, format_config(spec)))
+    assert reloaded == spec and hash(reloaded) == hash(spec)
 
 
 @pytest.mark.parametrize("model", MODELS)

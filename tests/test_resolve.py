@@ -1,8 +1,10 @@
 import functools
 import itertools
+import json
 import math
 import tracemalloc
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -264,6 +266,125 @@ def test_choose_resolution_is_choose_on_the_counted_levels(monkeypatch):
     assert calls == [0.1, -0.1]  # the level with fewer components is checked first
 
 
+# -- the Morse rule ---------------------------------------------------------------
+
+def no_count(*args, **kwargs):
+    raise AssertionError("count_components was called")
+
+
+# the benchmark's seeded quadric cones a*(x1-s1)^2 + b*(x2-s2)^2 - c*(x0-s0)^2
+GOLDEN_QUADRICS = [
+    Polynomial(3, {tuple(e): c for e, c in item["coeffs"]})
+    for item in json.loads((Path(__file__).parents[1] / "bench" / "golden.json")
+                           .read_text(encoding="utf-8"))["varieties"]
+    if "coeffs" in item
+]
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-12])
+@pytest.mark.parametrize("text, inertia, pieces, level", [
+    ("x1^2 + x2^2 - x0^2", (2, 1), (1, 2), +1),
+    ("x0*x2 - x1^2", (1, 2), (2, 1), -1),
+    ("x1^2 + x2^2 + x3^2 - x0^2", (3, 1), (1, 2), +1),
+])
+def test_morse_rule_table(text, inertia, pieces, level, eps, monkeypatch):
+    p = parse_polynomial(text)
+    assert resolve.morse_inertia(p, default_region(p.nvars)) == (inertia,)
+    assert (resolve.local_pieces(inertia[0]), resolve.local_pieces(inertia[1])) == pieces
+    monkeypatch.setattr(resolve, "count_components", no_count)
+    chosen, why, got = resolve.decide(p, eps)
+    assert (chosen.level, why, got) == (level * eps, "morse", (inertia,))
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-12])
+def test_morse_tie_in_four_variables_is_decided_by_the_counts(eps):
+    # inertia (2, 2): one local piece at either sign; a column swap maps det
+    # to -det, so the two levels are mirror images and the counts tie too
+    p = parse_polynomial("x0*x3 - x1*x2")
+    assert resolve.morse_inertia(p, default_region(4)) == ((2, 2),)
+    chosen, why, inertia = resolve.decide(p, eps, grid_n=16)
+    assert (chosen.level, why, inertia) == (eps, "tie", None)
+
+
+@pytest.mark.parametrize("text, inertia, level, reason", [
+    # definite: +eps is a small circle near the point, -eps is empty there
+    ("x0^2 + x1^2", ((2, 0),), +0.1, "count"),
+    # definite too, but {p = 0} also has a closed curve around the point: +eps
+    # has two components, -eps one
+    ("x0^2 + x1^2 - x0^4 - x1^4", ((2, 0),), -0.1, "count"),
+    ("x0*x1", ((1, 1),), +0.1, "tie"),  # two local pieces at either sign
+    # a (1, 1) tie near the point, while +eps also has an oval away from it
+    ("x1^2 - x1^3 - x0^2", ((1, 1),), -0.1, "count"),
+    # (2, 1) at x0 = 1 prefers +eps and (1, 2) at x0 = -1 prefers -eps
+    ("x2^2 - x1^2 + x0^5 - 2*x0^3 + x0", ((1, 2), (2, 1)), +0.1, "tie"),
+])
+def test_morse_points_without_a_common_preference_are_decided_by_the_counts(
+        text, inertia, level, reason):
+    p = parse_polynomial(text)
+    assert resolve.morse_inertia(p, default_region(p.nvars)) == inertia
+    chosen, why, got = resolve.decide(p, 0.1)
+    assert (chosen, why, got) == (*choose(count_levels(p, 0.1)), None)
+    assert (chosen.level, why) == (level, reason)
+
+
+def test_definite_point_orders_the_levels_by_their_counts(monkeypatch):
+    # inertia (2, 0) at the origin, two outer arcs at -0.1 and an oval besides
+    # at +0.1; the smoothness check is passed over here, as -0.1 fails it by
+    # projection failures
+    p = parse_polynomial("x0^2 + x1^2 - x0^4")
+    assert resolve.morse_inertia(p, default_region(2)) == ((2, 0),)
+    monkeypatch.setattr(resolve, "smoothness_check", lambda d: True)
+    chosen, why, inertia = resolve.decide(p, 0.1)
+    assert (chosen.level, why, inertia) == (-0.1, "count", None)
+    assert [r.count for _, r in count_levels(p, 0.1)] == [3, 2]
+
+
+@pytest.mark.parametrize("text, level, reason", [
+    ("x0^2 + x1^3", +0.1, "tie"),  # the cusp: eigenvalues -3.2e-7 and 2
+    # eigenvalues -1.67e-7 and 3.1e-7: Morse (1, 1) to a relative tolerance
+    ("x0^2*x1 - x1^3", +0.1, "tie"),
+    ("x0*x1 - 0.1", +0.1, "smoothness"),  # no singular point on {p = 0}
+    ("0.1 - x0^2 - x1^2", -0.1, "smoothness"),
+])
+def test_without_morse_points_decide_is_choose_on_the_counts(text, level, reason):
+    p = parse_polynomial(text)
+    assert resolve.morse_inertia(p, default_region(p.nvars)) is None
+    chosen, why, inertia = resolve.decide(p, 0.1)
+    assert (chosen, why, inertia) == (*choose(count_levels(p, 0.1)), None)
+    assert (chosen.level, why) == (level, reason)
+
+
+@pytest.mark.parametrize("c", [1e-6, 1e6])
+def test_morse_tolerance_scales_with_the_coefficients(c):
+    # the cusp's small eigenvalue at Newton's endpoint grows like sqrt(c), its
+    # Morse eigenvalues like c: both stay on their side at either scale
+    cusp = c * parse_polynomial("x0^2 + x1^3")
+    cone = c * CONE
+    assert resolve.morse_inertia(cusp, default_region(2)) is None
+    assert resolve.morse_inertia(cone, default_region(3)) == ((2, 1),)
+
+
+def test_choose_resolution_counts_no_component_on_morse_varieties(monkeypatch):
+    monkeypatch.setattr(resolve, "count_components", no_count)
+    assert len(GOLDEN_QUADRICS) == 16
+    for p in [CONE, *GOLDEN_QUADRICS]:
+        assert choose_resolution(p, 0.1).level == +0.1
+
+
+def test_decide_takes_the_counted_levels(monkeypatch):
+    levels = count_levels(CUSP, 0.1)
+    monkeypatch.setattr(resolve, "count_components", no_count)
+    assert resolve.decide(CUSP, 0.1, levels=levels) == (*choose(levels), None)
+
+
+def test_morse_rule_falls_back_on_the_smoothness_check(monkeypatch):
+    monkeypatch.setattr(resolve, "smoothness_check", lambda d: d.level < 0)
+    assert resolve.decide(CONE, 0.1)[1:] == ("smoothness", ((2, 1),))
+    monkeypatch.setattr(resolve, "smoothness_check", lambda d: False)
+    with pytest.raises(ResolutionError, match=r"inertia \[\(2, 1\)\]"):
+        resolve.decide(CONE, 0.1)
+
+
 @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, 0.0, -0.1])
 def test_eps_must_be_positive_and_finite(eps):
     with pytest.raises(ValueError, match=f"got {eps}"):
@@ -286,6 +407,15 @@ def test_deformed_cone_is_smooth():
 
 def test_singular_cone_fails_smoothness():
     assert not smoothness_check(deform(CONE, 0.0))
+
+
+def test_smoothness_below_the_on_level_tolerance():
+    # at |level| < 2 * TOL_ON the apex of {p = 0} is within TOL_ON of the level
+    # too, but it is nearer to 0: the level itself has no critical point
+    assert smoothness_check(deform(CONE, 1e-12))
+    assert smoothness_check(deform(CONE, -1e-12))
+    # shifted by 1e-12, the apex lies on the level {p = 1e-12} itself
+    assert not smoothness_check(deform(CONE + Polynomial(3, {(0, 0, 0): 1e-12}), 1e-12))
 
 
 # -- proximity_check -----------------------------------------------------------------

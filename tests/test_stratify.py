@@ -73,7 +73,6 @@ def test_deterministic_and_idempotent():
 
 
 def test_one_newton_solve_per_variety(monkeypatch):
-    # the Newton loop is the only caller of hessian_many
     _newton_endpoints.cache_clear()
     calls = []
     hessian_many = Polynomial.hessian_many
@@ -81,11 +80,13 @@ def test_one_newton_solve_per_variety(monkeypatch):
                         lambda self, X: calls.append(len(X)) or hessian_many(self, X))
     strat = stratify(CONE, 0.0, BOX3)
     assert len(strat.singular_points) == 1 and calls
-    solve = list(calls)
+    solve = len(calls)
     chosen = choose_resolution(CONE, 0.1, Region(np.full(3, -2.0), np.full(3, 2.0)))
     proximity_check(chosen, 0.3)
     assert chosen.level == 0.1
-    assert calls == solve
+    assert _newton_endpoints.cache_info().misses == 1
+    # after the solve, only the Morse rule's single-row Hessians, one per singular point
+    assert calls[solve:] == [1] * len(strat.singular_points)
 
 
 def newton_every_round(p, region, grid_points=11):
