@@ -22,12 +22,16 @@ least two planes each).  A slab is evaluated by
 occupied when its corners' signs differ: the cell test of marching cubes
 (Lorensen & Cline 1987), made from boolean sign masks OR-reduced over each
 axis.  As in Hoshen & Kopelman's (1976) layer-by-layer cluster labelling,
-only a slab's last cell layer is kept, to join it to the next slab, so a
-slab and the occupied cells set the memory, not the lattice.  Occupied
-cells that share a face are labelled in numpy by min-label hooking and
-pointer jumping (Shiloach & Vishkin 1982), so the count is deterministic.
-``scipy.ndimage.label`` would label faster, but the runtime dependencies
-stay ``numpy`` only.
+a slab is reduced to the sorted C-order ids of its occupied cells before
+the next one is evaluated, so a slab and the occupied cells set the
+memory, not the lattice.  As in He, Chao & Suzuki's (2008) run-based
+labelling, each run of consecutive occupied cells along the last axis is
+one node; two runs are joined when, shifted by one cell along another
+axis, one overlaps the other, which two ``np.searchsorted`` calls on the
+runs' ends find.  A slab's seam is such a pair of runs too.  The runs are
+labelled in numpy by min-label hooking and pointer jumping (Shiloach &
+Vishkin 1982), so the count is deterministic.  ``scipy.ndimage.label``
+would label faster, but the runtime dependencies stay ``numpy`` only.
 
 ``smoothness_check`` and ``proximity_check`` draw the same ``CHECK_SAMPLES``
 uniform samples from seed 0 and project them onto the same level; the
@@ -122,8 +126,9 @@ def count_components(d: Deformation, grid_n: int = DEFAULT_GRID_N) -> ComponentR
     and no corner is NaN (a NaN value, e.g. from an overflow to inf - inf,
     leaves its cells unoccupied); the three sign masks are OR-reduced over
     each axis's face slices.  Occupied cells sharing a face belong to one
-    component; a slab's first cell layer is joined to the previous slab's
-    last one.
+    component.  Only the ids of the occupied cells outlive their slab; a
+    run of consecutive ids within one row of the last axis is one node, and
+    it is joined to every run across its faces along the other axes.
     """
     if grid_n < 16:
         raise ValueError(f"grid_n must be >= 16, got {grid_n}")
@@ -133,31 +138,30 @@ def count_components(d: Deformation, grid_n: int = DEFAULT_GRID_N) -> ComponentR
                          f"corners, more than MAX_CORNERS={MAX_CORNERS}; lower grid_n")
     axes = region.axes(grid_n + 1)
     layers = max(1, SLAB_CORNERS // (grid_n + 1) ** (dim - 1) - 1)  # cell layers per slab
-    # occupied cells get ids 0..n_occ-1 in C order; an edge joins two face-adjacent ones
-    n_occ, ends_a, ends_b = 0, [], []
-    last_occupied = last_ids = None
-    for start in range(0, grid_n, layers):
-        stop = min(start + layers, grid_n)
-        occupied = _occupied_cells(p, d.level, [axes[0][start:stop + 1], *axes[1:]])
-        n = int(np.count_nonzero(occupied))
-        ids = np.zeros(occupied.shape, dtype=np.int32)
-        ids[occupied] = np.arange(n_occ, n_occ + n, dtype=np.int32)
-        n_occ += n
-        faces = [(occupied[head], occupied[tail], ids[head], ids[tail])
-                 for head, tail in (_face_slices(dim, ax) for ax in range(dim))]
-        if last_occupied is not None:  # the faces between this slab and the previous one
-            faces.append((last_occupied, occupied[0], last_ids, ids[0]))
-        for occ_a, occ_b, ids_a, ids_b in faces:
-            both = occ_a & occ_b
-            ends_a.append(ids_a[both])
-            ends_b.append(ids_b[both])
-        last_occupied, last_ids = occupied[-1].copy(), ids[-1].copy()
+    layer = grid_n ** (dim - 1)  # cells per layer
+    # the C-order ids of the occupied cells of the whole grid, ascending
+    cells = np.concatenate([
+        np.flatnonzero(_occupied_cells(p, d.level, [axes[0][start:start + layers + 1], *axes[1:]]))
+        + start * layer for start in range(0, grid_n, layers)])
     spacing = float(np.max(region.widths) / grid_n)
-    if n_occ == 0:
+    if cells.size == 0:
         return ComponentReport(count=0, grid_spacing=spacing, occupied_cells=0)
-    return ComponentReport(count=_count_roots(n_occ, np.concatenate(ends_a),
+    # runs of consecutive ids, broken where a row of the last axis starts
+    breaks = np.flatnonzero((np.diff(cells) != 1) | (cells[1:] % grid_n == 0)) + 1
+    first = cells[np.insert(breaks, 0, 0)]
+    last = cells[np.append(breaks, cells.size) - 1]
+    ends_a, ends_b = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+    for ax in range(dim - 1):
+        stride = grid_n ** (dim - 1 - ax)  # the id step along ax
+        # run k meets runs lo[k]..hi[k]-1, those overlapping its ids shifted by stride
+        lo = np.searchsorted(last, first + stride, "left")
+        hi = np.searchsorted(first, last + stride, "right")
+        n = np.where(first // stride % grid_n < grid_n - 1, hi - lo, 0)  # no face past the grid
+        ends_a.append(np.repeat(np.arange(first.size), n))
+        ends_b.append(np.arange(n.sum()) + np.repeat(lo - np.cumsum(n) + n, n))  # lo[k], lo[k]+1, ..
+    return ComponentReport(count=_count_roots(first.size, np.concatenate(ends_a),
                                               np.concatenate(ends_b)),
-                           grid_spacing=spacing, occupied_cells=n_occ)
+                           grid_spacing=spacing, occupied_cells=cells.size)
 
 
 def _occupied_cells(p: Polynomial, level: float, axes: list[np.ndarray]) -> np.ndarray:
@@ -262,11 +266,17 @@ def count_levels(p: Polynomial, eps: float, region: Region | None = None,
 
 def _first_smooth(order: list[Deformation], reason: str, failure: str) -> tuple[Deformation, str]:
     """The first of ``order`` that passes ``smoothness_check``, with ``reason``,
-    or ``"smoothness"`` when a level before it failed the check."""
+    or ``"smoothness"`` when a level before it failed the check.  A level
+    whose samples fail to project (``ProjectionError``) fails the check; when
+    every level fails, the ``ResolutionError`` names those projections."""
+    projections = []
     for k, d in enumerate(order):
-        if smoothness_check(d):
-            return d, "smoothness" if k else reason
-    raise ResolutionError(failure)
+        try:
+            if smoothness_check(d):
+                return d, "smoothness" if k else reason
+        except ProjectionError as exc:
+            projections.append(str(exc))
+    raise ResolutionError("; ".join([failure, *projections]))
 
 
 def choose(levels: list[tuple[Deformation, ComponentReport]]) -> tuple[Deformation, str]:

@@ -7,7 +7,7 @@ grid of seeds, then filtering to the level set and deduplicating.  The
 Newton endpoints do not depend on the level, so they are cached per process
 (``NEWTON_CACHE_SIZE`` entries, keyed on the polynomial, the region and the
 seed grid): every level searched on one variety and region shares a single
-solve.  A ``Region`` is a value, with read-only copied bounds and equality by
+solve, and the points filtered from it are cached per level.  A ``Region`` is a value, with read-only copied bounds and equality by
 their bytes, so an equal region built from other arrays finds that solve.
 ``project_to_level``, the Newton projection onto a level set that the
 ball-radius probes and ``resolve`` use, lives here too.  It keeps the rows
@@ -174,13 +174,23 @@ def find_singular_points(
     polynomial of degree at most 2, and an early stop once a round moves
     no row).  An endpoint counts when ``level_masks`` finds it singular.
     Output is deduplicated within ``MERGE_RADIUS`` and sorted
-    lexicographically by coordinates.
+    lexicographically by coordinates.  The filtered points are cached per
+    polynomial, level, region and seed grid too; each call returns its own
+    copies.
     """
     _reject_systems(p)
     if p.nvars != region.dim:
         raise ValueError(f"polynomial has {p.nvars} variables, region has dim {region.dim}")
     if not math.isfinite(level):
         raise ValueError(f"level must be finite, got {level}")
+    return [s.copy() for s in _singular_points(p, float(level), region, grid_points)]
+
+
+# three levels per Newton solve: a variety's own (0) and its deformations' (+/-eps)
+@functools.lru_cache(maxsize=3 * NEWTON_CACHE_SIZE)
+def _singular_points(p: Polynomial, level: float, region: Region,
+                     grid_points: int) -> tuple[np.ndarray, ...]:
+    """``find_singular_points`` on validated arguments; read-only, shared by callers."""
     X = _newton_endpoints(p, region, grid_points)
     _, _, singular = level_masks(p, level, X)
     pad = 1e-9 * float(np.max(region.widths))
@@ -192,8 +202,9 @@ def find_singular_points(
     # farther than MERGE_RADIUS from every point kept before it
     while cands.shape[0]:
         out.append(cands[0].copy())
+        out[-1].setflags(write=False)
         cands = cands[np.linalg.norm(cands - cands[0], axis=1) > MERGE_RADIUS]
-    return out
+    return tuple(out)
 
 
 @functools.lru_cache(maxsize=NEWTON_CACHE_SIZE)

@@ -121,7 +121,13 @@ def test_resolve_ties_in_four_variables(capsys):
                           "chosen level: -0.1\n"
                           "fallback: +0.1 fails the smoothness check\n"
                           "smoothness check: pass\n"),
-], ids=["fewer components but singular", "tie won by a single point"])
+    ("x0^2 + x1^2 - x0^4", "level +0.1: 3 component(s), 212 occupied cells\n"
+                           "level -0.1: 2 component(s), 164 occupied cells\n"
+                           "chosen level: +0.1\n"
+                           "fallback: -0.1 fails the smoothness check\n"
+                           "smoothness check: pass\n"),
+], ids=["fewer components but singular", "tie won by a single point",
+        "fewer components but unprojected"])
 def test_resolve_says_when_a_level_fails_the_smoothness_check(capsys, polynomial, stdout):
     assert main(["resolve", polynomial, "--eps", "0.1"]) == 0
     assert capsys.readouterr().out == stdout
@@ -248,7 +254,8 @@ def test_huge_finite_region_resolve_exits_2_without_warnings(capsys):
     out, err = capsys.readouterr()
     assert out.splitlines() == ["level +0.1: 1 component(s), 4 occupied cells",
                                 "level -0.1: 0 component(s), 0 occupied cells"]
-    assert err == "error: 10000/10000 projections failed to reach level 0.1\n"
+    assert err == ("error: no smooth deformation at levels +/-0.1: component counts [1, 0]; "
+                   "10000/10000 projections failed to reach level 0.1\n")
 
 
 @pytest.mark.filterwarnings("error")

@@ -16,7 +16,7 @@ from stratopt.resolve import (Deformation, NoSamplesError, ResolutionError, choo
                               choose_resolution, count_components, count_levels, deform,
                               default_region, level_samples, project_to_level,
                               projected_gradient_field, proximity_check, smoothness_check)
-from stratopt.stratify import OffVarietyError, Region, _newton_endpoints
+from stratopt.stratify import OffVarietyError, Region, _newton_endpoints, _singular_points
 
 CONE = double_cone()
 CUSP = cusp_curve()
@@ -91,15 +91,20 @@ def cell_corners(vals):
             for offset in itertools.product((0, 1), repeat=vals.ndim)]
 
 
-def flood_fill_components(d, grid_n):
-    """Oracle: (components, occupied cells) by breadth-first search over the
-    occupied cells, with occupancy taken from the 2^dim corners of each cell."""
+def occupancy(d, grid_n):
+    """Oracle: the cells with a corner <= 0 and a corner >= 0 among their 2^dim."""
     below = np.zeros((grid_n,) * d.region.dim, dtype=bool)
     above = np.zeros((grid_n,) * d.region.dim, dtype=bool)
     for v in cell_corners(corner_values(d, grid_n)):
         below |= v <= 0.0
         above |= v >= 0.0
-    return flood_fill(below & above)
+    return below & above
+
+
+def flood_fill_components(d, grid_n):
+    """Oracle: (components, occupied cells) by breadth-first search over the
+    occupied cells of ``occupancy``."""
+    return flood_fill(occupancy(d, grid_n))
 
 
 def flood_fill(cells):
@@ -136,22 +141,46 @@ LABELING_CASES = [  # (variety, level, components of the level set in [-2, 2]^di
     (CONE, -0.1, 2),
     (EIGHT_WELLS, 0.5, 8),
     (parse_polynomial("x0^2 - 0.5"), 0.0, 2),
+    (parse_polynomial("x0^3 - x0"), 0.0, 3),
+    (parse_polynomial("x1^2 - 3.8"), 0.0, 2),  # see test_runs_do_not_join_across_a_row_break
+    # a cell in the last x1 layer is no neighbour of the next x0 layer's first
+    (parse_polynomial("x1^2 - 3.8", nvars=3), 0.0, 2),
 ]
 # the default slab, then slabs of one cell layer each: every face normal to x0
 # is then a seam between two slabs
 SLAB_SIZES = [resolve.SLAB_CORNERS, 1]
 
 
-@pytest.mark.parametrize("grid_n", [16, 64])
-@pytest.mark.parametrize("variety, level, components", LABELING_CASES)
-def test_count_components_matches_flood_fill(variety, level, components, grid_n, monkeypatch):
-    d = deform(variety, level)
+def assert_matches_flood_fill(d, grid_n, components, monkeypatch):
     expected = flood_fill_components(d, grid_n)
     for slab_corners in SLAB_SIZES:
         monkeypatch.setattr(resolve, "SLAB_CORNERS", slab_corners)
         rep = count_components(d, grid_n)
         assert (rep.count, rep.occupied_cells) == expected
     assert rep.count == components
+
+
+@pytest.mark.parametrize("grid_n", [16, 64])
+@pytest.mark.parametrize("variety, level, components", LABELING_CASES)
+def test_count_components_matches_flood_fill(variety, level, components, grid_n, monkeypatch):
+    assert_matches_flood_fill(deform(variety, level), grid_n, components, monkeypatch)
+
+
+def test_count_components_matches_flood_fill_in_four_variables(monkeypatch):
+    sphere = parse_polynomial("x0^2 + x1^2 + x2^2 + x3^2 - 1")
+    assert_matches_flood_fill(deform(sphere, 0.0), 16, 1, monkeypatch)
+
+
+def test_runs_do_not_join_across_a_row_break(monkeypatch):
+    # x1 = +-sqrt(3.8) crosses the first and the last cell of every row of
+    # x1, so the last occupied cell of a row and the first of the next have
+    # consecutive C-order ids
+    d = deform(parse_polynomial("x1^2 - 3.8"), 0.0)
+    ids = np.flatnonzero(occupancy(d, 16))
+    assert np.array_equal(ids, np.sort(np.r_[np.arange(0, 256, 16), np.arange(15, 256, 16)]))
+    for slab_corners in SLAB_SIZES:
+        monkeypatch.setattr(resolve, "SLAB_CORNERS", slab_corners)
+        assert count_components(d, 16).count == 2
 
 
 def test_count_components_matches_flood_fill_at_grid_128():
@@ -182,13 +211,15 @@ def test_nan_corners_leave_their_cells_unoccupied(monkeypatch):
     assert rep.occupied_cells < skipping_nan[1]
 
 
-@pytest.mark.parametrize("variety", [CONE, parse_polynomial("x0*x1*x2")],
-                         ids=["cone", "x0*x1*x2"])
-def test_count_components_holds_one_slab_not_the_lattice(variety):
-    # the whole 129^3 lattice peaked at 22.5 MiB (cone) and 32.8 MiB (x0*x1*x2)
+@pytest.mark.parametrize("variety, level", [(CONE, 0.1), (parse_polynomial("x0*x1*x2"), 0.1),
+                                            (parse_polynomial("x0*x1*x2"), 0.0)],
+                         ids=["cone", "x0*x1*x2", "x0*x1*x2 planes"])
+def test_count_components_holds_one_slab_not_the_lattice(variety, level):
+    # the whole 129^3 lattice peaked at 22.5 MiB (cone) and 32.8 MiB (x0*x1*x2);
+    # labelling every occupied cell of the three planes took 10.6 MiB
     tracemalloc.start()
     try:
-        count_components(deform(variety, 0.1), 128)
+        count_components(deform(variety, level), 128)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -250,6 +281,8 @@ def test_both_levels_empty_is_an_error():
     ("x0*x1", 0.1, +0.1, "tie"),  # (2, 2): the two levels are mirror images
     ("x0*x1 - 0.1", 0.1, +0.1, "smoothness"),  # -0.1 is the singular axis cross
     ("0.1 - x0^2 - x1^2", 0.1, -0.1, "smoothness"),  # +0.1 is the single point 0
+    # -0.1 has fewer components, but 669 of its 10000 samples fail to project
+    ("x0^2 + x1^2 - x0^4", 0.1, +0.1, "smoothness"),
 ])
 def test_choose_names_the_rule_that_won(text, eps, level, reason):
     levels = count_levels(parse_polynomial(text), eps)
@@ -264,6 +297,17 @@ def test_choose_resolution_is_choose_on_the_counted_levels(monkeypatch):
                         lambda d: calls.append(d.level) or d.level < 0)
     assert choose_resolution(CONE, 0.1).level == -0.1
     assert calls == [0.1, -0.1]  # the level with fewer components is checked first
+
+
+def test_a_failed_projection_fails_the_level_and_names_itself(monkeypatch):
+    def unprojected(d):
+        raise resolve.ProjectionError(f"9/10 projections failed to reach level {d.level}")
+    monkeypatch.setattr(resolve, "smoothness_check", unprojected)
+    with pytest.raises(ResolutionError) as err:
+        choose(count_levels(CONE, 0.1))
+    assert str(err.value) == ("no smooth deformation at levels +/-0.1: component counts [1, 2]; "
+                              "9/10 projections failed to reach level 0.1; "
+                              "9/10 projections failed to reach level -0.1")
 
 
 # -- the Morse rule ---------------------------------------------------------------
@@ -494,11 +538,14 @@ def test_deformations_are_values():
 
 def test_equal_deformations_hit_the_caches():
     resolve._projected_samples.cache_clear()
+    _singular_points.cache_clear()
     _newton_endpoints.cache_clear()
     for region in (Region.cube(-2.0, 2.0, 3), Region(np.full(3, -2.0), np.full(3, 2.0))):
         assert smoothness_check(deform(CONE, 0.1, region))
     assert resolve._projected_samples.cache_info().hits == 1
-    assert _newton_endpoints.cache_info().hits == 1
+    assert _singular_points.cache_info().hits == 1
+    # the second region finds the filtered points, so the one Newton solve is not looked up again
+    assert _newton_endpoints.cache_info()[:2] == (0, 1)
 
 
 # -- projected_gradient_field -----------------------------------------------------------

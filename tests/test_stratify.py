@@ -10,7 +10,7 @@ from stratopt.poly import (Polynomial, axis_pair, cusp_curve, double_cone,
                           parse_polynomial)
 from stratopt.resolve import choose_resolution, proximity_check
 from stratopt.stratify import (NEWTON_MAX_ITER, PROJECTION_MAX_ITER, PROJECTION_TOL,
-                               Region, _newton_endpoints, project_to_level,
+                               Region, _newton_endpoints, _singular_points, project_to_level,
                                find_singular_points, level_masks, simplex_strata,
                                stratify)
 
@@ -73,6 +73,7 @@ def test_deterministic_and_idempotent():
 
 
 def test_one_newton_solve_per_variety(monkeypatch):
+    _singular_points.cache_clear()
     _newton_endpoints.cache_clear()
     calls = []
     hessian_many = Polynomial.hessian_many
@@ -176,9 +177,14 @@ def test_newton_search_stops_at_a_fixed_point(monkeypatch, text, rounds):
 
 
 def test_returned_points_do_not_alias_the_search_cache():
+    _singular_points.cache_clear()
     first = find_singular_points(CONE, 0.0, BOX3)
+    want = [s.copy() for s in first]
     first[0][:] = 7.0
+    first.append(np.ones(3))
     again = find_singular_points(CONE, 0.0, BOX3)
+    assert _singular_points.cache_info().hits == 1
+    assert len(again) == len(want) and all(np.array_equal(a, b) for a, b in zip(again, want))
     assert np.linalg.norm(again[0]) < 1e-6
 
 
