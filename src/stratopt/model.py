@@ -9,9 +9,9 @@ gradient follows from the chart Jacobian by the chain rule, and the Fisher
 information is J^T J.  Gradients and the information matrix are always
 computed through the Jacobian, never from transcribed component formulas.
 The chart formulas live in one float kernel, ``Chart.local``, which returns
-the ambient point and the Jacobian entries; ``embed``/``jacobian`` wrap it in
-arrays, and ``chain_rule``/``information`` read its entries, so the model
-methods and the optimizer's step evaluate the same code.
+the ambient point and its whole 3x2 Jacobian; ``embed``/``jacobian`` wrap it
+in arrays, and ``chain_rule``/``information`` read all its entries, so the
+model methods and the optimizer's step evaluate the same code for any chart.
 """
 
 from __future__ import annotations
@@ -30,8 +30,9 @@ class Chart:
     eps: float
 
     def __post_init__(self):
-        if not self.eps >= 0:  # also rejects NaN
-            raise ValueError(f"chart requires eps >= 0, got {self.eps}")
+        if not (math.isfinite(self.eps) and self.eps >= 0):
+            raise ValueError(f"chart requires a finite eps >= 0, got eps={self.eps}")
+        object.__setattr__(self, "eps", float(self.eps))
 
     @classmethod
     def cone(cls) -> "Chart":
@@ -46,8 +47,8 @@ class Chart:
     def local(self, xi: float, theta: float) -> tuple[float, ...]:
         """The chart at (xi, theta) as floats: the one place its formulas live.
 
-        Returns ``(x0, x1, x2, j10, j11, j20, j21)``: the ambient point and the
-        Jacobian rows ``(j10, j11)`` and ``(j20, j21)``; row 0 is always (1, 0).
+        Returns ``(x0, x1, x2, j00, j01, j10, j11, j20, j21)``: the ambient
+        point and the Jacobian row by row, ``jik`` = d x_i / d (xi, theta)[k].
         """
         c, s = math.cos(theta), math.sin(theta)
         if self.eps == 0.0:
@@ -55,7 +56,8 @@ class Chart:
         else:
             radial = math.sqrt(xi * xi + self.eps)
             dradial = xi / radial
-        return xi, radial * c, radial * s, dradial * c, -radial * s, dradial * s, radial * c
+        return (xi, radial * c, radial * s,
+                1.0, 0.0, dradial * c, -radial * s, dradial * s, radial * c)
 
     def embed(self, q: "ChartPoint") -> np.ndarray:
         """Ambient coordinates of the chart point."""
@@ -63,8 +65,7 @@ class Chart:
 
     def jacobian(self, q: "ChartPoint") -> np.ndarray:
         """3x2 matrix of ambient partials with respect to (xi, theta)."""
-        _, _, _, j10, j11, j20, j21 = self.local(q.xi, q.theta)
-        return np.array([[1.0, 0.0], [j10, j11], [j20, j21]])
+        return np.array(self.local(q.xi, q.theta)[3:]).reshape(3, 2)
 
 
 @dataclass(frozen=True)
@@ -113,14 +114,16 @@ class GaussianLocationModel:
 
 def chain_rule(local, target) -> tuple[float, float, float]:
     """Loss 0.5 |x - target|^2 and the gradient J^T (x - target), from ``Chart.local``."""
-    x0, x1, x2, j10, j11, j20, j21 = local
+    x0, x1, x2, j00, j01, j10, j11, j20, j21 = local
     t0, t1, t2 = target
     d0, d1, d2 = x0 - t0, x1 - t1, x2 - t2
-    return 0.5 * (d0 * d0 + d1 * d1 + d2 * d2), d0 + j10 * d1 + j20 * d2, j11 * d1 + j21 * d2
+    return (0.5 * (d0 * d0 + d1 * d1 + d2 * d2),
+            j00 * d0 + j10 * d1 + j20 * d2, j01 * d0 + j11 * d1 + j21 * d2)
 
 
 def information(local) -> tuple[float, float, float]:
     """Entries (F00, F01, F11) of the symmetric 2x2 J^T J, from ``Chart.local``."""
-    _, _, _, j10, j11, j20, j21 = local
-    return 1.0 + j10 * j10 + j20 * j20, j10 * j11 + j20 * j21, j11 * j11 + j21 * j21
+    _, _, _, j00, j01, j10, j11, j20, j21 = local
+    return (j00 * j00 + j10 * j10 + j20 * j20, j00 * j01 + j10 * j11 + j20 * j21,
+            j01 * j01 + j11 * j11 + j21 * j21)
 

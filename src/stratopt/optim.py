@@ -7,8 +7,8 @@ launch unbounded angular steps.  A trajectory is a list of flat rows in
 ``tables.TRAJ_FIELDS`` order (step, xi, theta, mu1, mu2, mu3, loss,
 grad_norm), so ``np.array(traj.records)`` is its CSV table, plus a
 termination reason.  The step is float arithmetic on one ``Chart.local``
-call per step: its ambient point and Jacobian entries give the recorded
-loss and gradient (``model.chain_rule``), the NGD matrix
+call per step: its ambient point and whole 3x2 Jacobian give the recorded
+loss and gradient (``model.chain_rule``), the NGD matrix J^T J
 (``model.information``) and the update.  Stochastic mode descends toward a
 fresh batch mean each step, while the recorded loss and gradient stay
 population quantities.  The noise of those means is one seeded stream per

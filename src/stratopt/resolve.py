@@ -264,23 +264,30 @@ def count_levels(p: Polynomial, eps: float, region: Region | None = None,
                                                        deform(p, -eps, region))]
 
 
-def _first_smooth(order: list[Deformation], reason: str, failure: str) -> tuple[Deformation, str]:
-    """The first of ``order`` that passes ``smoothness_check``, with ``reason``,
-    or ``"smoothness"`` when a level before it failed the check.  A level
-    whose samples fail to project (``ProjectionError``) fails the check; when
-    every level fails, the ``ResolutionError`` names those projections."""
-    projections = []
-    for k, d in enumerate(order):
+def _first_smooth(order: list[Deformation], reason: str,
+                  failure: str) -> tuple[Deformation, str, str | None]:
+    """The first of ``order`` that passes ``smoothness_check``, with ``reason``
+    and None, or with ``"smoothness"`` and the cause when the level before it
+    failed the check: a singular point on that level, or the message of its
+    ``ProjectionError`` (its samples failed to project).  When every level
+    fails, the ``ResolutionError`` names those projections."""
+    projections, cause = [], None
+    for d in order:
         try:
             if smoothness_check(d):
-                return d, "smoothness" if k else reason
+                return d, reason if cause is None else "smoothness", cause
+            cause = "a singular point lies on the level"
         except ProjectionError as exc:
-            projections.append(str(exc))
+            cause = str(exc)
+            projections.append(cause)
     raise ResolutionError("; ".join([failure, *projections]))
 
 
-def choose(levels: list[tuple[Deformation, ComponentReport]]) -> tuple[Deformation, str]:
-    """The deformation to resolve at by the global component counts, and why it won.
+def choose(levels: list[tuple[Deformation, ComponentReport]]
+           ) -> tuple[Deformation, str, str | None]:
+    """The deformation to resolve at by the global component counts, why it
+    won, and why the level before it failed the smoothness check (None when
+    none did).
 
     Empty level sets (count 0) never win; fewer components come first, and
     the first of ``levels`` (+eps) first on a tie.  The first level in that
@@ -325,9 +332,10 @@ def morse_inertia(p: Polynomial, region: Region) -> tuple[tuple[int, int], ...] 
 def decide(p: Polynomial, eps: float, region: Region | None = None,
            grid_n: int = DEFAULT_GRID_N,
            levels: list[tuple[Deformation, ComponentReport]] | None = None
-           ) -> tuple[Deformation, str, tuple[tuple[int, int], ...] | None]:
+           ) -> tuple[Deformation, str, str | None, tuple[tuple[int, int], ...] | None]:
     """The deformation level in {+eps, -eps} to resolve {p = 0} at, why it
-    won (``"morse"``, ``"count"``, ``"tie"`` or ``"smoothness"``), and the
+    won (``"morse"``, ``"count"``, ``"tie"`` or ``"smoothness"``), why the
+    other level failed the smoothness check when it did (else None), and the
     singular points' inertia when the Morse rule ordered the levels (None
     when the global counts did).
 
@@ -353,9 +361,9 @@ def decide(p: Polynomial, eps: float, region: Region | None = None,
         return (*choose(levels or count_levels(p, eps, region, grid_n)), None)
     sign = prefer.pop()
     order = [deform(p, sign * eps, region), deform(p, -sign * eps, region)]
-    chosen, why = _first_smooth(order, "morse", f"no smooth deformation at levels +/-{eps}: "
-                                                f"singular points of inertia {list(inertia)}")
-    return chosen, why, inertia
+    return (*_first_smooth(order, "morse", f"no smooth deformation at levels +/-{eps}: "
+                                           f"singular points of inertia {list(inertia)}"),
+            inertia)
 
 
 def choose_resolution(p: Polynomial, eps: float, region: Region | None = None,

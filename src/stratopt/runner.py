@@ -26,8 +26,11 @@ from .resolve import default_region, projected_gradient_field
 from .stratify import find_singular_points
 
 CUSP_POINTS_PER_BRANCH = 12
+# the chart of each surface in ``config.SURFACES``, from the spec's eps
+_CHARTS = {"cone": lambda eps: Chart.cone(), "hyperboloid": Chart.hyperboloid}
 # every file name a run writes besides metadata.cfg
-_RUN_FILE = re.compile(r"(traj_(cone|hyperboloid)_\d{3,}|aggregate_(cone|hyperboloid)"
+_SURFACE = "|".join(map(re.escape, _CHARTS))
+_RUN_FILE = re.compile(rf"(traj_({_SURFACE})_\d{{3,}}|aggregate_({_SURFACE})"
                        r"|stalls|targets|quiver)\.csv")
 
 
@@ -44,8 +47,7 @@ class ExperimentResult:
 
 
 def _surfaces(spec: ExperimentSpec) -> list[tuple[str, Chart]]:
-    return [(surface, Chart.hyperboloid(spec.eps) if surface == "hyperboloid" else Chart.cone())
-            for surface in SURFACES[spec.model]]
+    return [(surface, _CHARTS[surface](spec.eps)) for surface in SURFACES[spec.model]]
 
 
 def _initial_points(spec: ExperimentSpec) -> list[ChartPoint]:

@@ -114,17 +114,20 @@ def test_resolve_ties_in_four_variables(capsys):
     ("x0*x1 - 0.1", "level +0.1: 2 component(s), 122 occupied cells\n"
                     "level -0.1: 1 component(s), 252 occupied cells\n"
                     "chosen level: +0.1\n"
-                    "fallback: -0.1 fails the smoothness check\n"
+                    "fallback: -0.1 fails the smoothness check: "
+                    "a singular point lies on the level\n"
                     "smoothness check: pass\n"),
     ("0.1 - x0^2 - x1^2", "level +0.1: 1 component(s), 4 occupied cells\n"
                           "level -0.1: 1 component(s), 60 occupied cells\n"
                           "chosen level: -0.1\n"
-                          "fallback: +0.1 fails the smoothness check\n"
+                          "fallback: +0.1 fails the smoothness check: "
+                          "a singular point lies on the level\n"
                           "smoothness check: pass\n"),
     ("x0^2 + x1^2 - x0^4", "level +0.1: 3 component(s), 212 occupied cells\n"
                            "level -0.1: 2 component(s), 164 occupied cells\n"
                            "chosen level: +0.1\n"
-                           "fallback: -0.1 fails the smoothness check\n"
+                           "fallback: -0.1 fails the smoothness check: "
+                           "669/10000 projections failed to reach level -0.1\n"
                            "smoothness check: pass\n"),
 ], ids=["fewer components but singular", "tie won by a single point",
         "fewer components but unprojected"])

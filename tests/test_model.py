@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from stratopt.model import Chart, ChartPoint, GaussianLocationModel
+from stratopt import optim
+from stratopt.model import Chart, ChartPoint, GaussianLocationModel, chain_rule, information
 from stratopt.poly import double_cone
-from stratopt.verify import finite_diff_grad
+from stratopt.verify import finite_diff_grad, monte_carlo_fim
 
 CONE = Chart.cone()
 
@@ -24,6 +25,14 @@ def test_chart_validation():
         with pytest.raises(ValueError):
             Chart(eps)
     assert Chart(0.0) == CONE
+    assert type(Chart(0).eps) is float
+
+
+@pytest.mark.parametrize("eps", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("make", [Chart, Chart.hyperboloid])
+def test_chart_eps_must_be_finite(make, eps):
+    with pytest.raises(ValueError, match="eps"):
+        make(eps)
 
 
 def test_embed_cone():
@@ -173,3 +182,71 @@ def test_fim_positive_semidefinite(xi, theta, eps):
     if eps > 0.0:
         assert eig.min() >= min(eps, 1.0) - 1e-12
 
+
+# -- the chart kernel's contract ------------------------------------------------
+
+def unit_row_chain_rule(local, target):
+    """Loss and gradient as written for a chart whose Jacobian row 0 is (1, 0)."""
+    x0, x1, x2, _, _, j10, j11, j20, j21 = local
+    t0, t1, t2 = target
+    d0, d1, d2 = x0 - t0, x1 - t1, x2 - t2
+    return 0.5 * (d0 * d0 + d1 * d1 + d2 * d2), d0 + j10 * d1 + j20 * d2, j11 * d1 + j21 * d2
+
+
+def unit_row_information(local):
+    _, _, _, _, _, j10, j11, j20, j21 = local
+    return 1.0 + j10 * j10 + j20 * j20, j10 * j11 + j20 * j21, j11 * j11 + j21 * j21
+
+
+@given(st.sampled_from([0.0, 0.01, 0.1, 1.0]), st.floats(-3, 3), st.floats(-7, 7),
+       st.tuples(st.floats(-3, 3), st.floats(-3, 3), st.floats(-3, 3)))
+@example(0.0, 0.0, -0.0, (0.0, 0.0, 0.0))  # the cone apex
+@example(0.0, -0.0, 1.0, (-0.0, 0.5, 0.0))
+@example(0.1, 0.0, 0.0, (0.0, -0.0, -0.0))  # the hyperboloid's waist
+@example(0.0, 0.5, -0.0, (0.0, 1.0, 0.0))  # d/dtheta is -0.0 by the unit row, +0.0 here
+def test_full_jacobian_kernel_keeps_the_unit_row_bits(eps, xi, theta, target):
+    local = (CONE if eps == 0.0 else hyperboloid(eps)).local(xi, theta)
+    assert local[3:5] == (1.0, 0.0)
+    got = chain_rule(local, target) + information(local)
+    want = unit_row_chain_rule(local, target) + unit_row_information(local)
+    assert got == want
+    # a generic J^T d adds 0.0 * d0 to the theta component, and J^T J adds
+    # 1.0 * 0.0 to F01: a zero there may lose its sign (-0.0 + 0.0 is +0.0);
+    # every other entry keeps its bytes
+    keep = [0, 1, 3, 5]  # loss, d/dxi, F00, F11
+    assert [got[i].hex() for i in keep] == [want[i].hex() for i in keep]
+
+
+class MomentMap(Chart):
+    """The mixture moment map (a, b) -> (ab, ab^2, ab^3), whose row 0 is (b, a)."""
+
+    def local(self, a, b):
+        ab = a * b
+        return ab, ab * b, ab * b * b, b, a, b * b, 2 * ab, b * b * b, 3 * ab * b
+
+
+class MappedCone(Chart):
+    """The cone under the linear map (x0 + x1, x2, x0 - x1)."""
+
+    def local(self, xi, theta):
+        x0, x1, x2, j00, j01, j10, j11, j20, j21 = CONE.local(xi, theta)
+        return x0 + x1, x2, x0 - x1, j00 + j10, j01 + j11, j20, j21, j00 - j10, j01 - j11
+
+
+@pytest.mark.parametrize("chart, reaches_target", [(MomentMap(0.0), False),
+                                                   (MappedCone(0.0), True)])
+def test_any_chart_runs_through_the_model_and_the_optimizer(chart, reaches_target):
+    # the target is the image of (0.3, 1.5) under both maps
+    m = GaussianLocationModel(chart, [0.45, 0.675, 1.0125])
+    q = ChartPoint(0.3, -1.0)
+    assert np.abs(m.loss_grad(q) - finite_diff_grad(m.loss, q)).max() < 1e-6
+    F = m.fim(q)
+    assert np.linalg.norm(monte_carlo_fim(m, q, 200_000, seed=0) - F) < 0.05 * np.linalg.norm(F)
+    for method in optim.METHODS:
+        cfg = optim.OptimizerConfig(method=method, step_size=0.05, max_steps=5000)
+        traj = optim.run(m, q, cfg)
+        # from b < 0 the moment map does not reach the target: GD settles near
+        # loss 0.64 and NGD drifts along ab = 0.45 toward b = 0 at loss 0.74,
+        # the plateau; the mapped cone converges like the cone
+        assert traj.terminated_by is (optim.Termination.LOSS_TOL if reaches_target
+                                      else optim.Termination.MAX_STEPS)

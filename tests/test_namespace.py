@@ -1,5 +1,6 @@
 import ast
 import pkgutil
+import sys
 import types
 from pathlib import Path
 
@@ -26,4 +27,21 @@ def test_no_module_imports_another_modules_private_names():
                     node.level > 0 or (node.module or "").split(".")[0] == "stratopt"):
                 found += [f"{path.name}:{node.lineno}: {alias.name}" for alias in node.names
                           if alias.name.startswith("_") and not alias.name.endswith("__")]
+    assert found == []
+
+
+def test_the_package_imports_only_the_standard_library_and_numpy():
+    # src/ depends on numpy alone; scipy and the rest stay out of the package
+    allowed = set(sys.stdlib_module_names) | {"numpy", "stratopt"}
+    found = []
+    for path in sorted(Path(stratopt.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: {name}" for name in names
+                      if name.split(".")[0] not in allowed]
     assert found == []

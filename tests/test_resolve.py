@@ -287,8 +287,18 @@ def test_both_levels_empty_is_an_error():
 def test_choose_names_the_rule_that_won(text, eps, level, reason):
     levels = count_levels(parse_polynomial(text), eps)
     assert [d.level for d, _ in levels] == [+eps, -eps]
-    chosen, why = choose(levels)
+    chosen, why, cause = choose(levels)
     assert (chosen.level, why) == (level, reason)
+    assert (cause is None) == (why != "smoothness")
+
+
+@pytest.mark.parametrize("text, cause", [
+    ("x0*x1 - 0.1", "a singular point lies on the level"),
+    ("0.1 - x0^2 - x1^2", "a singular point lies on the level"),
+    ("x0^2 + x1^2 - x0^4", "669/10000 projections failed to reach level -0.1"),
+])
+def test_choose_says_why_the_level_before_failed(text, cause):
+    assert choose(count_levels(parse_polynomial(text), 0.1))[1:] == ("smoothness", cause)
 
 
 def test_choose_resolution_is_choose_on_the_counted_levels(monkeypatch):
@@ -336,8 +346,8 @@ def test_morse_rule_table(text, inertia, pieces, level, eps, monkeypatch):
     assert resolve.morse_inertia(p, default_region(p.nvars)) == (inertia,)
     assert (resolve.local_pieces(inertia[0]), resolve.local_pieces(inertia[1])) == pieces
     monkeypatch.setattr(resolve, "count_components", no_count)
-    chosen, why, got = resolve.decide(p, eps)
-    assert (chosen.level, why, got) == (level * eps, "morse", (inertia,))
+    chosen, why, cause, got = resolve.decide(p, eps)
+    assert (chosen.level, why, cause, got) == (level * eps, "morse", None, (inertia,))
 
 
 @pytest.mark.parametrize("eps", [1e-2, 1e-12])
@@ -346,8 +356,8 @@ def test_morse_tie_in_four_variables_is_decided_by_the_counts(eps):
     # to -det, so the two levels are mirror images and the counts tie too
     p = parse_polynomial("x0*x3 - x1*x2")
     assert resolve.morse_inertia(p, default_region(4)) == ((2, 2),)
-    chosen, why, inertia = resolve.decide(p, eps, grid_n=16)
-    assert (chosen.level, why, inertia) == (eps, "tie", None)
+    chosen, why, cause, inertia = resolve.decide(p, eps, grid_n=16)
+    assert (chosen.level, why, cause, inertia) == (eps, "tie", None, None)
 
 
 @pytest.mark.parametrize("text, inertia, level, reason", [
@@ -366,8 +376,8 @@ def test_morse_points_without_a_common_preference_are_decided_by_the_counts(
         text, inertia, level, reason):
     p = parse_polynomial(text)
     assert resolve.morse_inertia(p, default_region(p.nvars)) == inertia
-    chosen, why, got = resolve.decide(p, 0.1)
-    assert (chosen, why, got) == (*choose(count_levels(p, 0.1)), None)
+    chosen, why, cause, got = resolve.decide(p, 0.1)
+    assert (chosen, why, cause, got) == (*choose(count_levels(p, 0.1)), None)
     assert (chosen.level, why) == (level, reason)
 
 
@@ -378,8 +388,8 @@ def test_definite_point_orders_the_levels_by_their_counts(monkeypatch):
     p = parse_polynomial("x0^2 + x1^2 - x0^4")
     assert resolve.morse_inertia(p, default_region(2)) == ((2, 0),)
     monkeypatch.setattr(resolve, "smoothness_check", lambda d: True)
-    chosen, why, inertia = resolve.decide(p, 0.1)
-    assert (chosen.level, why, inertia) == (-0.1, "count", None)
+    chosen, why, cause, inertia = resolve.decide(p, 0.1)
+    assert (chosen.level, why, cause, inertia) == (-0.1, "count", None, None)
     assert [r.count for _, r in count_levels(p, 0.1)] == [3, 2]
 
 
@@ -393,8 +403,8 @@ def test_definite_point_orders_the_levels_by_their_counts(monkeypatch):
 def test_without_morse_points_decide_is_choose_on_the_counts(text, level, reason):
     p = parse_polynomial(text)
     assert resolve.morse_inertia(p, default_region(p.nvars)) is None
-    chosen, why, inertia = resolve.decide(p, 0.1)
-    assert (chosen, why, inertia) == (*choose(count_levels(p, 0.1)), None)
+    chosen, why, cause, inertia = resolve.decide(p, 0.1)
+    assert (chosen, why, cause, inertia) == (*choose(count_levels(p, 0.1)), None)
     assert (chosen.level, why) == (level, reason)
 
 
@@ -423,7 +433,8 @@ def test_decide_takes_the_counted_levels(monkeypatch):
 
 def test_morse_rule_falls_back_on_the_smoothness_check(monkeypatch):
     monkeypatch.setattr(resolve, "smoothness_check", lambda d: d.level < 0)
-    assert resolve.decide(CONE, 0.1)[1:] == ("smoothness", ((2, 1),))
+    assert resolve.decide(CONE, 0.1)[1:] == (
+        "smoothness", "a singular point lies on the level", ((2, 1),))
     monkeypatch.setattr(resolve, "smoothness_check", lambda d: False)
     with pytest.raises(ResolutionError, match=r"inertia \[\(2, 1\)\]"):
         resolve.decide(CONE, 0.1)

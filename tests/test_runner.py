@@ -5,13 +5,13 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from stratopt import optim
-from stratopt.config import ExperimentSpec, InitDistribution, load_config
+from stratopt.config import SURFACES, ExperimentSpec, InitDistribution, load_config
 from stratopt.model import Chart, ChartPoint
 from stratopt.optim import Termination, Trajectory, TrajectoryRecord
 from stratopt.poly import double_cone
 from stratopt.presets import PRESET_NAMES, preset
 from stratopt.resolve import choose_resolution
-from stratopt.runner import _aggregate_rows, _surfaces, run_experiment
+from stratopt.runner import _CHARTS, _aggregate_rows, _surfaces, run_experiment
 from stratopt.tables import AGG_FIELDS, STALL_FIELDS, TRAJ_FIELDS, read_csv, write_csv
 
 
@@ -288,3 +288,15 @@ def test_surfaces_come_from_the_model_table(model, charts):
     spec = ExperimentSpec(model=model, eps=0.05, target=ChartPoint(1, 0),
                           init=(ChartPoint(1, 0),))
     assert [(surface, chart.eps) for surface, chart in _surfaces(spec)] == charts
+
+
+@pytest.mark.parametrize("surface", sorted({s for ss in SURFACES.values() for s in ss}))
+def test_every_surface_has_a_chart_and_a_rerun_clears_its_files(surface, tmp_path):
+    assert isinstance(_CHARTS[surface](0.05), Chart)
+    out = tmp_path / "run"
+    out.mkdir()
+    for name in (f"traj_{surface}_000.csv", f"traj_{surface}_1000.csv",
+                 f"aggregate_{surface}.csv"):
+        (out / name).write_text("stale\n", encoding="utf-8")
+    run_experiment(preset("fig1-cusp"), out_dir=out)
+    assert sorted(p.name for p in out.iterdir()) == ["metadata.cfg", "quiver.csv"]
