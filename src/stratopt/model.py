@@ -10,8 +10,11 @@ information is J^T J.  Gradients and the information matrix are always
 computed through the Jacobian, never from transcribed component formulas.
 The chart formulas live in one float kernel, ``Chart.local``, which returns
 the ambient point and its whole 3x2 Jacobian; ``embed``/``jacobian`` wrap it
-in arrays, and ``chain_rule``/``information`` read all its entries, so the
-model methods and the optimizer's step evaluate the same code for any chart.
+in arrays, and ``chain_rule``/``information`` read all its entries.  Those
+two compute ``loss``, ``loss_grad`` and ``fim``, which the ``stratopt check``
+oracles test.  The optimizer's step does the same arithmetic inline,
+operation for operation, on one ``Chart.local`` call, and
+``tests/test_optim.py`` checks it against them bit for bit on four charts.
 """
 
 from __future__ import annotations

@@ -6,15 +6,19 @@ norm-capped so the degenerate information matrix near the cone apex cannot
 launch unbounded angular steps.  A trajectory is a list of flat rows in
 ``tables.TRAJ_FIELDS`` order (step, xi, theta, mu1, mu2, mu3, loss,
 grad_norm), so ``np.array(traj.records)`` is its CSV table, plus a
-termination reason.  The step is float arithmetic on one ``Chart.local``
-call per step: its ambient point and whole 3x2 Jacobian give the recorded
-loss and gradient (``model.chain_rule``), the NGD matrix J^T J
-(``model.information``) and the update.  Stochastic mode descends toward a
-fresh batch mean each step, while the recorded loss and gradient stay
-population quantities.  The noise of those means is one seeded stream per
-``(sample_seed, batch)``, drawn in blocks in the same order as one draw per
-step; it is cached and shared read-only by every trajectory of an experiment,
-and each trajectory adds its own target mean.
+termination reason.  A step of ``run`` makes one Python call,
+``Chart.local``, and computes the rest inline from its ambient point and
+whole 3x2 Jacobian: the recorded loss and gradient, the NGD matrix J^T J
+and the update.  That arithmetic is ``model.chain_rule``'s and
+``model.information``'s, operation for operation, so every record carries
+the model's bits (``tests/test_optim.py`` pins the loop to them).
+``gd_step``/``ngd_step`` are one-step runs.  Stochastic mode descends toward
+a fresh batch mean each step (its gradient from ``model.chain_rule``), while
+the recorded loss and gradient stay population quantities.  The noise of
+those means is one seeded stream per ``(sample_seed, batch)``, drawn in
+blocks in the same order as one draw per step; it is cached and shared
+read-only by every trajectory of an experiment, and each trajectory adds its
+own target mean.
 """
 
 from __future__ import annotations
@@ -24,11 +28,11 @@ import functools
 import itertools
 import math
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .model import ChartPoint, GaussianLocationModel, chain_rule, information
+from .model import ChartPoint, GaussianLocationModel, chain_rule
 from .tables import TrajectoryRecord
 
 EPS = float(np.finfo(float).eps)
@@ -118,7 +122,11 @@ class OptimizerConfig:
 class Trajectory:
     records: list[TrajectoryRecord]
     terminated_by: Termination
-    failure: str | None = None
+    error: Exception | None = None  # what ended a FAILED run; its text names the step
+
+    @property
+    def failure(self) -> str | None:
+        return None if self.error is None else str(self.error)
 
     @property
     def final(self) -> TrajectoryRecord:
@@ -143,45 +151,17 @@ class StallReport:
     nearest_singularity_distance: float
 
 
-def _update(xi: float, theta: float, g0: float, g1: float, local,
-            cfg: OptimizerConfig) -> tuple[float, float]:
-    """The capped step (xi, theta) - lr * d from gradient (g0, g1) at ``Chart.local``.
-
-    d is g for GD and (J^T J + damping I)^-1 g for NGD, solved explicitly;
-    with zero damping a machine-singular information matrix raises
-    SingularFIMError instead of producing a garbage direction.  The cap uses
-    ``math.hypot``, which does not overflow.  A non-finite new iterate (from
-    overflow, or a non-finite gradient or direction, which propagates
-    through the cap) raises NonFiniteStepError.
-    """
-    if cfg.method == "ngd":
-        a00, a01, a11 = information(local)
-        a00 += cfg.damping
-        a11 += cfg.damping
-        det = a00 * a11 - a01 * a01
-        big = max(abs(a00), abs(a01), abs(a11))
-        if abs(det) <= EPS * max(big * big, 1.0):
-            raise SingularFIMError(
-                f"information matrix is singular at (xi={xi:.6g}, theta={theta:.6g}) "
-                f"with damping={cfg.damping}"
-            )
-        g0, g1 = (a11 * g0 - a01 * g1) / det, (a00 * g1 - a01 * g0) / det
-    s0, s1 = cfg.step_size * g0, cfg.step_size * g1
-    n = math.hypot(s0, s1)
-    if n > cfg.step_cap:
-        k = cfg.step_cap / n
-        s0, s1 = s0 * k, s1 * k
-    new = xi - s0, theta - s1
-    if not (math.isfinite(new[0]) and math.isfinite(new[1])):
-        raise NonFiniteStepError(
-            f"non-finite iterate {new} from ({xi}, {theta}) along ({g0}, {g1})")
-    return new
-
-
 def _step(m: GaussianLocationModel, q: ChartPoint, cfg: OptimizerConfig) -> ChartPoint:
-    local = m.chart.local(q.xi, q.theta)
-    _, g0, g1 = chain_rule(local, m.target_mean.tolist())
-    return ChartPoint(*_update(q.xi, q.theta, g0, g1, local, cfg))
+    """The iterate after a one-step population ``run`` without tolerance tests.
+
+    Raises the error that failed the run: SingularFIMError or
+    NonFiniteStepError from the step, ValueError when the loss at ``q`` is
+    not finite, and also when the loss at the new iterate is not finite.
+    """
+    traj = run(m, q, replace(cfg, max_steps=1, grad_tol=0.0, loss_tol=0.0, mode="population"))
+    if traj.error is not None:
+        raise traj.error
+    return ChartPoint(traj.final.xi, traj.final.theta)
 
 
 def gd_step(m: GaussianLocationModel, q: ChartPoint, cfg: OptimizerConfig) -> ChartPoint:
@@ -236,28 +216,46 @@ def run(m: GaussianLocationModel, q0: ChartPoint, cfg: OptimizerConfig) -> Traje
 
     Records are thinned to every ``record_every``-th step; the initial and
     final states are always recorded.  Step errors, and a non-finite loss or
-    gradient at a later iterate, terminate the run with a FAILED marker
-    naming the step, and the partial trajectory is returned; no non-finite
-    value is recorded.  A start point whose loss or gradient is not finite
+    gradient at a later iterate, terminate the run with a FAILED marker and
+    the error, whose text names the step, and the partial trajectory is
+    returned; no non-finite value is recorded.  A start point whose loss or gradient is not finite
     raises ValueError.
+
+    A step is d = g for GD and (J^T J + damping I)^-1 g for NGD, solved
+    explicitly; with zero damping a machine-singular information matrix fails
+    with SingularFIMError instead of producing a garbage direction.  When the
+    matrix entries are so large (above ~1.3e154, from a huge damping) that
+    its products overflow, the singularity test and the solve use the matrix
+    divided by its largest entry.  The step lr * d is capped at ``step_cap``
+    by its ``math.hypot`` norm; when lr * d overflows for a finite d, the
+    capped step is taken along d / max|d_i|, so steps up to ~1e308 are
+    capped, not zeroed.  A non-finite new iterate (from overflow, or a
+    non-finite gradient or direction, which propagates through the cap)
+    fails with NonFiniteStepError.
     """
     local_at = m.chart.local
-    target = m.target_mean.tolist()
+    t0, t1, t2 = m.target_mean.tolist()
     means = (_batch_means(m.target_mean, cfg.sample_seed, cfg.batch)
              if cfg.mode == "stochastic" else None)
     grad_tol, loss_tol, max_steps = cfg.grad_tol, cfg.loss_tol, cfg.max_steps
+    step_size, step_cap, damping = cfg.step_size, cfg.step_cap, cfg.damping
+    record_every, ngd = cfg.record_every, cfg.method == "ngd"
+    hypot, inf = math.hypot, math.inf
     xi, theta = float(q0.xi), float(q0.theta)
     records = []
     for t in range(max_steps + 1):  # returns at the latest when t == max_steps
         local = local_at(xi, theta)
-        loss, g0, g1 = chain_rule(local, target)
-        grad_norm = math.hypot(g0, g1)
-        if not (math.isfinite(loss) and math.isfinite(grad_norm)):
-            failure = (f"step {t}: non-finite loss {loss} (gradient norm {grad_norm}) "
-                       f"at ({xi}, {theta})")
+        x0, x1, x2, j00, j01, j10, j11, j20, j21 = local
+        d0, d1, d2 = x0 - t0, x1 - t1, x2 - t2
+        loss = 0.5 * (d0 * d0 + d1 * d1 + d2 * d2)
+        g0, g1 = j00 * d0 + j10 * d1 + j20 * d2, j01 * d0 + j11 * d1 + j21 * d2
+        grad_norm = hypot(g0, g1)
+        if not (loss < inf and grad_norm < inf):  # both are >= 0 or nan
+            error = ValueError(f"step {t}: non-finite loss {loss} (gradient norm "
+                               f"{grad_norm}) at ({xi}, {theta})")
             if not records:
-                raise ValueError(failure)
-            return Trajectory(records, Termination.FAILED, failure=failure)
+                raise error
+            return Trajectory(records, Termination.FAILED, error)
         if grad_norm < grad_tol:
             terminated = Termination.GRAD_TOL
         elif loss < loss_tol:
@@ -266,16 +264,44 @@ def run(m: GaussianLocationModel, q0: ChartPoint, cfg: OptimizerConfig) -> Traje
             terminated = Termination.MAX_STEPS
         else:
             terminated = None
-        if terminated or t % cfg.record_every == 0:
-            records.append(TrajectoryRecord(t, xi, theta, *local[:3], loss, grad_norm))
+        if terminated or t % record_every == 0:
+            records.append(TrajectoryRecord(t, xi, theta, x0, x1, x2, loss, grad_norm))
         if terminated:
             return Trajectory(records, terminated)
         if means is not None:
             _, g0, g1 = chain_rule(local, next(means))
-        try:
-            xi, theta = _update(xi, theta, g0, g1, local, cfg)
-        except (SingularFIMError, NonFiniteStepError) as exc:
-            return Trajectory(records, Termination.FAILED, failure=f"step {t + 1}: {exc}")
+        if ngd:
+            a00 = (j00 * j00 + j10 * j10 + j20 * j20) + damping
+            a01 = j00 * j01 + j10 * j11 + j20 * j21
+            a11 = (j01 * j01 + j11 * j11 + j21 * j21) + damping
+            det = a00 * a11 - a01 * a01
+            big = max(abs(a00), abs(a01), abs(a11))
+            tiny = EPS * max(big * big, 1.0)
+            if tiny == inf and big < inf:
+                # the products overflow: test det(A / big) against EPS, and
+                # solve with det(A / big) * big, since A^-1 = adj(A / big) / that
+                a00, a01, a11 = a00 / big, a01 / big, a11 / big
+                det, tiny = (a00 * a11 - a01 * a01) * big, EPS * big
+            if abs(det) <= tiny:
+                return Trajectory(records, Termination.FAILED, SingularFIMError(
+                    f"step {t + 1}: information matrix is singular at "
+                    f"(xi={xi:.6g}, theta={theta:.6g}) with damping={damping}"))
+            g0, g1 = (a11 * g0 - a01 * g1) / det, (a00 * g1 - a01 * g0) / det
+        s0, s1 = step_size * g0, step_size * g1
+        n = hypot(s0, s1)
+        if n > step_cap:
+            if n == inf and math.isfinite(g0) and math.isfinite(g1):  # lr * d overflows
+                big = max(abs(g0), abs(g1))
+                s0, s1 = g0 / big, g1 / big
+                n = hypot(s0, s1)
+            k = step_cap / n
+            s0, s1 = s0 * k, s1 * k
+        new_xi, new_theta = xi - s0, theta - s1
+        if not (-inf < new_xi < inf and -inf < new_theta < inf):
+            return Trajectory(records, Termination.FAILED, NonFiniteStepError(
+                f"step {t + 1}: non-finite iterate ({new_xi}, {new_theta}) from "
+                f"({xi}, {theta}) along ({g0}, {g1})"))
+        xi, theta = new_xi, new_theta
 
 
 def detect_stall(traj: Trajectory, singularities=(),

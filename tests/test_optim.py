@@ -1,13 +1,17 @@
+import collections
 import itertools
+import math
+import sys
 
 import numpy as np
 import pytest
 
 from stratopt import optim, tables
-from stratopt.model import Chart, ChartPoint, GaussianLocationModel
-from stratopt.optim import (OptimizerConfig, SettingError, SingularFIMError,
-                            STALL_WINDOW, Termination, TrajectoryRecord, detect_stall,
-                            gd_step, ngd_step, run)
+from stratopt.model import Chart, ChartPoint, GaussianLocationModel, chain_rule, information
+from stratopt.optim import (NonFiniteStepError, OptimizerConfig, SettingError,
+                            SingularFIMError, STALL_WINDOW, Termination, TrajectoryRecord,
+                            detect_stall, gd_step, ngd_step, run)
+from test_model import MappedCone, MomentMap
 
 CONE = Chart.cone()
 HYP = Chart.hyperboloid(0.05)
@@ -89,6 +93,33 @@ def test_ngd_damped_survives_apex():
     cfg = OptimizerConfig(method="ngd", damping=1e-8, step_cap=1.0)
     q1 = ngd_step(m, ChartPoint(0.0, 0.3), cfg)
     assert np.isfinite([q1.xi, q1.theta]).all()
+
+
+@pytest.mark.parametrize("method, step", [("gd", gd_step), ("ngd", ngd_step)])
+def test_overflowing_scaled_step_is_capped(method, step):
+    # 1e308 * g overflows (|g| ~ 4); the capped step is still the unit step
+    # along the direction, as at 1e307
+    m = cone_model(CONE.embed(ChartPoint(-1.0, 0.5)))
+    q0 = ChartPoint(1.0, 0.3)
+    want = step(m, q0, OptimizerConfig(method=method, step_size=1e307))
+    got = step(m, q0, OptimizerConfig(method=method, step_size=1e308))
+    assert math.hypot(want.xi - q0.xi, want.theta - q0.theta) == pytest.approx(1.0, abs=1e-12)
+    assert got.xi == pytest.approx(want.xi, abs=1e-12)
+    assert got.theta == pytest.approx(want.theta, abs=1e-12)
+
+
+@pytest.mark.parametrize("damping", [1e155, 1e200])
+def test_huge_damping_is_not_singular(damping):
+    # the information entries square past 1e308; the step is lr * g / damping,
+    # so lr = damping / 100 gives the step g / 100 that damping 1e150 gives
+    m = GaussianLocationModel(HYP, [1.0, 0.5, 0.5])
+    q0 = ChartPoint(1.0, 0.3)
+    got = ngd_step(m, q0, OptimizerConfig(method="ngd", damping=damping,
+                                          step_size=damping / 100))
+    want = ngd_step(m, q0, OptimizerConfig(method="ngd", damping=1e150, step_size=1e148))
+    assert (want.xi, want.theta) != (q0.xi, q0.theta)
+    assert got.xi == pytest.approx(want.xi, abs=1e-12)
+    assert got.theta == pytest.approx(want.theta, abs=1e-12)
 
 
 def test_ngd_never_singular_on_hyperboloid():
@@ -260,13 +291,14 @@ def test_record_thinning_keeps_endpoints():
 
 
 def test_non_finite_iterate_fails_the_run():
-    # the first update overflows: the capped step is inf * 0 = nan
+    # the uncapped first step moves theta by +6.4e306 from 1.78e308 and overflows
     xbar = CONE.embed(ChartPoint(-1.0, 0.0))
-    cfg = OptimizerConfig(step_size=1e308, step_cap=1e308, max_steps=5)
-    with np.errstate(over="ignore", invalid="ignore"):
-        traj = run(cone_model(xbar), ChartPoint(1.0, 3.13), cfg)
+    cfg = OptimizerConfig(step_size=1e307, step_cap=1e308, max_steps=5)
+    traj = run(cone_model(xbar), ChartPoint(1.0, 1.78e308), cfg)
     assert traj.terminated_by is Termination.FAILED
-    assert traj.failure.startswith("step 1: non-finite iterate (nan, 3.13)")
+    assert traj.failure.startswith("step 1: non-finite iterate (-2.23308611537959")
+    assert ", inf) from (1.0, 1.78e+308)" in traj.failure
+    assert isinstance(traj.error, NonFiniteStepError)
     assert [r.step for r in traj.records] == [0]
     assert np.isfinite(np.array(traj.records)).all()
 
@@ -322,6 +354,85 @@ def test_one_chart_evaluation_per_step(monkeypatch, chart, method, mode):
     assert traj.terminated_by is Termination.MAX_STEPS
     # one chart kernel call per step, plus the initial point
     assert len(calls) == cfg.max_steps + 1
+
+
+def hexes(*values):
+    return [float(v).hex() for v in values]
+
+
+def reference_step(local, target, xi, theta, cfg):
+    """The step as the model states it: ``chain_rule``'s gradient toward
+    ``target``, ``information`` plus damping for NGD, the explicit 2x2 solve
+    and the hypot cap; returns the new iterate and whether the cap acted."""
+    _, g0, g1 = chain_rule(local, target)
+    if cfg.method == "ngd":
+        a00, a01, a11 = information(local)
+        a00 += cfg.damping
+        a11 += cfg.damping
+        det = a00 * a11 - a01 * a01
+        g0, g1 = (a11 * g0 - a01 * g1) / det, (a00 * g1 - a01 * g0) / det
+    s0, s1 = cfg.step_size * g0, cfg.step_size * g1
+    n = math.hypot(s0, s1)
+    capped = n > cfg.step_cap
+    if capped:
+        k = cfg.step_cap / n
+        s0, s1 = s0 * k, s1 * k
+    return xi - s0, theta - s1, capped
+
+
+@pytest.mark.parametrize("chart", [CONE, HYP, MomentMap(0.0), MappedCone(0.0)],
+                         ids=["cone", "hyperboloid", "moment_map", "mapped_cone"])
+@pytest.mark.parametrize("method, mode", [("gd", "population"), ("ngd", "population"),
+                                          ("gd", "stochastic"), ("ngd", "stochastic")])
+def test_run_does_the_model_arithmetic_bit_for_bit(chart, method, mode):
+    # every record's point, loss and gradient norm, and every step, carry the
+    # bytes of Chart.local, model.chain_rule/information and the reference step
+    m = GaussianLocationModel(chart, [0.45, 0.675, 1.0125])
+    cfg = OptimizerConfig(method=method, mode=mode, step_size=0.2, step_cap=0.2,
+                          damping=1e-3, max_steps=80, grad_tol=0.0, loss_tol=0.0,
+                          batch=4, sample_seed=7)
+    q0 = ChartPoint(-1.0, 2.5)
+    traj = run(m, q0, cfg)
+    assert traj.terminated_by is Termination.MAX_STEPS
+    target = m.target_mean.tolist()
+    means = (reference_means(m.target_mean, 7, 4, cfg.max_steps) if mode == "stochastic"
+             else [target] * cfg.max_steps)
+    capped = 0
+    for r, after, mean in zip(traj.records, traj.records[1:], means):
+        local = chart.local(r.xi, r.theta)
+        loss, g0, g1 = chain_rule(local, target)
+        assert hexes(*r[3:]) == hexes(*local[:3], loss, math.hypot(g0, g1))
+        *want, was_capped = reference_step(local, mean, r.xi, r.theta, cfg)
+        assert hexes(after.xi, after.theta) == hexes(*want)
+        capped += was_capped
+    assert 0 < capped < cfg.max_steps  # both sides of the cap are checked
+    if mode == "population":
+        q1 = (gd_step if method == "gd" else ngd_step)(m, q0, cfg)
+        assert hexes(q1.xi, q1.theta) == hexes(traj.records[1].xi, traj.records[1].theta)
+
+
+@pytest.mark.parametrize("method", optim.METHODS)
+def test_a_population_step_makes_one_python_call(method):
+    # the loop's arithmetic is inline: each more step calls Chart.local, nothing else
+    m = GaussianLocationModel(HYP, CONE.embed(ChartPoint(-1.0, 0.0)))
+
+    def calls(steps):
+        cfg = OptimizerConfig(method=method, max_steps=steps, grad_tol=0.0, loss_tol=0.0,
+                              damping=1e-3, record_every=1000)
+        seen = collections.Counter()
+
+        def profile(frame, event, arg):
+            if event == "call":
+                seen[frame.f_code.co_name] += 1
+
+        sys.setprofile(profile)
+        try:
+            run(m, ChartPoint(1.0, 3.13), cfg)
+        finally:
+            sys.setprofile(None)
+        return seen
+
+    assert calls(80) - calls(40) == collections.Counter({"local": 40})
 
 
 # -- detect_stall ------------------------------------------------------------------
