@@ -13,7 +13,8 @@ the ambient point and its whole 3x2 Jacobian; ``embed``/``jacobian`` wrap it
 in arrays, and ``chain_rule``/``information`` read all its entries.  Those
 two compute ``loss``, ``loss_grad`` and ``fim``, which the ``stratopt check``
 oracles test.  The optimizer's step does the same arithmetic inline,
-operation for operation, on one ``Chart.local`` call, and
+operation for operation, on one ``Chart.local`` call, in population and
+stochastic mode alike (it calls neither function), and
 ``tests/test_optim.py`` checks it against them bit for bit on four charts.
 """
 

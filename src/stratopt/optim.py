@@ -13,12 +13,16 @@ and the update.  That arithmetic is ``model.chain_rule``'s and
 ``model.information``'s, operation for operation, so every record carries
 the model's bits (``tests/test_optim.py`` pins the loop to them).
 ``gd_step``/``ngd_step`` are one-step runs.  Stochastic mode descends toward
-a fresh batch mean each step (its gradient from ``model.chain_rule``), while
-the recorded loss and gradient stay population quantities.  The noise of
-those means is one seeded stream per ``(sample_seed, batch)``, drawn in
-blocks in the same order as one draw per step; it is cached and shared
-read-only by every trajectory of an experiment, and each trajectory adds its
-own target mean.
+a fresh batch mean each step, with ``model.chain_rule``'s gradient arithmetic
+inline, while the recorded loss and gradient stay population quantities.
+The noise of those means is one seeded stream per ``(sample_seed, batch)``,
+drawn in blocks in the same order as one draw per step; it is cached and
+shared read-only by every trajectory of an experiment, and each trajectory
+adds its own target mean a block at a time and reads the means through a
+C-level iterator, which runs Python code once per block.  Besides
+``Chart.local`` a step calls only builtins: ``math.hypot`` twice, ``next``
+for the batch mean in stochastic mode, and more only when ``step_size * d``
+overflows; the NGD singularity test is comparisons.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .model import ChartPoint, GaussianLocationModel, chain_rule
+from .model import ChartPoint, GaussianLocationModel
 from .tables import TrajectoryRecord
 
 EPS = float(np.finfo(float).eps)
@@ -192,23 +196,28 @@ def _noise_stream(seed: int, batch: int) -> tuple[np.random.Generator, list[np.n
 
 
 def _batch_means(mu_star: np.ndarray, seed: int, batch: int):
-    """Endless stream of mu_star + the mean of ``batch`` N(0, I_3) draws.
+    """Endless stream of mu_star + the mean of ``batch`` N(0, I_3) draws, as
+    ``[m0, m1, m2]`` lists.
 
     Drawn in blocks of about BLOCK_NORMALS normals, so a draw does not grow
     with ``batch`` (``OptimizerConfig`` caps it at a third of BLOCK_NORMALS,
     one mean per block); the generator fills a block in the same order as one
     ``(batch, 3)`` draw per mean, so the stream does not depend on the block
     size.  The blocks come from ``_noise_stream`` and are drawn only when a
-    consumer first needs them.
+    consumer first needs them.  The stream is a C-level iterator over one
+    list per block, so ``next`` runs Python code only at a block's first mean.
     """
     rng, blocks = _noise_stream(seed, batch)
     rows = max(1, BLOCK_NORMALS // (3 * batch))
-    for i in itertools.count():
+
+    def block_means(i):
         if i == len(blocks):
             block = rng.standard_normal((rows, batch, 3)).mean(axis=1)
             block.flags.writeable = False
             blocks.append(block)
-        yield from (mu_star + blocks[i]).tolist()
+        return (mu_star + blocks[i]).tolist()
+
+    return itertools.chain.from_iterable(map(block_means, itertools.count()))
 
 
 def run(m: GaussianLocationModel, q0: ChartPoint, cfg: OptimizerConfig) -> Trajectory:
@@ -268,21 +277,28 @@ def run(m: GaussianLocationModel, q0: ChartPoint, cfg: OptimizerConfig) -> Traje
             records.append(TrajectoryRecord(t, xi, theta, x0, x1, x2, loss, grad_norm))
         if terminated:
             return Trajectory(records, terminated)
-        if means is not None:
-            _, g0, g1 = chain_rule(local, next(means))
+        if means is not None:  # chain_rule's gradient toward this step's batch mean
+            m0, m1, m2 = next(means)
+            d0, d1, d2 = x0 - m0, x1 - m1, x2 - m2
+            g0, g1 = j00 * d0 + j10 * d1 + j20 * d2, j01 * d0 + j11 * d1 + j21 * d2
         if ngd:
             a00 = (j00 * j00 + j10 * j10 + j20 * j20) + damping
             a01 = j00 * j01 + j10 * j11 + j20 * j21
             a11 = (j01 * j01 + j11 * j11 + j21 * j21) + damping
             det = a00 * a11 - a01 * a01
-            big = max(abs(a00), abs(a01), abs(a11))
-            tiny = EPS * max(big * big, 1.0)
+            # big = max(abs(a00), abs(a01), abs(a11)) and
+            # tiny = EPS * max(big * big, 1.0) without builtin calls: a00 and
+            # a11 are >= +0.0 or nan, a later entry wins only when strictly
+            # larger, and a nan a00 makes big and tiny nan, as max does
+            big = a01 if a01 > a00 else -a01 if -a01 > a00 else a00
+            big = a11 if a11 > big else big
+            tiny = EPS * (1.0 if big < 1.0 else big * big)
             if tiny == inf and big < inf:
                 # the products overflow: test det(A / big) against EPS, and
                 # solve with det(A / big) * big, since A^-1 = adj(A / big) / that
                 a00, a01, a11 = a00 / big, a01 / big, a11 / big
                 det, tiny = (a00 * a11 - a01 * a01) * big, EPS * big
-            if abs(det) <= tiny:
+            if -tiny <= det <= tiny:
                 return Trajectory(records, Termination.FAILED, SingularFIMError(
                     f"step {t + 1}: information matrix is singular at "
                     f"(xi={xi:.6g}, theta={theta:.6g}) with damping={damping}"))

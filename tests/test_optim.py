@@ -2,6 +2,7 @@ import collections
 import itertools
 import math
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -129,6 +130,99 @@ def test_ngd_never_singular_on_hyperboloid():
     for _ in range(1000):
         q = ChartPoint(float(rng.uniform(-2, 2)), float(rng.uniform(-6, 6)))
         ngd_step(m, q, cfg)  # must not raise
+
+
+@dataclass(frozen=True)
+class FixedJacobian(Chart):
+    """A chart whose kernel returns one chosen Jacobian, rows (j00, j01),
+    (j10, j11), (j20, j21), at the point (0.5, -0.25, 1) everywhere."""
+
+    jacobian: tuple = ()
+
+    def local(self, xi, theta):
+        return (0.5, -0.25, 1.0) + self.jacobian
+
+
+def reference_ngd_direction(local, target, damping):
+    """The NGD direction with the scale and the singularity test spelled with
+    ``max``/``abs``; None when the matrix counts as singular."""
+    _, g0, g1 = chain_rule(local, target)
+    a00, a01, a11 = information(local)
+    a00 += damping
+    a11 += damping
+    det = a00 * a11 - a01 * a01
+    big = max(abs(a00), abs(a01), abs(a11))
+    tiny = optim.EPS * max(big * big, 1.0)
+    if tiny == math.inf and big < math.inf:
+        a00, a01, a11 = a00 / big, a01 / big, a11 / big
+        det, tiny = (a00 * a11 - a01 * a01) * big, optim.EPS * big
+    if abs(det) <= tiny:
+        return None
+    return (a11 * g0 - a01 * g1) / det, (a00 * g1 - a01 * g0) / det
+
+
+ULP_BELOW_1 = 1.0 - 2.0 ** -53
+
+
+@pytest.mark.parametrize("jacobian, damping", [
+    # a01 = -0.0 and a00 = a11 = 1: ties, and a signed zero off the diagonal
+    ((1.0, -0.0, 0.0, -1.0, 0.0, -0.0), 0.0),
+    ((1.0, -0.0, 0.0, -1.0, 0.0, -0.0), 1e-3),
+    # equal and opposite columns: |a01| ties both diagonal entries, det is 0
+    ((1.0, 1.0, 2.0, 2.0, 0.5, 0.5), 0.0),
+    ((1.0, -1.0, 2.0, -2.0, 0.5, -0.5), 0.0),
+    ((1.0, -1.0, 2.0, -2.0, 0.5, -0.5), 1e-3),
+    ((1.0, 0.0, 0.0, 0.0, 0.0, 0.0), 0.0),  # a zero column
+    # det == tiny == EPS exactly: singular, as abs(det) <= tiny says
+    ((1.0, ULP_BELOW_1, 0.0, 2.0 ** -26, 0.0, 0.0), 0.0),
+    ((1e-5, 0.0, 0.0, 1e-5, 0.0, 0.0), 0.0),  # det 1e-20 is under the floor EPS
+    # det 1e8 is under EPS * a11^2 (the largest entry is the last)
+    ((1.0, 1e8, 0.0, 1e4, 0.0, 0.0), 0.0),
+    # nearly parallel columns whose det rounds to -2 EPS, past -tiny: not singular
+    ((-0.7312715117751976, -0.6454228239768396, 0.6948674738744653, 0.6132924913059923,
+      0.5275492379532281, 0.4656168242080706), 0.0),
+    # subnormal products: the entries underflow
+    ((1e-160, 2e-160, 3e-160, -1e-160, 0.0, 0.0), 0.0),
+    ((1e-160, 2e-160, 3e-160, -1e-160, 0.0, 0.0), 1e-3),
+    ((5e-324, -5e-324, 0.0, 1e-310, 0.0, 0.0), 1e-300),
+    # inf entries: det and tiny are inf
+    ((1e200, 0.0, 0.0, 1.0, 0.0, 0.0), 0.0),
+    ((1e200, 0.0, 0.0, 1e200, 0.0, 0.0), 0.0),
+    # a nan a01 between a finite and an inf diagonal entry, either way round
+    ((1e100, 1e300, 1e100, -1e300, 0.0, 0.0), 0.0),
+    ((1e300, 1e100, 1e300, -1e100, 0.0, 0.0), 0.0),
+    ((1e200, 1e200, 1e200, -1e200, 0.0, 0.0), 0.0),
+    # entries of 1e154 to 1e200: their products overflow, except at 1e154
+    ((1e77, 0.0, 0.0, 1e77, 0.0, 0.0), 0.0),
+    ((1.2e77, 0.0, 0.0, 1e77, 0.0, 0.0), 0.0),
+    ((1e80, 3e79, -2e79, 1e80, 5e79, 0.0), 0.0),
+    ((1e100, 0.0, 0.0, 1e100, 0.0, 0.0), 0.0),
+    ((1e100, 2e100, 1e100, 2e100, 0.0, 0.0), 0.0),
+    ((1e100, -2e100, 1e100, -2e100, 1.0, 0.0), 1e-3),
+    ((1e100, -3e100, 2e100, 1e100, 0.0, 0.0), 0.0),
+])
+def test_ngd_scale_matches_max_abs(jacobian, damping):
+    # the step's scale and singularity test are comparisons; each case takes
+    # the same decision, and the same direction bits, as max(abs(...)) does
+    m = GaussianLocationModel(FixedJacobian(0.0, jacobian), [0.75, 0.5, -0.5])
+    q0 = ChartPoint(0.5, 0.25)
+    cfg = OptimizerConfig(method="ngd", damping=damping, step_size=1.0, step_cap=1e300)
+    want = reference_ngd_direction(m.chart.local(q0.xi, q0.theta),
+                                   m.target_mean.tolist(), damping)
+    if want is None:
+        with pytest.raises(SingularFIMError) as err:
+            ngd_step(m, q0, cfg)
+        assert str(err.value) == ("step 1: information matrix is singular at "
+                                  f"(xi=0.5, theta=0.25) with damping={damping}")
+    elif math.isfinite(want[0]) and math.isfinite(want[1]):
+        assert math.hypot(*want) <= cfg.step_cap  # lr = 1 and no cap: the step is d
+        q1 = ngd_step(m, q0, cfg)
+        assert hexes(q1.xi, q1.theta) == hexes(q0.xi - want[0], q0.theta - want[1])
+    else:
+        with pytest.raises(NonFiniteStepError) as err:
+            ngd_step(m, q0, cfg)
+        assert str(err.value).startswith("step 1: non-finite iterate (")
+        assert str(err.value).endswith(f" from (0.5, 0.25) along ({want[0]}, {want[1]})")
 
 
 # -- run ------------------------------------------------------------------------
@@ -411,28 +505,52 @@ def test_run_does_the_model_arithmetic_bit_for_bit(chart, method, mode):
         assert hexes(q1.xi, q1.theta) == hexes(traj.records[1].xi, traj.records[1].theta)
 
 
+def step_calls(method, mode, steps):
+    """The Python calls of a run, by function name, and the builtin calls made
+    from ``run``'s own frame, by name (Chart.local's sin and cos are its own)."""
+    m = GaussianLocationModel(HYP, CONE.embed(ChartPoint(-1.0, 0.0)))
+    cfg = OptimizerConfig(method=method, mode=mode, max_steps=steps, grad_tol=0.0,
+                          loss_tol=0.0, damping=1e-3, record_every=1000)
+    python, builtin = collections.Counter(), collections.Counter()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            python[frame.f_code.co_name] += 1
+        elif event == "c_call" and frame.f_code is run.__code__:
+            builtin[arg.__name__] += 1
+
+    optim._noise_stream.cache_clear()  # each run draws the first noise block
+    sys.setprofile(profile)
+    try:
+        run(m, ChartPoint(1.0, 3.13), cfg)
+    finally:
+        sys.setprofile(None)
+    return python, builtin
+
+
+def more_calls(method, mode):
+    """The calls that 40 more steps add: (Python calls, builtin calls)."""
+    step_calls(method, mode, 40)  # a first run does the lazy imports of the draw
+    short, long = step_calls(method, mode, 40), step_calls(method, mode, 80)
+    added = []
+    for before, after in zip(short, long):
+        after.subtract(before)
+        added.append({name: n for name, n in after.items() if n})
+    return tuple(added)
+
+
 @pytest.mark.parametrize("method", optim.METHODS)
 def test_a_population_step_makes_one_python_call(method):
-    # the loop's arithmetic is inline: each more step calls Chart.local, nothing else
-    m = GaussianLocationModel(HYP, CONE.embed(ChartPoint(-1.0, 0.0)))
+    # the loop's arithmetic is inline: each more step calls Chart.local and
+    # math.hypot twice (the gradient norm and the step norm), nothing else
+    assert more_calls(method, "population") == ({"local": 40}, {"hypot": 80})
 
-    def calls(steps):
-        cfg = OptimizerConfig(method=method, max_steps=steps, grad_tol=0.0, loss_tol=0.0,
-                              damping=1e-3, record_every=1000)
-        seen = collections.Counter()
 
-        def profile(frame, event, arg):
-            if event == "call":
-                seen[frame.f_code.co_name] += 1
-
-        sys.setprofile(profile)
-        try:
-            run(m, ChartPoint(1.0, 3.13), cfg)
-        finally:
-            sys.setprofile(None)
-        return seen
-
-    assert calls(80) - calls(40) == collections.Counter({"local": 40})
+@pytest.mark.parametrize("method", optim.METHODS)
+def test_a_stochastic_step_makes_one_python_call(method):
+    # the batch mean is one next() on a C-level iterator (the 80 steps stay
+    # in the first noise block), and its gradient is inline
+    assert more_calls(method, "stochastic") == ({"local": 40}, {"hypot": 80, "next": 40})
 
 
 # -- detect_stall ------------------------------------------------------------------
