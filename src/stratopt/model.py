@@ -1,20 +1,19 @@
 """Gaussian location models whose mean is constrained to a surface chart.
 
-Two charts share the intrinsic coordinates (xi, theta): the double cone
-(xi, xi*cos theta, xi*sin theta) and its smooth deformation the hyperboloid
-(xi, r*cos theta, r*sin theta) with r = sqrt(xi^2 + eps).  The observation
+A ``Chart`` is its map from the intrinsic coordinates (xi, theta) into R^3:
+its one abstract method, ``local``, returns the ambient point and the whole
+3x2 Jacobian as floats, and ``embed``/``jacobian`` wrap it in arrays.
+``Chart.cone()`` is the double cone (xi, xi*cos theta, xi*sin theta) and
+``Chart.hyperboloid(eps)``, the one chart with a parameter, its smooth
+deformation (xi, r*cos theta, r*sin theta) with r = sqrt(xi^2 + eps).  The
 noise is a fixed identity covariance, so the population loss is half the
-squared distance between the target mean and the embedded point, the
-gradient follows from the chart Jacobian by the chain rule, and the Fisher
-information is J^T J.  Gradients and the information matrix are always
-computed through the Jacobian, never from transcribed component formulas.
-The chart formulas live in one float kernel, ``Chart.local``, which returns
-the ambient point and its whole 3x2 Jacobian; ``embed``/``jacobian`` wrap it
-in arrays, and ``chain_rule``/``information`` read all its entries.  Those
-two compute ``loss``, ``loss_grad`` and ``fim``, which the ``stratopt check``
-oracles test.  The optimizer's step does the same arithmetic inline,
-operation for operation, on one ``Chart.local`` call, in population and
-stochastic mode alike (it calls neither function), and
+squared distance between the target mean and the embedded point; its
+gradient J^T (x - target) and the Fisher information J^T J are always read
+off the Jacobian, never transcribed component formulas, by ``chain_rule``
+and ``information``, which compute ``loss``, ``loss_grad`` and ``fim`` for
+the ``stratopt check`` oracles.  The optimizer's step does the same
+arithmetic inline, operation for operation, on one ``local`` call, in
+population and stochastic mode alike (it calls neither function), and
 ``tests/test_optim.py`` checks it against them bit for bit on four charts.
 """
 
@@ -26,27 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass(frozen=True)
 class Chart:
-    """A 2-parameter chart of a surface in R^3: the cone's signed-radius
-    chart when ``eps == 0``, the hyperboloid r = sqrt(xi^2 + eps) when ``eps > 0``."""
-
-    eps: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.eps) and self.eps >= 0):
-            raise ValueError(f"chart requires a finite eps >= 0, got eps={self.eps}")
-        object.__setattr__(self, "eps", float(self.eps))
-
-    @classmethod
-    def cone(cls) -> "Chart":
-        return cls(0.0)
-
-    @classmethod
-    def hyperboloid(cls, eps: float) -> "Chart":
-        if not eps > 0:
-            raise ValueError("hyperboloid chart requires eps > 0")
-        return cls(float(eps))
+    """A 2-parameter chart of a surface in R^3: a subclass defines ``local``."""
 
     def local(self, xi: float, theta: float) -> tuple[float, ...]:
         """The chart at (xi, theta) as floats: the one place its formulas live.
@@ -54,14 +34,7 @@ class Chart:
         Returns ``(x0, x1, x2, j00, j01, j10, j11, j20, j21)``: the ambient
         point and the Jacobian row by row, ``jik`` = d x_i / d (xi, theta)[k].
         """
-        c, s = math.cos(theta), math.sin(theta)
-        if self.eps == 0.0:
-            radial, dradial = xi, 1.0
-        else:
-            radial = math.sqrt(xi * xi + self.eps)
-            dradial = xi / radial
-        return (xi, radial * c, radial * s,
-                1.0, 0.0, dradial * c, -radial * s, dradial * s, radial * c)
+        raise NotImplementedError
 
     def embed(self, q: "ChartPoint") -> np.ndarray:
         """Ambient coordinates of the chart point."""
@@ -70,6 +43,37 @@ class Chart:
     def jacobian(self, q: "ChartPoint") -> np.ndarray:
         """3x2 matrix of ambient partials with respect to (xi, theta)."""
         return np.array(self.local(q.xi, q.theta)[3:]).reshape(3, 2)
+
+
+@dataclass(frozen=True)
+class Cone(Chart):
+    """The double cone's signed-radius chart (xi, xi*cos theta, xi*sin theta)."""
+
+    def local(self, xi: float, theta: float) -> tuple[float, ...]:
+        c, s = math.cos(theta), math.sin(theta)
+        return (xi, xi * c, xi * s, 1.0, 0.0, c, -xi * s, s, xi * c)
+
+
+@dataclass(frozen=True)
+class Hyperboloid(Chart):
+    """The hyperboloid (xi, r*cos theta, r*sin theta), r = sqrt(xi^2 + eps), eps > 0."""
+
+    eps: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise ValueError(f"hyperboloid chart requires a finite eps > 0, got eps={self.eps}")
+        object.__setattr__(self, "eps", float(self.eps))
+
+    def local(self, xi: float, theta: float) -> tuple[float, ...]:
+        c, s = math.cos(theta), math.sin(theta)
+        radial = math.sqrt(xi * xi + self.eps)
+        dradial = xi / radial
+        return (xi, radial * c, radial * s,
+                1.0, 0.0, dradial * c, -radial * s, dradial * s, radial * c)
+
+
+Chart.cone, Chart.hyperboloid = Cone, Hyperboloid
 
 
 @dataclass(frozen=True)

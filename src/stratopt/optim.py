@@ -182,8 +182,38 @@ def ngd_step(m: GaussianLocationModel, q: ChartPoint, cfg: OptimizerConfig) -> C
     return _step(m, q, cfg)
 
 
+class _PackedBlocks:
+    """A list of ``(rows, 3)`` blocks, packed to 64 or more rows an array.
+
+    Block ``i`` is a copy in entry ``i % per_array`` of array ``i //
+    per_array``, with ``per_array = max(1, 64 // rows)``, and is read as a
+    read-only view.  Up to batch 64 a block has 64 rows or more and an array
+    of its own; at batch 4096 a block is one mean, and an array per block
+    would hold ~160 B per 24-B mean.
+    """
+
+    def __init__(self, rows):
+        self.rows, self.per_array, self.arrays, self.count = rows, max(1, 64 // rows), [], 0
+
+    def __len__(self):
+        return self.count
+
+    def __getitem__(self, i):
+        if not 0 <= i < self.count:
+            raise IndexError(i)
+        block = self.arrays[i // self.per_array][i % self.per_array]
+        block.flags.writeable = False
+        return block
+
+    def append(self, block):
+        if self.count % self.per_array == 0:
+            self.arrays.append(np.empty((self.per_array, *block.shape)))
+        self.arrays[-1][self.count % self.per_array] = block
+        self.count += 1
+
+
 @functools.lru_cache(maxsize=1)
-def _noise_stream(seed: int, batch: int) -> tuple[np.random.Generator, list[np.ndarray]]:
+def _noise_stream(seed: int, batch: int) -> tuple[np.random.Generator, _PackedBlocks]:
     """The seeded generator of a batch-mean noise stream and its blocks drawn so far.
 
     Each block is a read-only array of batch means, one row per step (see
@@ -192,7 +222,7 @@ def _noise_stream(seed: int, batch: int) -> tuple[np.random.Generator, list[np.n
     it.  The cache keeps one stream, since every trajectory of an experiment
     uses the same seed and batch.
     """
-    return np.random.default_rng(seed), []
+    return np.random.default_rng(seed), _PackedBlocks(max(1, BLOCK_NORMALS // (3 * batch)))
 
 
 def _batch_means(mu_star: np.ndarray, seed: int, batch: int):
@@ -208,13 +238,10 @@ def _batch_means(mu_star: np.ndarray, seed: int, batch: int):
     list per block, so ``next`` runs Python code only at a block's first mean.
     """
     rng, blocks = _noise_stream(seed, batch)
-    rows = max(1, BLOCK_NORMALS // (3 * batch))
 
     def block_means(i):
         if i == len(blocks):
-            block = rng.standard_normal((rows, batch, 3)).mean(axis=1)
-            block.flags.writeable = False
-            blocks.append(block)
+            blocks.append(rng.standard_normal((blocks.rows, batch, 3)).mean(axis=1))
         return (mu_star + blocks[i]).tolist()
 
     return itertools.chain.from_iterable(map(block_means, itertools.count()))

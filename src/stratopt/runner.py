@@ -26,10 +26,8 @@ from .resolve import default_region, projected_gradient_field
 from .stratify import find_singular_points
 
 CUSP_POINTS_PER_BRANCH = 12
-# the chart of each surface in ``config.SURFACES``, from the spec's eps
-_CHARTS = {"cone": lambda eps: Chart.cone(), "hyperboloid": Chart.hyperboloid}
 # every file name a run writes besides metadata.cfg
-_SURFACE = "|".join(map(re.escape, _CHARTS))
+_SURFACE = "|".join(map(re.escape, sorted({s for ss in SURFACES.values() for s in ss})))
 _RUN_FILE = re.compile(rf"(traj_({_SURFACE})_\d{{3,}}|aggregate_({_SURFACE})"
                        r"|stalls|targets|quiver)\.csv")
 
@@ -47,7 +45,8 @@ class ExperimentResult:
 
 
 def _surfaces(spec: ExperimentSpec) -> list[tuple[str, Chart]]:
-    return [(surface, _CHARTS[surface](spec.eps)) for surface in SURFACES[spec.model]]
+    charts = {"cone": Chart.cone, "hyperboloid": lambda: Chart.hyperboloid(spec.eps)}
+    return [(surface, charts[surface]()) for surface in SURFACES[spec.model]]
 
 
 def _initial_points(spec: ExperimentSpec) -> list[ChartPoint]:

@@ -19,17 +19,15 @@ def hyperboloid(eps=0.05):
 # -- charts ------------------------------------------------------------------
 
 def test_chart_validation():
-    with pytest.raises(ValueError):
-        Chart.hyperboloid(0.0)
-    for eps in (-0.1, math.nan):
+    for eps in (0.0, -0.1, math.nan):
         with pytest.raises(ValueError):
-            Chart(eps)
-    assert Chart(0.0) == CONE
-    assert type(Chart(0).eps) is float
+            Chart.hyperboloid(eps)
+    assert Chart.cone() == CONE
+    assert type(Chart.hyperboloid(1).eps) is float
 
 
 @pytest.mark.parametrize("eps", [math.inf, -math.inf, math.nan])
-@pytest.mark.parametrize("make", [Chart, Chart.hyperboloid])
+@pytest.mark.parametrize("make", [Chart.hyperboloid], ids=["hyperboloid"])
 def test_chart_eps_must_be_finite(make, eps):
     with pytest.raises(ValueError, match="eps"):
         make(eps)
@@ -233,8 +231,8 @@ class MappedCone(Chart):
         return x0 + x1, x2, x0 - x1, j00 + j10, j01 + j11, j20, j21, j00 - j10, j01 - j11
 
 
-@pytest.mark.parametrize("chart, reaches_target", [(MomentMap(0.0), False),
-                                                   (MappedCone(0.0), True)])
+@pytest.mark.parametrize("chart, reaches_target", [(MomentMap(), False),
+                                                   (MappedCone(), True)])
 def test_any_chart_runs_through_the_model_and_the_optimizer(chart, reaches_target):
     # the target is the image of (0.3, 1.5) under both maps
     m = GaussianLocationModel(chart, [0.45, 0.675, 1.0125])

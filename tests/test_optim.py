@@ -2,6 +2,7 @@ import collections
 import itertools
 import math
 import sys
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,6 +13,7 @@ from stratopt.model import Chart, ChartPoint, GaussianLocationModel, chain_rule,
 from stratopt.optim import (NonFiniteStepError, OptimizerConfig, SettingError,
                             SingularFIMError, STALL_WINDOW, Termination, TrajectoryRecord,
                             detect_stall, gd_step, ngd_step, run)
+from stratopt.verify import monte_carlo_fim
 from test_model import MappedCone, MomentMap
 
 CONE = Chart.cone()
@@ -137,10 +139,19 @@ class FixedJacobian(Chart):
     """A chart whose kernel returns one chosen Jacobian, rows (j00, j01),
     (j10, j11), (j20, j21), at the point (0.5, -0.25, 1) everywhere."""
 
-    jacobian: tuple = ()
+    rows: tuple
 
     def local(self, xi, theta):
-        return (0.5, -0.25, 1.0) + self.jacobian
+        return (0.5, -0.25, 1.0) + self.rows
+
+
+def test_fixed_jacobian_is_a_chart_the_oracles_accept():
+    # its rows are the chart's Jacobian, which the Monte-Carlo oracle reads
+    m = GaussianLocationModel(FixedJacobian((1.0, 2.0, 3.0, 4.0, 5.0, 6.0)), [0.75, 0.5, -0.5])
+    q = ChartPoint(0.5, 0.25)
+    assert m.chart.jacobian(q).tolist() == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
+    F = m.fim(q)
+    assert np.linalg.norm(monte_carlo_fim(m, q, 20_000, seed=0) - F) < 0.05 * np.linalg.norm(F)
 
 
 def reference_ngd_direction(local, target, damping):
@@ -204,7 +215,7 @@ ULP_BELOW_1 = 1.0 - 2.0 ** -53
 def test_ngd_scale_matches_max_abs(jacobian, damping):
     # the step's scale and singularity test are comparisons; each case takes
     # the same decision, and the same direction bits, as max(abs(...)) does
-    m = GaussianLocationModel(FixedJacobian(0.0, jacobian), [0.75, 0.5, -0.5])
+    m = GaussianLocationModel(FixedJacobian(jacobian), [0.75, 0.5, -0.5])
     q0 = ChartPoint(0.5, 0.25)
     cfg = OptimizerConfig(method="ngd", damping=damping, step_size=1.0, step_cap=1e300)
     want = reference_ngd_direction(m.chart.local(q0.xi, q0.theta),
@@ -334,6 +345,23 @@ def test_shared_stream_is_one_draw_per_step(batch):
     assert not any(block.flags.writeable for block in blocks)
 
 
+@pytest.mark.parametrize("batch", [683, 1365, 4096])
+def test_large_batch_stream_holds_no_array_per_mean(batch):
+    # a block holds 5, 3 and 1 means; an array object per block would hold
+    # ~60-160 B per 24-B mean, the packed blocks hold ~28-32 B
+    optim._noise_stream.cache_clear()
+    means = optim._batch_means(np.zeros(3), 5, batch)
+    tracemalloc.start()
+    try:
+        take(means, 200)  # the allocator's free lists fill before the count
+        before = tracemalloc.get_traced_memory()[0]
+        take(means, 1000)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 40 * 1000
+
+
 def test_shared_stream_with_interleaved_seeds():
     # each stream evicts the other from the one-entry cache
     optim._noise_stream.cache_clear()
@@ -431,19 +459,20 @@ def test_records_are_flat_rows_in_csv_order():
     (CONE, "gd", "population"),
     (HYP, "ngd", "population"),
     (CONE, "gd", "stochastic"),
+    (MappedCone(), "gd", "population"),
 ])
 def test_one_chart_evaluation_per_step(monkeypatch, chart, method, mode):
     m = GaussianLocationModel(chart, CONE.embed(ChartPoint(-1.0, 0.0)))
     cfg = OptimizerConfig(method=method, mode=mode, max_steps=40, grad_tol=0.0,
                           loss_tol=0.0, damping=1e-3, record_every=10)
     calls = []
-    local = Chart.local
+    local = type(chart).local
 
     def counted(self, xi, theta):
         calls.append((xi, theta))
         return local(self, xi, theta)
 
-    monkeypatch.setattr(Chart, "local", counted)
+    monkeypatch.setattr(type(chart), "local", counted)
     traj = run(m, ChartPoint(1.0, 3.13), cfg)
     assert traj.terminated_by is Termination.MAX_STEPS
     # one chart kernel call per step, plus the initial point
@@ -474,7 +503,7 @@ def reference_step(local, target, xi, theta, cfg):
     return xi - s0, theta - s1, capped
 
 
-@pytest.mark.parametrize("chart", [CONE, HYP, MomentMap(0.0), MappedCone(0.0)],
+@pytest.mark.parametrize("chart", [CONE, HYP, MomentMap(), MappedCone()],
                          ids=["cone", "hyperboloid", "moment_map", "mapped_cone"])
 @pytest.mark.parametrize("method, mode", [("gd", "population"), ("ngd", "population"),
                                           ("gd", "stochastic"), ("ngd", "stochastic")])

@@ -11,7 +11,7 @@ from stratopt.optim import Termination, Trajectory, TrajectoryRecord
 from stratopt.poly import double_cone
 from stratopt.presets import PRESET_NAMES, preset
 from stratopt.resolve import choose_resolution
-from stratopt.runner import _CHARTS, _aggregate_rows, _surfaces, run_experiment
+from stratopt.runner import _aggregate_rows, _surfaces, run_experiment
 from stratopt.tables import AGG_FIELDS, STALL_FIELDS, TRAJ_FIELDS, read_csv, write_csv
 
 
@@ -278,21 +278,34 @@ def test_write_trajectory_csv_standalone(tmp_path):
     assert len(rows) == len(traj.records) + 1
 
 
+def surface_spec(model):
+    return ExperimentSpec(model=model, eps=0.05, target=ChartPoint(1, 0),
+                          init=(ChartPoint(1, 0),))
+
+
 @pytest.mark.parametrize("model, charts", [
-    ("cone", [("cone", 0.0)]),
-    ("hyperboloid", [("hyperboloid", 0.05)]),
-    ("both", [("cone", 0.0), ("hyperboloid", 0.05)]),
+    ("cone", [("cone", Chart.cone())]),
+    ("hyperboloid", [("hyperboloid", Chart.hyperboloid(0.05))]),
+    ("both", [("cone", Chart.cone()), ("hyperboloid", Chart.hyperboloid(0.05))]),
     ("cusp", []),
 ])
 def test_surfaces_come_from_the_model_table(model, charts):
-    spec = ExperimentSpec(model=model, eps=0.05, target=ChartPoint(1, 0),
-                          init=(ChartPoint(1, 0),))
-    assert [(surface, chart.eps) for surface, chart in _surfaces(spec)] == charts
+    assert _surfaces(surface_spec(model)) == charts
+
+
+def test_a_surface_without_a_chart_is_an_error(monkeypatch):
+    # a surface listed in config.SURFACES before the runner builds its chart
+    spec = surface_spec("cone")
+    monkeypatch.setitem(SURFACES, "cone", ("cone", "sphere"))
+    with pytest.raises(KeyError, match="sphere"):
+        _surfaces(spec)
 
 
 @pytest.mark.parametrize("surface", sorted({s for ss in SURFACES.values() for s in ss}))
 def test_every_surface_has_a_chart_and_a_rerun_clears_its_files(surface, tmp_path):
-    assert isinstance(_CHARTS[surface](0.05), Chart)
+    # each surface is also a model, whose one chart is Chart.<surface>
+    assert [(s, type(chart)) for s, chart in _surfaces(surface_spec(surface))] == \
+        [(surface, getattr(Chart, surface))]
     out = tmp_path / "run"
     out.mkdir()
     for name in (f"traj_{surface}_000.csv", f"traj_{surface}_1000.csv",
