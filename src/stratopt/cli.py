@@ -37,10 +37,11 @@ def _sample_count(text: str) -> int:
 
 
 def _parse_region(text: str, dim: int) -> Region:
-    parts = text.replace(",", " ").split()
-    if len(parts) != 2:
-        raise ValueError(f"--region needs 'lo,hi', got {text!r}")
-    return Region.cube(float(parts[0]), float(parts[1]), dim)
+    try:
+        lo, hi = map(float, text.replace(",", " ").split())
+    except ValueError:
+        raise ValueError(f"--region needs two numbers 'lo,hi', got {text!r}") from None
+    return Region.cube(lo, hi, dim)
 
 
 def _cmd_stratify(args) -> int:

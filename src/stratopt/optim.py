@@ -182,38 +182,8 @@ def ngd_step(m: GaussianLocationModel, q: ChartPoint, cfg: OptimizerConfig) -> C
     return _step(m, q, cfg)
 
 
-class _PackedBlocks:
-    """A list of ``(rows, 3)`` blocks, packed to 64 or more rows an array.
-
-    Block ``i`` is a copy in entry ``i % per_array`` of array ``i //
-    per_array``, with ``per_array = max(1, 64 // rows)``, and is read as a
-    read-only view.  Up to batch 64 a block has 64 rows or more and an array
-    of its own; at batch 4096 a block is one mean, and an array per block
-    would hold ~160 B per 24-B mean.
-    """
-
-    def __init__(self, rows):
-        self.rows, self.per_array, self.arrays, self.count = rows, max(1, 64 // rows), [], 0
-
-    def __len__(self):
-        return self.count
-
-    def __getitem__(self, i):
-        if not 0 <= i < self.count:
-            raise IndexError(i)
-        block = self.arrays[i // self.per_array][i % self.per_array]
-        block.flags.writeable = False
-        return block
-
-    def append(self, block):
-        if self.count % self.per_array == 0:
-            self.arrays.append(np.empty((self.per_array, *block.shape)))
-        self.arrays[-1][self.count % self.per_array] = block
-        self.count += 1
-
-
 @functools.lru_cache(maxsize=1)
-def _noise_stream(seed: int, batch: int) -> tuple[np.random.Generator, _PackedBlocks]:
+def _noise_stream(seed: int, batch: int) -> tuple[np.random.Generator, list[np.ndarray]]:
     """The seeded generator of a batch-mean noise stream and its blocks drawn so far.
 
     Each block is a read-only array of batch means, one row per step (see
@@ -222,26 +192,32 @@ def _noise_stream(seed: int, batch: int) -> tuple[np.random.Generator, _PackedBl
     it.  The cache keeps one stream, since every trajectory of an experiment
     uses the same seed and batch.
     """
-    return np.random.default_rng(seed), _PackedBlocks(max(1, BLOCK_NORMALS // (3 * batch)))
+    return np.random.default_rng(seed), []
 
 
 def _batch_means(mu_star: np.ndarray, seed: int, batch: int):
     """Endless stream of mu_star + the mean of ``batch`` N(0, I_3) draws, as
     ``[m0, m1, m2]`` lists.
 
-    Drawn in blocks of about BLOCK_NORMALS normals, so a draw does not grow
-    with ``batch`` (``OptimizerConfig`` caps it at a third of BLOCK_NORMALS,
-    one mean per block); the generator fills a block in the same order as one
-    ``(batch, 3)`` draw per mean, so the stream does not depend on the block
-    size.  The blocks come from ``_noise_stream`` and are drawn only when a
-    consumer first needs them.  The stream is a C-level iterator over one
-    list per block, so ``next`` runs Python code only at a block's first mean.
+    Drawn in blocks of ``max(64, BLOCK_NORMALS // (3 * batch))`` means: about
+    BLOCK_NORMALS normals up to batch 64, and 64 means above it, so a cached
+    array never holds fewer than 64 means and a draw holds at most
+    ``64 * BLOCK_NORMALS`` normals (``OptimizerConfig`` caps ``batch`` at a
+    third of BLOCK_NORMALS).  The generator fills a block in the same order
+    as one ``(batch, 3)`` draw per mean, so the stream does not depend on the
+    block size.  The blocks come from ``_noise_stream`` and are drawn only
+    when a consumer first needs them.  The stream is a C-level iterator over
+    one list per block, so ``next`` runs Python code only at a block's first
+    mean.
     """
     rng, blocks = _noise_stream(seed, batch)
+    rows = max(64, BLOCK_NORMALS // (3 * batch))
 
     def block_means(i):
         if i == len(blocks):
-            blocks.append(rng.standard_normal((blocks.rows, batch, 3)).mean(axis=1))
+            block = rng.standard_normal((rows, batch, 3)).mean(axis=1)
+            block.flags.writeable = False
+            blocks.append(block)
         return (mu_star + blocks[i]).tolist()
 
     return itertools.chain.from_iterable(map(block_means, itertools.count()))

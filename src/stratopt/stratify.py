@@ -116,9 +116,11 @@ class Region:
     def grid(self, points_per_axis: int) -> np.ndarray:
         """Uniform grid of seed points, shape (points_per_axis**dim, dim)."""
         if points_per_axis < 2:
-            raise ValueError("need at least 2 grid points per axis")
-        if points_per_axis ** self.dim > MAX_SEEDS:
-            raise ValueError("seed grid too large; lower points_per_axis")
+            raise ValueError(f"grid_points must be >= 2, got {points_per_axis}")
+        seeds = points_per_axis ** self.dim
+        if seeds > MAX_SEEDS:
+            raise ValueError(f"grid_points={points_per_axis} in {self.dim} dimensions needs "
+                             f"{seeds} seeds, more than MAX_SEEDS={MAX_SEEDS}; lower grid_points")
         mesh = np.meshgrid(*self.axes(points_per_axis), indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=1)
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import stratopt
-from stratopt import resolve
+from stratopt import resolve, stratify
 from stratopt.cli import main
 from stratopt.tables import AGG_FIELDS, TARGET_FIELDS, TRAJ_FIELDS, read_csv, write_csv
 
@@ -238,6 +238,25 @@ def test_overflowing_region_width_exits_2(capsys):
     # each bound is finite, but the width is not; the origin would be missed
     assert main(["stratify", "x0^2 + x1^2", "--region=-1e308,1e308"]) == 2
     assert "region width" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["stratify", "x0^2", "--region", "a,b"], "--region needs two numbers 'lo,hi', got 'a,b'"),
+    (["stratify", "x0^2", "--region", "1,2,3"],
+     "--region needs two numbers 'lo,hi', got '1,2,3'"),
+    (["resolve", CONE_TEXT, "--eps", "0.1", "--region", "-1"],
+     "--region needs two numbers 'lo,hi', got '-1'"),
+    (["stratify", "x0*x1", "--grid-points", "2000"],
+     "grid_points=2000 in 2 dimensions needs 4000000 seeds, more than "
+     f"MAX_SEEDS={stratify.MAX_SEEDS}; lower grid_points"),
+    (["stratify", "x0^2", "--grid-points", "1"], "grid_points must be >= 2, got 1"),
+], ids=["region-not-numbers", "region-three-numbers", "region-one-number", "grid-points",
+        "grid-points-below-2"])
+def test_bad_region_or_grid_names_its_flag(capsys, argv, message):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [f"error: {message}"]  # one line, no traceback
 
 
 @pytest.mark.filterwarnings("error")

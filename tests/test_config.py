@@ -297,7 +297,7 @@ init_seed = 7
 
 
 def test_stochastic_batch_is_capped_at_load(tmp_path):
-    # a third of optim.BLOCK_NORMALS: one batch mean per block of normals
+    # a third of optim.BLOCK_NORMALS: a 64-mean block draws 64 * BLOCK_NORMALS normals
     assert load_config(write(tmp_path, SEEDED + "batch = 4096\n")).batch == 4096
     path = write(tmp_path, SEEDED + "batch = 4097\n")
     with pytest.raises(ConfigError, match="batch 4097") as err:

@@ -329,10 +329,10 @@ def take(means, steps):
 
 
 def block_rows(batch):
-    return max(1, optim.BLOCK_NORMALS // (3 * batch))
+    return max(64, optim.BLOCK_NORMALS // (3 * batch))
 
 
-@pytest.mark.parametrize("batch", [1, 3, 29, 4096])
+@pytest.mark.parametrize("batch", [1, 3, 29, 64, 65, 683, 4096])
 def test_shared_stream_is_one_draw_per_step(batch):
     optim._noise_stream.cache_clear()
     rows = block_rows(batch)
@@ -345,10 +345,11 @@ def test_shared_stream_is_one_draw_per_step(batch):
     assert not any(block.flags.writeable for block in blocks)
 
 
-@pytest.mark.parametrize("batch", [683, 1365, 4096])
+@pytest.mark.parametrize("batch", [65, 256, 683, 1365, 4096])
 def test_large_batch_stream_holds_no_array_per_mean(batch):
-    # a block holds 5, 3 and 1 means; an array object per block would hold
-    # ~60-160 B per 24-B mean, the packed blocks hold ~28-32 B
+    # above batch 64 a block holds 64 means, not the 1-63 that BLOCK_NORMALS
+    # normals give; an array object per 1-5 means would hold ~60-160 B per
+    # 24-B mean, a block of 64 holds ~27 B
     optim._noise_stream.cache_clear()
     means = optim._batch_means(np.zeros(3), 5, batch)
     tracemalloc.start()
@@ -360,6 +361,19 @@ def test_large_batch_stream_holds_no_array_per_mean(batch):
     finally:
         tracemalloc.stop()
     assert held < 40 * 1000
+
+
+def test_largest_batch_draw_stays_bounded():
+    # the first mean at batch 4096 draws a 64-mean block: 64 * 4096 * 3
+    # normals, 6.3 MB, which must not grow unnoticed
+    optim._noise_stream.cache_clear()
+    tracemalloc.start()
+    try:
+        next(optim._batch_means(np.zeros(3), 5, optim.BLOCK_NORMALS // 3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000
 
 
 def test_shared_stream_with_interleaved_seeds():
