@@ -41,7 +41,10 @@ def _parse_region(text: str, dim: int) -> Region:
         lo, hi = map(float, text.replace(",", " ").split())
     except ValueError:
         raise ValueError(f"--region needs two numbers 'lo,hi', got {text!r}") from None
-    return Region.cube(lo, hi, dim)
+    try:
+        return Region.cube(lo, hi, dim)
+    except ValueError as exc:
+        raise ValueError(f"--region {text!r}: {exc}") from None
 
 
 def _cmd_stratify(args) -> int:

@@ -26,6 +26,7 @@ from .resolve import default_region, projected_gradient_field
 from .stratify import find_singular_points
 
 CUSP_POINTS_PER_BRANCH = 12
+AGGREGATE_STEPS = 1024  # steps of the aggregate computed per block
 # every file name a run writes besides metadata.cfg
 _SURFACE = "|".join(map(re.escape, sorted({s for ss in SURFACES.values() for s in ss})))
 _RUN_FILE = re.compile(rf"(traj_({_SURFACE})_\d{{3,}}|aggregate_({_SURFACE})"
@@ -63,26 +64,37 @@ def _target_mean(spec: ExperimentSpec, surface_chart: Chart) -> np.ndarray:
     return chart.embed(spec.target)
 
 
-def _aggregate_rows(trajs: list[Trajectory]) -> list[tuple[int, float, float]]:
-    """Per-step mean and median loss; finished runs carry their last loss forward.
+def _loss_curve(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
+    """The recorded steps (int) and losses (float) of a trajectory."""
+    return np.array([r.step for r in traj.records]), traj.losses()
+
+
+def _aggregate_rows(curves: list[tuple[np.ndarray, np.ndarray]]) -> list[tuple[int, float, float]]:
+    """Per-step mean and median loss over ``(steps, losses)`` curves (one per
+    trajectory, as ``_loss_curve`` gives them); finished runs carry their last
+    loss forward.
 
     The step union and the median are taken by sorting, with the same values
     as ``np.unique`` and ``np.median`` on finite losses; those two functions
-    import ``numpy.ma`` on first use, which costs more than the sort.
+    import ``numpy.ma`` on first use, which costs more than the sort.  The
+    carried losses are laid out ``AGGREGATE_STEPS`` steps at a time, so the
+    table of every curve at every step is never held whole; each step's
+    mean and median are those of the whole table.
     """
-    steps_per = [np.array([r.step for r in t.records]) for t in trajs]
-    losses_per = [t.losses() for t in trajs]
-    every = np.sort(np.concatenate(steps_per))
+    every = np.sort(np.concatenate([steps for steps, _ in curves]))
     union = every[np.concatenate(([True], every[1:] != every[:-1]))]
-    carried = np.empty((len(trajs), union.size))
-    for i, (steps, losses) in enumerate(zip(steps_per, losses_per)):
-        idx = np.searchsorted(steps, union, side="right") - 1
-        carried[i] = losses[np.clip(idx, 0, len(losses) - 1)]
-    means = carried.mean(axis=0)
-    ordered = np.sort(carried, axis=0)
-    half = len(trajs) // 2
-    medians = ordered[half] if len(trajs) % 2 else (ordered[half - 1] + ordered[half]) / 2
-    return list(zip(union.tolist(), means.tolist(), medians.tolist()))
+    half = len(curves) // 2
+    rows = []
+    for start in range(0, union.size, AGGREGATE_STEPS):
+        block = union[start:start + AGGREGATE_STEPS]
+        carried = np.empty((len(curves), block.size))
+        for i, (steps, losses) in enumerate(curves):
+            idx = np.searchsorted(steps, block, side="right") - 1
+            carried[i] = losses[np.clip(idx, 0, len(losses) - 1)]
+        ordered = np.sort(carried, axis=0)
+        medians = ordered[half] if len(curves) % 2 else (ordered[half - 1] + ordered[half]) / 2
+        rows += zip(block.tolist(), carried.mean(axis=0).tolist(), medians.tolist())
+    return rows
 
 
 def _stall_row(surface: str, index: int, traj: Trajectory, report: StallReport) -> list:
@@ -146,10 +158,10 @@ def _run_charts(spec: ExperimentSpec, out: Path, result: ExperimentResult):
         xbar = _target_mean(spec, chart)
         target_rows.append([surface, *xbar.tolist()])
         model = GaussianLocationModel(chart, xbar)
-        trajs = []
+        curves = []  # a finished trajectory keeps only its steps and losses
         for i, q0 in enumerate(inits):
             traj = run(model, q0, spec)
-            trajs.append(traj)
+            curves.append(_loss_curve(traj))
             path = tables.write_csv(out / f"traj_{surface}_{i:03d}.csv", tables.TRAJ_FIELDS,
                                     traj.records)
             result.trajectory_paths[(surface, i)] = path
@@ -157,8 +169,9 @@ def _run_charts(spec: ExperimentSpec, out: Path, result: ExperimentResult):
                 result.n_failures += 1
             report = detect_stall(traj, singularities=apexes, loss_tol=spec.loss_tol)
             stall_rows.append(_stall_row(surface, i, traj, report))
+            del traj  # so the next run's records are the only ones alive
         result.aggregate_paths[surface] = tables.write_csv(
-            out / f"aggregate_{surface}.csv", tables.AGG_FIELDS, _aggregate_rows(trajs)
+            out / f"aggregate_{surface}.csv", tables.AGG_FIELDS, _aggregate_rows(curves)
         )
     result.stall_path = tables.write_csv(out / "stalls.csv", tables.STALL_FIELDS, stall_rows)
     result.targets_path = tables.write_csv(out / "targets.csv", tables.TARGET_FIELDS, target_rows)

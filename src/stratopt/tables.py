@@ -8,18 +8,22 @@ round trip bit-exactly, an ``int`` cell as ``%d``, and any other cell as
 ``str(v)``, quoted per RFC 4180 when it holds a comma, a double quote, CR
 or LF.  A row whose cells are all ``float`` or ``int`` is formatted with a
 single ``%`` operation, from a format string built once per tuple of cell
-types; any other row goes cell by cell.  Callers pass raw values.
+types; any other row goes cell by cell.  Callers pass raw values.  The rows
+are joined and written ``WRITE_ROWS`` at a time, so the text of a long table
+is never held whole.
 
 ``read_columns`` is the writer's counterpart for numeric tables
 (trajectories, aggregates): it checks the header and returns the requested
 columns as float64 arrays parsed in one ``np.loadtxt`` pass, bit-exact with
-``float(cell)``.  ``read_csv`` returns the cells of any table as text.
+``float(cell)``; its checks read the body ``READ_BYTES`` at a time.
+``read_csv`` returns the cells of any table as text.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
+import itertools
 from pathlib import Path
 from typing import NamedTuple
 
@@ -49,6 +53,8 @@ TARGET_FIELDS = ["surface", "mu1", "mu2", "mu3"]
 QUIVER_FIELDS = ["level", "x1", "x2", "gx", "gy", "status"]
 
 FLOAT_FORMAT = "%.17g"
+WRITE_ROWS = 1024  # rows joined into one string per write
+READ_BYTES = 1 << 16  # bytes per read while read_columns checks a body
 _CELL_FORMATS = {float: FLOAT_FORMAT, int: "%d"}
 
 
@@ -85,12 +91,18 @@ def _line(row) -> str:
 
 
 def write_csv(path, fields, rows):
-    """Write the header and the rows of raw cell values in one call; return the path."""
+    """Write the header and the rows of raw cell values; return the path.
+
+    The rows are formatted and written ``WRITE_ROWS`` at a time; the bytes
+    are those of the whole table joined at once.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    text = "\n".join([_line(fields), *map(_line, rows), ""])
+    rows = iter(rows)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+        fh.write(_line(fields) + "\n")
+        while chunk := list(itertools.islice(rows, WRITE_ROWS)):
+            fh.write("\n".join([*map(_line, chunk), ""]))
     return path
 
 
@@ -143,7 +155,9 @@ def read_columns(path, fields, columns):
     The header must be ``fields`` and every non-blank line must hold one
     cell per field; the requested cells must parse as floats (the others are
     not read).  A violation raises ``SchemaError`` naming the file and line.
-    A header-only file gives empty arrays.
+    A header-only file gives empty arrays.  The body is read ``READ_BYTES``
+    at a time to count its commas, then once more by ``np.loadtxt``; it is
+    never held whole.
     """
     picked = [fields.index(name) for name in columns]
     # Reading the last column as well makes loadtxt reject any short row; the
@@ -154,8 +168,11 @@ def read_columns(path, fields, columns):
         if header != list(fields):
             raise SchemaError(f"{path}: expected header {list(fields)}, got {header}")
         start = fh.tell()
-        body = fh.read()
-        if not body or body.isspace():
+        commas, blank = 0, True
+        for block in iter(functools.partial(fh.read, READ_BYTES), b""):
+            commas += block.count(b",")
+            blank = blank and block.isspace()
+        if blank:
             return [np.empty(0) for _ in picked]
         fh.seek(start)
         try:
@@ -163,19 +180,20 @@ def read_columns(path, fields, columns):
             # the body would hold four bytes per character.
             table = np.loadtxt(fh, delimiter=",", comments=None, usecols=usecols,
                                ndmin=2, encoding="utf-8")
-            if body.count(b",") != len(table) * (len(fields) - 1):
+            if commas != len(table) * (len(fields) - 1):
                 raise ValueError("a row has more cells than the header")
         except ValueError as exc:
-            raise SchemaError(_first_bad_line(path, body, fields, usecols)
+            fh.seek(start)
+            raise SchemaError(_first_bad_line(path, fh, fields, usecols)
                               or f"{path}: {exc}") from None
     return [table[:, k] for k in range(len(picked))]
 
 
-def _first_bad_line(path, body: bytes, fields, usecols) -> str | None:
-    """Describe the first line that ``read_columns`` rejects, or None."""
-    text = body.decode("utf-8", errors="replace")
-    for line, row in enumerate(text.split("\n"), start=2):
-        row = row.rstrip("\r")
+def _first_bad_line(path, body, fields, usecols) -> str | None:
+    """Describe the first line that ``read_columns`` rejects, or None; ``body``
+    yields the lines after the header as bytes (a binary handle)."""
+    for line, raw in enumerate(body, start=2):
+        row = raw.decode("utf-8", errors="replace").rstrip("\n").rstrip("\r")
         if not row:
             continue
         cells = row.split(",")

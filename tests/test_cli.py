@@ -250,8 +250,13 @@ def test_overflowing_region_width_exits_2(capsys):
      "grid_points=2000 in 2 dimensions needs 4000000 seeds, more than "
      f"MAX_SEEDS={stratify.MAX_SEEDS}; lower grid_points"),
     (["stratify", "x0^2", "--grid-points", "1"], "grid_points must be >= 2, got 1"),
+    (["stratify", "x0^2", "--region=-1,nan"], "--region '-1,nan': region bounds must be finite"),
+    (["stratify", "x0^2", "--region=2,1"],
+     "--region '2,1': region requires lower < upper componentwise"),
+    (["stratify", "x0^2", "--region=-1e308,1e308"],
+     "--region '-1e308,1e308': region width upper - lower must be finite, got [inf]"),
 ], ids=["region-not-numbers", "region-three-numbers", "region-one-number", "grid-points",
-        "grid-points-below-2"])
+        "grid-points-below-2", "region-not-finite", "region-reversed", "region-width-overflows"])
 def test_bad_region_or_grid_names_its_flag(capsys, argv, message):
     assert main(argv) == 2
     out, err = capsys.readouterr()

@@ -1,17 +1,19 @@
 import csv
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from stratopt import optim
+from stratopt import optim, runner
 from stratopt.config import SURFACES, ExperimentSpec, InitDistribution, load_config
 from stratopt.model import Chart, ChartPoint
 from stratopt.optim import Termination, Trajectory, TrajectoryRecord
 from stratopt.poly import double_cone
 from stratopt.presets import PRESET_NAMES, preset
 from stratopt.resolve import choose_resolution
-from stratopt.runner import _aggregate_rows, _surfaces, run_experiment
+from stratopt.runner import _aggregate_rows, _loss_curve, _surfaces, run_experiment
 from stratopt.tables import AGG_FIELDS, STALL_FIELDS, TRAJ_FIELDS, read_csv, write_csv
 
 
@@ -194,15 +196,26 @@ loss_paths = st.lists(st.tuples(st.sets(st.integers(0, 60), min_size=1),
                       min_size=1, max_size=7)
 
 
+# four paths whose step union spans more than two blocks of AGGREGATE_STEPS
+STEPS = 3 * runner.AGGREGATE_STEPS
+LONG_PATHS = [(set(range(STEPS - 500)), [0.5, 3.0, 0.25] * STEPS),
+              (set(range(0, STEPS, 3)), [1.0, 0.5] * STEPS),
+              (set(range(5, 700, 2)), [0.25] * STEPS),
+              (set(range(0, STEPS, 7)), [3.0, 1.0, 1.0] * STEPS)]
+
+
 @given(loss_paths)
 @example([({0, 5}, [1.0] * 61), ({0, 3, 9}, [0.5] * 61)])  # even count, one repeated loss
 @example([({0}, [2.0] * 61), ({4}, [1.0] * 61), ({0, 4}, [3.0] * 61)])  # odd count
+@example(LONG_PATHS)  # even count
+@example(LONG_PATHS + [({0}, [2.0] * STEPS)])  # odd count
 def test_aggregate_rows_match_unique_and_median(paths):
     trajs = [Trajectory([TrajectoryRecord(s, 1.0, 0.0, 1.0, 1.0, 0.0, loss[s], 1.0)
                          for s in sorted(steps)], Termination.MAX_STEPS)
              for steps, loss in paths]
     bits = lambda rows: [(s, a.hex(), b.hex()) for s, a, b in rows]
-    assert bits(_aggregate_rows(trajs)) == bits(aggregate_reference(trajs))
+    curves = [_loss_curve(t) for t in trajs]
+    assert bits(_aggregate_rows(curves)) == bits(aggregate_reference(trajs))
 
 
 def test_on_model_target_differs_on_hyperboloid(tmp_path):
@@ -313,3 +326,21 @@ def test_every_surface_has_a_chart_and_a_rerun_clears_its_files(surface, tmp_pat
         (out / name).write_text("stale\n", encoding="utf-8")
     run_experiment(preset("fig1-cusp"), out_dir=out)
     assert sorted(p.name for p in out.iterdir()) == ["metadata.cfg", "quiver.csv"]
+
+
+def test_sweep_memory_does_not_grow_with_the_trajectories(tmp_path):
+    # 32 inits x 1,001 records x 2 surfaces; a surface holds only the steps
+    # and losses of its finished trajectories, about 16 B per record
+    spec = small_spec(max_steps=1000, loss_tol=0.0, grad_tol=0.0, record_every=1,
+                      init=InitDistribution(xi_range=(0.25, 2.0), theta_range=(-3.0, 3.0),
+                                            count=32, seed=5))
+    run_experiment(replace(spec, max_steps=2), out_dir=tmp_path / "warm")  # caches, imports
+    tracemalloc.start()
+    try:
+        result = run_experiment(spec, out_dir=tmp_path / "run")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(result.trajectory_paths) == 64
+    assert read_csv(result.trajectory_paths[("cone", 31)])[1][-1][0] == "1000"
+    assert peak < 4_000_000

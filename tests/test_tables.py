@@ -1,12 +1,14 @@
 import math
 import re
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from stratopt import tables
 from stratopt.optim import TrajectoryRecord
 from stratopt.tables import (AGG_FIELDS, TRAJ_FIELDS, SchemaError, line_of, read_columns,
                              read_csv, write_csv)
@@ -140,3 +142,87 @@ def test_line_of_skips_blank_lines_and_counts_quoted_breaks(tmp_path):
     assert [line_of(path, k) for k in range(3)] == [2, 4, 6]
     with pytest.raises(IndexError):
         line_of(path, 3)
+
+
+def _good_rows(n: int) -> str:
+    """``n`` valid AGG_FIELDS lines, more bytes than one ``READ_BYTES`` read."""
+    body = "".join(f"{k},0.5,0.25\n" for k in range(n))
+    assert len(body) > tables.READ_BYTES
+    return body
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("1,2\n", "2 cells where the header has 3"),
+    ("1,2,3,4\n", "4 cells where the header has 3"),
+    ("1,abc,3\n", "mean_loss = 'abc' is not a number"),
+])
+def test_read_columns_names_a_bad_line_past_the_first_read(tmp_path, bad, message):
+    n = 8000
+    path = tmp_path / "t.csv"
+    path.write_text("step,mean_loss,median_loss\n" + _good_rows(n) + bad + _good_rows(n),
+                    encoding="utf-8")
+    with pytest.raises(SchemaError, match=re.escape(f"{path}, line {n + 2}: {message}")):
+        read_columns(path, AGG_FIELDS, ("step", "mean_loss"))
+
+
+@pytest.mark.parametrize("body", ["\n", "  \r\n\n", "\n" * (tables.READ_BYTES + 7) + " \t\n"],
+                         ids=["newline", "spaces", "longer-than-one-read"])
+def test_read_columns_blank_body_is_empty_without_warning(tmp_path, body):
+    path = tmp_path / "t.csv"
+    path.write_text("step,mean_loss,median_loss\n" + body, encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        step, mean = read_columns(path, AGG_FIELDS, ("step", "mean_loss"))
+    assert step.size == mean.size == 0
+
+
+def test_read_columns_rows_before_a_blank_read(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("step,mean_loss,median_loss\n" + _good_rows(8000)
+                    + "\n" * (tables.READ_BYTES + 7), encoding="utf-8")
+    step, mean = read_columns(path, AGG_FIELDS, ("step", "mean_loss"))
+    assert step.tolist() == list(range(8000))
+    assert set(mean.tolist()) == {0.5}
+
+
+def test_write_csv_bytes_across_chunks(tmp_path):
+    n = 2 * tables.WRITE_ROWS + 3
+    rows = [(k, k / 7) for k in range(n)]
+    for k in (tables.WRITE_ROWS - 1, tables.WRITE_ROWS, 2 * tables.WRITE_ROWS):
+        rows[k] = ("x,y", k)  # per-cell rows at either side of a chunk boundary
+    want = "a,b\n" + "".join('"x,y",%d\n' % b if a == "x,y" else "%d,%.17g\n" % (a, b)
+                             for a, b in rows)
+    path = write_csv(tmp_path / "t.csv", ["a", "b"], rows)
+    assert path.read_bytes() == want.encode("utf-8")
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def long_trajectory(tmp_path_factory):
+    """100k trajectory rows (15 MB of CSV) and the file ``write_csv`` makes of them."""
+    table = np.random.default_rng(3).uniform(-1.0, 1.0, size=(100_000, 7)).tolist()
+    rows = [TrajectoryRecord(k, *cells) for k, cells in enumerate(table)]
+    return rows, write_csv(tmp_path_factory.mktemp("long") / "t.csv", TRAJ_FIELDS, rows)
+
+
+def test_write_csv_memory_does_not_grow_with_the_table(long_trajectory, tmp_path):
+    rows, path = long_trajectory
+    peak = _traced_peak(lambda: write_csv(tmp_path / "t.csv", TRAJ_FIELDS, rows))
+    assert (tmp_path / "t.csv").read_bytes() == path.read_bytes()
+    assert peak < 2_000_000  # the whole text would be 15 MB
+
+
+def test_read_columns_memory_does_not_grow_with_the_body(long_trajectory):
+    rows, path = long_trajectory
+    got = []
+    peak = _traced_peak(lambda: got.extend(read_columns(path, TRAJ_FIELDS, ("step", "loss"))))
+    assert got[1].tolist() == [r.loss for r in rows]
+    assert peak < 4_000_000  # 2.4 MB of parsed columns; the body is 15 MB
