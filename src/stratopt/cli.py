@@ -19,12 +19,12 @@ from .config import load_config
 from .model import Chart, ChartPoint, GaussianLocationModel
 from .poly import Polynomial, parse_polynomial
 from .presets import PRESET_NAMES, preset
-from .resolve import (DEFAULT_GRID_N, MAX_SAMPLES, count_levels, decide, level_samples,
-                      local_pieces)
+from .resolve import (DEFAULT_GRID_N, MAX_SAMPLES, count_levels, decide, default_region,
+                      level_samples, local_pieces)
 from .runner import run_experiment
 from .stratify import SEED_GRID, Region, stratify
 from .svgplot import KINDS, plot
-from .verify import FD_STEP, finite_diff_grad, monte_carlo_fim
+from .verify import central_differences, finite_diff_grad, monte_carlo_fim
 
 
 def _sample_count(text: str) -> int:
@@ -36,7 +36,9 @@ def _sample_count(text: str) -> int:
     return n
 
 
-def _parse_region(text: str, dim: int) -> Region:
+def _parse_region(text: str | None, dim: int) -> Region:
+    if text is None:
+        return default_region(dim)
     try:
         lo, hi = map(float, text.replace(",", " ").split())
     except ValueError:
@@ -114,7 +116,6 @@ def _cmd_plot(args) -> int:
 
 def _check_poly_gradients(rng) -> tuple[bool, str]:
     worst = 0.0
-    h = FD_STEP
     for _ in range(20):
         nvars = int(rng.integers(1, 5))
         n_terms = int(rng.integers(1, 7))
@@ -125,10 +126,7 @@ def _check_poly_gradients(rng) -> tuple[bool, str]:
         p = Polynomial(nvars, coeffs)
         for _ in range(5):
             x = rng.uniform(-1.5, 1.5, size=nvars)
-            fd = np.array([
-                (p.eval(x + h * e) - p.eval(x - h * e)) / (2 * h)
-                for e in np.eye(nvars)
-            ])
+            fd = central_differences(p.eval, x)
             g = p.grad(x)
             worst = max(worst, float(np.linalg.norm(fd - g) / max(1.0, np.linalg.norm(g))))
     return worst < 1e-6, f"max rel err {worst:.3e}"
@@ -204,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("stratify", help="report singular points and strata of a variety")
     s.add_argument("polynomial", help="sum-of-monomials text, e.g. 'x1^2 + x2^2 - x0^2'")
     s.add_argument("--level", type=float, default=0.0)
-    s.add_argument("--region", default="-2,2", help="axis bounds 'lo,hi' (all axes)")
+    s.add_argument("--region", help="axis bounds 'lo,hi' (all axes; default -2,2)")
     s.add_argument("--nvars", type=int, default=None)
     s.add_argument("--grid-points", type=int, default=SEED_GRID)
     s.add_argument("--csv", default=None, help="write singular points to this CSV")
@@ -213,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("resolve", help="choose and check a smooth deformation level")
     r.add_argument("polynomial")
     r.add_argument("--eps", type=float, required=True)
-    r.add_argument("--region", default="-2,2")
+    r.add_argument("--region", help="axis bounds 'lo,hi' (all axes; default -2,2)")
     r.add_argument("--nvars", type=int, default=None)
     r.add_argument("--grid-n", type=int, default=DEFAULT_GRID_N)
     r.add_argument("--samples", type=_sample_count, default=2000,

@@ -117,10 +117,7 @@ def _cusp_level_points(level: float) -> list[np.ndarray]:
     ts = np.linspace(-1.55, float(np.cbrt(level)), CUSP_POINTS_PER_BRANCH)
     points = []
     for t in ts:
-        rad = level - t ** 3
-        if rad < -1e-12:
-            continue
-        x1 = math.sqrt(max(rad, 0.0))
+        x1 = math.sqrt(max(level - t ** 3, 0.0))
         points.append(np.array([x1, t]))
         if x1 > 1e-12:
             points.append(np.array([-x1, t]))

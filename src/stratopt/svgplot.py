@@ -8,16 +8,18 @@ markers), and ``quiver`` (2-D tangential gradient field).
 
 Trajectory and aggregate CSVs are read column-wise with
 ``tables.read_columns``; the small targets and quiver tables with
-``tables.read_csv``.  Every plotted value must be a finite number: a short
-row, a non-numeric cell or an unknown quiver status raises ``SchemaError``,
-a non-finite value ``PlotDataError``, each naming the file and line, and no
-SVG is written.  ``_Canvas.sx``/``sy`` map scalars and whole arrays with the
-same float operations, and every coordinate is written as ``%.2f``.
+``tables.rows``, which gives each row's file line.  Every plotted value must
+be a finite number: a short row, a non-numeric cell or an unknown quiver
+status raises ``SchemaError``, a non-finite value ``PlotDataError``, each
+naming the file and line, and no SVG is written.  ``_Canvas.sx``/``sy`` map
+scalars and whole arrays with the same float operations, and every
+coordinate is written as ``%.2f``.
 """
 
 from __future__ import annotations
 
 import html
+import itertools
 import math
 from pathlib import Path
 
@@ -127,10 +129,6 @@ class _Canvas:
         return "\n".join(self.parts + ["</svg>"]) + "\n"
 
 
-def _where(path, row: int) -> str:
-    return f"{path}, line {tables.line_of(path, row)}"
-
-
 def _columns(path, fields, columns):
     """The named columns of a numeric CSV as float arrays; every value must be finite."""
     arrays = tables.read_columns(path, fields, columns)
@@ -140,31 +138,20 @@ def _columns(path, fields, columns):
     if bad.any():
         row = int(bad.any(axis=0).argmax())
         col = int(bad[:, row].argmax())
+        line = next(itertools.islice(tables.rows(path, fields), row, None))[0]
         raise PlotDataError(
-            f"{_where(path, row)}: {columns[col]} = {float(arrays[col][row])} is not finite"
+            f"{path}, line {line}: {columns[col]} = {float(arrays[col][row])} is not finite"
         )
     return arrays
 
 
-def _text_rows(path, fields):
-    """The rows of a small text table, each with one cell per field."""
-    header, rows = tables.read_csv(path)
-    if header != fields:
-        raise SchemaError(f"{path}: expected header {fields}, got {header}")
-    for i, row in enumerate(rows):
-        if len(row) != len(fields):
-            raise SchemaError(f"{_where(path, i)}: {len(row)} cells where the header "
-                              f"has {len(fields)}")
-    return rows
-
-
-def _number(path, row: int, field: str, cell: str) -> float:
+def _number(path, line: int, field: str, cell: str) -> float:
     try:
         value = float(cell)
     except ValueError:
-        raise SchemaError(f"{_where(path, row)}: {field} = {cell!r} is not a number") from None
+        raise SchemaError(f"{path}, line {line}: {field} = {cell!r} is not a number") from None
     if not math.isfinite(value):
-        raise PlotDataError(f"{_where(path, row)}: {field} = {cell} is not finite")
+        raise PlotDataError(f"{path}, line {line}: {field} = {cell} is not finite")
     return value
 
 
@@ -221,8 +208,9 @@ def _plot_topview(paths):
             mu2, mu3 = _columns(path, tables.TRAJ_FIELDS, ("mu2", "mu3"))
             trajectories.append((Path(path).stem, mu2, mu3))
         elif header == tables.TARGET_FIELDS:
-            for i, r in enumerate(_text_rows(path, tables.TARGET_FIELDS)):
-                targets.append((_number(path, i, "mu2", r[2]), _number(path, i, "mu3", r[3])))
+            for line, r in tables.rows(path, tables.TARGET_FIELDS):
+                targets.append((_number(path, line, "mu2", r[2]),
+                                _number(path, line, "mu3", r[3])))
         else:
             raise SchemaError(f"{path}: expected trajectory or targets CSV, got header {header}")
     if not trajectories:
@@ -250,15 +238,15 @@ def _plot_topview(paths):
 def _plot_quiver(paths):
     arrows = []  # (level, x1, x2, (gx, gy) or None where undefined)
     for path in paths:
-        for i, r in enumerate(_text_rows(path, tables.QUIVER_FIELDS)):
-            x, y = _number(path, i, "x1", r[1]), _number(path, i, "x2", r[2])
-            level = _number(path, i, "level", r[0])
+        for line, r in tables.rows(path, tables.QUIVER_FIELDS):
+            x, y = _number(path, line, "x1", r[1]), _number(path, line, "x2", r[2])
+            level = _number(path, line, "level", r[0])
             if r[5] == "ok":
-                g = (_number(path, i, "gx", r[3]), _number(path, i, "gy", r[4]))
+                g = (_number(path, line, "gx", r[3]), _number(path, line, "gy", r[4]))
             elif r[5] == "undefined":
                 g = None
             else:
-                raise SchemaError(f"{_where(path, i)}: status {r[5]!r} is neither "
+                raise SchemaError(f"{path}, line {line}: status {r[5]!r} is neither "
                                   f"'ok' nor 'undefined'")
             arrows.append((level, x, y, g))
     if not arrows:

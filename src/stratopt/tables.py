@@ -16,7 +16,8 @@ is never held whole.
 (trajectories, aggregates): it checks the header and returns the requested
 columns as float64 arrays parsed in one ``np.loadtxt`` pass, bit-exact with
 ``float(cell)``; its checks read the body ``READ_BYTES`` at a time.
-``read_csv`` returns the cells of any table as text.
+``rows`` yields the text cells of a small table (targets, quiver) with the
+file line of each row; ``read_csv`` returns the cells of any table as text.
 """
 
 from __future__ import annotations
@@ -106,17 +107,22 @@ def write_csv(path, fields, rows):
     return path
 
 
+def _utf8_lines(path):
+    """The lines of a UTF-8 text file; a line that holds a byte which is not
+    UTF-8 raises ``SchemaError`` naming it."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            try:
+                line.encode("utf-8", "surrogateescape").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise SchemaError(f"{path}, line {line_no}: {exc}") from None
+            yield line
+
+
 def read_csv(path):
     """Return (field names, rows as string lists); blank lines are skipped."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-            return header, [row for row in reader if row]
-        except StopIteration:
-            return [], []
-        except UnicodeDecodeError as exc:
-            raise SchemaError(f"{path}: {exc}") from None
+    reader = csv.reader(_utf8_lines(path))
+    return next(reader, []), [row for row in reader if row]
 
 
 def _header(fh, path) -> list[str]:
@@ -133,20 +139,24 @@ def read_header(path) -> list[str]:
         return _header(fh, path)
 
 
-def line_of(path, row: int) -> int:
-    """The file line on which data row ``row`` starts, counted as ``read_csv``
-    counts rows (header excluded, blank lines skipped)."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader, None)
-        start, index = reader.line_num + 1, 0
-        for cells in reader:
-            if cells:
-                if index == row:
-                    return start
-                index += 1
-            start = reader.line_num + 1
-    raise IndexError(f"{path} has no data row {row}")
+def rows(path, fields):
+    """Yield ``(line, cells)`` for each non-blank row of a text table, ``line``
+    being the file line the row starts on (quoted line breaks count).  A
+    header other than ``fields``, a row without one cell per field or a byte
+    that is not UTF-8 raises ``SchemaError``; the file is read once, so the
+    first fault in file order is the one reported."""
+    reader = csv.reader(_utf8_lines(path))
+    header = next(reader, [])
+    if header != list(fields):
+        raise SchemaError(f"{path}: expected header {list(fields)}, got {header}")
+    start = reader.line_num + 1
+    for cells in reader:
+        if cells:
+            if len(cells) != len(fields):
+                raise SchemaError(f"{path}, line {start}: {len(cells)} cells where the "
+                                  f"header has {len(fields)}")
+            yield start, cells
+        start = reader.line_num + 1
 
 
 def read_columns(path, fields, columns):

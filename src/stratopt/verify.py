@@ -15,20 +15,24 @@ from .model import ChartPoint, GaussianLocationModel
 FD_STEP = 1e-6  # step of the central-difference probe
 
 
-def finite_diff_grad(f, q: ChartPoint) -> np.ndarray:
-    """Central-difference gradient of a scalar function of a chart point."""
-    h = FD_STEP
-    out = np.empty(2)
-    probes = [
-        (ChartPoint(q.xi + h, q.theta), ChartPoint(q.xi - h, q.theta)),
-        (ChartPoint(q.xi, q.theta + h), ChartPoint(q.xi, q.theta - h)),
-    ]
-    for i, (hi, lo) in enumerate(probes):
+def central_differences(f, x) -> np.ndarray:
+    """Central-difference gradient of a scalar function of a float vector: each
+    probe moves one coordinate by +-FD_STEP, the others keep their bits."""
+    x = np.array(x, dtype=float)
+    out = np.empty(x.size)
+    for i in range(x.size):
+        hi, lo = x.copy(), x.copy()
+        hi[i], lo[i] = x[i] + FD_STEP, x[i] - FD_STEP
         fp, fm = f(hi), f(lo)
         if not (np.isfinite(fp) and np.isfinite(fm)):
-            raise ValueError(f"non-finite evaluation near ({q.xi}, {q.theta})")
-        out[i] = (fp - fm) / (2.0 * h)
+            raise ValueError(f"non-finite evaluation near ({', '.join(map(str, x.tolist()))})")
+        out[i] = (fp - fm) / (2.0 * FD_STEP)
     return out
+
+
+def finite_diff_grad(f, q: ChartPoint) -> np.ndarray:
+    """Central-difference gradient of a scalar function of a chart point."""
+    return central_differences(lambda x: f(ChartPoint(*x.tolist())), (q.xi, q.theta))
 
 
 def monte_carlo_fim(m: GaussianLocationModel, q: ChartPoint, n: int, seed: int) -> np.ndarray:

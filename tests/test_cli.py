@@ -234,6 +234,17 @@ def test_run_reports_failures_in_exit_code(tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["stratify", CONE_TEXT],
+    ["resolve", CONE_TEXT, "--eps", "0.1", "--grid-n", "32"],
+], ids=["stratify", "resolve"])
+def test_default_region_is_the_box_from_minus_2_to_2(capsys, argv):
+    assert main(argv) == 0
+    default = capsys.readouterr().out
+    assert main([*argv, "--region=-2,2"]) == 0
+    assert capsys.readouterr().out == default
+
+
 def test_overflowing_region_width_exits_2(capsys):
     # each bound is finite, but the width is not; the origin would be missed
     assert main(["stratify", "x0^2 + x1^2", "--region=-1e308,1e308"]) == 2
@@ -442,6 +453,26 @@ def _bad_quiver_status(path):
     return str(path)
 
 
+def _non_utf8_target(path):
+    path.write_bytes(b"surface,mu1,mu2,mu3\ncone,1,-1,0\nhyp\xe9rboloid,1,-1,0\n")
+    return str(path)
+
+
+def _non_utf8_quiver(path):
+    path.write_bytes(b"level,x1,x2,gx,gy,status\n0,1,2,0.5,0.5,ok\n\n0,1,-1,0.5,0.5,\xffok\n")
+    return str(path)
+
+
+def _two_bad_target_rows(path):
+    path.write_text("surface,mu1,mu2,mu3\ncone,1,abc,0\nhyperboloid,1\n", encoding="utf-8")
+    return str(path)
+
+
+def _short_target_after_blank_and_quoted_break(path):
+    path.write_text('surface,mu1,mu2,mu3\n"co\nne",1,-1,0\n\ncone,1,-1\n', encoding="utf-8")
+    return str(path)
+
+
 # (kind, build the bad file, its line named in the error, other inputs)
 BAD_PLOT_INPUTS = {
     "short trajectory row": ("loss_curves", _short_trajectory_row, 3, False),
@@ -462,6 +493,12 @@ BAD_PLOT_INPUTS = {
         p, TARGET_FIELDS, [["cone", 1.0, -1.0, 0.0], ["hyperboloid", 1.0, -1.0, math.nan]]),
         3, True),
     "unknown quiver status": ("quiver", _bad_quiver_status, 3, False),
+    "non-UTF-8 targets row": ("topview_trajectories", _non_utf8_target, 3, True),
+    "non-UTF-8 quiver row": ("quiver", _non_utf8_quiver, 4, False),
+    "short targets row after a blank line and a quoted line break": (
+        "topview_trajectories", _short_target_after_blank_and_quoted_break, 5, True),
+    "two bad targets rows, the first reported": (
+        "topview_trajectories", _two_bad_target_rows, 2, True),
 }
 
 

@@ -10,8 +10,7 @@ from hypothesis import given, strategies as st
 
 from stratopt import tables
 from stratopt.optim import TrajectoryRecord
-from stratopt.tables import (AGG_FIELDS, TRAJ_FIELDS, SchemaError, line_of, read_columns,
-                             read_csv, write_csv)
+from stratopt.tables import AGG_FIELDS, TRAJ_FIELDS, SchemaError, read_columns, read_csv, write_csv
 
 # NUL is left out: the stdlib csv reader rejects it on Python 3.10.
 TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00")
@@ -136,12 +135,31 @@ def test_read_columns_checks_the_header(tmp_path):
         read_columns(path, AGG_FIELDS, ("step",))
 
 
-def test_line_of_skips_blank_lines_and_counts_quoted_breaks(tmp_path):
+def test_rows_skip_blank_lines_and_count_quoted_breaks(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text('a,b\n1,2\n\n"x\ny",3\n4,5\n', encoding="utf-8")
-    assert [line_of(path, k) for k in range(3)] == [2, 4, 6]
-    with pytest.raises(IndexError):
-        line_of(path, 3)
+    assert list(tables.rows(path, ["a", "b"])) == [
+        (2, ["1", "2"]), (4, ["x\ny", "3"]), (6, ["4", "5"])]
+
+
+def test_rows_split_lines_as_text_mode_does(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"a,b\r\n1,2\r3,4\n")
+    assert list(tables.rows(path, ["a", "b"])) == [(2, ["1", "2"]), (3, ["3", "4"])]
+
+
+@pytest.mark.parametrize("read", [lambda path: list(tables.rows(path, ["a", "b"])), read_csv],
+                         ids=["rows", "read_csv"])
+@pytest.mark.parametrize("body, line, byte", [
+    (b"a,\xffb\n1,2\n", 1, "0xff in position 2"),
+    (b'a,b\n"x\n\xe9",2\n', 3, "0xe9 in position 0"),
+], ids=["header", "row-after-quoted-break"])
+def test_a_non_utf8_byte_names_its_line(tmp_path, read, body, line, byte):
+    path = tmp_path / "t.csv"
+    path.write_bytes(body)
+    with pytest.raises(SchemaError, match=re.escape(f"{path}, line {line}: 'utf-8' codec "
+                                                    f"can't decode byte {byte}")):
+        read(path)
 
 
 def _good_rows(n: int) -> str:

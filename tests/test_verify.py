@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from stratopt.model import Chart, ChartPoint, GaussianLocationModel
-from stratopt.verify import finite_diff_grad, monte_carlo_fim
+from stratopt.verify import FD_STEP, central_differences, finite_diff_grad, monte_carlo_fim
 
 CONE = Chart.cone()
 
@@ -30,6 +33,51 @@ def test_fd_nonfinite_loss_raises():
 
     with pytest.raises(ValueError):
         finite_diff_grad(bad, ChartPoint(1.0, 0.0))
+
+
+def _two_probe_grad(f, q):
+    """The chart-point formula ``finite_diff_grad`` had before it called
+    ``central_differences``: each probe is built from Python floats."""
+    h = FD_STEP
+    out = np.empty(2)
+    probes = [
+        (ChartPoint(q.xi + h, q.theta), ChartPoint(q.xi - h, q.theta)),
+        (ChartPoint(q.xi, q.theta + h), ChartPoint(q.xi, q.theta - h)),
+    ]
+    for i, (hi, lo) in enumerate(probes):
+        out[i] = (f(hi) - f(lo)) / (2.0 * h)
+    return out
+
+
+def _signed_zero_sensitive(q):
+    # atan2(-0.0, -1) = -pi but atan2(0.0, -1) = pi: a probe that drops the
+    # sign of a zero coordinate changes the value
+    return q.xi * math.atan2(q.theta, -1.0) + q.theta * math.atan2(q.xi, -1.0)
+
+
+COORD = st.floats(-4, 4) | st.sampled_from([0.0, -0.0])
+
+
+@given(xi=COORD, theta=COORD, eps=st.sampled_from([0.0, 0.05, 1.0]))
+@example(xi=1.0, theta=-0.0, eps=0.0)
+def test_fd_is_bit_for_bit_the_two_probe_formula(xi, theta, eps):
+    q = ChartPoint(xi, theta)
+    chart = Chart.cone() if eps == 0.0 else Chart.hyperboloid(eps)
+    m = GaussianLocationModel(chart, np.array([1.0, -0.5, 0.25]))
+    for f in (m.loss, _signed_zero_sensitive):
+        assert finite_diff_grad(f, q).tobytes() == _two_probe_grad(f, q).tobytes()
+
+
+def test_fd_nonfinite_message_is_unchanged():
+    with pytest.raises(ValueError) as err:
+        finite_diff_grad(lambda q: np.inf if q.xi > 1.0 else 0.0, ChartPoint(1.0, -0.0))
+    assert str(err.value) == "non-finite evaluation near (1.0, -0.0)"
+
+
+def test_central_differences_probe_any_length():
+    x = np.array([0.5, -1.0, 2.0, -0.0])
+    g = central_differences(lambda v: float(v @ v), x)
+    assert np.abs(g - 2 * x).max() < 1e-9
 
 
 def test_mc_fim_sample_floor():
