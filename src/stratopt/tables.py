@@ -12,12 +12,15 @@ types; any other row goes cell by cell.  Callers pass raw values.  The rows
 are joined and written ``WRITE_ROWS`` at a time, so the text of a long table
 is never held whole.
 
-``read_columns`` is the writer's counterpart for numeric tables
-(trajectories, aggregates): it checks the header and returns the requested
-columns as float64 arrays parsed in one ``np.loadtxt`` pass, bit-exact with
-``float(cell)``; its checks read the body ``READ_BYTES`` at a time.
-``rows`` yields the text cells of a small table (targets, quiver) with the
-file line of each row; ``read_csv`` returns the cells of any table as text.
+Every reader takes its records from ``_records``, the one csv pass, which
+names the line of a byte that is not UTF-8 or of a cell over the csv field
+size limit, and drops a leading UTF-8 BOM.  ``read_csv`` returns any table
+as text; ``rows`` yields a small table's cells (targets, quiver) with each
+row's file line.  ``read_columns`` parses the numeric columns of a
+trajectory or aggregate in one ``np.loadtxt`` pass, bit-exact with
+``float(cell)``, in the RFC 4180 grammar ``rows`` reads (``"6"`` is a
+number, a quoted comma no delimiter); its checks read the body
+``READ_BYTES`` at a time, and only a failed check walks ``rows``.
 """
 
 from __future__ import annotations
@@ -108,9 +111,9 @@ def write_csv(path, fields, rows):
 
 
 def _utf8_lines(path):
-    """The lines of a UTF-8 text file; a line that holds a byte which is not
-    UTF-8 raises ``SchemaError`` naming it."""
-    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
+    """The lines of a UTF-8 text file, a leading BOM dropped; a line that
+    holds a byte which is not UTF-8 raises ``SchemaError`` naming it."""
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape", newline="") as fh:
         for line_no, line in enumerate(fh, start=1):
             try:
                 line.encode("utf-8", "surrogateescape").decode("utf-8")
@@ -119,64 +122,72 @@ def _utf8_lines(path):
             yield line
 
 
+def _records(path):
+    """Yield ``(line, cells)`` for each record of a CSV, a blank line as
+    ``[]``; ``line`` is the file line the record starts on (quoted line breaks
+    count).  A byte that is not UTF-8, or a record the csv module rejects (a
+    cell over its field size limit), raises ``SchemaError`` naming its line."""
+    reader = csv.reader(_utf8_lines(path))
+    line = 1
+    try:
+        for cells in reader:
+            yield line, cells
+            line = reader.line_num + 1
+    except csv.Error as exc:
+        raise SchemaError(f"{path}, line {line}: {exc}") from None
+
+
 def read_csv(path):
     """Return (field names, rows as string lists); blank lines are skipped."""
-    reader = csv.reader(_utf8_lines(path))
-    return next(reader, []), [row for row in reader if row]
-
-
-def _header(fh, path) -> list[str]:
-    """The field names on the next line of a binary handle ([] at its end)."""
-    try:
-        return next(csv.reader([fh.readline().decode("utf-8")]), [])
-    except UnicodeDecodeError as exc:
-        raise SchemaError(f"{path}, line 1: {exc}") from None
+    records = _records(path)
+    header = next(records, (1, []))[1]
+    return header, [cells for _, cells in records if cells]
 
 
 def read_header(path) -> list[str]:
     """The field names on the first line of a CSV ([] for an empty file)."""
-    with open(path, "rb") as fh:
-        return _header(fh, path)
+    return next(_records(path), (1, []))[1]
 
 
 def rows(path, fields):
     """Yield ``(line, cells)`` for each non-blank row of a text table, ``line``
     being the file line the row starts on (quoted line breaks count).  A
-    header other than ``fields``, a row without one cell per field or a byte
-    that is not UTF-8 raises ``SchemaError``; the file is read once, so the
-    first fault in file order is the one reported."""
-    reader = csv.reader(_utf8_lines(path))
-    header = next(reader, [])
+    header other than ``fields``, a row without one cell per field or a
+    fault ``_records`` names raises ``SchemaError``; the file is read once,
+    so the first fault in file order is the one reported."""
+    records = _records(path)
+    header = next(records, (1, []))[1]
     if header != list(fields):
         raise SchemaError(f"{path}: expected header {list(fields)}, got {header}")
-    start = reader.line_num + 1
-    for cells in reader:
+    for line, cells in records:
         if cells:
             if len(cells) != len(fields):
-                raise SchemaError(f"{path}, line {start}: {len(cells)} cells where the "
+                raise SchemaError(f"{path}, line {line}: {len(cells)} cells where the "
                                   f"header has {len(fields)}")
-            yield start, cells
-        start = reader.line_num + 1
+            yield line, cells
 
 
 def read_columns(path, fields, columns):
     """Return the named ``columns`` of a numeric CSV as float64 arrays.
 
-    The header must be ``fields`` and every non-blank line must hold one
+    The header must be ``fields`` and every non-blank row must hold one
     cell per field; the requested cells must parse as floats (the others are
     not read).  A violation raises ``SchemaError`` naming the file and line.
     A header-only file gives empty arrays.  The body is read ``READ_BYTES``
     at a time to count its commas, then once more by ``np.loadtxt``; it is
-    never held whole.
+    never held whole.  Only when either finds a fault is the file walked
+    with ``rows`` to name the first bad line.
     """
+    header = read_header(path)
+    if header != list(fields):
+        raise SchemaError(f"{path}: expected header {list(fields)}, got {header}")
     picked = [fields.index(name) for name in columns]
     # Reading the last column as well makes loadtxt reject any short row; the
-    # comma count then rejects any long one.
+    # comma count then flags a long one, or a quoted comma.
     usecols = picked + [len(fields) - 1]
     with open(path, "rb") as fh:
-        header = _header(fh, path)
-        if header != list(fields):
-            raise SchemaError(f"{path}: expected header {list(fields)}, got {header}")
+        if b"\r" in fh.readline().rstrip(b"\r\n"):
+            raise SchemaError(f"{path}, line 1: ends in a lone CR, not LF or CRLF")
         start = fh.tell()
         commas, blank = 0, True
         for block in iter(functools.partial(fh.read, READ_BYTES), b""):
@@ -188,30 +199,18 @@ def read_columns(path, fields, columns):
         try:
             # From a binary handle loadtxt reads line by line; a StringIO of
             # the body would hold four bytes per character.
-            table = np.loadtxt(fh, delimiter=",", comments=None, usecols=usecols,
-                               ndmin=2, encoding="utf-8")
-            if commas != len(table) * (len(fields) - 1):
-                raise ValueError("a row has more cells than the header")
+            table = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None,
+                               usecols=usecols, ndmin=2, encoding="utf-8")
         except ValueError as exc:
-            fh.seek(start)
-            raise SchemaError(_first_bad_line(path, fh, fields, usecols)
-                              or f"{path}: {exc}") from None
+            table, error = None, exc
+    if table is None or commas != len(table) * (len(fields) - 1):
+        for line, cells in rows(path, fields):
+            for j in usecols:
+                try:
+                    float(cells[j])
+                except ValueError:
+                    raise SchemaError(f"{path}, line {line}: {fields[j]} = {cells[j]!r} "
+                                      f"is not a number") from None
+        if table is None:
+            raise SchemaError(f"{path}: {error}")
     return [table[:, k] for k in range(len(picked))]
-
-
-def _first_bad_line(path, body, fields, usecols) -> str | None:
-    """Describe the first line that ``read_columns`` rejects, or None; ``body``
-    yields the lines after the header as bytes (a binary handle)."""
-    for line, raw in enumerate(body, start=2):
-        row = raw.decode("utf-8", errors="replace").rstrip("\n").rstrip("\r")
-        if not row:
-            continue
-        cells = row.split(",")
-        if len(cells) != len(fields):
-            return f"{path}, line {line}: {len(cells)} cells where the header has {len(fields)}"
-        for j in usecols:
-            try:
-                float(cells[j])
-            except ValueError:
-                return f"{path}, line {line}: {fields[j]} = {cells[j]!r} is not a number"
-    return None

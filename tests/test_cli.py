@@ -1,3 +1,4 @@
+import codecs
 import hashlib
 import math
 import os
@@ -473,6 +474,32 @@ def _short_target_after_blank_and_quoted_break(path):
     return str(path)
 
 
+def _non_utf8_undrawn_cell(path):
+    path.write_bytes((",".join(TRAJ_FIELDS) + "\n0,1,3,1,-1,0.5,0.5,1\n").encode()
+                     + b"1,\xff1,3,1,-1,0.5,0.5,1\n")
+    return str(path)
+
+
+BIG_CELL = "o" * 200_000  # over the csv module's 131,072-character field limit
+
+
+def _big_quiver_status(path):
+    path.write_text(f"level,x1,x2,gx,gy,status\n0,1,2,0.5,0.5,ok\n0,1,-1,0.5,0.5,{BIG_CELL}\n",
+                    encoding="utf-8")
+    return str(path)
+
+
+def _big_target_cell(path):
+    path.write_text(f"surface,mu1,mu2,mu3\n{BIG_CELL},1,-1,0\n", encoding="utf-8")
+    return str(path)
+
+
+def _big_trajectory_header(path):
+    path.write_text(",".join(TRAJ_FIELDS + [BIG_CELL]) + "\n0,1,3,1,-1,0.5,0.5,1\n",
+                    encoding="utf-8")
+    return str(path)
+
+
 # (kind, build the bad file, its line named in the error, other inputs)
 BAD_PLOT_INPUTS = {
     "short trajectory row": ("loss_curves", _short_trajectory_row, 3, False),
@@ -499,6 +526,10 @@ BAD_PLOT_INPUTS = {
         "topview_trajectories", _short_target_after_blank_and_quoted_break, 5, True),
     "two bad targets rows, the first reported": (
         "topview_trajectories", _two_bad_target_rows, 2, True),
+    "non-UTF-8 cell in a column not drawn": ("loss_curves", _non_utf8_undrawn_cell, 3, False),
+    "oversized quiver cell": ("quiver", _big_quiver_status, 3, False),
+    "oversized targets cell": ("topview_trajectories", _big_target_cell, 2, True),
+    "oversized trajectory header cell": ("loss_curves", _big_trajectory_header, 1, False),
 }
 
 
@@ -514,7 +545,25 @@ def test_plot_rejects_malformed_rows(capsys, tmp_path, case):
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith(f"error: {bad}, line {line}: ")
+    if case.startswith("oversized"):
+        assert err.endswith(": field larger than field limit (131072)\n")
     assert not svg.exists()
+
+
+def test_plot_reads_a_csv_that_starts_with_a_bom(tmp_path):
+    svgs = {}
+    for bom in (b"", codecs.BOM_UTF8):
+        d = tmp_path / f"bom{len(bom)}"
+        d.mkdir()
+        traj = write_csv(d / "t.csv", TRAJ_FIELDS, [_traj_row(), _traj_row(1, -0.5, 0.25, 0.1)])
+        targets = write_csv(d / "g.csv", TARGET_FIELDS, [["cone", 1.0, -1.0, 0.0]])
+        for path in (traj, targets):
+            path.write_bytes(bom + path.read_bytes())
+        for kind, inputs in (("loss_curves", [traj]), ("topview_trajectories", [traj, targets])):
+            svg = d / f"{kind}.svg"
+            assert main(["plot", *map(str, inputs), "--kind", kind, "--out", str(svg)]) == 0
+            svgs.setdefault(kind, []).append(svg.read_bytes())
+    assert all(plain == with_bom for plain, with_bom in svgs.values())
 
 
 def test_plot_header_only_csv_is_a_data_error(capsys, tmp_path, recwarn):

@@ -45,3 +45,24 @@ def test_the_package_imports_only_the_standard_library_and_numpy():
             found += [f"{path.name}:{node.lineno}: {name}" for name in names
                       if name.split(".")[0] not in allowed]
     assert found == []
+
+
+
+def test_tables_is_the_one_csv_reader():
+    # every CSV is parsed by tables, so each input has one grammar and one fault report
+    found, readers = [], 0
+    for path in sorted(Path(stratopt.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [alias.name for alias in node.names]
+            else:
+                names = ["loadtxt"] if "loadtxt" in (getattr(node, "attr", None),
+                                                    getattr(node, "id", None)) else []
+            readers += isinstance(node, ast.Attribute) and ast.unparse(node) == "csv.reader"
+            if path.name != "tables.py":
+                found += [f"{path.name}:{node.lineno}: {name}" for name in names
+                          if name == "loadtxt" or name.split(".")[0] == "csv"]
+    assert found == []
+    assert readers == 1  # the one csv.reader, in tables._records

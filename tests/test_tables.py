@@ -121,6 +121,8 @@ def test_read_columns_header_only_is_empty_without_warning(tmp_path):
     ("0,1,2\n\n1,abc,3\n", "line 4: mean_loss = 'abc' is not a number"),
     ("0,1,\n", "line 2: median_loss = '' is not a number"),
     ("0,1,2\n   \n", "line 3: 1 cells where the header has 3"),
+    ('0,1,"2"\n1,2,3,4\n', "line 3: 4 cells where the header has 3"),
+    ('0,1,"2\n"\n\n1,"a,b",2\n', "line 5: mean_loss = 'a,b' is not a number"),
 ])
 def test_read_columns_names_the_bad_line(tmp_path, body, message):
     path = tmp_path / "t.csv"
@@ -132,6 +134,15 @@ def test_read_columns_names_the_bad_line(tmp_path, body, message):
 def test_read_columns_checks_the_header(tmp_path):
     path = write_csv(tmp_path / "t.csv", ["step", "mean_loss"], [(0, 1.0)])
     with pytest.raises(SchemaError, match="expected header"):
+        read_columns(path, AGG_FIELDS, ("step",))
+
+
+def test_read_columns_rejects_a_header_that_ends_in_a_lone_cr(tmp_path):
+    # rows would read it, but the binary body read would take the file as one line
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"step,mean_loss,median_loss\r0,1,2\r\n")
+    assert [c for _, c in tables.rows(path, AGG_FIELDS)] == [["0", "1", "2"]]
+    with pytest.raises(SchemaError, match=re.escape(f"{path}, line 1: ends in a lone CR")):
         read_columns(path, AGG_FIELDS, ("step",))
 
 
@@ -160,6 +171,36 @@ def test_a_non_utf8_byte_names_its_line(tmp_path, read, body, line, byte):
     with pytest.raises(SchemaError, match=re.escape(f"{path}, line {line}: 'utf-8' codec "
                                                     f"can't decode byte {byte}")):
         read(path)
+
+
+@pytest.mark.parametrize("read", [lambda path: list(tables.rows(path, ["a", "b"])), read_csv],
+                         ids=["rows", "read_csv"])
+@pytest.mark.parametrize("body, line", [
+    ("a,b\n1,2\n3," + "x" * 200_000 + "\n", 3),
+    ('a,b\n"1\n2",3\n\n"' + "x" * 200_000 + '",4\n', 5),
+], ids=["row", "after-a-quoted-break-and-a-blank-line"])
+def test_an_oversized_cell_names_its_line(tmp_path, read, body, line):
+    path = tmp_path / "t.csv"
+    path.write_text(body, encoding="utf-8")
+    with pytest.raises(SchemaError, match=re.escape(
+            f"{path}, line {line}: field larger than field limit (131072)")):
+        read(path)
+
+
+def test_read_columns_reads_the_cells_rows_reads(tmp_path):
+    # a quoted number is a number; a quoted comma in a cell not read is no delimiter
+    path = tmp_path / "t.csv"
+    path.write_text(",".join(TRAJ_FIELDS) + '\n"6",1,3,1,-1,0.5,"0.1",1\n'
+                    '1,"1,5",3,1,-1,0.5,"-0",1\n', encoding="utf-8")
+    step, loss = read_columns(path, TRAJ_FIELDS, ("step", "loss"))
+    cells = [c for _, c in tables.rows(path, TRAJ_FIELDS)]
+    assert [_bits(v) for v in step.tolist()] == [_bits(float(c[0])) for c in cells]
+    assert [_bits(v) for v in loss.tolist()] == [_bits(float(c[6])) for c in cells]
+    assert cells[0][0] == "6" and cells[1][1] == "1,5"
+    with path.open("a", encoding="utf-8") as fh:
+        fh.write("2,1,3,1,-1,0.5,0.5,1,9\n")
+    with pytest.raises(SchemaError, match=re.escape(f"{path}, line 4: 9 cells where")):
+        read_columns(path, TRAJ_FIELDS, ("step", "loss"))
 
 
 def _good_rows(n: int) -> str:
