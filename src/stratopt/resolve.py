@@ -33,10 +33,15 @@ labelled in numpy by min-label hooking and pointer jumping (Shiloach &
 Vishkin 1982), so the count is deterministic.  ``scipy.ndimage.label``
 would label faster, but the runtime dependencies stay ``numpy`` only.
 
-``smoothness_check`` and ``proximity_check`` draw the same ``CHECK_SAMPLES``
-uniform samples from seed 0 and project them onto the same level; the
-projection is cached per process (``SAMPLE_CACHE_SIZE`` entries), so checking
-one deformation with both costs one solve.
+``decide`` is the one level decision: ``stratopt resolve`` prints it, and a
+run builds its hyperboloid chart at the level it picks for the double cone.
+For a polynomial of degree at most 2, ``smoothness_check`` is the critical
+points on the level alone and draws no samples, so ``decide`` on the double
+cone costs about 1 ms per eps.  At degree 3 and up, ``smoothness_check`` and
+``proximity_check`` draw the same ``CHECK_SAMPLES`` uniform samples from
+seed 0 and project them onto the same level; the projection is cached per
+process (``SAMPLE_CACHE_SIZE`` entries), so checking one deformation with
+both costs one solve.
 """
 
 from __future__ import annotations
@@ -217,17 +222,24 @@ def _count_roots(n: int, a: np.ndarray, b: np.ndarray) -> int:
 def smoothness_check(d: Deformation) -> bool:
     """True iff no probe on {base = level} has a vanishing gradient.
 
-    Probes are the ``CHECK_SAMPLES`` seeded uniform samples Newton-projected
-    onto the level set, plus any critical points of base located on it
+    The first probes are the critical points of base located on the level
     (uniform sampling alone cannot witness a measure-zero singular point).
     A critical point nearer to {base = 0} than to the level is the base
     variety's own, not the level's: the two levels' ``TOL_ON`` bands overlap
-    when |level| < 2 * ``TOL_ON``.  Projection failures are tolerated up to
-    1% of the samples.
+    when |level| < 2 * ``TOL_ON``.  For a base of degree at most 2 they are
+    the whole answer and no sample is drawn: grad base is affine, so
+    ``find_singular_points``' pseudoinverse Newton step lands on the
+    critical set, an affine set on which base is constant, and its endpoints
+    give every critical value.  (A level that is empty in R^n therefore
+    passes; ``decide`` never asks about one.)  A higher degree also probes
+    the ``CHECK_SAMPLES`` seeded uniform samples Newton-projected onto the
+    level set, tolerating projection failures up to 1% of the samples.
     """
     values = [d.base.eval(s) for s in find_singular_points(d.base, d.level, d.region)]
     if any(abs(v - d.level) <= abs(v) for v in values):
         return False
+    if d.base.degree <= 2:
+        return True
     Y, ok = _projected_samples(d, CHECK_SAMPLES)
     n_diverged = int((~ok).sum())
     if n_diverged > DIVERGENCE_BUDGET * CHECK_SAMPLES:

@@ -6,6 +6,11 @@ quiver CSV of tangentially projected gradients along the curve and its
 deformations.  Last comes ``metadata.cfg``, echoing the fully resolved spec
 (defaults and seeds included) so the run can be reproduced bit-identically;
 a directory without it holds no finished run.
+
+The hyperboloid surface is a smooth deformation of the double cone, and the
+run takes its level from ``resolve.decide`` at ``spec.eps``, as ``stratopt
+resolve`` would choose it; the runner assumes no sign.  A level the chart
+cannot carry (not > 0) raises ``ValueError`` before any file is written.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from .config import SURFACES, ExperimentSpec, InitDistribution, format_config
 from .model import Chart, ChartPoint, GaussianLocationModel
 from .optim import StallReport, Termination, Trajectory, detect_stall, run
 from .poly import cusp_curve, double_cone
-from .resolve import default_region, projected_gradient_field
+from .resolve import decide, default_region, projected_gradient_field
 from .stratify import find_singular_points
 
 CUSP_POINTS_PER_BRANCH = 12
@@ -46,7 +51,10 @@ class ExperimentResult:
 
 
 def _surfaces(spec: ExperimentSpec) -> list[tuple[str, Chart]]:
-    charts = {"cone": Chart.cone, "hyperboloid": lambda: Chart.hyperboloid(spec.eps)}
+    """Each surface of the spec's model with its chart; the hyperboloid is the
+    level of the double cone that ``decide`` resolves it at, eps = ``spec.eps``."""
+    charts = {"cone": Chart.cone, "hyperboloid": lambda: Chart.hyperboloid(
+        decide(double_cone(), spec.eps, default_region(3))[0].level)}
     return [(surface, charts[surface]()) for surface in SURFACES[spec.model]]
 
 

@@ -20,7 +20,8 @@ row's file line.  ``read_columns`` parses the numeric columns of a
 trajectory or aggregate in one ``np.loadtxt`` pass, bit-exact with
 ``float(cell)``, in the RFC 4180 grammar ``rows`` reads (``"6"`` is a
 number, a quoted comma no delimiter); its checks read the body
-``READ_BYTES`` at a time, and only a failed check walks ``rows``.
+``READ_BYTES`` at a time and name the line of a lone CR line end, and only
+another failed check walks ``rows``.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from __future__ import annotations
 import csv
 import functools
 import itertools
+import re
 from pathlib import Path
 from typing import NamedTuple
 
@@ -60,6 +62,7 @@ FLOAT_FORMAT = "%.17g"
 WRITE_ROWS = 1024  # rows joined into one string per write
 READ_BYTES = 1 << 16  # bytes per read while read_columns checks a body
 _CELL_FORMATS = {float: FLOAT_FORMAT, int: "%d"}
+_LONE_CR = re.compile(rb"\r[^\n]")  # a CR line end that is not CRLF
 
 
 class SchemaError(ValueError):
@@ -167,6 +170,16 @@ def rows(path, fields):
             yield line, cells
 
 
+def _check_line_ends(path, data: bytes, line: int):
+    """Raise ``SchemaError`` at the first CR in ``data`` that a byte other
+    than LF follows, naming its line: ``line`` (the line ``data`` starts on)
+    plus the LFs before it.  A CR at the end of ``data`` is not judged."""
+    lone = _LONE_CR.search(data) if b"\r" in data else None  # write_csv writes no CR
+    if lone:
+        line += data.count(b"\n", 0, lone.start())
+        raise SchemaError(f"{path}, line {line}: ends in a lone CR, not LF or CRLF")
+
+
 def read_columns(path, fields, columns):
     """Return the named ``columns`` of a numeric CSV as float64 arrays.
 
@@ -174,9 +187,11 @@ def read_columns(path, fields, columns):
     cell per field; the requested cells must parse as floats (the others are
     not read).  A violation raises ``SchemaError`` naming the file and line.
     A header-only file gives empty arrays.  The body is read ``READ_BYTES``
-    at a time to count its commas, then once more by ``np.loadtxt``; it is
-    never held whole.  Only when either finds a fault is the file walked
-    with ``rows`` to name the first bad line.
+    at a time to count its commas and to find a CR line end that is not
+    CRLF, which ``np.loadtxt`` cannot read (the first one raises
+    ``SchemaError`` naming its line), then once more by ``np.loadtxt``; it
+    is never held whole.  Only when either finds another fault is the file
+    walked with ``rows`` to name the first bad line.
     """
     header = read_header(path)
     if header != list(fields):
@@ -186,13 +201,16 @@ def read_columns(path, fields, columns):
     # comma count then flags a long one, or a quoted comma.
     usecols = picked + [len(fields) - 1]
     with open(path, "rb") as fh:
-        if b"\r" in fh.readline().rstrip(b"\r\n"):
-            raise SchemaError(f"{path}, line 1: ends in a lone CR, not LF or CRLF")
+        _check_line_ends(path, fh.readline(), 1)
         start = fh.tell()
-        commas, blank = 0, True
+        commas, blank, line, ends_in_cr = 0, True, 2, False
         for block in iter(functools.partial(fh.read, READ_BYTES), b""):
             commas += block.count(b",")
             blank = blank and block.isspace()
+            # a CR that ends the last read is checked against this read's first byte
+            _check_line_ends(path, b"\r" + block if ends_in_cr else block, line)
+            line += block.count(b"\n")
+            ends_in_cr = block.endswith(b"\r")
         if blank:
             return [np.empty(0) for _ in picked]
         fh.seek(start)

@@ -287,14 +287,28 @@ def test_huge_finite_region_runs_without_warnings(capsys, polynomial, bound):
 
 @pytest.mark.filterwarnings("error")
 def test_huge_finite_region_resolve_exits_2_without_warnings(capsys):
-    # the corner lattice overflows to inf/NaN corners, which leave their cells empty
-    argv = ["resolve", "x0^2 + x1^2", "--eps", "0.1", "--region=-1e300,1e300"]
+    # the corner lattice overflows to inf/NaN corners, which leave their cells
+    # empty, and every sample of the cubic overflows in its projection
+    argv = ["resolve", "x0^2 + x1^2 + x1^3", "--eps", "0.1", "--region=-1e300,1e300"]
     assert main(argv) == 2
     out, err = capsys.readouterr()
-    assert out.splitlines() == ["level +0.1: 1 component(s), 4 occupied cells",
+    assert out.splitlines() == ["level +0.1: 1 component(s), 2 occupied cells",
                                 "level -0.1: 0 component(s), 0 occupied cells"]
     assert err == ("error: no smooth deformation at levels +/-0.1: component counts [1, 0]; "
                    "10000/10000 projections failed to reach level 0.1\n")
+
+
+@pytest.mark.filterwarnings("error")
+def test_huge_finite_region_resolves_a_quadric_without_warnings(capsys):
+    # the samples would overflow too, but a quadric's check draws none: the
+    # circle {x0^2 + x1^2 = 0.1} has no critical point on it
+    argv = ["resolve", "x0^2 + x1^2", "--eps", "0.1", "--region=-1e300,1e300"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "level +0.1: 1 component(s), 4 occupied cells",
+        "level -0.1: 0 component(s), 0 occupied cells",
+        "chosen level: +0.1",
+        "smoothness check: pass"]
 
 
 @pytest.mark.filterwarnings("error")

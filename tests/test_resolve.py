@@ -473,6 +473,38 @@ def test_smoothness_below_the_on_level_tolerance():
     assert not smoothness_check(deform(CONE + Polynomial(3, {(0, 0, 0): 1e-12}), 1e-12))
 
 
+LEVELS = (0.0, 1e-12, -1e-12, 1e-3, -1e-3, 0.1, -0.1, 1.0, -1.0)
+# the verdict of the sampled probe (CHECK_SAMPLES projected samples after the
+# critical-point test) at each of LEVELS; None where it raised ProjectionError,
+# on levels that are empty in R^n
+SAMPLED_VERDICTS = {
+    ("x1^2 + x2^2 - x0^2", 3): (False, True, True, True, True, True, True, True, True),
+    ("x0*x2 - x1^2", 3): (False, True, True, True, True, True, True, True, True),
+    ("x0*x3 - x1*x2", 4): (False, True, True, True, True, True, True, True, True),
+    ("x0^2", 3): (False, True, None, True, None, True, None, True, None),
+    # its critical point (3, 0, 0) lies off the region
+    ("x0^2 - 6*x0 + 9 + x1^2 - x2^2", 3): (True,) * 9,
+    ("x0*x1 - 0.1", 2): (True, True, True, True, True, True, False, True, True),
+    ("0.1 - x0^2 - x1^2", 2): (True, True, True, True, True, False, True, None, True),
+}
+
+
+@pytest.mark.parametrize("text, nvars", list(SAMPLED_VERDICTS))
+def test_a_quadric_check_is_its_critical_points(text, nvars, monkeypatch):
+    def no_projection(*args):
+        raise AssertionError("a check of degree <= 2 projected its samples")
+    monkeypatch.setattr(resolve, "project_to_level", no_projection)
+    resolve._projected_samples.cache_clear()
+    p = parse_polynomial(text, nvars=nvars)
+    assert p.degree <= 2
+    for level, sampled in zip(LEVELS, SAMPLED_VERDICTS[text, nvars]):
+        if sampled is None:
+            # an empty level has no critical point on it, so it now passes;
+            # decide never checks it, as its count of 0 is not viable
+            assert count_components(deform(p, level)).count == 0
+        assert smoothness_check(deform(p, level)) is (True if sampled is None else sampled)
+
+
 # -- proximity_check -----------------------------------------------------------------
 
 def test_proximity_small_deformation_near_base():
@@ -551,8 +583,9 @@ def test_equal_deformations_hit_the_caches():
     resolve._projected_samples.cache_clear()
     _singular_points.cache_clear()
     _newton_endpoints.cache_clear()
-    for region in (Region.cube(-2.0, 2.0, 3), Region(np.full(3, -2.0), np.full(3, 2.0))):
-        assert smoothness_check(deform(CONE, 0.1, region))
+    # a cubic: the check of a quadric draws no samples
+    for region in (Region.cube(-2.0, 2.0, 2), Region(np.full(2, -2.0), np.full(2, 2.0))):
+        assert smoothness_check(deform(CUSP, 0.1, region))
     assert resolve._projected_samples.cache_info().hits == 1
     assert _singular_points.cache_info().hits == 1
     # the second region finds the filtered points, so the one Newton solve is not looked up again

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import tracemalloc
 from dataclasses import replace
 
@@ -7,12 +8,13 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from stratopt import optim, runner
+from stratopt.cli import main
 from stratopt.config import SURFACES, ExperimentSpec, InitDistribution, load_config
 from stratopt.model import Chart, ChartPoint
 from stratopt.optim import Termination, Trajectory, TrajectoryRecord
 from stratopt.poly import double_cone
-from stratopt.presets import PRESET_NAMES, preset
-from stratopt.resolve import choose_resolution
+from stratopt.presets import preset
+from stratopt.resolve import default_region, deform
 from stratopt.runner import _aggregate_rows, _loss_curve, _surfaces, run_experiment
 from stratopt.tables import AGG_FIELDS, STALL_FIELDS, TRAJ_FIELDS, read_csv, write_csv
 
@@ -271,12 +273,45 @@ def test_cusp_quiver(tmp_path):
     assert all(np.isfinite([float(r[3]), float(r[4])]).all() for r in oks)
 
 
-@pytest.mark.parametrize("name", [n for n in PRESET_NAMES
-                                  if preset(n).model in ("hyperboloid", "both")])
-def test_hyperboloid_presets_run_at_the_oracle_level(name):
-    # the runner builds Chart.hyperboloid(spec.eps), the level set at +eps
-    spec = preset(name)
-    assert choose_resolution(double_cone(), spec.eps).level == spec.eps
+def decided_level(level):
+    """A stand-in for ``resolve.decide`` that resolves the double cone at ``level``."""
+    def decide(p, eps, region):
+        assert (p, eps, region) == (double_cone(), 0.05, default_region(3))
+        return deform(p, level, region), "morse", None, ((2, 1),)
+    return decide
+
+
+def test_the_hyperboloid_level_comes_from_decide(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(runner, "decide", decided_level(0.07))
+    result = run_experiment(small_spec(max_steps=20), out_dir=tmp_path / "run")
+    for i in range(3):
+        _, traj = read_csv(result.trajectory_paths[("hyperboloid", i)])
+        mu = np.array([[float(v) for v in row[3:6]] for row in traj])
+        assert len(mu) > 1
+        assert np.allclose(mu[:, 1] ** 2 + mu[:, 2] ** 2 - mu[:, 0] ** 2, 0.07,
+                           rtol=1e-12, atol=0)
+    # a level the chart cannot carry ends the run before metadata.cfg is written
+    monkeypatch.setattr(runner, "decide", decided_level(-0.05))
+    cfg = tmp_path / "both.cfg"
+    cfg.write_text("[experiment]\nmodel = both\neps = 0.05\nmax_steps = 5\n"
+                   "init = 1.2 0.3\ntarget = 1.0 0.0\n", encoding="utf-8")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "neg")]) == 2
+    assert capsys.readouterr().err == (
+        "error: hyperboloid chart requires a finite eps > 0, got eps=-0.05\n")
+    assert not (tmp_path / "neg" / "metadata.cfg").exists()
+
+
+def test_a_hyperboloid_at_eps_1e6_runs_as_before(tmp_path):
+    # decide resolves the double cone at +1e6, the level the chart was built at
+    # when the runner took spec.eps as it is: these are that run's bytes
+    result = run_experiment(small_spec(model="hyperboloid", eps=1e6, max_steps=20),
+                            out_dir=tmp_path)
+    assert result.n_failures == 0
+    files = csv_bytes(tmp_path)
+    assert list(files) == ["aggregate_hyperboloid.csv", "stalls.csv", "targets.csv",
+                           *(f"traj_hyperboloid_{i:03d}.csv" for i in range(3))]
+    assert hashlib.sha256(b"".join(files.values())).hexdigest() == (
+        "f032cab21c12a1d0093e9935848a0dd393921df9ee9d50a9e0b7d89134f5341e")
 
 
 def test_write_trajectory_csv_standalone(tmp_path):

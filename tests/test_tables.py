@@ -146,6 +146,30 @@ def test_read_columns_rejects_a_header_that_ends_in_a_lone_cr(tmp_path):
         read_columns(path, AGG_FIELDS, ("step",))
 
 
+@pytest.mark.parametrize("body, line", [
+    (b"0,1,2\r3,4,5\r\n", 2),
+    (b"0,1,2\n\n3,4,5\r\n6,7,8\r9,10,11\n", 5),
+    (b"0,1,2\r\r\n", 2),
+], ids=["after-crlf", "after-lf-and-a-blank-line", "before-crlf"])
+def test_read_columns_names_the_line_of_a_lone_cr_in_the_body(tmp_path, body, line):
+    # np.loadtxt cannot read a lone CR, and rows splits there as text mode does
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"step,mean_loss,median_loss\r\n" + body)
+    with pytest.raises(SchemaError, match=re.escape(
+            f"{path}, line {line}: ends in a lone CR, not LF or CRLF")):
+        read_columns(path, AGG_FIELDS, ("step", "mean_loss"))
+
+
+def test_read_columns_reads_a_crlf_split_across_reads(tmp_path):
+    # a first row of leading zeros puts its CR last in the first read, its LF first in the next
+    body = b"0" * (tables.READ_BYTES - 10) + b",0.5,0.25\r\n" + b"1,0.5,0.25\r\n" * 3
+    assert body[tables.READ_BYTES - 1:tables.READ_BYTES + 1] == b"\r\n"
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"step,mean_loss,median_loss\r\n" + body)
+    step, mean = read_columns(path, AGG_FIELDS, ("step", "mean_loss"))
+    assert step.tolist() == [0, 1, 1, 1] and mean.tolist() == [0.5] * 4
+
+
 def test_rows_skip_blank_lines_and_count_quoted_breaks(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text('a,b\n1,2\n\n"x\ny",3\n4,5\n', encoding="utf-8")
