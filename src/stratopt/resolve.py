@@ -37,7 +37,7 @@ would label faster, but the runtime dependencies stay ``numpy`` only.
 run builds its hyperboloid chart at the level it picks for the double cone.
 For a polynomial of degree at most 2, ``smoothness_check`` is the critical
 points on the level alone and draws no samples, so ``decide`` on the double
-cone costs about 1 ms per eps.  At degree 3 and up, ``smoothness_check`` and
+cone costs about 0.3 ms per eps.  At degree 3 and up, ``smoothness_check`` and
 ``proximity_check`` draw the same ``CHECK_SAMPLES`` uniform samples from
 seed 0 and project them onto the same level; the projection is cached per
 process (``SAMPLE_CACHE_SIZE`` entries), so checking one deformation with

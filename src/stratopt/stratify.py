@@ -4,11 +4,12 @@ Singular points of the level set {p = level} are the points where the
 gradient of p vanishes on the level set.  They are located by running
 Newton's method on the critical-point system (grad p = 0) from a uniform
 grid of seeds, then filtering to the level set and deduplicating.  The
-Newton endpoints do not depend on the level, so they are cached per process
-(``NEWTON_CACHE_SIZE`` entries, keyed on the polynomial, the region and the
-seed grid): every level searched on one variety and region shares a single
-solve, and the points filtered from it are cached per level.  A ``Region`` is a value, with read-only copied bounds and equality by
-their bytes, so an equal region built from other arrays finds that solve.
+Newton endpoints do not depend on the level, so their distinct values are
+cached per process (``NEWTON_CACHE_SIZE`` entries, keyed on the polynomial,
+the region and the seed grid): every level searched on one variety and
+region filters the endpoints of a single solve.  A ``Region`` is a value,
+with read-only copied bounds and equality by their bytes, so an equal
+region built from other arrays finds that solve.
 ``project_to_level``, the Newton projection onto a level set that the
 ball-radius probes and ``resolve`` use, lives here too.  It keeps the rows
 still moving as contiguous coordinate columns and drops a row's column once
@@ -171,49 +172,37 @@ def find_singular_points(
     Newton iteration on grad p = 0 runs from every one of the
     ``grid_points``-per-axis seeds simultaneously; the minimal-norm step
     (pseudoinverse of the Hessian) keeps degenerate critical points
-    reachable.  The endpoints are cached per polynomial, region and seed
-    grid (``_newton_endpoints``: one pseudoinverse per round for a
-    polynomial of degree at most 2, and an early stop once a round moves
-    no row).  An endpoint counts when ``level_masks`` finds it singular.
-    Output is deduplicated within ``MERGE_RADIUS`` and sorted
-    lexicographically by coordinates.  The filtered points are cached per
-    polynomial, level, region and seed grid too; each call returns its own
-    copies.
+    reachable.  Of its cached distinct endpoints (``_newton_endpoints``),
+    those ``level_masks`` finds singular count; they are merged within
+    ``MERGE_RADIUS`` and returned sorted lexicographically, as new arrays.
+    A constant polynomial, whose level sets are empty or all of R^n, is a
+    ``ValueError``.
     """
     _reject_systems(p)
     if p.nvars != region.dim:
         raise ValueError(f"polynomial has {p.nvars} variables, region has dim {region.dim}")
     if not math.isfinite(level):
         raise ValueError(f"level must be finite, got {level}")
-    return [s.copy() for s in _singular_points(p, float(level), region, grid_points)]
-
-
-# three levels per Newton solve: a variety's own (0) and its deformations' (+/-eps)
-@functools.lru_cache(maxsize=3 * NEWTON_CACHE_SIZE)
-def _singular_points(p: Polynomial, level: float, region: Region,
-                     grid_points: int) -> tuple[np.ndarray, ...]:
-    """``find_singular_points`` on validated arguments; read-only, shared by callers."""
+    if p.degree == 0:
+        raise ValueError(f"polynomial {p.to_string()!r} is constant: each of its level sets "
+                         f"is empty or all of R^{p.nvars}")
     X = _newton_endpoints(p, region, grid_points)
-    _, _, singular = level_masks(p, level, X)
-    pad = 1e-9 * float(np.max(region.widths))
-    cands = X[singular & region.contains(X, pad=pad)]
-    cands = cands[np.lexsort(cands.T[::-1])]  # primary key: first coordinate
+    cands = X[level_masks(p, level, X)[2]]
     out: list[np.ndarray] = []
     # keep the first remaining candidate, drop every candidate within
     # MERGE_RADIUS of it; on the sorted order this keeps a candidate iff it is
     # farther than MERGE_RADIUS from every point kept before it
     while cands.shape[0]:
         out.append(cands[0].copy())
-        out[-1].setflags(write=False)
         cands = cands[np.linalg.norm(cands - cands[0], axis=1) > MERGE_RADIUS]
-    return tuple(out)
+    return out
 
 
 @functools.lru_cache(maxsize=NEWTON_CACHE_SIZE)
 @_drops_overflow
 def _newton_endpoints(p: Polynomial, region: Region, grid_points: int) -> np.ndarray:
-    """Finite endpoints of Newton's method on grad p = 0 from every grid seed
-    of ``region``; read-only, shared by callers.
+    """Distinct endpoints of Newton's method on grad p = 0 from every grid
+    seed of ``region``, sorted lexicographically; read-only, shared by callers.
 
     A round steps every finite row whose gradient is finite and nonzero by
     ``-pinv(H) @ grad``.  The Hessian of a polynomial of degree at most 2 is
@@ -221,7 +210,10 @@ def _newton_endpoints(p: Polynomial, region: Region, grid_points: int) -> np.nda
     repeated for the others; a higher degree pseudoinverts each row's own
     Hessian.  The loop ends after ``NEWTON_MAX_ITER`` rounds, when no row is
     left to step, or when a round leaves every stepped row bitwise unchanged,
-    since each later round would repeat it.
+    since each later round would repeat it.  Only the endpoints in the
+    region padded by 1e-9 of its largest width stay (no inf or NaN row
+    does), and of rows equal in value (-0.0 equals 0.0) the first in seed
+    order.
     """
     X = region.grid(grid_points)
     constant_hessian = p.degree <= 2
@@ -242,7 +234,10 @@ def _newton_endpoints(p: Polynomial, region: Region, grid_points: int) -> np.nda
         if moved.tobytes() == Xa.tobytes():
             break
         X[active] = moved
-    X = X[np.isfinite(X).all(axis=1)]
+    X = X[region.contains(X, pad=1e-9 * float(np.max(region.widths)))]
+    X = X[np.lexsort(X.T[::-1])]  # primary key: first coordinate
+    if X.shape[0]:
+        X = X[np.r_[True, (np.diff(X, axis=0) != 0).any(axis=1)]]
     X.setflags(write=False)
     return X
 

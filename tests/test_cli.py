@@ -246,6 +246,17 @@ def test_default_region_is_the_box_from_minus_2_to_2(capsys, argv):
     assert capsys.readouterr().out == default
 
 
+def test_constant_polynomial_exits_2_before_the_newton_search(capsys, monkeypatch):
+    def no_search(*args):
+        raise AssertionError("Newton search run on a constant")
+    monkeypatch.setattr(stratify, "_newton_endpoints", no_search)
+    assert main(["stratify", "0*x0 + 0*x1 + 0*x2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        "error: polynomial '0' is constant: each of its level sets is empty or all of R^3"]
+
+
 def test_overflowing_region_width_exits_2(capsys):
     # each bound is finite, but the width is not; the origin would be missed
     assert main(["stratify", "x0^2 + x1^2", "--region=-1e308,1e308"]) == 2

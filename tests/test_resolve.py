@@ -16,7 +16,7 @@ from stratopt.resolve import (Deformation, NoSamplesError, ResolutionError, choo
                               choose_resolution, count_components, count_levels, deform,
                               default_region, level_samples, project_to_level,
                               projected_gradient_field, proximity_check, smoothness_check)
-from stratopt.stratify import OffVarietyError, Region, _newton_endpoints, _singular_points
+from stratopt.stratify import OffVarietyError, Region, _newton_endpoints
 
 CONE = double_cone()
 CUSP = cusp_curve()
@@ -581,15 +581,13 @@ def test_deformations_are_values():
 
 def test_equal_deformations_hit_the_caches():
     resolve._projected_samples.cache_clear()
-    _singular_points.cache_clear()
     _newton_endpoints.cache_clear()
     # a cubic: the check of a quadric draws no samples
     for region in (Region.cube(-2.0, 2.0, 2), Region(np.full(2, -2.0), np.full(2, 2.0))):
         assert smoothness_check(deform(CUSP, 0.1, region))
     assert resolve._projected_samples.cache_info().hits == 1
-    assert _singular_points.cache_info().hits == 1
-    # the second region finds the filtered points, so the one Newton solve is not looked up again
-    assert _newton_endpoints.cache_info()[:2] == (0, 1)
+    # the second region finds the one Newton solve
+    assert _newton_endpoints.cache_info()[:2] == (1, 1)
 
 
 # -- projected_gradient_field -----------------------------------------------------------

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -8,11 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 from stratopt.poly import (Polynomial, axis_pair, cusp_curve, double_cone,
                           parse_polynomial)
-from stratopt.resolve import choose_resolution, proximity_check
-from stratopt.stratify import (NEWTON_MAX_ITER, PROJECTION_MAX_ITER, PROJECTION_TOL,
-                               Region, _newton_endpoints, _singular_points, project_to_level,
-                               find_singular_points, level_masks, simplex_strata,
-                               stratify)
+from stratopt.resolve import (choose_resolution, decide, default_region, deform,
+                              proximity_check, smoothness_check)
+from stratopt.stratify import (MERGE_RADIUS, NEWTON_MAX_ITER, PROJECTION_MAX_ITER,
+                               PROJECTION_TOL, SEED_GRID, Region, _newton_endpoints,
+                               project_to_level, find_singular_points, level_masks,
+                               simplex_strata, stratify)
 
 CONE = double_cone()
 CUSP = cusp_curve()
@@ -73,7 +75,6 @@ def test_deterministic_and_idempotent():
 
 
 def test_one_newton_solve_per_variety(monkeypatch):
-    _singular_points.cache_clear()
     _newton_endpoints.cache_clear()
     calls = []
     hessian_many = Polynomial.hessian_many
@@ -106,6 +107,15 @@ def newton_every_round(p, region, grid_points=11):
     return X[np.isfinite(X).all(axis=1)]
 
 
+def distinct_in_region(X, region):
+    """The endpoints the search keeps: the rows in the region padded by 1e-9
+    of its largest width, in stable lexicographic order, and of each run of
+    rows equal in value the first."""
+    X = X[region.contains(X, pad=1e-9 * float(np.max(region.widths)))]
+    X = X[np.lexsort(X.T[::-1])]
+    return X[[i for i in range(len(X)) if i == 0 or not np.array_equal(X[i], X[i - 1])]]
+
+
 def newton_search(p, region, grid_points=11):
     # uncached, so each call runs the loop
     return _newton_endpoints.__wrapped__(p, region, grid_points)
@@ -130,10 +140,10 @@ def quadrics(draw):
 def test_newton_search_matches_every_round_reference_on_quadrics(p, grid_points):
     region = Region.cube(-2.0, 2.0, p.nvars)
     # a subnormal coefficient overflows the pseudoinverse (1/s) in both
-    # searches; the rows that overflow must still agree bit for bit
+    # searches; the rows it throws out of the region are dropped
     with np.errstate(over="ignore", invalid="ignore"):
-        assert same_bits(newton_search(p, region, grid_points),
-                         newton_every_round(p, region, grid_points))
+        want = distinct_in_region(newton_every_round(p, region, grid_points), region)
+    assert same_bits(newton_search(p, region, grid_points), want)
 
 
 @pytest.mark.parametrize("text", [
@@ -144,7 +154,8 @@ def test_newton_search_matches_every_round_reference_on_quadrics(p, grid_points)
 def test_newton_search_matches_every_round_reference(text):
     p = parse_polynomial(text)
     region = Region.cube(-2.0, 2.0, p.nvars)
-    assert same_bits(newton_search(p, region), newton_every_round(p, region))
+    assert same_bits(newton_search(p, region),
+                     distinct_in_region(newton_every_round(p, region), region))
 
 
 def count_pinv_calls(monkeypatch):
@@ -173,19 +184,109 @@ def test_newton_search_stops_at_a_fixed_point(monkeypatch, text, rounds):
     got = newton_search(p, BOX3)
     assert len(calls) == rounds
     monkeypatch.undo()
-    assert same_bits(got, newton_every_round(p, BOX3))
+    assert same_bits(got, distinct_in_region(newton_every_round(p, BOX3), BOX3))
 
 
 def test_returned_points_do_not_alias_the_search_cache():
-    _singular_points.cache_clear()
+    _newton_endpoints.cache_clear()
     first = find_singular_points(CONE, 0.0, BOX3)
     want = [s.copy() for s in first]
     first[0][:] = 7.0
     first.append(np.ones(3))
     again = find_singular_points(CONE, 0.0, BOX3)
-    assert _singular_points.cache_info().hits == 1
+    assert _newton_endpoints.cache_info()[:2] == (1, 1)
     assert len(again) == len(want) and all(np.array_equal(a, b) for a, b in zip(again, want))
     assert np.linalg.norm(again[0]) < 1e-6
+    assert all(s.flags.writeable and s.base is None for s in again)
+    assert not _newton_endpoints(CONE, BOX3, SEED_GRID).flags.writeable
+
+
+def singular_points_reference(p, level, region, X):
+    """The search without a cache: ``level_masks`` over every Newton endpoint
+    ``X`` (``newton_every_round``'s), the padded-region mask, a stable
+    lexicographic sort, then the greedy ``MERGE_RADIUS`` merge."""
+    pad = 1e-9 * float(np.max(region.widths))
+    cands = X[level_masks(p, level, X)[2] & region.contains(X, pad=pad)]
+    cands = cands[np.lexsort(cands.T[::-1])]
+    out = []
+    while cands.shape[0]:
+        out.append(cands[0])
+        cands = cands[np.linalg.norm(cands - cands[0], axis=1) > MERGE_RADIUS]
+    return out
+
+
+def same_points(got, want):
+    return len(got) == len(want) and all(same_bits(a, b) for a, b in zip(got, want))
+
+
+REFERENCE_LEVELS = [0.0, -0.0, 0.1, -0.1, 1e-12, -1e-12]
+
+
+@pytest.mark.parametrize("p", [CONE, CUSP, axis_pair(), parse_polynomial("x0^2*x1 - x1^3"),
+                               parse_polynomial("x0*x1*x2")], ids=Polynomial.to_string)
+def test_singular_points_match_the_uncached_reference(p):
+    region = Region.cube(-2.0, 2.0, p.nvars)
+    X = newton_every_round(p, region, SEED_GRID)
+    for level in REFERENCE_LEVELS:
+        assert same_points(find_singular_points(p, level, region),
+                           singular_points_reference(p, level, region, X))
+
+
+@settings(max_examples=40, deadline=None)
+@given(quadrics(), st.integers(2, 9))
+def test_singular_points_match_the_uncached_reference_on_quadrics(p, grid_points):
+    region = Region.cube(-2.0, 2.0, p.nvars)
+    if p.degree == 0:
+        with pytest.raises(ValueError, match="is constant"):
+            find_singular_points(p, 0.0, region, grid_points=grid_points)
+        return
+    with np.errstate(over="ignore", invalid="ignore"):  # as in the Newton test above
+        X = newton_every_round(p, region, grid_points)
+    for level in REFERENCE_LEVELS:
+        assert same_points(find_singular_points(p, level, region, grid_points=grid_points),
+                           singular_points_reference(p, level, region, X))
+
+
+def test_of_endpoints_equal_but_for_a_zero_sign_the_first_seed_stays(monkeypatch):
+    # grad p vanishes at both seeds, so neither moves; -0.0 == 0.0 makes them one point
+    p = parse_polynomial("x0^2 + x1^2")
+    region = Region.cube(-1.0, 1.0, 2)
+    monkeypatch.setattr(Region, "grid", lambda self, n: np.array([[-0.0, 0.0], [0.0, 0.0]]))
+    _newton_endpoints.cache_clear()
+    try:
+        got = find_singular_points(p, 0.0, region)
+        want = singular_points_reference(p, 0.0, region, newton_every_round(p, region))
+    finally:
+        _newton_endpoints.cache_clear()  # drop the solve from the patched seeds
+    assert same_points(got, want) and len(got) == 1
+    assert got[0].tobytes() == np.array([-0.0, 0.0]).tobytes()
+
+
+def test_a_new_level_filters_only_the_distinct_endpoints(monkeypatch):
+    region = default_region(3)
+    find_singular_points(CONE, 0.0, region)  # the one Newton solve
+    rows = []
+    grad_many = Polynomial.grad_many
+    monkeypatch.setattr(Polynomial, "grad_many",
+                        lambda self, X: rows.append(len(X)) or grad_many(self, X))
+    assert find_singular_points(CONE, 0.1, region) == []
+    # the 21^3 = 9,261 endpoints are one point, the apex
+    assert rows == [1]
+
+
+@pytest.mark.parametrize("p", [Polynomial(3, {}), parse_polynomial("0*x0 + 0*x1 + 0*x2"),
+                               Polynomial(2, {(0, 0): 2.5})], ids=["empty", "zeros", "2.5"])
+def test_constant_polynomials_rejected(p):
+    region = Region.cube(-2.0, 2.0, p.nvars)
+    message = re.escape(f"polynomial '{p.to_string()}' is constant: each of its level sets "
+                        f"is empty or all of R^{p.nvars}")
+    for check in (lambda: find_singular_points(p, 0.1, region),
+                  lambda: stratify(p, 0.0, region),
+                  lambda: decide(p, 0.1, region),
+                  lambda: smoothness_check(deform(p, 0.1, region)),
+                  lambda: proximity_check(deform(p, 0.1, region), 0.3)):
+        with pytest.raises(ValueError, match=message):
+            check()
 
 
 def test_polynomial_systems_rejected():
