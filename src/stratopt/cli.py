@@ -75,7 +75,7 @@ def _cmd_resolve(args) -> int:
     for d, rep in levels:
         print(f"level {d.level:+g}: {rep.count} component(s), "
               f"{rep.occupied_cells} occupied cells")
-    chosen, reason, cause, inertia = decide(p, args.eps, region, levels=levels)
+    chosen, reason, inertia = decide(p, args.eps, region, levels=levels)
     print(f"chosen level: {chosen.level:+g}")
     if inertia is not None:  # the Morse rule ordered the levels
         print("morse: " + "; ".join(
@@ -86,7 +86,8 @@ def _cmd_resolve(args) -> int:
         print(f"tie: both levels have {levels[0][1].count} component(s); "
               f"{chosen.level:+g} wins only by tie-break")
     elif reason == "smoothness":  # of two levels, the other one was skipped
-        print(f"fallback: {-chosen.level:+g} fails the smoothness check: {cause}")
+        print(f"fallback: {-chosen.level:+g} fails the smoothness check: "
+              "a singular point lies on the level")
     print("smoothness check: pass")  # choose returns only a level that passed it
     if args.csv:
         keep = level_samples(chosen, args.samples)

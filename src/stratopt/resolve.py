@@ -35,18 +35,15 @@ would label faster, but the runtime dependencies stay ``numpy`` only.
 
 ``decide`` is the one level decision: ``stratopt resolve`` prints it, and a
 run builds its hyperboloid chart at the level it picks for the double cone.
-For a polynomial of degree at most 2, ``smoothness_check`` is the critical
-points on the level alone and draws no samples, so ``decide`` on the double
-cone costs about 0.3 ms per eps.  At degree 3 and up, ``smoothness_check`` and
-``proximity_check`` draw the same ``CHECK_SAMPLES`` uniform samples from
-seed 0 and project them onto the same level; the projection is cached per
-process (``SAMPLE_CACHE_SIZE`` entries), so checking one deformation with
-both costs one solve.
+A level is smooth when it is a regular value: ``smoothness_check`` asks
+whether a critical point of p lies on it and draws no samples, so
+``decide`` on the double cone costs about 0.3 ms per eps.
+``proximity_check`` and ``stratopt resolve --csv`` project
+``level_samples``, uniform samples from seed 0, onto the chosen level.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -64,10 +61,8 @@ MAX_CORNERS = 4_000_000
 # two, one cell layer): the default 3-D grid is one slab (2.2 MB of float64), as
 # every slab adds a fixed cost of numpy calls
 SLAB_CORNERS = (DEFAULT_GRID_N + 1) ** 3
-CHECK_SAMPLES = 10_000  # uniform samples behind the smoothness and proximity checks
+CHECK_SAMPLES = 10_000  # uniform samples behind the proximity check
 MAX_SAMPLES = 1_000_000  # most projected samples `stratopt resolve --csv` may ask for
-SAMPLE_CACHE_SIZE = 8  # cached projected samples, one per (deformation, samples)
-DIVERGENCE_BUDGET = 0.01  # fraction of samples allowed to miss the variety
 # a singular point is degenerate when a Hessian eigenvalue is at most
 # MORSE_TOL * sqrt(c) in size, c the largest |coefficient| of degree >= 2.
 # Newton stops a row at |grad p| <= 1e-14 (``_newton_endpoints``), which leaves
@@ -84,7 +79,7 @@ class ResolutionError(RuntimeError):
 
 
 class ProjectionError(RuntimeError):
-    """Too many sample projections failed to land on the variety."""
+    """No sample could be projected onto the base variety."""
 
 
 class NoSamplesError(RuntimeError):
@@ -220,46 +215,23 @@ def _count_roots(n: int, a: np.ndarray, b: np.ndarray) -> int:
 
 
 def smoothness_check(d: Deformation) -> bool:
-    """True iff no probe on {base = level} has a vanishing gradient.
+    """True iff no critical point of base lies on {base = level}: the level
+    is a regular value, so the level set is smooth.
 
-    The first probes are the critical points of base located on the level
-    (uniform sampling alone cannot witness a measure-zero singular point).
-    A critical point nearer to {base = 0} than to the level is the base
-    variety's own, not the level's: the two levels' ``TOL_ON`` bands overlap
-    when |level| < 2 * ``TOL_ON``.  For a base of degree at most 2 they are
-    the whole answer and no sample is drawn: grad base is affine, so
-    ``find_singular_points``' pseudoinverse Newton step lands on the
+    The critical points are ``find_singular_points`` on the level (uniform
+    sampling cannot witness a measure-zero singular point).  A critical point
+    nearer to {base = 0} than to the level is the base variety's own, not
+    the level's: the two levels' ``TOL_ON`` bands overlap when |level| <
+    2 * ``TOL_ON``.  For a base of degree at most 2 the search is exact:
+    grad base is affine, so the pseudoinverse Newton step lands on the
     critical set, an affine set on which base is constant, and its endpoints
-    give every critical value.  (A level that is empty in R^n therefore
-    passes; ``decide`` never asks about one.)  A higher degree also probes
-    the ``CHECK_SAMPLES`` seeded uniform samples Newton-projected onto the
-    level set, tolerating projection failures up to 1% of the samples.
+    give every critical value.  At degree 3 and up it finds the critical
+    points that Newton reaches from the seed grid.  A level that is empty
+    in R^n has no critical point on it and passes; ``decide`` never asks
+    about one, as its count of 0 is not viable.
     """
     values = [d.base.eval(s) for s in find_singular_points(d.base, d.level, d.region)]
-    if any(abs(v - d.level) <= abs(v) for v in values):
-        return False
-    if d.base.degree <= 2:
-        return True
-    Y, ok = _projected_samples(d, CHECK_SAMPLES)
-    n_diverged = int((~ok).sum())
-    if n_diverged > DIVERGENCE_BUDGET * CHECK_SAMPLES:
-        raise ProjectionError(
-            f"{n_diverged}/{CHECK_SAMPLES} projections failed to reach level {d.level}"
-        )
-    _, _, singular = level_masks(d.base, d.level, Y[ok])
-    return not singular.any()
-
-
-@functools.lru_cache(maxsize=SAMPLE_CACHE_SIZE)
-def _projected_samples(d: Deformation, samples: int) -> tuple[np.ndarray, np.ndarray]:
-    """``samples`` uniform points of ``d.region`` drawn from ``default_rng(0)``
-    and projected onto {base = level}: ``project_to_level``'s (points,
-    converged mask), read-only and shared by callers."""
-    X = d.region.sample(samples, np.random.default_rng(0))
-    Y, ok = project_to_level(d.base, d.level, X)
-    Y.setflags(write=False)
-    ok.setflags(write=False)
-    return Y, ok
+    return not any(abs(v - d.level) <= abs(v) for v in values)
 
 
 def _check_eps(eps: float):
@@ -277,29 +249,20 @@ def count_levels(p: Polynomial, eps: float, region: Region | None = None,
 
 
 def _first_smooth(order: list[Deformation], reason: str,
-                  failure: str) -> tuple[Deformation, str, str | None]:
-    """The first of ``order`` that passes ``smoothness_check``, with ``reason``
-    and None, or with ``"smoothness"`` and the cause when the level before it
-    failed the check: a singular point on that level, or the message of its
-    ``ProjectionError`` (its samples failed to project).  When every level
-    fails, the ``ResolutionError`` names those projections."""
-    projections, cause = [], None
-    for d in order:
-        try:
-            if smoothness_check(d):
-                return d, reason if cause is None else "smoothness", cause
-            cause = "a singular point lies on the level"
-        except ProjectionError as exc:
-            cause = str(exc)
-            projections.append(cause)
-    raise ResolutionError("; ".join([failure, *projections]))
+                  failure: str) -> tuple[Deformation, str]:
+    """The first of ``order`` that passes ``smoothness_check``, with
+    ``reason``, or with ``"smoothness"`` when a level before it failed the
+    check (a critical point lies on that level).  When every level fails,
+    ``ResolutionError(failure)``."""
+    for i, d in enumerate(order):
+        if smoothness_check(d):
+            return d, reason if i == 0 else "smoothness"
+    raise ResolutionError(failure)
 
 
-def choose(levels: list[tuple[Deformation, ComponentReport]]
-           ) -> tuple[Deformation, str, str | None]:
-    """The deformation to resolve at by the global component counts, why it
-    won, and why the level before it failed the smoothness check (None when
-    none did).
+def choose(levels: list[tuple[Deformation, ComponentReport]]) -> tuple[Deformation, str]:
+    """The deformation to resolve at by the global component counts, and why
+    it won.
 
     Empty level sets (count 0) never win; fewer components come first, and
     the first of ``levels`` (+eps) first on a tie.  The first level in that
@@ -344,10 +307,9 @@ def morse_inertia(p: Polynomial, region: Region) -> tuple[tuple[int, int], ...] 
 def decide(p: Polynomial, eps: float, region: Region | None = None,
            grid_n: int = DEFAULT_GRID_N,
            levels: list[tuple[Deformation, ComponentReport]] | None = None
-           ) -> tuple[Deformation, str, str | None, tuple[tuple[int, int], ...] | None]:
+           ) -> tuple[Deformation, str, tuple[tuple[int, int], ...] | None]:
     """The deformation level in {+eps, -eps} to resolve {p = 0} at, why it
-    won (``"morse"``, ``"count"``, ``"tie"`` or ``"smoothness"``), why the
-    other level failed the smoothness check when it did (else None), and the
+    won (``"morse"``, ``"count"``, ``"tie"`` or ``"smoothness"``), and the
     singular points' inertia when the Morse rule ordered the levels (None
     when the global counts did).
 
@@ -361,7 +323,8 @@ def decide(p: Polynomial, eps: float, region: Region | None = None,
     at one sign and nothing at the other say nothing of the rest of the
     variety; and points that tie, such as (1, 1), or disagree.  Either way
     the first level in order that passes ``smoothness_check`` wins, for the
-    reason ``"smoothness"`` when a level before it failed.
+    reason ``"smoothness"`` when a level before it failed: a critical point
+    of p lies on that level.
     """
     _check_eps(eps)
     region = region or default_region(p.nvars)
@@ -387,8 +350,11 @@ def choose_resolution(p: Polynomial, eps: float, region: Region | None = None,
 
 
 def level_samples(d: Deformation, samples: int) -> np.ndarray:
-    """The converged points of ``_projected_samples`` that lie in ``d.region``."""
-    Y, ok = _projected_samples(d, samples)
+    """``samples`` uniform points of ``d.region`` drawn from
+    ``default_rng(0)`` and projected onto {base = level} by
+    ``project_to_level``: the converged ones that lie in ``d.region``."""
+    X = d.region.sample(samples, np.random.default_rng(0))
+    Y, ok = project_to_level(d.base, d.level, X)
     return Y[ok & d.region.contains(Y, pad=1e-9)]
 
 

@@ -191,10 +191,12 @@ def find_singular_points(
     out: list[np.ndarray] = []
     # keep the first remaining candidate, drop every candidate within
     # MERGE_RADIUS of it; on the sorted order this keeps a candidate iff it is
-    # farther than MERGE_RADIUS from every point kept before it
-    while cands.shape[0]:
-        out.append(cands[0].copy())
-        cands = cands[np.linalg.norm(cands - cands[0], axis=1) > MERGE_RADIUS]
+    # farther than MERGE_RADIUS from every point kept before it; in a huge
+    # region a distance can overflow to inf, which is farther
+    with np.errstate(over="ignore", invalid="ignore"):
+        while cands.shape[0]:
+            out.append(cands[0].copy())
+            cands = cands[np.linalg.norm(cands - cands[0], axis=1) > MERGE_RADIUS]
     return out
 
 
@@ -374,7 +376,8 @@ def stratify(
         r4 = 4.0 * max(radii)
         i, j = np.triu_indices(len(sing), k=1)
         S = np.array(sing)
-        gaps = np.linalg.norm(S[i] - S[j], axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):  # a gap whose square overflows is inf
+            gaps = np.linalg.norm(S[i] - S[j], axis=1)
         n_close = int(np.count_nonzero(gaps < r4))
         if n_close:
             k = int(np.argmin(gaps))  # the closest pair is one of the close ones

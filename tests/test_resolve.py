@@ -16,7 +16,8 @@ from stratopt.resolve import (Deformation, NoSamplesError, ResolutionError, choo
                               choose_resolution, count_components, count_levels, deform,
                               default_region, level_samples, project_to_level,
                               projected_gradient_field, proximity_check, smoothness_check)
-from stratopt.stratify import OffVarietyError, Region, _newton_endpoints
+from stratopt.stratify import (OffVarietyError, Region, _newton_endpoints, find_singular_points,
+                               level_masks)
 
 CONE = double_cone()
 CUSP = cusp_curve()
@@ -281,24 +282,26 @@ def test_both_levels_empty_is_an_error():
     ("x0*x1", 0.1, +0.1, "tie"),  # (2, 2): the two levels are mirror images
     ("x0*x1 - 0.1", 0.1, +0.1, "smoothness"),  # -0.1 is the singular axis cross
     ("0.1 - x0^2 - x1^2", 0.1, -0.1, "smoothness"),  # +0.1 is the single point 0
-    # -0.1 has fewer components, but 669 of its 10000 samples fail to project
-    ("x0^2 + x1^2 - x0^4", 0.1, +0.1, "smoothness"),
+    # -0.1 has fewer components and is a regular value, though 669 of its
+    # 10000 samples do not reach it
+    ("x0^2 + x1^2 - x0^4", 0.1, -0.1, "count"),
 ])
 def test_choose_names_the_rule_that_won(text, eps, level, reason):
-    levels = count_levels(parse_polynomial(text), eps)
+    p = parse_polynomial(text)
+    levels = count_levels(p, eps)
     assert [d.level for d, _ in levels] == [+eps, -eps]
-    chosen, why, cause = choose(levels)
-    assert (chosen.level, why) == (level, reason)
-    assert (cause is None) == (why != "smoothness")
+    assert choose(levels) == (deform(p, level), reason)
 
 
-@pytest.mark.parametrize("text, cause", [
-    ("x0*x1 - 0.1", "a singular point lies on the level"),
-    ("0.1 - x0^2 - x1^2", "a singular point lies on the level"),
-    ("x0^2 + x1^2 - x0^4", "669/10000 projections failed to reach level -0.1"),
-])
-def test_choose_says_why_the_level_before_failed(text, cause):
-    assert choose(count_levels(parse_polynomial(text), 0.1))[1:] == ("smoothness", cause)
+@pytest.mark.parametrize("text", ["x0*x1 - 0.1", "0.1 - x0^2 - x1^2"])
+def test_choose_says_why_the_level_before_failed(text):
+    # the one reason a level fails: a critical point of p lies on it
+    p = parse_polynomial(text)
+    chosen, why = choose(count_levels(p, 0.1))
+    skipped = deform(p, -chosen.level)
+    assert why == "smoothness"
+    assert find_singular_points(p, skipped.level, skipped.region)
+    assert not smoothness_check(skipped)
 
 
 def test_choose_resolution_is_choose_on_the_counted_levels(monkeypatch):
@@ -309,15 +312,11 @@ def test_choose_resolution_is_choose_on_the_counted_levels(monkeypatch):
     assert calls == [0.1, -0.1]  # the level with fewer components is checked first
 
 
-def test_a_failed_projection_fails_the_level_and_names_itself(monkeypatch):
-    def unprojected(d):
-        raise resolve.ProjectionError(f"9/10 projections failed to reach level {d.level}")
-    monkeypatch.setattr(resolve, "smoothness_check", unprojected)
+def test_when_both_levels_fail_the_error_names_the_counts(monkeypatch):
+    monkeypatch.setattr(resolve, "smoothness_check", lambda d: False)
     with pytest.raises(ResolutionError) as err:
         choose(count_levels(CONE, 0.1))
-    assert str(err.value) == ("no smooth deformation at levels +/-0.1: component counts [1, 2]; "
-                              "9/10 projections failed to reach level 0.1; "
-                              "9/10 projections failed to reach level -0.1")
+    assert str(err.value) == "no smooth deformation at levels +/-0.1: component counts [1, 2]"
 
 
 # -- the Morse rule ---------------------------------------------------------------
@@ -346,8 +345,8 @@ def test_morse_rule_table(text, inertia, pieces, level, eps, monkeypatch):
     assert resolve.morse_inertia(p, default_region(p.nvars)) == (inertia,)
     assert (resolve.local_pieces(inertia[0]), resolve.local_pieces(inertia[1])) == pieces
     monkeypatch.setattr(resolve, "count_components", no_count)
-    chosen, why, cause, got = resolve.decide(p, eps)
-    assert (chosen.level, why, cause, got) == (level * eps, "morse", None, (inertia,))
+    chosen, why, got = resolve.decide(p, eps)
+    assert (chosen.level, why, got) == (level * eps, "morse", (inertia,))
 
 
 @pytest.mark.parametrize("eps", [1e-2, 1e-12])
@@ -356,8 +355,8 @@ def test_morse_tie_in_four_variables_is_decided_by_the_counts(eps):
     # to -det, so the two levels are mirror images and the counts tie too
     p = parse_polynomial("x0*x3 - x1*x2")
     assert resolve.morse_inertia(p, default_region(4)) == ((2, 2),)
-    chosen, why, cause, inertia = resolve.decide(p, eps, grid_n=16)
-    assert (chosen.level, why, cause, inertia) == (eps, "tie", None, None)
+    chosen, why, inertia = resolve.decide(p, eps, grid_n=16)
+    assert (chosen.level, why, inertia) == (eps, "tie", None)
 
 
 @pytest.mark.parametrize("text, inertia, level, reason", [
@@ -376,20 +375,18 @@ def test_morse_points_without_a_common_preference_are_decided_by_the_counts(
         text, inertia, level, reason):
     p = parse_polynomial(text)
     assert resolve.morse_inertia(p, default_region(p.nvars)) == inertia
-    chosen, why, cause, got = resolve.decide(p, 0.1)
-    assert (chosen, why, cause, got) == (*choose(count_levels(p, 0.1)), None)
+    chosen, why, got = resolve.decide(p, 0.1)
+    assert (chosen, why, got) == (*choose(count_levels(p, 0.1)), None)
     assert (chosen.level, why) == (level, reason)
 
 
-def test_definite_point_orders_the_levels_by_their_counts(monkeypatch):
+def test_definite_point_orders_the_levels_by_their_counts():
     # inertia (2, 0) at the origin, two outer arcs at -0.1 and an oval besides
-    # at +0.1; the smoothness check is passed over here, as -0.1 fails it by
-    # projection failures
+    # at +0.1; both levels are regular values
     p = parse_polynomial("x0^2 + x1^2 - x0^4")
     assert resolve.morse_inertia(p, default_region(2)) == ((2, 0),)
-    monkeypatch.setattr(resolve, "smoothness_check", lambda d: True)
-    chosen, why, cause, inertia = resolve.decide(p, 0.1)
-    assert (chosen.level, why, cause, inertia) == (-0.1, "count", None, None)
+    chosen, why, inertia = resolve.decide(p, 0.1)
+    assert (chosen.level, why, inertia) == (-0.1, "count", None)
     assert [r.count for _, r in count_levels(p, 0.1)] == [3, 2]
 
 
@@ -403,8 +400,8 @@ def test_definite_point_orders_the_levels_by_their_counts(monkeypatch):
 def test_without_morse_points_decide_is_choose_on_the_counts(text, level, reason):
     p = parse_polynomial(text)
     assert resolve.morse_inertia(p, default_region(p.nvars)) is None
-    chosen, why, cause, inertia = resolve.decide(p, 0.1)
-    assert (chosen, why, cause, inertia) == (*choose(count_levels(p, 0.1)), None)
+    chosen, why, inertia = resolve.decide(p, 0.1)
+    assert (chosen, why, inertia) == (*choose(count_levels(p, 0.1)), None)
     assert (chosen.level, why) == (level, reason)
 
 
@@ -433,8 +430,7 @@ def test_decide_takes_the_counted_levels(monkeypatch):
 
 def test_morse_rule_falls_back_on_the_smoothness_check(monkeypatch):
     monkeypatch.setattr(resolve, "smoothness_check", lambda d: d.level < 0)
-    assert resolve.decide(CONE, 0.1)[1:] == (
-        "smoothness", "a singular point lies on the level", ((2, 1),))
+    assert resolve.decide(CONE, 0.1)[1:] == ("smoothness", ((2, 1),))
     monkeypatch.setattr(resolve, "smoothness_check", lambda d: False)
     with pytest.raises(ResolutionError, match=r"inertia \[\(2, 1\)\]"):
         resolve.decide(CONE, 0.1)
@@ -487,14 +483,19 @@ SAMPLED_VERDICTS = {
     ("x0*x1 - 0.1", 2): (True, True, True, True, True, True, False, True, True),
     ("0.1 - x0^2 - x1^2", 2): (True, True, True, True, True, False, True, None, True),
 }
+# levels of degree 3 and up that the sampled probe failed because more than
+# 1% of their samples did not converge: each is a regular value
+REGULAR_LEVELS = [("x0^2 + x1^3", -0.1), ("x0^2 + x1^2 - x0^4", -0.1),
+                  ("x0^2 + x1^2 + x1^3", -0.1), ("x0^2 + x1^5", -0.1)]
+
+
+def no_projection(*args):
+    raise AssertionError("the smoothness check projected samples")
 
 
 @pytest.mark.parametrize("text, nvars", list(SAMPLED_VERDICTS))
 def test_a_quadric_check_is_its_critical_points(text, nvars, monkeypatch):
-    def no_projection(*args):
-        raise AssertionError("a check of degree <= 2 projected its samples")
     monkeypatch.setattr(resolve, "project_to_level", no_projection)
-    resolve._projected_samples.cache_clear()
     p = parse_polynomial(text, nvars=nvars)
     assert p.degree <= 2
     for level, sampled in zip(LEVELS, SAMPLED_VERDICTS[text, nvars]):
@@ -503,6 +504,20 @@ def test_a_quadric_check_is_its_critical_points(text, nvars, monkeypatch):
             # decide never checks it, as its count of 0 is not viable
             assert count_components(deform(p, level)).count == 0
         assert smoothness_check(deform(p, level)) is (True if sampled is None else sampled)
+
+
+@pytest.mark.parametrize("text, level", REGULAR_LEVELS)
+def test_a_check_at_any_degree_is_its_critical_points(text, level, monkeypatch):
+    p = parse_polynomial(text, nvars=2)
+    d = deform(p, level)
+    assert p.degree >= 3
+    # the witness that the level is regular: no critical point lies on it, and
+    # no sample projected onto it has a vanishing gradient
+    assert find_singular_points(p, level, d.region) == []
+    Y = level_samples(d, resolve.CHECK_SAMPLES)
+    assert len(Y) and not level_masks(p, level, Y)[2].any()
+    monkeypatch.setattr(resolve, "project_to_level", no_projection)
+    assert smoothness_check(d)
 
 
 # -- proximity_check -----------------------------------------------------------------
@@ -532,31 +547,35 @@ def test_proximity_shrinks_with_level():
 
 
 def test_checks_share_one_projection_of_the_samples(monkeypatch):
-    resolve._projected_samples.cache_clear()
     calls = []
 
     def counted(p, level, X):
         calls.append((level, len(X)))
         return project_to_level(p, level, X)
     monkeypatch.setattr(resolve, "project_to_level", counted)
-    chosen = choose_resolution(double_cone(), 0.1)
+    chosen = choose_resolution(CUSP, 0.1)
     proximity_check(chosen, 0.3)
     assert chosen.level == 0.1
     assert calls.count((0.1, resolve.CHECK_SAMPLES)) == 1
 
 
 def test_cached_samples_match_a_fresh_projection():
+    # each call projects the seed-0 samples afresh: a caller that writes into
+    # its points leaves the next call's as a fresh projection gives them
     d = deform(CONE, 0.1)
-    Y, ok = resolve._projected_samples(d, 500)
     X = d.region.sample(500, np.random.default_rng(0))
-    Y2, ok2 = project_to_level(CONE, 0.1, X)
-    assert np.array_equal(Y, Y2) and np.array_equal(ok, ok2)
-    assert not Y.flags.writeable and not ok.flags.writeable
+    Y, ok = project_to_level(CONE, 0.1, X)
+    expected = Y[ok & d.region.contains(Y, pad=1e-9)]
+    first = level_samples(d, 500)
+    assert np.array_equal(first, expected)
+    first[:] = 0.0
+    assert np.array_equal(level_samples(d, 500), expected)
 
 
 def test_level_samples_keep_the_converged_points_in_the_region():
     d = deform(CONE, 0.1)
-    Y, ok = resolve._projected_samples(d, resolve.CHECK_SAMPLES)
+    X = d.region.sample(resolve.CHECK_SAMPLES, np.random.default_rng(0))
+    Y, ok = project_to_level(CONE, 0.1, X)
     expected = Y[ok & d.region.contains(Y, pad=1e-9)]
     assert 0 < len(expected) < len(Y)
     assert np.array_equal(level_samples(d, resolve.CHECK_SAMPLES), expected)
@@ -580,12 +599,9 @@ def test_deformations_are_values():
 
 
 def test_equal_deformations_hit_the_caches():
-    resolve._projected_samples.cache_clear()
     _newton_endpoints.cache_clear()
-    # a cubic: the check of a quadric draws no samples
     for region in (Region.cube(-2.0, 2.0, 2), Region(np.full(2, -2.0), np.full(2, 2.0))):
         assert smoothness_check(deform(CUSP, 0.1, region))
-    assert resolve._projected_samples.cache_info().hits == 1
     # the second region finds the one Newton solve
     assert _newton_endpoints.cache_info()[:2] == (1, 1)
 

@@ -277,7 +277,7 @@ def decided_level(level):
     """A stand-in for ``resolve.decide`` that resolves the double cone at ``level``."""
     def decide(p, eps, region):
         assert (p, eps, region) == (double_cone(), 0.05, default_region(3))
-        return deform(p, level, region), "morse", None, ((2, 1),)
+        return deform(p, level, region), "morse", ((2, 1),)
     return decide
 
 
