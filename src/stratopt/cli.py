@@ -17,6 +17,7 @@ import numpy as np
 from . import tables
 from .config import load_config
 from .model import Chart, ChartPoint, GaussianLocationModel
+from .optim import OptimizerConfig, ngd_step
 from .poly import Polynomial, parse_polynomial
 from .presets import PRESET_NAMES, preset
 from .resolve import (DEFAULT_GRID_N, MAX_SAMPLES, count_levels, decide, default_region,
@@ -24,7 +25,7 @@ from .resolve import (DEFAULT_GRID_N, MAX_SAMPLES, count_levels, decide, default
 from .runner import run_experiment
 from .stratify import SEED_GRID, Region, stratify
 from .svgplot import KINDS, plot
-from .verify import central_differences, finite_diff_grad, monte_carlo_fim
+from .verify import central_differences, finite_diff_grad, monte_carlo_fim, natural_gradient
 
 
 def _sample_count(text: str) -> int:
@@ -175,6 +176,28 @@ def _check_monte_carlo_information(rng) -> tuple[bool, str]:
     return worst < 0.05, f"max Frobenius rel err {worst:.3%}"
 
 
+def _check_natural_gradient_steps(rng) -> tuple[bool, str]:
+    # an uncapped step of 1e-3 of the point's size: lr * d, lr = size / max|d|
+    worst = 0.0
+    for k in range(300):
+        chart = Chart.cone() if k % 2 == 0 else Chart.hyperboloid(float(10.0 ** rng.uniform(-4, 2)))
+        xi = float(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-6, 8))
+        q = ChartPoint(xi, float(rng.uniform(-4, 4)))
+        m = GaussianLocationModel(chart, rng.normal(0, 1, size=3))
+        damping = (0.0, 1e-8, 1e-3)[k % 3]
+        d = natural_gradient(m, q, damping)
+        size = 1e-3 * max(1.0, abs(q.xi), abs(q.theta))
+        step_size = size / float(np.abs(d).max())
+        cfg = OptimizerConfig(method="ngd", damping=damping, step_size=step_size, step_cap=1e300)
+        try:
+            q1 = ngd_step(m, q, cfg)
+        except (RuntimeError, ValueError) as exc:
+            return False, f"point {k} raised {type(exc).__name__}: {exc}"
+        got = np.array([q.xi - q1.xi, q.theta - q1.theta])
+        worst = max(worst, float(np.abs(got - step_size * d).max()) / size)
+    return worst < 1e-10, f"max rel err {worst:.3e}"
+
+
 def _cmd_check(args) -> int:
     rng = np.random.default_rng(17)
     suite = [
@@ -182,6 +205,7 @@ def _cmd_check(args) -> int:
         ("chart loss gradients vs central differences", _check_chart_gradients),
         ("information matrix closed forms", _check_information_closed_forms),
         ("Monte-Carlo information estimate", _check_monte_carlo_information),
+        ("natural gradient steps vs numpy's solve", _check_natural_gradient_steps),
     ]
     all_ok = True
     for name, fn in suite:

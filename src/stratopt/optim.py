@@ -22,7 +22,7 @@ adds its own target mean a block at a time and reads the means through a
 C-level iterator, which runs Python code once per block.  Besides
 ``Chart.local`` a step calls only builtins: ``math.hypot`` twice, ``next``
 for the batch mean in stochastic mode, and more only when ``step_size * d``
-overflows; the NGD singularity test is comparisons.
+overflows; NGD tests and solves its matrix with the diagonal scaled to 1.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ class Termination(enum.Enum):
 
 
 class SingularFIMError(RuntimeError):
-    """Undamped information matrix is singular to machine precision."""
+    """The damped information matrix is singular: det / (a00 * a11) <= EPS."""
 
 
 class NonFiniteStepError(RuntimeError):
@@ -233,12 +233,11 @@ def run(m: GaussianLocationModel, q0: ChartPoint, cfg: OptimizerConfig) -> Traje
     returned; no non-finite value is recorded.  A start point whose loss or gradient is not finite
     raises ValueError.
 
-    A step is d = g for GD and (J^T J + damping I)^-1 g for NGD, solved
-    explicitly; with zero damping a machine-singular information matrix fails
-    with SingularFIMError instead of producing a garbage direction.  When the
-    matrix entries are so large (above ~1.3e154, from a huge damping) that
-    its products overflow, the singularity test and the solve use the matrix
-    divided by its largest entry.  The step lr * d is capped at ``step_cap``
+    A step is d = g for GD and A^-1 g for NGD, A = J^T J + damping I,
+    solved on A with its diagonal scaled to 1: h = det(A) / (a00 * a11)
+    does not depend on either coordinate's scale, and h <= EPS (also a zero
+    diagonal or a nan entry) fails with SingularFIMError instead of
+    producing a garbage direction.  The step lr * d is capped at ``step_cap``
     by its ``math.hypot`` norm; when lr * d overflows for a finite d, the
     capped step is taken along d / max|d_i|, so steps up to ~1e308 are
     capped, not zeroed.  A non-finite new iterate (from overflow, or a
@@ -288,24 +287,17 @@ def run(m: GaussianLocationModel, q0: ChartPoint, cfg: OptimizerConfig) -> Traje
             a00 = (j00 * j00 + j10 * j10 + j20 * j20) + damping
             a01 = j00 * j01 + j10 * j11 + j20 * j21
             a11 = (j01 * j01 + j11 * j11 + j21 * j21) + damping
-            det = a00 * a11 - a01 * a01
-            # big = max(abs(a00), abs(a01), abs(a11)) and
-            # tiny = EPS * max(big * big, 1.0) without builtin calls: a00 and
-            # a11 are >= +0.0 or nan, a later entry wins only when strictly
-            # larger, and a nan a00 makes big and tiny nan, as max does
-            big = a01 if a01 > a00 else -a01 if -a01 > a00 else a00
-            big = a11 if a11 > big else big
-            tiny = EPS * (1.0 if big < 1.0 else big * big)
-            if tiny == inf and big < inf:
-                # the products overflow: test det(A / big) against EPS, and
-                # solve with det(A / big) * big, since A^-1 = adj(A / big) / that
-                a00, a01, a11 = a00 / big, a01 / big, a11 / big
-                det, tiny = (a00 * a11 - a01 * a01) * big, EPS * big
-            if -tiny <= det <= tiny:
+            if a00 > 0.0 and a11 > 0.0:  # solve with the diagonal scaled to 1
+                r0, r1 = a01 / a00, a01 / a11
+                h = 1.0 - r0 * r1  # det / (a00 * a11)
+            else:
+                h = 0.0
+            if not h > EPS:  # a nan entry fails here too
                 return Trajectory(records, Termination.FAILED, SingularFIMError(
                     f"step {t + 1}: information matrix is singular at "
                     f"(xi={xi:.6g}, theta={theta:.6g}) with damping={damping}"))
-            g0, g1 = (a11 * g0 - a01 * g1) / det, (a00 * g1 - a01 * g0) / det
+            u0, u1 = g0 / a00, g1 / a11
+            g0, g1 = (u0 - r0 * u1) / h, (u1 - r1 * u0) / h
         s0, s1 = step_size * g0, step_size * g1
         n = hypot(s0, s1)
         if n > step_cap:

@@ -37,7 +37,7 @@ would label faster, but the runtime dependencies stay ``numpy`` only.
 run builds its hyperboloid chart at the level it picks for the double cone.
 A level is smooth when it is a regular value: ``smoothness_check`` asks
 whether a critical point of p lies on it and draws no samples, so
-``decide`` on the double cone costs about 0.3 ms per eps.
+``decide`` on the double cone costs about 0.2 ms per eps.
 ``proximity_check`` and ``stratopt resolve --csv`` project
 ``level_samples``, uniform samples from seed 0, onto the chosen level.
 """

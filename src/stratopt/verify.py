@@ -1,9 +1,10 @@
-"""Independent numerical oracles: finite differences and Monte-Carlo information.
+"""Independent numerical oracles: finite differences, Monte-Carlo information
+and the natural gradient.
 
-These deliberately avoid the analytic gradient and information code paths:
-the finite-difference probe sees only a black-box loss, and the Monte-Carlo
-estimator rebuilds the score from the chart Jacobian and raw Gaussian
-draws.  Tests use them to cross-check the closed forms.
+These deliberately avoid the analytic gradient, information and step code
+paths: the finite-difference probe sees only a black-box loss, and the
+Monte-Carlo estimator and numpy's natural-gradient solve start from the
+chart Jacobian.  Tests use them to cross-check the closed forms.
 """
 
 from __future__ import annotations
@@ -49,3 +50,10 @@ def monte_carlo_fim(m: GaussianLocationModel, q: ChartPoint, n: int, seed: int) 
     deviations = rng.standard_normal((n, 3))  # row i: x_i - mu
     scores = deviations @ J  # row i: J^T (x_i - mu)
     return (scores.T @ scores) / n
+
+
+def natural_gradient(m: GaussianLocationModel, q: ChartPoint, damping: float) -> np.ndarray:
+    """The damped NGD direction (J^T J + damping I)^-1 J^T (embed(q) - target),
+    by ``numpy.linalg.solve`` on the chart's Jacobian and embedding."""
+    J = m.chart.jacobian(q)
+    return np.linalg.solve(J.T @ J + damping * np.eye(2), J.T @ (m.chart.embed(q) - m.target_mean))

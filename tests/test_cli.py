@@ -447,8 +447,14 @@ def test_check_suite_passes(capsys):
     rc = main(["check"])
     out = capsys.readouterr().out
     assert rc == 0
-    assert out.count("PASS") == 4
+    assert out.count("PASS") == 5
     assert "FAIL" not in out
+    # the fifth check comes after the four whose draws it must not disturb:
+    # 300 uncapped ngd_steps match lr * numpy's solve, also far from the apex
+    line = out.splitlines()[4]
+    prefix = "PASS  natural gradient steps vs numpy's solve  (max rel err "
+    assert line.startswith(prefix) and line.endswith(")")
+    assert float(line[len(prefix):-1]) < 1e-12
 
 
 def _traj_row(step=0, mu2=-1.0, mu3=0.5, loss=0.5):

@@ -4,6 +4,7 @@ import math
 import sys
 import tracemalloc
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -134,6 +135,63 @@ def test_ngd_never_singular_on_hyperboloid():
         ngd_step(m, q, cfg)  # must not raise
 
 
+def finite_records(traj):
+    return all(math.isfinite(v) for r in traj.records for v in r)
+
+
+@pytest.mark.parametrize("chart, damping", [(HYP, 1e-3), (CONE, 0.0)],
+                         ids=["hyperboloid", "cone"])
+def test_ngd_runs_far_from_the_apex(chart, damping):
+    # J^T J is about diag(2, xi^2) = diag(2, 1e16): badly scaled, not singular
+    m = GaussianLocationModel(chart, [1.0, 0.5, 0.5])
+    cfg = OptimizerConfig(method="ngd", damping=damping, step_size=0.05, max_steps=30)
+    traj = run(m, ChartPoint(1e8, 0.3), cfg)
+    assert traj.terminated_by is Termination.MAX_STEPS
+    assert len(traj.records) == 31 and finite_records(traj)
+
+
+def test_undamped_cone_steps_near_the_apex():
+    # at xi = 1e-9 the information is diag(2, 1e-18): the angular step is
+    # huge, and the cap leaves it at step_cap
+    m = cone_model([1.0, 0.5, 0.5])
+    cfg = OptimizerConfig(method="ngd", damping=0.0, step_cap=0.5)
+    q0 = ChartPoint(1e-9, 0.3)
+    q1 = ngd_step(m, q0, cfg)
+    assert math.isfinite(q1.xi) and math.isfinite(q1.theta)
+    assert abs(q1.theta - q0.theta) == pytest.approx(cfg.step_cap, rel=1e-15)
+
+
+@pytest.mark.parametrize("xi", [0.0, 1e-300])
+def test_undamped_cone_is_singular_at_the_apex(xi):
+    # a11 = xi^2 is 0, also where it underflows
+    m = cone_model([1.0, 0.5, 0.5])
+    with pytest.raises(SingularFIMError) as err:
+        ngd_step(m, ChartPoint(xi, 0.3), OptimizerConfig(method="ngd", damping=0.0))
+    assert str(err.value) == ("step 1: information matrix is singular at "
+                              f"(xi={xi:.6g}, theta=0.3) with damping=0.0")
+
+
+def test_ngd_grid_fails_only_at_the_undamped_apex():
+    # 224 runs toward (1, 0.5, 0.5) from theta = 0.3: a run fails only where
+    # the undamped cone's a11 = xi^2 is 0
+    charts = [CONE] + [Chart.hyperboloid(eps) for eps in (0.05, 1e-300, 1e300)]
+    failed = []
+    for chart, xi, damping, mode in itertools.product(
+            charts, (0.0, 1e-200, 1e-9, 1e-8, 1.0, 1e8, 1e150),
+            (0.0, 1e-8, 1e3, 1e200), optim.MODES):
+        m = GaussianLocationModel(chart, [1.0, 0.5, 0.5])
+        cfg = OptimizerConfig(method="ngd", step_size=0.05, max_steps=30, damping=damping,
+                              mode=mode)
+        traj = run(m, ChartPoint(xi, 0.3), cfg)
+        assert finite_records(traj)
+        if traj.terminated_by is Termination.FAILED:
+            assert isinstance(traj.error, SingularFIMError) and len(traj.records) == 1
+            failed.append((chart, xi, damping, mode))
+        else:
+            assert traj.terminated_by is Termination.MAX_STEPS
+    assert failed == [(CONE, xi, 0.0, mode) for xi in (0.0, 1e-200) for mode in optim.MODES]
+
+
 @dataclass(frozen=True)
 class FixedJacobian(Chart):
     """A chart whose kernel returns one chosen Jacobian, rows (j00, j01),
@@ -154,86 +212,97 @@ def test_fixed_jacobian_is_a_chart_the_oracles_accept():
     assert np.linalg.norm(monte_carlo_fim(m, q, 20_000, seed=0) - F) < 0.05 * np.linalg.norm(F)
 
 
-def reference_ngd_direction(local, target, damping):
-    """The NGD direction with the scale and the singularity test spelled with
-    ``max``/``abs``; None when the matrix counts as singular."""
+SINGULAR = "singular"
+
+
+def exact_ngd_direction(local, target, damping):
+    """The damped information sums as ``run`` forms them, judged and solved in
+    rationals: (SINGULAR, h) when h = det / (a00 * a11) is at most EPS, else
+    the exact direction and h."""
     _, g0, g1 = chain_rule(local, target)
     a00, a01, a11 = information(local)
-    a00 += damping
-    a11 += damping
+    a00, a01, a11 = Fraction(a00 + damping), Fraction(a01), Fraction(a11 + damping)
+    h = 1 - a01 * a01 / (a00 * a11)
+    if h <= Fraction(optim.EPS):
+        return SINGULAR, h
     det = a00 * a11 - a01 * a01
-    big = max(abs(a00), abs(a01), abs(a11))
-    tiny = optim.EPS * max(big * big, 1.0)
-    if tiny == math.inf and big < math.inf:
-        a00, a01, a11 = a00 / big, a01 / big, a11 / big
-        det, tiny = (a00 * a11 - a01 * a01) * big, optim.EPS * big
-    if abs(det) <= tiny:
-        return None
-    return (a11 * g0 - a01 * g1) / det, (a00 * g1 - a01 * g0) / det
+    g0, g1 = Fraction(g0), Fraction(g1)
+    return ((a11 * g0 - a01 * g1) / det, (a00 * g1 - a01 * g0) / det), h
 
 
 ULP_BELOW_1 = 1.0 - 2.0 ** -53
 
-
-@pytest.mark.parametrize("jacobian, damping", [
-    # a01 = -0.0 and a00 = a11 = 1: ties, and a signed zero off the diagonal
-    ((1.0, -0.0, 0.0, -1.0, 0.0, -0.0), 0.0),
-    ((1.0, -0.0, 0.0, -1.0, 0.0, -0.0), 1e-3),
-    # equal and opposite columns: |a01| ties both diagonal entries, det is 0
-    ((1.0, 1.0, 2.0, 2.0, 0.5, 0.5), 0.0),
-    ((1.0, -1.0, 2.0, -2.0, 0.5, -0.5), 0.0),
-    ((1.0, -1.0, 2.0, -2.0, 0.5, -0.5), 1e-3),
-    ((1.0, 0.0, 0.0, 0.0, 0.0, 0.0), 0.0),  # a zero column
-    # det == tiny == EPS exactly: singular, as abs(det) <= tiny says
-    ((1.0, ULP_BELOW_1, 0.0, 2.0 ** -26, 0.0, 0.0), 0.0),
-    ((1e-5, 0.0, 0.0, 1e-5, 0.0, 0.0), 0.0),  # det 1e-20 is under the floor EPS
-    # det 1e8 is under EPS * a11^2 (the largest entry is the last)
-    ((1.0, 1e8, 0.0, 1e4, 0.0, 0.0), 0.0),
-    # nearly parallel columns whose det rounds to -2 EPS, past -tiny: not singular
+# (jacobian, damping, verdict): a None verdict is exact_ngd_direction's; the
+# rows with a zero, inf or nan sum, and the row at EPS, carry theirs
+# (SINGULAR, or the direction, compared with ==)
+NGD_TABLE = [
+    # a01 = -0.0 and a00 = a11 = 1: a signed zero off the diagonal
+    ((1.0, -0.0, 0.0, -1.0, 0.0, -0.0), 0.0, None),
+    ((1.0, -0.0, 0.0, -1.0, 0.0, -0.0), 1e-3, None),
+    # equal and opposite columns: h is 0, and 3.8e-4 once damped
+    ((1.0, 1.0, 2.0, 2.0, 0.5, 0.5), 0.0, None),
+    ((1.0, -1.0, 2.0, -2.0, 0.5, -0.5), 0.0, None),
+    ((1.0, -1.0, 2.0, -2.0, 0.5, -0.5), 1e-3, None),
+    # a zero column: a11 is 0
+    ((1.0, 0.0, 0.0, 0.0, 0.0, 0.0), 0.0, SINGULAR),
+    # the float h is EPS exactly (the exact h is 2^-106 less): not above EPS
+    ((1.0, ULP_BELOW_1, 0.0, 2.0 ** -26, 0.0, 0.0), 0.0, SINGULAR),
+    ((1e-5, 0.0, 0.0, 1e-5, 0.0, 0.0), 0.0, None),  # a small diagonal matrix: h is 1
+    ((1.0, 1e8, 0.0, 1e4, 0.0, 0.0), 0.0, None),  # a00 = 1, a11 = 1e16: h is 1e-8
+    # nearly parallel columns whose sums give h = -2.4e-16
     ((-0.7312715117751976, -0.6454228239768396, 0.6948674738744653, 0.6132924913059923,
-      0.5275492379532281, 0.4656168242080706), 0.0),
-    # subnormal products: the entries underflow
-    ((1e-160, 2e-160, 3e-160, -1e-160, 0.0, 0.0), 0.0),
-    ((1e-160, 2e-160, 3e-160, -1e-160, 0.0, 0.0), 1e-3),
-    ((5e-324, -5e-324, 0.0, 1e-310, 0.0, 0.0), 1e-300),
-    # inf entries: det and tiny are inf
-    ((1e200, 0.0, 0.0, 1.0, 0.0, 0.0), 0.0),
-    ((1e200, 0.0, 0.0, 1e200, 0.0, 0.0), 0.0),
-    # a nan a01 between a finite and an inf diagonal entry, either way round
-    ((1e100, 1e300, 1e100, -1e300, 0.0, 0.0), 0.0),
-    ((1e300, 1e100, 1e300, -1e100, 0.0, 0.0), 0.0),
-    ((1e200, 1e200, 1e200, -1e200, 0.0, 0.0), 0.0),
-    # entries of 1e154 to 1e200: their products overflow, except at 1e154
-    ((1e77, 0.0, 0.0, 1e77, 0.0, 0.0), 0.0),
-    ((1.2e77, 0.0, 0.0, 1e77, 0.0, 0.0), 0.0),
-    ((1e80, 3e79, -2e79, 1e80, 5e79, 0.0), 0.0),
-    ((1e100, 0.0, 0.0, 1e100, 0.0, 0.0), 0.0),
-    ((1e100, 2e100, 1e100, 2e100, 0.0, 0.0), 0.0),
-    ((1e100, -2e100, 1e100, -2e100, 1.0, 0.0), 1e-3),
-    ((1e100, -3e100, 2e100, 1e100, 0.0, 0.0), 0.0),
-])
-def test_ngd_scale_matches_max_abs(jacobian, damping):
-    # the step's scale and singularity test are comparisons; each case takes
-    # the same decision, and the same direction bits, as max(abs(...)) does
+      0.5275492379532281, 0.4656168242080706), 0.0, None),
+    # subnormal sums, and a J^T J that underflows to 0 under the damping
+    ((1e-160, 2e-160, 3e-160, -1e-160, 0.0, 0.0), 0.0, None),
+    ((1e-160, 2e-160, 3e-160, -1e-160, 0.0, 0.0), 1e-3, None),
+    ((5e-324, -5e-324, 0.0, 1e-310, 0.0, 0.0), 1e-300, None),
+    # an inf diagonal sum: g / inf is 0, so its coordinate does not move
+    # (the exact d0 is -2.5e-201)
+    ((1e200, 0.0, 0.0, 1.0, 0.0, 0.0), 0.0, (0.0, -0.75)),
+    ((1e200, 0.0, 0.0, 1e200, 0.0, 0.0), 0.0, (0.0, 0.0)),
+    # a nan a01 between a finite and an inf diagonal sum, either way round
+    ((1e100, 1e300, 1e100, -1e300, 0.0, 0.0), 0.0, SINGULAR),
+    ((1e300, 1e100, 1e300, -1e100, 0.0, 0.0), 0.0, SINGULAR),
+    ((1e200, 1e200, 1e200, -1e200, 0.0, 0.0), 0.0, SINGULAR),
+    # sums of 1e154 to 1e201, whose products would overflow
+    ((1e77, 0.0, 0.0, 1e77, 0.0, 0.0), 0.0, None),
+    ((1.2e77, 0.0, 0.0, 1e77, 0.0, 0.0), 0.0, None),
+    ((1e80, 3e79, -2e79, 1e80, 5e79, 0.0), 0.0, None),
+    ((1e100, 0.0, 0.0, 1e100, 0.0, 0.0), 0.0, None),
+    ((1e100, 2e100, 1e100, 2e100, 0.0, 0.0), 0.0, None),
+    ((1e100, -2e100, 1e100, -2e100, 1.0, 0.0), 1e-3, None),
+    ((1e100, -3e100, 2e100, 1e100, 0.0, 0.0), 0.0, None),
+]
+
+
+# named for the largest-entry scale the solve once had; the case ids
+# (jacobian<row>-<damping>) stay as they were
+@pytest.mark.parametrize("jacobian, damping, verdict", NGD_TABLE,
+                         ids=[f"jacobian{i}-{row[1]}" for i, row in enumerate(NGD_TABLE)])
+def test_ngd_scale_matches_max_abs(jacobian, damping, verdict):
+    # the verdict is the exact one, and each entry of a direction is within
+    # 4 EPS * max|d| / h of the exact solve: 4 ulp of the direction's size,
+    # times the condition 1 / h of the scaled matrix
     m = GaussianLocationModel(FixedJacobian(jacobian), [0.75, 0.5, -0.5])
-    q0 = ChartPoint(0.5, 0.25)
+    q0 = ChartPoint(0.0, 0.0)  # with lr = 1 and no cap the new iterate is -d, exactly
     cfg = OptimizerConfig(method="ngd", damping=damping, step_size=1.0, step_cap=1e300)
-    want = reference_ngd_direction(m.chart.local(q0.xi, q0.theta),
-                                   m.target_mean.tolist(), damping)
-    if want is None:
+    h = None
+    if verdict is None:
+        verdict, h = exact_ngd_direction(m.chart.local(0.0, 0.0), m.target_mean.tolist(),
+                                         damping)
+    if verdict == SINGULAR:
         with pytest.raises(SingularFIMError) as err:
             ngd_step(m, q0, cfg)
         assert str(err.value) == ("step 1: information matrix is singular at "
-                                  f"(xi=0.5, theta=0.25) with damping={damping}")
-    elif math.isfinite(want[0]) and math.isfinite(want[1]):
-        assert math.hypot(*want) <= cfg.step_cap  # lr = 1 and no cap: the step is d
-        q1 = ngd_step(m, q0, cfg)
-        assert hexes(q1.xi, q1.theta) == hexes(q0.xi - want[0], q0.theta - want[1])
+                                  f"(xi=0, theta=0) with damping={damping}")
+        return
+    q1 = ngd_step(m, q0, cfg)
+    d = (-q1.xi, -q1.theta)
+    if h is None:
+        assert d == verdict
     else:
-        with pytest.raises(NonFiniteStepError) as err:
-            ngd_step(m, q0, cfg)
-        assert str(err.value).startswith("step 1: non-finite iterate (")
-        assert str(err.value).endswith(f" from (0.5, 0.25) along ({want[0]}, {want[1]})")
+        tol = 4 * Fraction(optim.EPS) * max(map(abs, verdict)) / h
+        assert all(abs(Fraction(got) - want) <= tol for got, want in zip(d, verdict))
 
 
 # -- run ------------------------------------------------------------------------
@@ -499,15 +568,18 @@ def hexes(*values):
 
 def reference_step(local, target, xi, theta, cfg):
     """The step as the model states it: ``chain_rule``'s gradient toward
-    ``target``, ``information`` plus damping for NGD, the explicit 2x2 solve
-    and the hypot cap; returns the new iterate and whether the cap acted."""
+    ``target``, ``information`` plus damping for NGD, the 2x2 solve with the
+    diagonal scaled to 1, and the hypot cap; returns the new iterate and
+    whether the cap acted."""
     _, g0, g1 = chain_rule(local, target)
     if cfg.method == "ngd":
         a00, a01, a11 = information(local)
         a00 += cfg.damping
         a11 += cfg.damping
-        det = a00 * a11 - a01 * a01
-        g0, g1 = (a11 * g0 - a01 * g1) / det, (a00 * g1 - a01 * g0) / det
+        r0, r1 = a01 / a00, a01 / a11
+        h = 1.0 - r0 * r1
+        u0, u1 = g0 / a00, g1 / a11
+        g0, g1 = (u0 - r0 * u1) / h, (u1 - r1 * u0) / h
     s0, s1 = cfg.step_size * g0, cfg.step_size * g1
     n = math.hypot(s0, s1)
     capped = n > cfg.step_cap
