@@ -37,7 +37,8 @@ would label faster, but the runtime dependencies stay ``numpy`` only.
 run builds its hyperboloid chart at the level it picks for the double cone.
 A level is smooth when it is a regular value: ``smoothness_check`` asks
 whether a critical point of p lies on it and draws no samples, so
-``decide`` on the double cone costs about 0.2 ms per eps.
+``decide`` on the double cone costs about 0.2 ms per eps once the singular
+search is cached, and about 0.3 ms with that search.
 ``proximity_check`` and ``stratopt resolve --csv`` project
 ``level_samples``, uniform samples from seed 0, onto the chosen level.
 """
@@ -222,13 +223,13 @@ def smoothness_check(d: Deformation) -> bool:
     sampling cannot witness a measure-zero singular point).  A critical point
     nearer to {base = 0} than to the level is the base variety's own, not
     the level's: the two levels' ``TOL_ON`` bands overlap when |level| <
-    2 * ``TOL_ON``.  For a base of degree at most 2 the search is exact:
-    grad base is affine, so the pseudoinverse Newton step lands on the
-    critical set, an affine set on which base is constant, and its endpoints
-    give every critical value.  At degree 3 and up it finds the critical
-    points that Newton reaches from the seed grid.  A level that is empty
-    in R^n has no critical point on it and passes; ``decide`` never asks
-    about one, as its count of 0 is not viable.
+    2 * ``TOL_ON``.  For a base of degree at most 2 the search is exact by
+    construction: it solves grad base = Hx + b = 0 by one SVD of H, and base
+    is constant on that affine critical set, so its points give every
+    critical value.  At degree 3 and up it finds the critical points that
+    Newton reaches from the seed grid.  A level that is empty in R^n has no
+    critical point on it and passes; ``decide`` never asks about one, as its
+    count of 0 is not viable.
     """
     values = [d.base.eval(s) for s in find_singular_points(d.base, d.level, d.region)]
     return not any(abs(v - d.level) <= abs(v) for v in values)

@@ -1,15 +1,17 @@
 """Decompose a polynomial hypersurface into singular points and regular strata.
 
 Singular points of the level set {p = level} are the points where the
-gradient of p vanishes on the level set.  They are located by running
-Newton's method on the critical-point system (grad p = 0) from a uniform
-grid of seeds, then filtering to the level set and deduplicating.  The
-Newton endpoints do not depend on the level, so their distinct values are
-cached per process (``NEWTON_CACHE_SIZE`` entries, keyed on the polynomial,
-the region and the seed grid): every level searched on one variety and
-region filters the endpoints of a single solve.  A ``Region`` is a value,
-with read-only copied bounds and equality by their bytes, so an equal
-region built from other arrays finds that solve.
+gradient of p vanishes on the level set.  They are located among the
+endpoints of Newton's method on the critical-point system (grad p = 0) from
+a uniform grid of seeds, filtered to the level set and deduplicated.  At
+degree at most 2 grad p is affine, and those endpoints come from one SVD of
+the constant Hessian instead of Newton rounds.  The endpoints do not
+depend on the level, so their distinct values are cached per process
+(``NEWTON_CACHE_SIZE`` entries, keyed on the polynomial, the region and the
+seed grid): every level searched on one variety and region filters the
+endpoints of a single solve.  A ``Region`` is a value, with read-only copied
+bounds and equality by their bytes, so an equal region built from other
+arrays finds that solve.
 ``project_to_level``, the Newton projection onto a level set that the
 ball-radius probes and ``resolve`` use, lives here too.  It keeps the rows
 still moving as contiguous coordinate columns and drops a row's column once
@@ -114,14 +116,19 @@ class Region:
             return bool(inside.all())
         return inside.all(axis=-1)
 
-    def grid(self, points_per_axis: int) -> np.ndarray:
-        """Uniform grid of seed points, shape (points_per_axis**dim, dim)."""
+    def _check_grid(self, points_per_axis: int):
+        """``ValueError`` unless a grid of ``points_per_axis`` per axis has at
+        least 2 points per axis and at most ``MAX_SEEDS`` points."""
         if points_per_axis < 2:
             raise ValueError(f"grid_points must be >= 2, got {points_per_axis}")
         seeds = points_per_axis ** self.dim
         if seeds > MAX_SEEDS:
             raise ValueError(f"grid_points={points_per_axis} in {self.dim} dimensions needs "
                              f"{seeds} seeds, more than MAX_SEEDS={MAX_SEEDS}; lower grid_points")
+
+    def grid(self, points_per_axis: int) -> np.ndarray:
+        """Uniform grid of seed points, shape (points_per_axis**dim, dim)."""
+        self._check_grid(points_per_axis)
         mesh = np.meshgrid(*self.axes(points_per_axis), indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=1)
 
@@ -169,12 +176,15 @@ def find_singular_points(
 ) -> list[np.ndarray]:
     """All points in ``region`` where grad p = 0 and p = level.
 
-    Newton iteration on grad p = 0 runs from every one of the
-    ``grid_points``-per-axis seeds simultaneously; the minimal-norm step
+    The candidates are the endpoints of Newton's method on grad p = 0 from
+    each of the ``grid_points``-per-axis seeds; its minimal-norm step
     (pseudoinverse of the Hessian) keeps degenerate critical points
-    reachable.  Of its cached distinct endpoints (``_newton_endpoints``),
-    those ``level_masks`` finds singular count; they are merged within
-    ``MERGE_RADIUS`` and returned sorted lexicographically, as new arrays.
+    reachable.  A polynomial of degree at most 2 is solved, not iterated:
+    its critical set {Hx + b = 0} comes from one SVD, so every critical
+    point is found.  Of the cached distinct endpoints
+    (``_newton_endpoints``), those ``level_masks`` finds singular count;
+    they are merged within ``MERGE_RADIUS`` and returned sorted
+    lexicographically, as new arrays.
     A constant polynomial, whose level sets are empty or all of R^n, is a
     ``ValueError``.
     """
@@ -206,36 +216,50 @@ def _newton_endpoints(p: Polynomial, region: Region, grid_points: int) -> np.nda
     """Distinct endpoints of Newton's method on grad p = 0 from every grid
     seed of ``region``, sorted lexicographically; read-only, shared by callers.
 
-    A round steps every finite row whose gradient is finite and nonzero by
-    ``-pinv(H) @ grad``.  The Hessian of a polynomial of degree at most 2 is
-    constant, so its pseudoinverse is taken once, at the first such row, and
-    repeated for the others; a higher degree pseudoinverts each row's own
-    Hessian.  The loop ends after ``NEWTON_MAX_ITER`` rounds, when no row is
-    left to step, or when a round leaves every stepped row bitwise unchanged,
-    since each later round would repeat it.  Only the endpoints in the
-    region padded by 1e-9 of its largest width stay (no inf or NaN row
-    does), and of rows equal in value (-0.0 equals 0.0) the first in seed
-    order.
+    At degree at most 2, grad p = Hx + b is affine, and the endpoints are
+    where the minimal-norm Newton step lands, worked out from one SVD of the
+    constant Hessian H: with pinv's cutoff (1e-15 of the largest singular
+    value) setting the rank, x_p = -pinv(H) b, and the endpoints are x_p
+    alone when H has full rank, else each seed's projection x_p + (X -
+    x_p) N N^T, N spanning null(H).  The apex of a homogeneous quadric (b =
+    0) is +0.0.  A non-finite H or b leaves no endpoint: grad p is then
+    nowhere finite.
+
+    At degree 3 and up, a round steps every finite row whose gradient is
+    finite and nonzero by ``-pinv(H) @ grad``, each row by its own Hessian,
+    until no row is left to step or after ``NEWTON_MAX_ITER`` rounds.
+
+    Only the endpoints in the region padded by 1e-9 of its largest width
+    stay (no inf or NaN row does), and of rows equal in value (-0.0 equals
+    0.0) the first in seed order.
     """
-    X = region.grid(grid_points)
-    constant_hessian = p.degree <= 2
-    for _ in range(NEWTON_MAX_ITER):
-        finite = np.isfinite(X).all(axis=1)
-        G = np.zeros_like(X)
-        G[finite] = p.grad_many(X[finite])
-        active = finite & np.isfinite(G).all(axis=1) & (np.linalg.norm(G, axis=1) > 1e-14)
-        if not active.any():
-            break
-        Xa = X[active]
-        if constant_hessian:
-            H_pinv = np.repeat(np.linalg.pinv(p.hessian_many(Xa[:1])), Xa.shape[0], axis=0)
+    if p.degree <= 2:
+        region._check_grid(grid_points)
+        origin = np.zeros((1, p.nvars))
+        H, b = p.hessian_many(origin)[0], p.grad_many(origin)[0]
+        if not (np.isfinite(H).all() and np.isfinite(b).all()):
+            X = np.empty((0, p.nvars))
         else:
-            H_pinv = np.linalg.pinv(p.hessian_many(Xa))
-        step = -np.einsum("kij,kj->ki", H_pinv, G[active])
-        moved = Xa + step
-        if moved.tobytes() == Xa.tobytes():
-            break
-        X[active] = moved
+            U, s, Vt = np.linalg.svd(H)
+            rank = int(np.count_nonzero(s > 1e-15 * s.max()))
+            # 0.0 - y, not -y: a zero of pinv(H) b is +0.0
+            x_p = 0.0 - Vt[:rank].T @ ((U[:, :rank].T @ b) / s[:rank])
+            if rank == p.nvars:
+                X = x_p[None, :]
+            else:
+                N = Vt[rank:].T
+                X = x_p + (region.grid(grid_points) - x_p) @ N @ N.T
+    else:
+        X = region.grid(grid_points)
+        for _ in range(NEWTON_MAX_ITER):
+            finite = np.isfinite(X).all(axis=1)
+            G = np.zeros_like(X)
+            G[finite] = p.grad_many(X[finite])
+            active = finite & np.isfinite(G).all(axis=1) & (np.linalg.norm(G, axis=1) > 1e-14)
+            if not active.any():
+                break
+            step = -np.einsum("kij,kj->ki", np.linalg.pinv(p.hessian_many(X[active])), G[active])
+            X[active] = X[active] + step
     X = X[region.contains(X, pad=1e-9 * float(np.max(region.widths)))]
     X = X[np.lexsort(X.T[::-1])]  # primary key: first coordinate
     if X.shape[0]:

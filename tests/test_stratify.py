@@ -2,6 +2,7 @@ import itertools
 import math
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -125,27 +126,6 @@ def same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-@st.composite
-def quadrics(draw):
-    """A polynomial of degree <= 2 in 1-3 variables; small integer and zero
-    coefficients make rank-deficient Hessians common."""
-    nvars = draw(st.integers(1, 3))
-    monomials = [e for e in itertools.product(range(3), repeat=nvars) if sum(e) <= 2]
-    coeff = st.sampled_from([0.0, 0.0, 1.0, -1.0, 2.0, -0.5]) | st.floats(-3, 3)
-    return Polynomial(nvars, {e: draw(coeff) for e in monomials})
-
-
-@settings(max_examples=60, deadline=None)
-@given(quadrics(), st.integers(2, 9))
-def test_newton_search_matches_every_round_reference_on_quadrics(p, grid_points):
-    region = Region.cube(-2.0, 2.0, p.nvars)
-    # a subnormal coefficient overflows the pseudoinverse (1/s) in both
-    # searches; the rows it throws out of the region are dropped
-    with np.errstate(over="ignore", invalid="ignore"):
-        want = distinct_in_region(newton_every_round(p, region, grid_points), region)
-    assert same_bits(newton_search(p, region, grid_points), want)
-
-
 @pytest.mark.parametrize("text", [
     "x0^2 + x1",                     # rank-deficient constant Hessian
     "x0^2 + x1^3",                   # cusp_curve
@@ -158,33 +138,122 @@ def test_newton_search_matches_every_round_reference(text):
                      distinct_in_region(newton_every_round(p, region), region))
 
 
-def count_pinv_calls(monkeypatch):
-    calls = []
-    pinv = np.linalg.pinv
-    monkeypatch.setattr(np.linalg, "pinv", lambda H: calls.append(H.shape) or pinv(H))
-    return calls
+@pytest.mark.parametrize("p", [CONE, axis_pair(), parse_polynomial("x0*x3 - x1*x2")],
+                         ids=Polynomial.to_string)
+def test_a_full_rank_quadric_search_is_one_svd(monkeypatch, p):
+    rows, svds = [], []
+    for name in ("grad_many", "hessian_many"):
+        method = getattr(Polynomial, name)
+        monkeypatch.setattr(Polynomial, name, lambda self, X, method=method:
+                            rows.append((method.__name__, len(X))) or method(self, X))
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda H: svds.append(H.shape) or svd(H))
+
+    def no_grid(self, n):
+        raise AssertionError("seed grid built for a full-rank quadric")
+    monkeypatch.setattr(Region, "grid", no_grid)
+    X = newton_search(p, Region.cube(-2.0, 2.0, p.nvars), SEED_GRID)
+    assert sorted(rows) == [("grad_many", 1), ("hessian_many", 1)]
+    assert svds == [(p.nvars, p.nvars)]
+    assert same_bits(X, np.zeros((1, p.nvars)))  # the apex, +0.0 in every coordinate
 
 
-@pytest.mark.parametrize("p", [CONE, axis_pair(), parse_polynomial("x0^2 + x1")])
-def test_quadric_newton_round_pseudoinverts_one_matrix(monkeypatch, p):
-    calls = count_pinv_calls(monkeypatch)
-    newton_search(p, Region.cube(-2.0, 2.0, p.nvars))
-    assert calls and all(shape == (1, p.nvars, p.nvars) for shape in calls)
+@st.composite
+def integer_quadrics(draw):
+    """A polynomial of degree <= 2 in 1-3 variables with small integer
+    coefficients, many of them zero, so rank-deficient Hessians and
+    inconsistent critical systems are common."""
+    nvars = draw(st.integers(1, 3))
+    monomials = [e for e in itertools.product(range(3), repeat=nvars) if sum(e) <= 2]
+    coeff = st.sampled_from([0, 0, 0, 1, -1, 2, -2, 3])
+    return Polynomial(nvars, {e: draw(coeff) for e in monomials})
 
 
-@pytest.mark.parametrize("text, rounds", [
-    ("x0^2 + x1^2 - x2", 2),  # one step to the x2 axis, then a zero step
-    ("x0 + x1 + x2", 1),      # the zero Hessian makes every step zero
-])
-def test_newton_search_stops_at_a_fixed_point(monkeypatch, text, rounds):
-    # no row's gradient ever vanishes, so only the fixed point ends the loop
-    # before NEWTON_MAX_ITER rounds
-    p = parse_polynomial(text)
-    calls = count_pinv_calls(monkeypatch)
-    got = newton_search(p, BOX3)
-    assert len(calls) == rounds
-    monkeypatch.undo()
-    assert same_bits(got, distinct_in_region(newton_every_round(p, BOX3), BOX3))
+def rref(A):
+    """The reduced row echelon form of the Fraction matrix ``A`` (a list of
+    rows) and its pivot columns."""
+    A, pivots = [list(row) for row in A], []
+    for c in range(len(A[0])):
+        r = len(pivots)
+        k = next((i for i in range(r, len(A)) if A[i][c] != 0), None)
+        if k is None:
+            continue
+        A[r], A[k] = A[k], A[r]
+        A[r] = [v / A[r][c] for v in A[r]]
+        for i in range(len(A)):
+            if i != r and A[i][c] != 0:
+                A[i] = [u - A[i][c] * v for u, v in zip(A[i], A[r])]
+        pivots.append(c)
+    return A, pivots
+
+
+def exact_critical_projections(p, X):
+    """Each row of ``X`` projected orthogonally onto {Hx + b = 0} in exact
+    rational arithmetic, as floats, or None when that system has no
+    solution; H and b are p's constant Hessian and its gradient at 0."""
+    n = p.nvars
+    H = p.hessian(np.zeros(n))
+    b = p.grad(np.zeros(n))
+    A, pivots = rref([[Fraction(v) for v in H[i]] + [-Fraction(b[i])] for i in range(n)])
+    if n in pivots:
+        return None  # a row 0 = nonzero
+    r = len(pivots)
+    B, c = [row[:n] for row in A[:r]], [row[n] for row in A[:r]]  # the solutions: B x = c
+    BBt = [[sum(u * v for u, v in zip(bi, bj)) for bj in B] for bi in B]
+    out = []
+    for x in X:
+        # x - B^T y with B B^T y = B x - c
+        x = [Fraction(v) for v in x]
+        res = [sum(u * v for u, v in zip(bi, x)) - ci for bi, ci in zip(B, c)]
+        y = [row[r] for row in rref([row + [v] for row, v in zip(BBt, res)])[0]]
+        out.append([float(xj - sum(B[i][j] * y[i] for i in range(r))) for j, xj in enumerate(x)])
+    return np.array(out).reshape(len(out), n)
+
+
+def distance_to_rows(A, B):
+    """For each row of ``A``, its distance to the nearest row of ``B``."""
+    if not len(B):
+        return np.full(len(A), np.inf)
+    return np.linalg.norm(A[:, None, :] - B[None, :, :], axis=2).min(axis=1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(integer_quadrics(), st.integers(2, 9))
+def test_newton_search_matches_every_round_reference_on_quadrics(p, grid_points):
+    region = Region.cube(-2.0, 2.0, p.nvars)
+    if p.degree == 0:
+        return  # no search: find_singular_points rejects it, as tested below
+    got = newton_search(p, region, grid_points)
+    want = exact_critical_projections(p, region.grid(grid_points))
+    if want is not None:
+        # every endpoint is a seed's exact projection, and every projection
+        # inside the region (clear of its padded edge) is an endpoint
+        assert (distance_to_rows(got, want) <= 1e-12).all()
+        inside = want[region.contains(want, pad=1e-10)]
+        assert (distance_to_rows(inside, got) <= 1e-12).all()
+    # the same two ways round against the every-round reference's endpoints
+    X = newton_every_round(p, region, grid_points)
+    assert (distance_to_rows(got, X) <= 1e-12).all()
+    assert (distance_to_rows(X[region.contains(X, pad=1e-10)], got) <= 1e-12).all()
+
+
+@settings(max_examples=40, deadline=None)
+@given(integer_quadrics(), st.integers(2, 9))
+def test_singular_points_match_the_uncached_reference_on_quadrics(p, grid_points):
+    region = Region.cube(-2.0, 2.0, p.nvars)
+    if p.degree == 0:
+        with pytest.raises(ValueError, match="is constant"):
+            find_singular_points(p, 0.0, region, grid_points=grid_points)
+        return
+    consistent = exact_critical_projections(p, np.zeros((0, p.nvars))) is not None
+    X = newton_every_round(p, region, grid_points)
+    for level in REFERENCE_LEVELS:
+        found = find_singular_points(p, level, region, grid_points=grid_points)
+        ref = singular_points_reference(p, level, region, X)
+        assert len(found) == len(ref)
+        assert all(np.abs(a - b).max() <= 1e-12 for a, b in zip(found, ref))
+        if not consistent:
+            assert found == []
 
 
 def test_returned_points_do_not_alias_the_search_cache():
@@ -223,7 +292,8 @@ REFERENCE_LEVELS = [0.0, -0.0, 0.1, -0.1, 1e-12, -1e-12]
 
 
 @pytest.mark.parametrize("p", [CONE, CUSP, axis_pair(), parse_polynomial("x0^2*x1 - x1^3"),
-                               parse_polynomial("x0*x1*x2")], ids=Polynomial.to_string)
+                               parse_polynomial("x0*x1*x2"), Polynomial(3, {(2, 0, 0): 1.0}),
+                               parse_polynomial("x0*x3 - x1*x2")], ids=Polynomial.to_string)
 def test_singular_points_match_the_uncached_reference(p):
     region = Region.cube(-2.0, 2.0, p.nvars)
     X = newton_every_round(p, region, SEED_GRID)
@@ -232,24 +302,10 @@ def test_singular_points_match_the_uncached_reference(p):
                            singular_points_reference(p, level, region, X))
 
 
-@settings(max_examples=40, deadline=None)
-@given(quadrics(), st.integers(2, 9))
-def test_singular_points_match_the_uncached_reference_on_quadrics(p, grid_points):
-    region = Region.cube(-2.0, 2.0, p.nvars)
-    if p.degree == 0:
-        with pytest.raises(ValueError, match="is constant"):
-            find_singular_points(p, 0.0, region, grid_points=grid_points)
-        return
-    with np.errstate(over="ignore", invalid="ignore"):  # as in the Newton test above
-        X = newton_every_round(p, region, grid_points)
-    for level in REFERENCE_LEVELS:
-        assert same_points(find_singular_points(p, level, region, grid_points=grid_points),
-                           singular_points_reference(p, level, region, X))
-
-
 def test_of_endpoints_equal_but_for_a_zero_sign_the_first_seed_stays(monkeypatch):
-    # grad p vanishes at both seeds, so neither moves; -0.0 == 0.0 makes them one point
-    p = parse_polynomial("x0^2 + x1^2")
+    # grad p vanishes at both seeds, so neither moves; -0.0 == 0.0 makes them one
+    # point.  A cubic, as a full-rank quadric's search uses no seed
+    p = parse_polynomial("x0^2 + x1^2 + x0^3")
     region = Region.cube(-1.0, 1.0, 2)
     monkeypatch.setattr(Region, "grid", lambda self, n: np.array([[-0.0, 0.0], [0.0, 0.0]]))
     _newton_endpoints.cache_clear()
@@ -270,7 +326,7 @@ def test_a_new_level_filters_only_the_distinct_endpoints(monkeypatch):
     monkeypatch.setattr(Polynomial, "grad_many",
                         lambda self, X: rows.append(len(X)) or grad_many(self, X))
     assert find_singular_points(CONE, 0.1, region) == []
-    # the 21^3 = 9,261 endpoints are one point, the apex
+    # the one distinct endpoint is the apex
     assert rows == [1]
 
 
@@ -296,9 +352,29 @@ def test_polynomial_systems_rejected():
         stratify((CONE,), 0.0, BOX3)
 
 
+@pytest.mark.parametrize("grid_points, message", [
+    (1, "grid_points must be >= 2, got 1"),
+    (127, "grid_points=127 in 3 dimensions needs 2048383 seeds, more than MAX_SEEDS=2000000"),
+], ids=["below-2", "over-MAX_SEEDS"])
+def test_seed_grid_is_checked_where_no_seed_is_used(grid_points, message):
+    # the double cone's Hessian has full rank: its search builds no seed grid
+    with pytest.raises(ValueError, match=re.escape(message)):
+        find_singular_points(CONE, 0.0, BOX3, grid_points=grid_points)
+
+
 def test_region_mismatch_rejected():
     with pytest.raises(ValueError):
         find_singular_points(CONE, 0.0, BOX2)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text", ["1e308*x0^2", "1e308*x0^2 + x1^2"])
+def test_a_quadric_whose_hessian_overflows_has_no_singular_point(text):
+    # 2e308 is inf: grad p is inf or NaN everywhere, so no point is critical
+    p = parse_polynomial(text)
+    region = Region.cube(-2.0, 2.0, p.nvars)
+    assert newton_search(p, region, SEED_GRID).shape == (0, p.nvars)
+    assert find_singular_points(p, 0.0, region) == []
 
 
 @pytest.mark.parametrize("level", [math.nan, math.inf, -math.inf])
