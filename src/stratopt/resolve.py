@@ -38,7 +38,7 @@ run builds its hyperboloid chart at the level it picks for the double cone.
 A level is smooth when it is a regular value: ``smoothness_check`` asks
 whether a critical point of p lies on it and draws no samples, so
 ``decide`` on the double cone costs about 0.2 ms per eps once the singular
-search is cached, and about 0.3 ms with that search.
+search is cached, and about 0.4 ms with that search.
 ``proximity_check`` and ``stratopt resolve --csv`` project
 ``level_samples``, uniform samples from seed 0, onto the chosen level.
 """
@@ -51,8 +51,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .poly import Polynomial
-from .stratify import (TOL_CRIT, OffVarietyError, Region, find_singular_points, level_masks,
-                       project_to_level)
+from .stratify import (TOL_CRIT, OffVarietyError, Region, find_singular_points, inertia,
+                       level_masks, project_to_level)
 
 DEFAULT_GRID_N = 64
 # grid corners count_components may evaluate: a bound on its work, as the slabs
@@ -64,14 +64,15 @@ MAX_CORNERS = 4_000_000
 SLAB_CORNERS = (DEFAULT_GRID_N + 1) ** 3
 CHECK_SAMPLES = 10_000  # uniform samples behind the proximity check
 MAX_SAMPLES = 1_000_000  # most projected samples `stratopt resolve --csv` may ask for
-# a singular point is degenerate when a Hessian eigenvalue is at most
-# MORSE_TOL * sqrt(c) in size, c the largest |coefficient| of degree >= 2.
-# Newton stops a row at |grad p| <= 1e-14 (``_newton_endpoints``), which leaves
-# c*x^3 at eigenvalue sqrt(12e-14 * c) ~ 3.5e-7 * sqrt(c), while a Morse point
-# c*x^2 has 2c: the test reads both alike at every coefficient scale (a Morse
-# point below c ~ 2.5e-9 reads degenerate and falls back to the counts).  Not
-# relative to the largest eigenvalue: all can be small alike at a degenerate
-# point (x0^2*x1 - x1^3: -1.67e-7 and 3.1e-7)
+# from degree 3 (a quadric's inertia is exact, ``stratify.inertia``), a singular
+# point is degenerate when a Hessian eigenvalue is at most MORSE_TOL * sqrt(c)
+# in size, c the largest |coefficient| of degree >= 2.  Newton stops a row at
+# |grad p| <= 1e-14 (``_newton_endpoints``), which leaves c*x^3 at eigenvalue
+# sqrt(12e-14 * c) ~ 3.5e-7 * sqrt(c), while a Morse point c*x^2 has 2c: the
+# test reads both alike at every coefficient scale (a Morse point below c ~
+# 2.5e-9 reads degenerate and falls back to the counts).  Not relative to the
+# largest eigenvalue: all can be small alike at a degenerate point
+# (x0^2*x1 - x1^3: -1.67e-7 and 3.1e-7)
 MORSE_TOL = math.sqrt(TOL_CRIT)
 
 
@@ -224,12 +225,12 @@ def smoothness_check(d: Deformation) -> bool:
     nearer to {base = 0} than to the level is the base variety's own, not
     the level's: the two levels' ``TOL_ON`` bands overlap when |level| <
     2 * ``TOL_ON``.  For a base of degree at most 2 the search is exact by
-    construction: it solves grad base = Hx + b = 0 by one SVD of H, and base
-    is constant on that affine critical set, so its points give every
-    critical value.  At degree 3 and up it finds the critical points that
-    Newton reaches from the seed grid.  A level that is empty in R^n has no
-    critical point on it and passes; ``decide`` never asks about one, as its
-    count of 0 is not viable.
+    construction: it solves grad base = Hx + b = 0 by one SVD of H at H's
+    exact rank (``stratify.inertia``), and base is constant on that affine
+    critical set, so its points give every critical value.  At degree 3 and
+    up it finds the critical points that Newton reaches from the seed grid.
+    A level that is empty in R^n has no critical point on it and passes;
+    ``decide`` never asks about one, as its count of 0 is not viable.
     """
     values = [d.base.eval(s) for s in find_singular_points(d.base, d.level, d.region)]
     return not any(abs(v - d.level) <= abs(v) for v in values)
@@ -293,16 +294,22 @@ def local_pieces(k: int) -> int:
 def morse_inertia(p: Polynomial, region: Region) -> tuple[tuple[int, int], ...] | None:
     """The Hessian inertia (k+, k-) of each singular point of {p = 0} in
     ``region``, in ``find_singular_points`` order; None when there is no
-    singular point or one is degenerate (an eigenvalue within ``MORSE_TOL``
-    times the square root of p's largest |coefficient| of degree >= 2)."""
+    singular point or one is degenerate: at degree at most 2, when the
+    constant Hessian is rank-deficient (``inertia``, exact), else when a float
+    eigenvalue lies within ``MORSE_TOL`` times the square root of p's largest
+    |coefficient| of degree >= 2."""
+    points = find_singular_points(p, 0.0, region)
+    if p.degree <= 2 and points:
+        k = inertia(p.hessian(np.zeros(p.nvars)))
+        return (k,) * len(points) if sum(k) == p.nvars else None
     scale = max((abs(c) for e, c in p.terms if sum(e) >= 2), default=0.0)
-    inertia = []
-    for s in find_singular_points(p, 0.0, region):
+    out = []
+    for s in points:
         eig = np.linalg.eigvalsh(p.hessian(s))
         if np.min(np.abs(eig)) <= MORSE_TOL * math.sqrt(scale):
             return None
-        inertia.append((int(np.count_nonzero(eig > 0)), int(np.count_nonzero(eig < 0))))
-    return tuple(inertia) or None
+        out.append((int(np.count_nonzero(eig > 0)), int(np.count_nonzero(eig < 0))))
+    return tuple(out) or None
 
 
 def decide(p: Polynomial, eps: float, region: Region | None = None,

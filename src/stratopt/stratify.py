@@ -5,7 +5,8 @@ gradient of p vanishes on the level set.  They are located among the
 endpoints of Newton's method on the critical-point system (grad p = 0) from
 a uniform grid of seeds, filtered to the level set and deduplicated.  At
 degree at most 2 grad p is affine, and those endpoints come from one SVD of
-the constant Hessian instead of Newton rounds.  The endpoints do not
+the constant Hessian instead of Newton rounds, with the rank that
+``inertia`` computes exactly for the Hessian as parsed.  The endpoints do not
 depend on the level, so their distinct values are cached per process
 (``NEWTON_CACHE_SIZE`` entries, keyed on the polynomial, the region and the
 seed grid): every level searched on one variety and region filters the
@@ -180,8 +181,8 @@ def find_singular_points(
     each of the ``grid_points``-per-axis seeds; its minimal-norm step
     (pseudoinverse of the Hessian) keeps degenerate critical points
     reachable.  A polynomial of degree at most 2 is solved, not iterated:
-    its critical set {Hx + b = 0} comes from one SVD, so every critical
-    point is found.  Of the cached distinct endpoints
+    its critical set {Hx + b = 0} comes from one SVD and the exact rank of
+    H, so every critical point is found.  Of the cached distinct endpoints
     (``_newton_endpoints``), those ``level_masks`` finds singular count;
     they are merged within ``MERGE_RADIUS`` and returned sorted
     lexicographically, as new arrays.
@@ -210,6 +211,32 @@ def find_singular_points(
     return out
 
 
+def inertia(H) -> tuple[int, int]:
+    """The counts (k+, k-) of positive and negative eigenvalues of the finite
+    symmetric float matrix ``H``, exact: one power of two makes H integer,
+    and symmetric elimination pivots on a nonzero diagonal entry d (made by
+    adding a row and its column to another's when none is left, as in Bunch
+    & Kaufman 1977), going on with the Schur complement times |d|, which keeps
+    its inertia (Sylvester's law)."""
+    ratios = [[float(v).as_integer_ratio() for v in row] for row in H]
+    den = max((d for row in ratios for _, d in row), default=1)  # each d is a power of 2
+    A = [[m * (den // d) for m, d in row] for row in ratios]
+    counts = [0, 0]
+    while any(map(any, A)):  # a zero remainder has only zero eigenvalues
+        i = next((i for i in range(len(A)) if A[i][i]), None)
+        if i is None:
+            i, j = next((i, j) for i, row in enumerate(A) for j, v in enumerate(row) if v)
+            A[i] = [u + v for u, v in zip(A[i], A[j])]
+            for row in A:
+                row[i] += row[j]
+        d = A[i][i]
+        counts[d < 0] += 1
+        rest = [k for k in range(len(A)) if k != i]
+        A = [[abs(d) * A[k][m] - (1 if d > 0 else -1) * A[k][i] * A[i][m] for m in rest]
+             for k in rest]
+    return counts[0], counts[1]
+
+
 @functools.lru_cache(maxsize=NEWTON_CACHE_SIZE)
 @_drops_overflow
 def _newton_endpoints(p: Polynomial, region: Region, grid_points: int) -> np.ndarray:
@@ -218,8 +245,8 @@ def _newton_endpoints(p: Polynomial, region: Region, grid_points: int) -> np.nda
 
     At degree at most 2, grad p = Hx + b is affine, and the endpoints are
     where the minimal-norm Newton step lands, worked out from one SVD of the
-    constant Hessian H: with pinv's cutoff (1e-15 of the largest singular
-    value) setting the rank, x_p = -pinv(H) b, and the endpoints are x_p
+    constant Hessian H and its exact rank r = k+ + k- (``inertia``): x_p =
+    -H^+ b from the top r singular triplets, and the endpoints are x_p
     alone when H has full rank, else each seed's projection x_p + (X -
     x_p) N N^T, N spanning null(H).  The apex of a homogeneous quadric (b =
     0) is +0.0.  A non-finite H or b leaves no endpoint: grad p is then
@@ -241,9 +268,10 @@ def _newton_endpoints(p: Polynomial, region: Region, grid_points: int) -> np.nda
             X = np.empty((0, p.nvars))
         else:
             U, s, Vt = np.linalg.svd(H)
-            rank = int(np.count_nonzero(s > 1e-15 * s.max()))
-            # 0.0 - y, not -y: a zero of pinv(H) b is +0.0
-            x_p = 0.0 - Vt[:rank].T @ ((U[:, :rank].T @ b) / s[:rank])
+            rank = sum(inertia(H))
+            # skip an s that underflowed to 0; 0.0 - y, not -y: a zero of y is +0.0
+            x_p = 0.0 - Vt[:rank].T @ np.divide(U[:, :rank].T @ b, s[:rank],
+                                                out=np.zeros(rank), where=s[:rank] > 0)
             if rank == p.nvars:
                 X = x_p[None, :]
             else:

@@ -332,6 +332,18 @@ def test_huge_finite_region_resolves_a_quadric_without_warnings(capsys):
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text, count", [
+    # a Morse point of inertia (1, 1), not a line of 21 points in close pairs
+    ("x0^2 - 0.00000000000000000001*x1^2", 1),
+    # the critical point x0 = -5e307 lies far outside the region
+    ("1e-308*x0^2 + x1^2 + x0", 0),
+])
+def test_a_nearly_flat_quadric_stratifies_without_warnings(capsys, text, count):
+    assert main(["stratify", text]) == 0
+    assert f"singular points: {count}" in capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.filterwarnings("error")
 def test_close_pair_warning_as_an_error_exits_2(capsys):
     # x0^2 is singular along the line x0 = 0: 21 points, 210 close pairs
     assert main(["stratify", "x0^2", "--nvars", "2"]) == 2

@@ -4,6 +4,7 @@ import json
 import math
 import tracemalloc
 from collections import deque
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -413,6 +414,46 @@ def test_morse_tolerance_scales_with_the_coefficients(c):
     cone = c * CONE
     assert resolve.morse_inertia(cusp, default_region(2)) is None
     assert resolve.morse_inertia(cone, default_region(3)) == ((2, 1),)
+
+
+def test_a_nearly_flat_morse_point_decides_by_the_morse_rule(monkeypatch):
+    # the x0 eigenvalue -2e-8 is below MORSE_TOL * sqrt(1): only the exact
+    # inertia of the constant Hessian sees the point as Morse
+    monkeypatch.setattr(resolve, "count_components", no_count)
+    chosen, why, inertia = resolve.decide(parse_polynomial("x1^2 + x2^2 - 0.00000001*x0^2"), 0.1)
+    assert (chosen.level, why, inertia) == (+0.1, "morse", ((2, 1),))
+
+
+def no_eigvalsh(H):
+    raise AssertionError("eigvalsh was called")
+
+
+@pytest.mark.parametrize("text, nvars, inertia", [
+    ("x1^2 + x2^2 - x0^2", None, ((2, 1),)),
+    ("x0*x3 - x1*x2", None, ((2, 2),)),
+    ("x0^2 - 0.00000000000000000001*x1^2", None, ((1, 1),)),
+    ("x0^2", 3, None),         # a singular plane: rank-deficient
+    ("x0*x1 - 0.1", None, None),  # no singular point
+])
+def test_a_quadric_inertia_takes_no_eigenvalue(text, nvars, inertia, monkeypatch):
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+    p = parse_polynomial(text, nvars=nvars)
+    assert resolve.morse_inertia(p, default_region(p.nvars)) == inertia
+
+
+def test_a_quadric_is_degenerate_only_when_its_parsed_coefficients_are():
+    region = default_region(2)
+    # 0.2 and 0.01 are not binary fractions, and as parsed the Hessian
+    # [[2, 0.2], [0.2, 0.02]] has determinant 4*0.01 - 0.2^2 < 0
+    assert 4 * Fraction(0.01) < Fraction(0.2) ** 2
+    near = parse_polynomial("x0^2 + 0.2*x0*x1 + 0.01*x1^2")
+    assert [s.tolist() for s in find_singular_points(near, 0.0, region)] == [[0.0, 0.0]]
+    assert resolve.morse_inertia(near, region) == ((1, 1),)
+    # (x0 + x1)^2 is exactly degenerate: singular along the line x0 = -x1
+    square = parse_polynomial("x0^2 + 2*x0*x1 + x1^2")
+    found = find_singular_points(square, 0.0, region)
+    assert len(found) == 41 and all(abs(s[0] + s[1]) <= 1e-15 for s in found)
+    assert resolve.morse_inertia(square, region) is None
 
 
 def test_choose_resolution_counts_no_component_on_morse_varieties(monkeypatch):

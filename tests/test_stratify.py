@@ -11,10 +11,10 @@ from hypothesis import given, settings, strategies as st
 from stratopt.poly import (Polynomial, axis_pair, cusp_curve, double_cone,
                           parse_polynomial)
 from stratopt.resolve import (choose_resolution, decide, default_region, deform,
-                              proximity_check, smoothness_check)
+                              morse_inertia, proximity_check, smoothness_check)
 from stratopt.stratify import (MERGE_RADIUS, NEWTON_MAX_ITER, PROJECTION_MAX_ITER,
                                PROJECTION_TOL, SEED_GRID, Region, _newton_endpoints,
-                               project_to_level, find_singular_points, level_masks,
+                               project_to_level, find_singular_points, inertia, level_masks,
                                simplex_strata, stratify)
 
 CONE = double_cone()
@@ -138,7 +138,8 @@ def test_newton_search_matches_every_round_reference(text):
                      distinct_in_region(newton_every_round(p, region), region))
 
 
-@pytest.mark.parametrize("p", [CONE, axis_pair(), parse_polynomial("x0*x3 - x1*x2")],
+@pytest.mark.parametrize("p", [CONE, axis_pair(), parse_polynomial("x0*x3 - x1*x2"),
+                               parse_polynomial("x0^2 - 0.00000000000000000001*x1^2")],
                          ids=Polynomial.to_string)
 def test_a_full_rank_quadric_search_is_one_svd(monkeypatch, p):
     rows, svds = [], []
@@ -156,6 +157,79 @@ def test_a_full_rank_quadric_search_is_one_svd(monkeypatch, p):
     assert sorted(rows) == [("grad_many", 1), ("hessian_many", 1)]
     assert svds == [(p.nvars, p.nvars)]
     assert same_bits(X, np.zeros((1, p.nvars)))  # the apex, +0.0 in every coordinate
+
+
+# three Hessians whose smallest singular value is below 1e-15 of the largest
+# but nonzero in exact arithmetic
+NEARLY_FLAT = ["x1^2 + x2^2 - 0.00000001*x0^2", "x0^2 - 0.00000000000000000001*x1^2",
+               "x0^2 + 0.00000000000000000001*x1^2"]
+
+
+@pytest.mark.parametrize("text", NEARLY_FLAT)
+def test_a_nearly_flat_quadric_of_full_rank_has_one_singular_point(text):
+    p = parse_polynomial(text)
+    found = find_singular_points(p, 0.0, Region.cube(-2.0, 2.0, p.nvars))
+    assert len(found) == 1 and same_bits(found[0], np.zeros(p.nvars))
+
+
+def hessian_of(text, nvars=None):
+    p = parse_polynomial(text, nvars=nvars)
+    return p.hessian(np.zeros(p.nvars))
+
+
+@pytest.mark.parametrize("H, want", [
+    *[(hessian_of(text), want) for text, want in zip(NEARLY_FLAT, [(2, 1), (1, 1), (2, 0)])],
+    # no diagonal entry: a row and its column are added to another first
+    (hessian_of("x0*x3 - x1*x2"), (2, 2)),
+    (hessian_of("x0*x2 - x1^2"), (1, 2)),
+    (hessian_of("x0^2", nvars=3), (1, 0)),
+    (CONE.hessian(np.zeros(3)), (2, 1)),
+    (hessian_of("1e-308*x0^2 + x1^2"), (2, 0)),  # 2e-308 is subnormal
+    (hessian_of("0.25*x0^2 + x0*x1 + x1^2"), (1, 0)),  # (0.5*x0 + x1)^2, exactly
+    (np.zeros((3, 3)), (0, 0)),
+], ids=[*NEARLY_FLAT, "x0*x3 - x1*x2", "x0*x2 - x1^2", "x0^2", "double cone",
+        "1e-308*x0^2 + x1^2", "0.25*x0^2 + x0*x1 + x1^2", "zero"])
+def test_inertia_table(H, want):
+    assert inertia(H) == want
+
+
+def integer_symmetric(rng, n):
+    """A symmetric n x n matrix of integers in -3..3, its diagonal zeroed
+    half the time and each row and its column zeroed with probability 0.2."""
+    A = rng.integers(-3, 4, (n, n))
+    H = np.triu(A) + np.triu(A, 1).T
+    if rng.random() < 0.5:
+        np.fill_diagonal(H, 0)
+    zero = rng.random(n) < 0.2
+    H[zero] = 0
+    H[:, zero] = 0
+    return H
+
+
+def unimodular(rng, n):
+    """A random integer n x n matrix of determinant +-1: the rows of L U
+    permuted, L unit lower and U upper triangular with entries in -1..1 and
+    a diagonal of +-1."""
+    L = np.tril(rng.integers(-1, 2, (n, n)), -1) + np.eye(n, dtype=np.int64)
+    U = np.triu(rng.integers(-1, 2, (n, n)), 1) + np.diag(rng.choice([-1, 1], n))
+    return (L @ U)[rng.permutation(n)]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_inertia_is_the_eigenvalue_signs_and_a_congruence_invariant(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(50):
+        n = int(rng.integers(1, 9))
+        H = integer_symmetric(rng, n)
+        got = inertia(H.astype(float))
+        # every |eigenvalue| is at most 8 * 3 = 24, and the product of the r
+        # nonzero ones is a nonzero integer (a sum of r x r principal minors),
+        # so each nonzero one is at least 24^-7 > 2e-10 in size, far from
+        # eigvalsh's error of about 1e-14
+        eig = np.linalg.eigvalsh(H.astype(float))
+        assert got == (np.count_nonzero(eig > 1e-10), np.count_nonzero(eig < -1e-10))
+        P = unimodular(rng, n)
+        assert inertia((P.T @ H @ P).astype(float)) == got  # Sylvester's law of inertia
 
 
 @st.composite
@@ -339,6 +413,7 @@ def test_constant_polynomials_rejected(p):
     for check in (lambda: find_singular_points(p, 0.1, region),
                   lambda: stratify(p, 0.0, region),
                   lambda: decide(p, 0.1, region),
+                  lambda: morse_inertia(p, region),
                   lambda: smoothness_check(deform(p, 0.1, region)),
                   lambda: proximity_check(deform(p, 0.1, region), 0.3)):
         with pytest.raises(ValueError, match=message):
@@ -375,6 +450,20 @@ def test_a_quadric_whose_hessian_overflows_has_no_singular_point(text):
     region = Region.cube(-2.0, 2.0, p.nvars)
     assert newton_search(p, region, SEED_GRID).shape == (0, p.nvars)
     assert find_singular_points(p, 0.0, region) == []
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text, want", [
+    ("1e300*x0^2 + 1e-300*x1^2", [[0.0, 0.0]]),
+    ("1e300*x0^2 + 1e-300*x1^2 + x1", []),  # its critical point x1 = -5e299 is off the region
+])
+def test_a_quadric_wider_than_the_float_range_keeps_its_exact_rank(text, want):
+    # H = diag(2e300, 2e-300) has rank 2, but an SVD that scales H by its
+    # largest entry can return 0.0 for the smaller singular value; no
+    # division by that zero may lose the apex or warn
+    p = parse_polynomial(text)
+    assert inertia(p.hessian(np.zeros(2))) == (2, 0)
+    assert [s.tolist() for s in find_singular_points(p, 0.0, BOX2)] == want
 
 
 @pytest.mark.parametrize("level", [math.nan, math.inf, -math.inf])
