@@ -20,10 +20,10 @@ from .model import Chart, ChartPoint, GaussianLocationModel
 from .optim import OptimizerConfig, ngd_step
 from .poly import Polynomial, parse_polynomial
 from .presets import PRESET_NAMES, preset
-from .resolve import (DEFAULT_GRID_N, MAX_SAMPLES, count_levels, decide, default_region,
-                      level_samples, local_pieces)
+from .resolve import (MAX_SAMPLES, count_levels, decide, default_region, level_samples,
+                      local_pieces)
 from .runner import run_experiment
-from .stratify import SEED_GRID, Region, stratify
+from .stratify import Region, stratify
 from .svgplot import KINDS, plot
 from .verify import central_differences, finite_diff_grad, monte_carlo_fim, natural_gradient
 
@@ -53,7 +53,7 @@ def _parse_region(text: str | None, dim: int) -> Region:
 def _cmd_stratify(args) -> int:
     p = parse_polynomial(args.polynomial, nvars=args.nvars)
     region = _parse_region(args.region, p.nvars)
-    result = stratify(p, args.level, region, grid_points=args.grid_points)
+    result = stratify(p, args.level, region)
     print(f"variety: {p.to_string()}")
     print(f"level: {args.level:g}")
     print(f"region: [{region.lower[0]:g}, {region.upper[0]:g}]^{region.dim}")
@@ -229,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--level", type=float, default=0.0)
     s.add_argument("--region", help="axis bounds 'lo,hi' (all axes; default -2,2)")
     s.add_argument("--nvars", type=int, default=None)
-    s.add_argument("--grid-points", type=int, default=SEED_GRID)
     s.add_argument("--csv", default=None, help="write singular points to this CSV")
     s.set_defaults(func=_cmd_stratify)
 
@@ -238,7 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--eps", type=float, required=True)
     r.add_argument("--region", help="axis bounds 'lo,hi' (all axes; default -2,2)")
     r.add_argument("--nvars", type=int, default=None)
-    r.add_argument("--grid-n", type=int, default=DEFAULT_GRID_N)
+    r.add_argument("--grid-n", type=int,
+                   help="lattice cells per axis (default 64; 43 in 4-D, 19 in 5-D)")
     r.add_argument("--samples", type=_sample_count, default=2000,
                    help="points sampled for --csv")
     r.add_argument("--csv", default=None, help="write sampled deformation points to this CSV")

@@ -54,7 +54,7 @@ from .poly import Polynomial
 from .stratify import (TOL_CRIT, OffVarietyError, Region, find_singular_points, inertia,
                        level_masks, project_to_level)
 
-DEFAULT_GRID_N = 64
+DEFAULT_GRID_N = 64  # the default grid_n up to 3-D (``default_grid_n``)
 # grid corners count_components may evaluate: a bound on its work, as the slabs
 # bound its memory; 129^3 fits
 MAX_CORNERS = 4_000_000
@@ -119,25 +119,36 @@ def deform(p: Polynomial, c: float, region: Region | None = None) -> Deformation
     return Deformation(base=p, level=float(c), region=region or default_region(p.nvars))
 
 
-def count_components(d: Deformation, grid_n: int = DEFAULT_GRID_N) -> ComponentReport:
+def default_grid_n(nvars: int) -> int:
+    """The default ``grid_n`` in ``nvars`` dimensions: the largest g <=
+    ``DEFAULT_GRID_N`` whose (g + 1)^nvars corners fit in ``MAX_CORNERS`` (64
+    up to 3-D, 43 at 4-D, 19 at 5-D), else 16, the least grid."""
+    fits = [g for g in range(16, DEFAULT_GRID_N + 1) if (g + 1) ** nvars <= MAX_CORNERS]
+    return fits[-1] if fits else 16
+
+
+def count_components(d: Deformation, grid_n: int | None = None) -> ComponentReport:
     """Connected components of {base = level} on an occupancy grid.
 
     base - level is evaluated on the (grid_n + 1)^dim corner lattice
-    (``Polynomial.eval_grid``), one slab of consecutive x0 corner planes at a
-    time.  A cell is occupied iff some corner is <= 0, some corner is >= 0
-    and no corner is NaN (a NaN value, e.g. from an overflow to inf - inf,
-    leaves its cells unoccupied); the three sign masks are OR-reduced over
-    each axis's face slices.  Occupied cells sharing a face belong to one
-    component.  Only the ids of the occupied cells outlive their slab; a
+    (``Polynomial.eval_grid``; ``grid_n`` is ``default_grid_n(dim)`` unless
+    given), one slab of consecutive x0 corner planes at a time.  A cell is
+    occupied iff some corner is <= 0, some corner is >= 0 and no corner is
+    NaN (a NaN value, e.g. from an overflow to inf - inf, leaves its cells
+    unoccupied); the three sign masks are OR-reduced over each axis's face
+    slices.  Occupied cells sharing a face belong to one component.  Only the ids of the occupied cells outlive their slab; a
     run of consecutive ids within one row of the last axis is one node, and
     it is joined to every run across its faces along the other axes.
     """
+    p, region, dim = d.base, d.region, d.region.dim
+    if grid_n is None:
+        grid_n = default_grid_n(dim)
     if grid_n < 16:
         raise ValueError(f"grid_n must be >= 16, got {grid_n}")
-    p, region, dim = d.base, d.region, d.region.dim
     if (grid_n + 1) ** dim > MAX_CORNERS:
+        hint = "lower grid_n" if 17 ** dim <= MAX_CORNERS else "no grid_n >= 16 fits"
         raise ValueError(f"grid_n={grid_n} in {dim} dimensions needs {(grid_n + 1) ** dim} "
-                         f"corners, more than MAX_CORNERS={MAX_CORNERS}; lower grid_n")
+                         f"corners, more than MAX_CORNERS={MAX_CORNERS}; {hint}")
     axes = region.axes(grid_n + 1)
     layers = max(1, SLAB_CORNERS // (grid_n + 1) ** (dim - 1) - 1)  # cell layers per slab
     layer = grid_n ** (dim - 1)  # cells per layer
@@ -242,7 +253,7 @@ def _check_eps(eps: float):
 
 
 def count_levels(p: Polynomial, eps: float, region: Region | None = None,
-                 grid_n: int = DEFAULT_GRID_N) -> list[tuple[Deformation, ComponentReport]]:
+                 grid_n: int | None = None) -> list[tuple[Deformation, ComponentReport]]:
     """The deformations at +eps then -eps (tie-break order) with their component reports."""
     _check_eps(eps)
     region = region or default_region(p.nvars)
@@ -313,7 +324,7 @@ def morse_inertia(p: Polynomial, region: Region) -> tuple[tuple[int, int], ...] 
 
 
 def decide(p: Polynomial, eps: float, region: Region | None = None,
-           grid_n: int = DEFAULT_GRID_N,
+           grid_n: int | None = None,
            levels: list[tuple[Deformation, ComponentReport]] | None = None
            ) -> tuple[Deformation, str, tuple[tuple[int, int], ...] | None]:
     """The deformation level in {+eps, -eps} to resolve {p = 0} at, why it
@@ -326,7 +337,8 @@ def decide(p: Polynomial, eps: float, region: Region | None = None,
     every one has fewer ``local_pieces`` at the same sign, that sign is tried
     first and the other second (reason ``"morse"``).  Otherwise ``choose``
     decides on the global counts: ``levels`` (``count_levels(p, eps, region,
-    grid_n)``) when the caller has them, else counted here.  That covers no
+    grid_n)``, by default at ``default_grid_n`` of the dimension) when the
+    caller has them, else counted here.  That covers no
     singular point or a degenerate one; a definite point, whose small sphere
     at one sign and nothing at the other say nothing of the rest of the
     variety; and points that tie, such as (1, 1), or disagree.  Either way
@@ -350,7 +362,7 @@ def decide(p: Polynomial, eps: float, region: Region | None = None,
 
 
 def choose_resolution(p: Polynomial, eps: float, region: Region | None = None,
-                      grid_n: int = DEFAULT_GRID_N) -> Deformation:
+                      grid_n: int | None = None) -> Deformation:
     """The deformation level in {+eps, -eps} that ``decide`` picks: by the
     singular points' Hessian inertia when all are Morse points, with no
     component counted, else by the global counts at ``grid_n``."""

@@ -3,16 +3,17 @@
 Singular points of the level set {p = level} are the points where the
 gradient of p vanishes on the level set.  They are located among the
 endpoints of Newton's method on the critical-point system (grad p = 0) from
-a uniform grid of seeds, filtered to the level set and deduplicated.  At
-degree at most 2 grad p is affine, and those endpoints come from one SVD of
-the constant Hessian instead of Newton rounds, with the rank that
-``inertia`` computes exactly for the Hessian as parsed.  The endpoints do not
+a uniform grid of seeds, set by the dimension (``seeds_per_axis``),
+filtered to the level set and deduplicated.  At degree at most 2 grad p is
+affine, and those endpoints come from one SVD of the constant Hessian
+instead of Newton rounds, with the rank that ``inertia`` computes exactly
+for the Hessian as parsed.  The endpoints do not
 depend on the level, so their distinct values are cached per process
-(``NEWTON_CACHE_SIZE`` entries, keyed on the polynomial, the region and the
-seed grid): every level searched on one variety and region filters the
-endpoints of a single solve.  A ``Region`` is a value, with read-only copied
-bounds and equality by their bytes, so an equal region built from other
-arrays finds that solve.
+(``NEWTON_CACHE_SIZE`` entries, keyed on the polynomial and the region):
+every level searched on one variety and region filters the endpoints of a
+single solve.  A ``Region`` is a value, with read-only copied bounds and
+equality by their bytes, so an equal region built from other arrays finds
+that solve.
 ``project_to_level``, the Newton projection onto a level set that the
 ball-radius probes and ``resolve`` use, lives here too.  It keeps the rows
 still moving as contiguous coordinate columns and drops a row's column once
@@ -37,10 +38,9 @@ from .poly import Polynomial
 TOL_CRIT = 1e-8      # gradient norm below this counts as critical
 TOL_ON = 1e-9        # |p - level| below this counts as on the level set
 MERGE_RADIUS = 1e-4  # candidate roots closer than this are duplicates
-SEED_GRID = 21       # Newton seeds per axis
+SEED_GRID = 21       # Newton seeds per axis up to 3-D; SEED_GRID^3 seeds at most
 NEWTON_MAX_ITER = 50
-MAX_SEEDS = 2_000_000
-NEWTON_CACHE_SIZE = 32  # cached Newton solves, one per (variety, region, seeds)
+NEWTON_CACHE_SIZE = 32  # cached Newton solves, one per (variety, region)
 PROJECTION_TOL = 1e-12   # |p - level| a projected point must reach
 PROJECTION_MAX_ITER = 60
 BALL_PROBES = 256        # projected probes per tested ball radius
@@ -117,19 +117,8 @@ class Region:
             return bool(inside.all())
         return inside.all(axis=-1)
 
-    def _check_grid(self, points_per_axis: int):
-        """``ValueError`` unless a grid of ``points_per_axis`` per axis has at
-        least 2 points per axis and at most ``MAX_SEEDS`` points."""
-        if points_per_axis < 2:
-            raise ValueError(f"grid_points must be >= 2, got {points_per_axis}")
-        seeds = points_per_axis ** self.dim
-        if seeds > MAX_SEEDS:
-            raise ValueError(f"grid_points={points_per_axis} in {self.dim} dimensions needs "
-                             f"{seeds} seeds, more than MAX_SEEDS={MAX_SEEDS}; lower grid_points")
-
     def grid(self, points_per_axis: int) -> np.ndarray:
         """Uniform grid of seed points, shape (points_per_axis**dim, dim)."""
-        self._check_grid(points_per_axis)
         mesh = np.meshgrid(*self.axes(points_per_axis), indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=1)
 
@@ -168,19 +157,20 @@ def _reject_systems(p):
         raise TypeError(f"expected a Polynomial, got {type(p).__name__}")
 
 
-def find_singular_points(
-    p: Polynomial,
-    level: float,
-    region: Region,
-    *,
-    grid_points: int = SEED_GRID,
-) -> list[np.ndarray]:
+def seeds_per_axis(nvars: int) -> int:
+    """Newton seeds per axis in ``nvars`` dimensions: the largest k <=
+    ``SEED_GRID`` with k^nvars <= SEED_GRID^3 (21 up to 3-D, then 9, 6, 4, 3
+    and 3 for 4 to 8 variables)."""
+    return max(k for k in range(1, SEED_GRID + 1) if k ** nvars <= SEED_GRID ** 3)
+
+
+def find_singular_points(p: Polynomial, level: float, region: Region) -> list[np.ndarray]:
     """All points in ``region`` where grad p = 0 and p = level.
 
     The candidates are the endpoints of Newton's method on grad p = 0 from
-    each of the ``grid_points``-per-axis seeds; its minimal-norm step
-    (pseudoinverse of the Hessian) keeps degenerate critical points
-    reachable.  A polynomial of degree at most 2 is solved, not iterated:
+    each of the ``seeds_per_axis(p.nvars)``-per-axis seeds, one grid for
+    every caller; its minimal-norm step (pseudoinverse of the Hessian) keeps
+    degenerate critical points reachable.  A polynomial of degree at most 2 is solved, not iterated:
     its critical set {Hx + b = 0} comes from one SVD and the exact rank of
     H, so every critical point is found.  Of the cached distinct endpoints
     (``_newton_endpoints``), those ``level_masks`` finds singular count;
@@ -197,7 +187,7 @@ def find_singular_points(
     if p.degree == 0:
         raise ValueError(f"polynomial {p.to_string()!r} is constant: each of its level sets "
                          f"is empty or all of R^{p.nvars}")
-    X = _newton_endpoints(p, region, grid_points)
+    X = _newton_endpoints(p, region, seeds_per_axis(p.nvars))
     cands = X[level_masks(p, level, X)[2]]
     out: list[np.ndarray] = []
     # keep the first remaining candidate, drop every candidate within
@@ -239,9 +229,11 @@ def inertia(H) -> tuple[int, int]:
 
 @functools.lru_cache(maxsize=NEWTON_CACHE_SIZE)
 @_drops_overflow
-def _newton_endpoints(p: Polynomial, region: Region, grid_points: int) -> np.ndarray:
-    """Distinct endpoints of Newton's method on grad p = 0 from every grid
-    seed of ``region``, sorted lexicographically; read-only, shared by callers.
+def _newton_endpoints(p: Polynomial, region: Region, per_axis: int) -> np.ndarray:
+    """Distinct endpoints of Newton's method on grad p = 0 from every seed of
+    the ``per_axis``-per-axis grid of ``region``, sorted lexicographically;
+    read-only, shared by callers.  ``find_singular_points`` passes
+    ``seeds_per_axis(p.nvars)``; as an argument it keys the cache.
 
     At degree at most 2, grad p = Hx + b is affine, and the endpoints are
     where the minimal-norm Newton step lands, worked out from one SVD of the
@@ -261,7 +253,6 @@ def _newton_endpoints(p: Polynomial, region: Region, grid_points: int) -> np.nda
     0.0) the first in seed order.
     """
     if p.degree <= 2:
-        region._check_grid(grid_points)
         origin = np.zeros((1, p.nvars))
         H, b = p.hessian_many(origin)[0], p.grad_many(origin)[0]
         if not (np.isfinite(H).all() and np.isfinite(b).all()):
@@ -276,9 +267,9 @@ def _newton_endpoints(p: Polynomial, region: Region, grid_points: int) -> np.nda
                 X = x_p[None, :]
             else:
                 N = Vt[rank:].T
-                X = x_p + (region.grid(grid_points) - x_p) @ N @ N.T
+                X = x_p + (region.grid(per_axis) - x_p) @ N @ N.T
     else:
-        X = region.grid(grid_points)
+        X = region.grid(per_axis)
         for _ in range(NEWTON_MAX_ITER):
             finite = np.isfinite(X).all(axis=1)
             G = np.zeros_like(X)
@@ -406,23 +397,17 @@ def _enclosing_ball_radius(p: Polynomial, level: float, s: np.ndarray, region: R
     return best
 
 
-def stratify(
-    p: Polynomial,
-    level: float,
-    region: Region,
-    *,
-    grid_points: int = SEED_GRID,
-) -> Stratification:
+def stratify(p: Polynomial, level: float, region: Region) -> Stratification:
     """Stratification of {p = level}: singular points plus the top stratum.
 
-    The singular points are ``find_singular_points`` with ``grid_points``
-    seeds per axis.  Per singular point, ``ball_radii`` records a
+    The singular points are ``find_singular_points``'s, from the seed grid
+    of the dimension.  Per singular point, ``ball_radii`` records a
     numerically estimated radius within which the distance-to-the-point
     function has no critical value on the punctured variety; one warning,
     naming the number of such pairs and the closest one, is issued when
     singular points sit closer than four times the largest such radius.
     """
-    sing = find_singular_points(p, level, region, grid_points=grid_points)
+    sing = find_singular_points(p, level, region)
     radii = [_enclosing_ball_radius(p, level, s, region) for s in sing]
     if len(sing) >= 2:
         r4 = 4.0 * max(radii)

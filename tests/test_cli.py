@@ -269,17 +269,13 @@ def test_overflowing_region_width_exits_2(capsys):
      "--region needs two numbers 'lo,hi', got '1,2,3'"),
     (["resolve", CONE_TEXT, "--eps", "0.1", "--region", "-1"],
      "--region needs two numbers 'lo,hi', got '-1'"),
-    (["stratify", "x0*x1", "--grid-points", "2000"],
-     "grid_points=2000 in 2 dimensions needs 4000000 seeds, more than "
-     f"MAX_SEEDS={stratify.MAX_SEEDS}; lower grid_points"),
-    (["stratify", "x0^2", "--grid-points", "1"], "grid_points must be >= 2, got 1"),
     (["stratify", "x0^2", "--region=-1,nan"], "--region '-1,nan': region bounds must be finite"),
     (["stratify", "x0^2", "--region=2,1"],
      "--region '2,1': region requires lower < upper componentwise"),
     (["stratify", "x0^2", "--region=-1e308,1e308"],
      "--region '-1e308,1e308': region width upper - lower must be finite, got [inf]"),
-], ids=["region-not-numbers", "region-three-numbers", "region-one-number", "grid-points",
-        "grid-points-below-2", "region-not-finite", "region-reversed", "region-width-overflows"])
+], ids=["region-not-numbers", "region-three-numbers", "region-one-number",
+        "region-not-finite", "region-reversed", "region-width-overflows"])
 def test_bad_region_or_grid_names_its_flag(capsys, argv, message):
     assert main(argv) == 2
     out, err = capsys.readouterr()
@@ -341,6 +337,32 @@ def test_huge_finite_region_resolves_a_quadric_without_warnings(capsys):
 def test_a_nearly_flat_quadric_stratifies_without_warnings(capsys, text, count):
     assert main(["stratify", text]) == 0
     assert f"singular points: {count}" in capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, last", [
+    (["stratify", "x0^2 + x1^2 + x2^2 + x3^2 + x4^2 - x5^2"], "regular stratum dimension: 5"),
+    (["stratify", "x0^3 + x1^2 + x2^2 + x3^2 + x4^2 + x5^2 + x6^2 - x7^2"],
+     "regular stratum dimension: 7"),
+    (["resolve", "x0*x3 - x1*x2 + x4^2", "--eps", "0.1"], "smoothness check: pass"),
+    (["resolve", "x0^3 + x1^2 + x2^2 - x3^2", "--eps", "0.1"], "smoothness check: pass"),
+], ids=["stratify-6", "stratify-8", "resolve-5", "resolve-4"])
+def test_more_than_three_variables_run_at_defaults(capsys, argv, last):
+    # the seed grid and the lattice follow from the dimension
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert out.splitlines()[-1] == last and err == ""
+
+
+@pytest.mark.parametrize("nvars", [6, 7, 8])
+def test_resolve_refuses_six_or_more_variables_in_one_line(capsys, nvars):
+    text = " + ".join(["x0^3", *(f"x{j}^2" for j in range(1, nvars))])
+    assert main(["resolve", text, "--eps", "0.1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        f"error: grid_n=16 in {nvars} dimensions needs {17 ** nvars} corners, more than "
+        f"MAX_CORNERS={resolve.MAX_CORNERS}; no grid_n >= 16 fits"]
 
 
 @pytest.mark.filterwarnings("error")

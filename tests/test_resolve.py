@@ -2,6 +2,7 @@ import functools
 import itertools
 import json
 import math
+import re
 import tracemalloc
 from collections import deque
 from fractions import Fraction
@@ -231,6 +232,35 @@ def test_count_components_holds_one_slab_not_the_lattice(variety, level):
 def test_grid_n_validated():
     with pytest.raises(ValueError):
         count_components(deform(CONE, 0.1), 8)
+
+
+def test_lattice_size_table():
+    # the largest grid_n <= 64 whose corners fit; none of at least 16 fits from 6-D
+    got = [resolve.default_grid_n(n) for n in range(1, 9)]
+    assert got == [resolve.DEFAULT_GRID_N] * 3 + [43, 19, 16, 16, 16]
+    for n, g in enumerate(got, start=1):
+        if n <= 3:
+            assert g == resolve.DEFAULT_GRID_N and (g + 1) ** n <= resolve.MAX_CORNERS
+        elif n <= 5:
+            assert (g + 1) ** n <= resolve.MAX_CORNERS < (g + 2) ** n
+        else:
+            assert g == 16 and 17 ** n > resolve.MAX_CORNERS
+
+
+def test_a_count_takes_the_lattice_of_its_dimension():
+    p = parse_polynomial("x0^3 + x1^2 + x2^2 - x3^2 + x4^2")
+    d = deform(p, 0.1)
+    assert count_components(d) == count_components(d, 19)
+
+
+def test_a_count_in_six_variables_is_refused_at_the_default_and_at_grid_16():
+    # not "lower grid_n": grid_n < 16 is refused too
+    p = parse_polynomial("x0^2 + x1^2 + x2^2 + x3^2 + x4^2 + x5^2")
+    message = (f"grid_n=16 in 6 dimensions needs {17 ** 6} corners, more than "
+               f"MAX_CORNERS={resolve.MAX_CORNERS}; no grid_n >= 16 fits")
+    for grid_n in (None, 16):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            count_components(deform(p, 1.0), grid_n)
 
 
 def test_corner_guard_refuses_before_building_the_grid(monkeypatch):

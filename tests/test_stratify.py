@@ -3,11 +3,13 @@ import math
 import re
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stratopt import stratify as stratify_module
 from stratopt.poly import (Polynomial, axis_pair, cusp_curve, double_cone,
                           parse_polynomial)
 from stratopt.resolve import (choose_resolution, decide, default_region, deform,
@@ -15,7 +17,7 @@ from stratopt.resolve import (choose_resolution, decide, default_region, deform,
 from stratopt.stratify import (MERGE_RADIUS, NEWTON_MAX_ITER, PROJECTION_MAX_ITER,
                                PROJECTION_TOL, SEED_GRID, Region, _newton_endpoints,
                                project_to_level, find_singular_points, inertia, level_masks,
-                               simplex_strata, stratify)
+                               seeds_per_axis, simplex_strata, stratify)
 
 CONE = double_cone()
 CUSP = cusp_curve()
@@ -139,7 +141,9 @@ def test_newton_search_matches_every_round_reference(text):
 
 
 @pytest.mark.parametrize("p", [CONE, axis_pair(), parse_polynomial("x0*x3 - x1*x2"),
-                               parse_polynomial("x0^2 - 0.00000000000000000001*x1^2")],
+                               parse_polynomial("x0^2 - 0.00000000000000000001*x1^2"),
+                               # 21^6 seeds would be 85,766,121
+                               parse_polynomial("x0^2 + x1^2 + x2^2 + x3^2 + x4^2 - x5^2")],
                          ids=Polynomial.to_string)
 def test_a_full_rank_quadric_search_is_one_svd(monkeypatch, p):
     rows, svds = [], []
@@ -153,7 +157,7 @@ def test_a_full_rank_quadric_search_is_one_svd(monkeypatch, p):
     def no_grid(self, n):
         raise AssertionError("seed grid built for a full-rank quadric")
     monkeypatch.setattr(Region, "grid", no_grid)
-    X = newton_search(p, Region.cube(-2.0, 2.0, p.nvars), SEED_GRID)
+    X = newton_search(p, Region.cube(-2.0, 2.0, p.nvars), seeds_per_axis(p.nvars))
     assert sorted(rows) == [("grad_many", 1), ("hessian_many", 1)]
     assert svds == [(p.nvars, p.nvars)]
     assert same_bits(X, np.zeros((1, p.nvars)))  # the apex, +0.0 in every coordinate
@@ -317,12 +321,14 @@ def test_singular_points_match_the_uncached_reference_on_quadrics(p, grid_points
     region = Region.cube(-2.0, 2.0, p.nvars)
     if p.degree == 0:
         with pytest.raises(ValueError, match="is constant"):
-            find_singular_points(p, 0.0, region, grid_points=grid_points)
+            find_singular_points(p, 0.0, region)
         return
     consistent = exact_critical_projections(p, np.zeros((0, p.nvars))) is not None
     X = newton_every_round(p, region, grid_points)
     for level in REFERENCE_LEVELS:
-        found = find_singular_points(p, level, region, grid_points=grid_points)
+        # the search at grid_points seeds per axis, which keys its own cache entry
+        with mock.patch.object(stratify_module, "seeds_per_axis", lambda n: grid_points):
+            found = find_singular_points(p, level, region)
         ref = singular_points_reference(p, level, region, X)
         assert len(found) == len(ref)
         assert all(np.abs(a - b).max() <= 1e-12 for a, b in zip(found, ref))
@@ -367,10 +373,12 @@ REFERENCE_LEVELS = [0.0, -0.0, 0.1, -0.1, 1e-12, -1e-12]
 
 @pytest.mark.parametrize("p", [CONE, CUSP, axis_pair(), parse_polynomial("x0^2*x1 - x1^3"),
                                parse_polynomial("x0*x1*x2"), Polynomial(3, {(2, 0, 0): 1.0}),
-                               parse_polynomial("x0*x3 - x1*x2")], ids=Polynomial.to_string)
+                               parse_polynomial("x0*x3 - x1*x2"),
+                               parse_polynomial("x0^3 + x1^2 + x2^2 - x3^2")],
+                         ids=Polynomial.to_string)
 def test_singular_points_match_the_uncached_reference(p):
     region = Region.cube(-2.0, 2.0, p.nvars)
-    X = newton_every_round(p, region, SEED_GRID)
+    X = newton_every_round(p, region, seeds_per_axis(p.nvars))
     for level in REFERENCE_LEVELS:
         assert same_points(find_singular_points(p, level, region),
                            singular_points_reference(p, level, region, X))
@@ -427,14 +435,26 @@ def test_polynomial_systems_rejected():
         stratify((CONE,), 0.0, BOX3)
 
 
-@pytest.mark.parametrize("grid_points, message", [
-    (1, "grid_points must be >= 2, got 1"),
-    (127, "grid_points=127 in 3 dimensions needs 2048383 seeds, more than MAX_SEEDS=2000000"),
-], ids=["below-2", "over-MAX_SEEDS"])
-def test_seed_grid_is_checked_where_no_seed_is_used(grid_points, message):
-    # the double cone's Hessian has full rank: its search builds no seed grid
-    with pytest.raises(ValueError, match=re.escape(message)):
-        find_singular_points(CONE, 0.0, BOX3, grid_points=grid_points)
+def test_seed_grid_table():
+    # no dimension seeds more than the 3-D grid: k^n <= 21^3 < (k+1)^n below 21 per axis
+    got = [seeds_per_axis(n) for n in range(1, 9)]
+    assert got == [SEED_GRID] * 3 + [9, 6, 4, 3, 3]
+    for n, k in enumerate(got, start=1):
+        assert k == SEED_GRID if n <= 3 else k ** n <= SEED_GRID ** 3 < (k + 1) ** n
+
+
+def test_a_four_variable_cubic_is_searched_from_nine_seeds_per_axis(monkeypatch):
+    p = parse_polynomial("x0^3 + x1^2 + x2^2 - x3^2")
+    grids = []
+    grid = Region.grid
+    monkeypatch.setattr(Region, "grid", lambda self, n: grids.append(n) or grid(self, n))
+    _newton_endpoints.cache_clear()
+    chosen, why, _ = decide(p, 0.1)
+    # one search, from 9^4 seeds, serves the Morse rule and both smoothness checks
+    assert grids == [9] and _newton_endpoints.cache_info().misses == 1
+    assert (chosen.level, why) == (0.1, "tie")
+    # and the same seeds, from the cache, for a direct search
+    assert len(find_singular_points(p, 0.0, default_region(4))) == 1 and grids == [9]
 
 
 def test_region_mismatch_rejected():
