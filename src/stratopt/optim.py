@@ -3,10 +3,12 @@
 Both methods iterate q <- q - lr * d with d the gradient (GD) or the
 damped-information-preconditioned gradient (NGD); the update vector is
 norm-capped so the degenerate information matrix near the cone apex cannot
-launch unbounded angular steps.  A trajectory is a list of flat rows in
-``tables.TRAJ_FIELDS`` order (step, xi, theta, mu1, mu2, mu3, loss,
-grad_norm), so ``np.array(traj.records)`` is its CSV table, plus a
-termination reason.  A step of ``run`` makes one Python call,
+launch unbounded angular steps.  A trajectory is its CSV table packed, a
+``tables.TrajectoryTable`` of 64-byte rows in ``tables.TRAJ_FIELDS`` order
+(step, xi, theta, mu1, mu2, mu3, loss, grad_norm), plus a termination
+reason; ``run`` appends a recorded step to its buffer with one
+``TRAJ_ROW.pack``, and the loss and stall readers take numpy columns of it.
+A step of ``run`` makes one Python call,
 ``Chart.local``, and computes the rest inline from its ambient point and
 whole 3x2 Jacobian: the recorded loss and gradient, the NGD matrix J^T J
 and the update.  That arithmetic is ``model.chain_rule``'s and
@@ -20,9 +22,10 @@ drawn in blocks in the same order as one draw per step; it is cached and
 shared read-only by every trajectory of an experiment, and each trajectory
 adds its own target mean a block at a time and reads the means through a
 C-level iterator, which runs Python code once per block.  Besides
-``Chart.local`` a step calls only builtins: ``math.hypot`` twice, ``next``
-for the batch mean in stochastic mode, and more only when ``step_size * d``
-overflows; NGD tests and solves its matrix with the diagonal scaled to 1.
+``Chart.local`` a step calls only builtins: ``math.hypot`` twice, ``pack``
+when it is recorded, ``next`` for the batch mean in stochastic mode, and
+more only when ``step_size * d`` overflows; NGD tests and solves its matrix
+with the diagonal scaled to 1.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .model import ChartPoint, GaussianLocationModel
-from .tables import TrajectoryRecord
+from .tables import TRAJ_ROW, TrajectoryRecord, TrajectoryTable
 
 EPS = float(np.finfo(float).eps)
 BLOCK_NORMALS = 12_288  # standard normals per block of stochastic batch means
@@ -124,7 +127,7 @@ class OptimizerConfig:
 
 @dataclass
 class Trajectory:
-    records: list[TrajectoryRecord]
+    records: TrajectoryTable
     terminated_by: Termination
     error: Exception | None = None  # what ended a FAILED run; its text names the step
 
@@ -137,14 +140,12 @@ class Trajectory:
         return self.records[-1]
 
     def losses(self) -> np.ndarray:
-        return np.array([r.loss for r in self.records])
+        return self.records.column("loss")
 
     def steps_to_loss(self, threshold: float) -> int | None:
         """First recorded step index with loss below ``threshold``; None if never."""
-        for r in self.records:
-            if r.loss < threshold:
-                return r.step
-        return None
+        below = np.flatnonzero(self.losses() < threshold)
+        return self.records[int(below[0])].step if below.size else None
 
 
 @dataclass(frozen=True)
@@ -252,8 +253,10 @@ def run(m: GaussianLocationModel, q0: ChartPoint, cfg: OptimizerConfig) -> Traje
     step_size, step_cap, damping = cfg.step_size, cfg.step_cap, cfg.damping
     record_every, ngd = cfg.record_every, cfg.method == "ngd"
     hypot, inf = math.hypot, math.inf
+    pack = TRAJ_ROW.pack
     xi, theta = float(q0.xi), float(q0.theta)
-    records = []
+    records = TrajectoryTable()
+    buf = records.buf
     for t in range(max_steps + 1):  # returns at the latest when t == max_steps
         local = local_at(xi, theta)
         x0, x1, x2, j00, j01, j10, j11, j20, j21 = local
@@ -264,7 +267,7 @@ def run(m: GaussianLocationModel, q0: ChartPoint, cfg: OptimizerConfig) -> Traje
         if not (loss < inf and grad_norm < inf):  # both are >= 0 or nan
             error = ValueError(f"step {t}: non-finite loss {loss} (gradient norm "
                                f"{grad_norm}) at ({xi}, {theta})")
-            if not records:
+            if not buf:
                 raise error
             return Trajectory(records, Termination.FAILED, error)
         if grad_norm < grad_tol:
@@ -276,7 +279,7 @@ def run(m: GaussianLocationModel, q0: ChartPoint, cfg: OptimizerConfig) -> Traje
         else:
             terminated = None
         if terminated or t % record_every == 0:
-            records.append(TrajectoryRecord(t, xi, theta, x0, x1, x2, loss, grad_norm))
+            buf += pack(t, xi, theta, x0, x1, x2, loss, grad_norm)
         if terminated:
             return Trajectory(records, terminated)
         if means is not None:  # chain_rule's gradient toward this step's batch mean
@@ -340,7 +343,7 @@ def detect_stall(traj: Trajectory, singularities=(),
 
     if len(records) < window:
         return StallReport(False, -1, math.nan, distance_from(len(records) - 1))
-    losses = np.array([r.loss for r in records])
+    losses = traj.losses()
     rel = (losses[:-1] - losses[1:]) / np.maximum(np.abs(losses[:-1]), 1e-300)
     csum = np.concatenate([[0.0], np.cumsum(rel)])
     n_windows = len(records) - window + 1

@@ -73,26 +73,28 @@ def _target_mean(spec: ExperimentSpec, surface_chart: Chart) -> np.ndarray:
 
 
 def _loss_curve(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
-    """The recorded steps (int) and losses (float) of a trajectory."""
-    return np.array([r.step for r in traj.records]), traj.losses()
+    """The recorded steps (int) and losses (float) of a trajectory, copied
+    from its table, so they do not keep it alive."""
+    return traj.records.column("step"), traj.losses()
 
 
-def _aggregate_rows(curves: list[tuple[np.ndarray, np.ndarray]]) -> list[tuple[int, float, float]]:
+def _aggregate_rows(curves: list[tuple[np.ndarray, np.ndarray]]) -> tables.AggregateTable:
     """Per-step mean and median loss over ``(steps, losses)`` curves (one per
-    trajectory, as ``_loss_curve`` gives them); finished runs carry their last
-    loss forward.
+    trajectory, as ``_loss_curve`` gives them), as a packed table; finished
+    runs carry their last loss forward.
 
     The step union and the median are taken by sorting, with the same values
     as ``np.unique`` and ``np.median`` on finite losses; those two functions
     import ``numpy.ma`` on first use, which costs more than the sort.  The
     carried losses are laid out ``AGGREGATE_STEPS`` steps at a time, so the
     table of every curve at every step is never held whole; each step's
-    mean and median are those of the whole table.
+    mean and median are those of the whole table.  Each block is packed
+    into the aggregate's buffer as it is done.
     """
     every = np.sort(np.concatenate([steps for steps, _ in curves]))
     union = every[np.concatenate(([True], every[1:] != every[:-1]))]
     half = len(curves) // 2
-    rows = []
+    rows = tables.AggregateTable()
     for start in range(0, union.size, AGGREGATE_STEPS):
         block = union[start:start + AGGREGATE_STEPS]
         carried = np.empty((len(curves), block.size))
@@ -101,7 +103,10 @@ def _aggregate_rows(curves: list[tuple[np.ndarray, np.ndarray]]) -> list[tuple[i
             carried[i] = losses[np.clip(idx, 0, len(losses) - 1)]
         ordered = np.sort(carried, axis=0)
         medians = ordered[half] if len(curves) % 2 else (ordered[half - 1] + ordered[half]) / 2
-        rows += zip(block.tolist(), carried.mean(axis=0).tolist(), medians.tolist())
+        packed = np.empty(block.size, rows.dtype)
+        packed["step"], packed["mean_loss"], packed["median_loss"] = (
+            block, carried.mean(axis=0), medians)
+        rows.buf += packed.tobytes()
     return rows
 
 

@@ -158,10 +158,11 @@ def _reject_systems(p):
 
 
 def seeds_per_axis(nvars: int) -> int:
-    """Newton seeds per axis in ``nvars`` dimensions: the largest k <=
-    ``SEED_GRID`` with k^nvars <= SEED_GRID^3 (21 up to 3-D, then 9, 6, 4, 3
-    and 3 for 4 to 8 variables)."""
-    return max(k for k in range(1, SEED_GRID + 1) if k ** nvars <= SEED_GRID ** 3)
+    """Newton seeds per axis in ``nvars`` dimensions: the largest odd k <=
+    ``SEED_GRID`` with k^nvars <= SEED_GRID^3 (21 up to 3-D, then 9, 5, 3, 3
+    and 3 for 4 to 8 variables).  An odd count puts a seed on the centre
+    plane of every axis."""
+    return max(k for k in range(1, SEED_GRID + 1, 2) if k ** nvars <= SEED_GRID ** 3)
 
 
 def find_singular_points(p: Polynomial, level: float, region: Region) -> list[np.ndarray]:

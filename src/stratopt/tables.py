@@ -1,6 +1,16 @@
 """CSV schemas shared by the experiment runner, the plotter, and tests (a
 trajectory row is a ``TrajectoryRecord``, whose fields are ``TRAJ_FIELDS``),
-the one writer that turns cell values into CSV text, and its readers.
+the packed tables that hold trajectories and aggregates in memory, the one
+writer that turns cell values into CSV text, and its readers.
+
+A ``Table`` is a numeric table packed row after row into one ``bytearray``:
+a step (``int64``) and then float64 cells, little-endian with no padding,
+which is both its ``struct`` row and its numpy structured ``dtype``.  A
+trajectory row (``TrajectoryTable``) is 64 bytes, an aggregate row
+(``AggregateTable``) 24.  ``len`` counts rows, an index unpacks one row (a
+``TrajectoryRecord`` for a trajectory), iteration unpacks plain tuples with
+``iter_unpack``, and ``column`` copies one numpy column, so no array keeps
+the buffer alive.
 
 All files are UTF-8 with LF line endings.  ``write_csv`` formats a float
 cell (``np.float64`` included) as ``%.17g``, so reals survive a write/read
@@ -8,7 +18,8 @@ round trip bit-exactly, an ``int`` cell as ``%d``, and any other cell as
 ``str(v)``, quoted per RFC 4180 when it holds a comma, a double quote, CR
 or LF.  A row whose cells are all ``float`` or ``int`` is formatted with a
 single ``%`` operation, from a format string built once per tuple of cell
-types; any other row goes cell by cell.  Callers pass raw values.  The rows
+types; a ``Table``'s rows all take the one format of its layout; any other
+row goes cell by cell.  Callers pass raw values.  The rows
 are joined and written ``WRITE_ROWS`` at a time, so the text of a long table
 is never held whole.
 
@@ -30,6 +41,7 @@ import csv
 import functools
 import itertools
 import re
+import struct
 from pathlib import Path
 from typing import NamedTuple
 
@@ -57,6 +69,17 @@ STALL_FIELDS = [
 ]
 TARGET_FIELDS = ["surface", "mu1", "mu2", "mu3"]
 QUIVER_FIELDS = ["level", "x1", "x2", "gx", "gy", "status"]
+
+
+def _layout(fields) -> tuple[struct.Struct, np.dtype]:
+    """The packed row of an int64 step and float64 cells named ``fields``:
+    its ``struct`` and its numpy structured dtype."""
+    return (struct.Struct(f"<q{len(fields) - 1}d"),
+            np.dtype([(fields[0], "<i8")] + [(name, "<f8") for name in fields[1:]]))
+
+
+TRAJ_ROW, TRAJ_DTYPE = _layout(TRAJ_FIELDS)  # "<q7d", 64 bytes
+AGG_ROW, AGG_DTYPE = _layout(AGG_FIELDS)  # "<q2d", 24 bytes
 
 FLOAT_FORMAT = "%.17g"
 WRITE_ROWS = 1024  # rows joined into one string per write
@@ -97,19 +120,69 @@ def _line(row) -> str:
     return ",".join([FLOAT_FORMAT % v if isinstance(v, float) else _text(v) for v in row])
 
 
+class Table:
+    """A table of a step and float cells per row, packed into ``buf``.
+
+    A subclass names the layout: ``row``, the ``struct`` of one row, its
+    ``dtype`` and ``make``, which turns an unpacked row into what an index
+    gives.  Rows are appended as ``table.buf += table.row.pack(...)``.
+    """
+
+    __slots__ = ("buf",)
+    row: struct.Struct
+    dtype: np.dtype
+    make = tuple
+
+    def __init__(self, rows=()):
+        self.buf = bytearray()
+        for cells in rows:
+            self.buf += self.row.pack(*cells)
+
+    def __len__(self) -> int:
+        return len(self.buf) // self.row.size
+
+    def __getitem__(self, i: int):
+        n = len(self)
+        if not -n <= i < n:
+            raise IndexError("table index out of range")
+        return self.make(self.row.unpack_from(self.buf, (i % n) * self.row.size))
+
+    def __iter__(self):
+        return self.row.iter_unpack(self.buf)
+
+    def column(self, name: str) -> np.ndarray:
+        """A contiguous copy of the column ``name``."""
+        return np.frombuffer(self.buf, self.dtype)[name].copy()
+
+
+class TrajectoryTable(Table):
+    __slots__ = ()
+    row, dtype = TRAJ_ROW, TRAJ_DTYPE
+    make = TrajectoryRecord._make
+
+
+class AggregateTable(Table):
+    __slots__ = ()
+    row, dtype = AGG_ROW, AGG_DTYPE
+
+
 def write_csv(path, fields, rows):
     """Write the header and the rows of raw cell values; return the path.
 
     The rows are formatted and written ``WRITE_ROWS`` at a time; the bytes
-    are those of the whole table joined at once.
+    are those of the whole table joined at once.  A ``Table``'s rows are
+    unpacked into the one format of its step and floats.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    rows = iter(rows)
+    if isinstance(rows, Table):
+        lines = map(_row_format((int,) + (float,) * (len(rows.dtype) - 1)).__mod__, rows)
+    else:
+        lines = map(_line, rows)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(_line(fields) + "\n")
-        while chunk := list(itertools.islice(rows, WRITE_ROWS)):
-            fh.write("\n".join([*map(_line, chunk), ""]))
+        while chunk := list(itertools.islice(lines, WRITE_ROWS)):
+            fh.write("\n".join([*chunk, ""]))
     return path
 
 

@@ -159,8 +159,8 @@ def test_c07_ngd_similarity():
         assert sc is not None and sh is not None
         worst_ratio = max(worst_ratio, sc / sh, sh / sc)
         min_abs_xi = min(min_abs_xi,
-                         min(abs(r.xi) for r in tc.records),
-                         min(abs(r.xi) for r in th.records))
+                         float(np.abs(tc.records.column("xi")).min()),
+                         float(np.abs(th.records.column("xi")).min()))
     elapsed = time.perf_counter() - t0
     ok = worst_ratio <= 2.0 and min_abs_xi >= 0.1
     _report("criterion 7: natural gradient speed matches across surfaces",

@@ -139,6 +139,16 @@ def finite_records(traj):
     return all(math.isfinite(v) for r in traj.records for v in r)
 
 
+def columns(traj, *names):
+    """The named columns of a trajectory's records, as lists."""
+    return [traj.records.column(name).tolist() for name in names]
+
+
+def record_list(traj):
+    """Every record of a trajectory, each a ``TrajectoryRecord``."""
+    return [traj.records[k] for k in range(len(traj.records))]
+
+
 @pytest.mark.parametrize("chart, damping", [(HYP, 1e-3), (CONE, 0.0)],
                          ids=["hyperboloid", "cone"])
 def test_ngd_runs_far_from_the_apex(chart, damping):
@@ -366,8 +376,8 @@ def test_run_deterministic():
     cfg = OptimizerConfig(method="gd", step_size=0.05, max_steps=500)
     a = run(cone_model(xbar), ChartPoint(1.0, 2.0), cfg)
     b = run(cone_model(xbar), ChartPoint(1.0, 2.0), cfg)
-    assert [(r.step, r.xi, r.theta, r.loss) for r in a.records] == \
-           [(r.step, r.xi, r.theta, r.loss) for r in b.records]
+    fields = ("step", "xi", "theta", "loss")
+    assert columns(a, *fields) == columns(b, *fields)
 
 
 def test_stochastic_mode_deterministic_given_seed():
@@ -376,14 +386,12 @@ def test_stochastic_mode_deterministic_given_seed():
                           mode="stochastic", batch=8, sample_seed=11)
     a = run(cone_model(xbar), ChartPoint(1.5, 1.0), cfg)
     b = run(cone_model(xbar), ChartPoint(1.5, 1.0), cfg)
-    assert [(r.xi, r.theta) for r in a.records] == \
-           [(r.xi, r.theta) for r in b.records]
+    assert columns(a, "xi", "theta") == columns(b, "xi", "theta")
     # and a different seed takes a different path
     c = run(cone_model(xbar), ChartPoint(1.5, 1.0),
             OptimizerConfig(method="gd", step_size=0.02, max_steps=200,
                             mode="stochastic", batch=8, sample_seed=12))
-    assert [(r.xi, r.theta) for r in a.records] != \
-           [(r.xi, r.theta) for r in c.records]
+    assert columns(a, "xi", "theta") != columns(c, "xi", "theta")
 
 
 def reference_means(mu_star, seed, batch, steps):
@@ -445,6 +453,22 @@ def test_largest_batch_draw_stays_bounded():
     assert peak < 8_000_000
 
 
+def test_a_recorded_trajectory_holds_64_bytes_a_row():
+    # 20,001 packed rows are 1.28 MB, at most 1.44 MB with the bytearray's
+    # over-allocation; a namedtuple and seven floats per row take about 5.9 MB
+    m = cone_model(CONE.embed(ChartPoint(-1.0, 0.0)))
+    cfg = OptimizerConfig(max_steps=20_000, grad_tol=0.0, loss_tol=0.0, record_every=1)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        traj = run(m, ChartPoint(1.0, 3.13), cfg)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(traj.records) == 20_001 and len(traj.records.buf) == 64 * 20_001
+    assert held < 1_500_000
+
+
 def test_shared_stream_with_interleaved_seeds():
     # each stream evicts the other from the one-entry cache
     optim._noise_stream.cache_clear()
@@ -489,7 +513,7 @@ def test_record_thinning_keeps_endpoints():
     xbar = CONE.embed(ChartPoint(-1.0, 0.0))
     cfg = OptimizerConfig(method="gd", step_size=0.05, max_steps=137, record_every=10)
     traj = run(cone_model(xbar), ChartPoint(1.0, 3.13), cfg)
-    steps = [r.step for r in traj.records]
+    [steps] = columns(traj, "step")
     assert steps[0] == 0 and steps[-1] == 137
     assert all(b > a for a, b in zip(steps, steps[1:]))
     assert set(steps[1:-1]) <= set(range(10, 140, 10))
@@ -504,8 +528,8 @@ def test_non_finite_iterate_fails_the_run():
     assert traj.failure.startswith("step 1: non-finite iterate (-2.23308611537959")
     assert ", inf) from (1.0, 1.78e+308)" in traj.failure
     assert isinstance(traj.error, NonFiniteStepError)
-    assert [r.step for r in traj.records] == [0]
-    assert np.isfinite(np.array(traj.records)).all()
+    assert columns(traj, "step") == [[0]]
+    assert np.isfinite(np.array(list(traj.records))).all()
 
 
 @pytest.mark.parametrize("method", ["gd", "ngd"])
@@ -517,8 +541,8 @@ def test_huge_step_is_taken_and_non_finite_loss_fails_the_run(method):
     traj = run(cone_model(xbar), ChartPoint(0.5, 0.0), cfg)
     assert traj.terminated_by is Termination.FAILED
     assert traj.failure.startswith("step 1: non-finite loss inf")
-    assert [r.step for r in traj.records] == [0]
-    assert np.isfinite(np.array(traj.records)).all()
+    assert columns(traj, "step") == [[0]]
+    assert np.isfinite(np.array(list(traj.records))).all()
 
 
 def test_non_finite_loss_at_the_start_point_raises():
@@ -531,10 +555,13 @@ def test_records_are_flat_rows_in_csv_order():
     xbar = HYP.embed(ChartPoint(-1.0, 0.0))
     traj = run(GaussianLocationModel(HYP, xbar), ChartPoint(1.0, 2.0),
                OptimizerConfig(max_steps=30, record_every=7))
-    table = np.array(traj.records)
+    assert tables.TRAJ_DTYPE.names == tuple(tables.TRAJ_FIELDS)
+    assert tables.TRAJ_ROW.size == tables.TRAJ_DTYPE.itemsize == 64
+    assert len(traj.records.buf) == 64 * len(traj.records)
+    table = np.array(list(traj.records))
     assert table.shape == (len(traj.records), len(tables.TRAJ_FIELDS))
     assert type(traj.final.step) is int
-    for row in traj.records:
+    for row in record_list(traj):
         assert np.array_equal(row[3:6], HYP.embed(ChartPoint(row.xi, row.theta)))
 
 
@@ -607,7 +634,8 @@ def test_run_does_the_model_arithmetic_bit_for_bit(chart, method, mode):
     means = (reference_means(m.target_mean, 7, 4, cfg.max_steps) if mode == "stochastic"
              else [target] * cfg.max_steps)
     capped = 0
-    for r, after, mean in zip(traj.records, traj.records[1:], means):
+    records = record_list(traj)
+    for r, after, mean in zip(records, records[1:], means):
         local = chart.local(r.xi, r.theta)
         loss, g0, g1 = chain_rule(local, target)
         assert hexes(*r[3:]) == hexes(*local[:3], loss, math.hypot(g0, g1))
@@ -620,12 +648,12 @@ def test_run_does_the_model_arithmetic_bit_for_bit(chart, method, mode):
         assert hexes(q1.xi, q1.theta) == hexes(traj.records[1].xi, traj.records[1].theta)
 
 
-def step_calls(method, mode, steps):
+def step_calls(method, mode, steps, record_every):
     """The Python calls of a run, by function name, and the builtin calls made
     from ``run``'s own frame, by name (Chart.local's sin and cos are its own)."""
     m = GaussianLocationModel(HYP, CONE.embed(ChartPoint(-1.0, 0.0)))
     cfg = OptimizerConfig(method=method, mode=mode, max_steps=steps, grad_tol=0.0,
-                          loss_tol=0.0, damping=1e-3, record_every=1000)
+                          loss_tol=0.0, damping=1e-3, record_every=record_every)
     python, builtin = collections.Counter(), collections.Counter()
 
     def profile(frame, event, arg):
@@ -643,10 +671,11 @@ def step_calls(method, mode, steps):
     return python, builtin
 
 
-def more_calls(method, mode):
+def more_calls(method, mode, record_every=1000):
     """The calls that 40 more steps add: (Python calls, builtin calls)."""
-    step_calls(method, mode, 40)  # a first run does the lazy imports of the draw
-    short, long = step_calls(method, mode, 40), step_calls(method, mode, 80)
+    step_calls(method, mode, 40, record_every)  # a first run does the lazy imports of the draw
+    short = step_calls(method, mode, 40, record_every)
+    long = step_calls(method, mode, 80, record_every)
     added = []
     for before, after in zip(short, long):
         after.subtract(before)
@@ -668,6 +697,15 @@ def test_a_stochastic_step_makes_one_python_call(method):
     assert more_calls(method, "stochastic") == ({"local": 40}, {"hypot": 80, "next": 40})
 
 
+@pytest.mark.parametrize("mode", optim.MODES)
+@pytest.mark.parametrize("method", optim.METHODS)
+def test_a_recorded_step_adds_one_pack(method, mode):
+    # a recorded step appends its row with one TRAJ_ROW.pack and makes no Python call
+    python, builtin = more_calls(method, mode, record_every=1)
+    assert python == {"local": 40}
+    assert builtin == {"hypot": 80, "pack": 40, **({"next": 40} if mode == "stochastic" else {})}
+
+
 # -- detect_stall ------------------------------------------------------------------
 
 def synthetic_trajectory(losses):
@@ -677,7 +715,7 @@ def synthetic_trajectory(losses):
                          loss=float(L), grad_norm=1.0)
         for i, L in enumerate(losses)
     ]
-    return Trajectory(records, Termination.MAX_STEPS)
+    return Trajectory(tables.TrajectoryTable(records), Termination.MAX_STEPS)
 
 
 def test_geometric_decrease_is_not_a_stall():

@@ -10,13 +10,15 @@ from hypothesis import example, given, strategies as st
 from stratopt import optim, runner
 from stratopt.cli import main
 from stratopt.config import SURFACES, ExperimentSpec, InitDistribution, load_config
-from stratopt.model import Chart, ChartPoint
-from stratopt.optim import Termination, Trajectory, TrajectoryRecord
+from stratopt.model import Chart, ChartPoint, GaussianLocationModel
+from stratopt.optim import Termination, Trajectory
 from stratopt.poly import double_cone
 from stratopt.presets import preset
 from stratopt.resolve import default_region, deform
 from stratopt.runner import _aggregate_rows, _loss_curve, _surfaces, run_experiment
-from stratopt.tables import AGG_FIELDS, STALL_FIELDS, TRAJ_FIELDS, read_csv, write_csv
+from stratopt.stratify import find_singular_points
+from stratopt.tables import (AGG_FIELDS, STALL_FIELDS, TRAJ_FIELDS, TrajectoryTable, read_csv,
+                             write_csv)
 
 
 def small_spec(**overrides):
@@ -182,7 +184,7 @@ def test_stochastic_experiment_draws_its_stream_once(tmp_path, monkeypatch):
 
 def aggregate_reference(trajs):
     """The aggregate rows through ``np.unique`` and ``np.median``."""
-    steps_per = [np.array([r.step for r in t.records]) for t in trajs]
+    steps_per = [t.records.column("step") for t in trajs]
     union = np.unique(np.concatenate(steps_per))
     carried = np.empty((len(trajs), union.size))
     for i, (steps, t) in enumerate(zip(steps_per, trajs)):
@@ -212,12 +214,68 @@ LONG_PATHS = [(set(range(STEPS - 500)), [0.5, 3.0, 0.25] * STEPS),
 @example(LONG_PATHS)  # even count
 @example(LONG_PATHS + [({0}, [2.0] * STEPS)])  # odd count
 def test_aggregate_rows_match_unique_and_median(paths):
-    trajs = [Trajectory([TrajectoryRecord(s, 1.0, 0.0, 1.0, 1.0, 0.0, loss[s], 1.0)
-                         for s in sorted(steps)], Termination.MAX_STEPS)
+    trajs = [Trajectory(TrajectoryTable([(s, 1.0, 0.0, 1.0, 1.0, 0.0, loss[s], 1.0)
+                                         for s in sorted(steps)]), Termination.MAX_STEPS)
              for steps, loss in paths]
     bits = lambda rows: [(s, a.hex(), b.hex()) for s, a, b in rows]
     curves = [_loss_curve(t) for t in trajs]
     assert bits(_aggregate_rows(curves)) == bits(aggregate_reference(trajs))
+
+
+# fig5a's six trajectories as the namedtuple records gave them: the final record
+# (step, xi, theta, loss), the sha256 of losses(), steps_to_loss at 1e-2, 1e-6
+# and 1e-9, and the stall report (stalled, window start, mean decrease, distance)
+FIG5A = {
+    ("cone", 0): (
+        (8886, "0x1.fffffff6dbda3p-1", "0x1.d628b80ae3078p-17", "0x1.afbcc56cbccb1p-34"),
+        "7a04909123be29a5920a8a2855f54b2b3ea8898932ebe90ef11e10a17ae3db30",
+        [7969, 8427, 8771],
+        (True, 170, "0x1.4c1b09c23b26dp-17", "0x1.0525de4aa2172p-6")),
+    ("cone", 1): (
+        (1061, "0x1.fffffffa81e8ep-1", "0x1.d6506a628e6d0p-17", "0x1.b005b00bb0917p-34"),
+        "22de4b60cea43bb4645bd14be16fb9f06dfef0e131e214bac86f633946fe4382",
+        [149, 602, 946],
+        (False, -1, "0x1.4608ddb37f5dcp-6", "0x1.6a09e664117b4p+0")),
+    ("cone", 2): (
+        (1190, "0x1.fffffff6db67cp-1", "-0x1.d659bbf1dd1b7p-17", "0x1.b016cf13ea474p-34"),
+        "b9ee2bf5ba8c9d9f364887a58a747ea9335a9fd511c9521d2e86e0195a75eece",
+        [273, 731, 1075],
+        (False, -1, "0x1.3aa3c7f30141bp-7", "0x1.6a09e6617cafep+0")),
+    ("hyperboloid", 0): (
+        (3274, "0x1.f9ae5384f6f4dp-1", "0x1.b15c0c0d4e2f9p-34", "0x1.47a0fa9bcd374p-13"),
+        "744289736d14634eed9f5701e026c213692a86d3f1770bb4c01da3f9d54a9880",
+        [1204, None, None],
+        (True, 1741, "0x1.49d20c86cede6p-17", "0x1.6a1f969248fc0p+0")),
+    ("hyperboloid", 1): (
+        (2213, "0x1.f9ae5384f6f4dp-1", "0x1.b04b731c964a0p-34", "0x1.47a0fa9bcd374p-13"),
+        "7747e5ea3b3b7fc0f94a364419a6ff11e8bf9540b4bd0add51b45882c5c3e36a",
+        [149, None, None],
+        (True, 679, "0x1.4ef175a33121ap-17", "0x1.6a1f9af45b118p+0")),
+    ("hyperboloid", 2): (
+        (2339, "0x1.f9ae5384f6f4dp-1", "-0x1.ae6360216c1f6p-34", "0x1.47a0fa9bcd374p-13"),
+        "16e8b6900a42e6b11373084526f6667379092e652365d9af3fbf11afc08e682f",
+        [268, None, None],
+        (True, 805, "0x1.4c007288bf5a8p-17", "0x1.6a1f968bb4786p+0")),
+}
+
+
+def test_fig5a_reads_the_same_values_from_its_packed_records():
+    spec = preset("fig5a")
+    apexes = find_singular_points(double_cone(), 0.0, default_region(3))
+    got = {}
+    for surface, chart in _surfaces(spec):
+        model = GaussianLocationModel(chart, runner._target_mean(spec, chart))
+        for i, q0 in enumerate(runner._initial_points(spec)):
+            traj = optim.run(model, q0, spec)
+            f = traj.final
+            report = optim.detect_stall(traj, singularities=apexes, loss_tol=spec.loss_tol)
+            got[surface, i] = (
+                (f.step, f.xi.hex(), f.theta.hex(), f.loss.hex()),
+                hashlib.sha256(traj.losses().tobytes()).hexdigest(),
+                [traj.steps_to_loss(threshold) for threshold in (1e-2, 1e-6, 1e-9)],
+                (report.stalled, report.window_start, report.mean_rel_decrease.hex(),
+                 report.nearest_singularity_distance.hex()))
+    assert got == FIG5A
 
 
 def test_on_model_target_differs_on_hyperboloid(tmp_path):

@@ -436,11 +436,24 @@ def test_polynomial_systems_rejected():
 
 
 def test_seed_grid_table():
-    # no dimension seeds more than the 3-D grid: k^n <= 21^3 < (k+1)^n below 21 per axis
+    # no dimension seeds more than the 3-D grid, and every count is odd, so
+    # each axis has a seed on its centre plane: k^n <= 21^3 < (k+2)^n below 21
     got = [seeds_per_axis(n) for n in range(1, 9)]
-    assert got == [SEED_GRID] * 3 + [9, 6, 4, 3, 3]
+    assert got == [SEED_GRID] * 3 + [9, 5, 3, 3, 3]
     for n, k in enumerate(got, start=1):
-        assert k == SEED_GRID if n <= 3 else k ** n <= SEED_GRID ** 3 < (k + 1) ** n
+        assert k % 2 == 1
+        assert k == SEED_GRID if n <= 3 else k ** n <= SEED_GRID ** 3 < (k + 2) ** n
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_a_seed_on_every_centre_plane_finds_the_origin(n):
+    # sum of x_i^4 - 2 x_i^2 has a critical point at every corner of
+    # {-1, 0, 1}^n, and only the origin is on the level 0; an even count per
+    # axis (4 at n = 6) seeded no centre plane and found only the 2^n minima
+    p = parse_polynomial(" + ".join(f"x{i}^4 - 2*x{i}^2" for i in range(n)))
+    region = default_region(n)
+    assert len(_newton_endpoints(p, region, seeds_per_axis(n))) == 3 ** n
+    assert [x.tolist() for x in find_singular_points(p, 0.0, region)] == [[0.0] * n]
 
 
 def test_a_four_variable_cubic_is_searched_from_nine_seeds_per_axis(monkeypatch):

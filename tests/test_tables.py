@@ -279,6 +279,41 @@ def test_write_csv_bytes_across_chunks(tmp_path):
     assert path.read_bytes() == want.encode("utf-8")
 
 
+def hexes(row):
+    return [v.hex() if isinstance(v, float) else v for v in row]
+
+
+def test_a_packed_table_writes_the_bytes_of_its_rows(tmp_path):
+    rows = [(3, 0.1, -0.0, 5e-324, 1e308, -2.5, math.inf, math.nan),
+            (-2 ** 63, 0.30000000000000004, 1.0, 2.0, -1e-300, 0.5, 0.25, 7.0)]
+    rows += [(k, k / 7, -k / 3, 1.0, 2.0, 3.0, k * 0.1, 1.5) for k in range(tables.WRITE_ROWS)]
+    packed = tables.TrajectoryTable(rows)
+    assert len(packed) == len(rows) and len(packed.buf) == 64 * len(rows)
+    got = write_csv(tmp_path / "packed.csv", TRAJ_FIELDS, packed).read_bytes()
+    assert got == write_csv(tmp_path / "rows.csv", TRAJ_FIELDS, rows).read_bytes()
+    # an index gives a record, iteration plain tuples, and a column a copy
+    assert type(packed[0]) is TrajectoryRecord and packed[-1].step == tables.WRITE_ROWS - 1
+    assert hexes(packed[1]) == hexes(rows[1]) and hexes(packed[-len(rows)]) == hexes(rows[0])
+    assert [hexes(r) for r in packed] == [hexes(r) for r in rows]
+    theta = packed.column("theta")
+    assert theta.flags.owndata and [v.hex() for v in theta] == [r[2].hex() for r in rows]
+    packed.buf += tables.TRAJ_ROW.pack(*rows[1])  # no array holds the buffer
+    for index in (len(rows) + 1, -len(rows) - 2):
+        with pytest.raises(IndexError):
+            packed[index]
+
+
+def test_an_aggregate_table_packs_24_bytes_a_row(tmp_path):
+    rows = [(k, k / 7, -k / 3) for k in range(5)]
+    packed = tables.AggregateTable(rows)
+    assert tables.AGG_ROW.size == tables.AGG_DTYPE.itemsize == len(packed.buf) // 5 == 24
+    assert packed[2] == rows[2] and packed.column("median_loss").tolist() == [r[2] for r in rows]
+    got = write_csv(tmp_path / "packed.csv", AGG_FIELDS, packed).read_bytes()
+    assert got == write_csv(tmp_path / "rows.csv", AGG_FIELDS, rows).read_bytes()
+    empty = tables.AggregateTable()
+    assert len(empty) == 0 and list(empty) == [] and empty.column("step").size == 0
+
+
 def _traced_peak(call) -> int:
     tracemalloc.start()
     try:
