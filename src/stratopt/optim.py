@@ -46,6 +46,7 @@ EPS = float(np.finfo(float).eps)
 BLOCK_NORMALS = 12_288  # standard normals per block of stochastic batch means
 STALL_WINDOW = 100  # consecutive records in a stall window
 STALL_PLATEAU_TOL = 1e-5  # mean relative loss decrease below which a window stalls
+STALL_BLOCK = 65_536  # records whose stall windows detect_stall computes at once
 METHODS = ("gd", "ngd")
 MODES = ("population", "stochastic")
 
@@ -330,6 +331,11 @@ def detect_stall(traj: Trajectory, singularities=(),
     and the distance from the final point.  A trajectory with fewer than
     ``STALL_WINDOW`` records cannot stall: its report has no window (start
     -1, mean decrease NaN).
+
+    The relative decreases, their running sum and the window means are
+    computed ``STALL_BLOCK`` records at a time, carrying the running sum
+    and its last ``STALL_WINDOW - 1`` values across blocks; every mean has
+    the bits of the whole-trajectory sum.
     """
     window = STALL_WINDOW
     records = traj.records
@@ -341,27 +347,37 @@ def detect_stall(traj: Trajectory, singularities=(),
         x = np.array([r.mu1, r.mu2, r.mu3])
         return float(min(np.linalg.norm(x - np.asarray(s, dtype=float)) for s in singularities))
 
-    if len(records) < window:
-        return StallReport(False, -1, math.nan, distance_from(len(records) - 1))
-    losses = traj.losses()
-    rel = (losses[:-1] - losses[1:]) / np.maximum(np.abs(losses[:-1]), 1e-300)
-    csum = np.concatenate([[0.0], np.cumsum(rel)])
-    n_windows = len(records) - window + 1
-    means = (csum[window - 1:window - 1 + n_windows] - csum[:n_windows]) / (window - 1)
-    end_losses = losses[window - 1:]
-
-    stalled_mask = (means < STALL_PLATEAU_TOL) & (end_losses > loss_tol)
-    if stalled_mask.any():
-        j = int(np.argmax(stalled_mask))
-        return StallReport(
-            stalled=True,
-            window_start=records[j].step,
-            mean_rel_decrease=float(means[j]),
-            nearest_singularity_distance=distance_from(j + window - 1),
-        )
+    n = len(records)
+    if n < window:
+        return StallReport(False, -1, math.nan, distance_from(n - 1))
+    # csum[k] sums the relative decreases from record 0 to record k; a block
+    # holds csum[start:k1], its own sums after the carried last window - 1
+    tail = np.empty(0)
+    smallest = np.inf
+    for k0 in range(0, n, STALL_BLOCK):
+        k1 = min(k0 + STALL_BLOCK, n)
+        losses = records.column("loss", max(k0 - 1, 0), k1)
+        rel = (losses[:-1] - losses[1:]) / np.maximum(np.abs(losses[:-1]), 1e-300)
+        if k0:  # np.cumsum adds left to right, so going on from tail[-1] keeps the bits
+            csum = np.concatenate([tail[:-1], np.cumsum(np.concatenate([tail[-1:], rel]))])
+        else:
+            csum = np.concatenate([[0.0], np.cumsum(rel)])
+        start = k0 - len(tail)
+        means = (csum[window - 1:] - csum[:len(csum) - window + 1]) / (window - 1)
+        stalled_mask = (means < STALL_PLATEAU_TOL) & (losses[len(losses) - len(means):] > loss_tol)
+        if stalled_mask.any():
+            i = int(np.argmax(stalled_mask))
+            return StallReport(
+                stalled=True,
+                window_start=records[start + i].step,
+                mean_rel_decrease=float(means[i]),
+                nearest_singularity_distance=distance_from(start + i + window - 1),
+            )
+        smallest = np.minimum(smallest, means.min())
+        tail = csum[len(csum) - window + 1:]
     return StallReport(
         stalled=False,
         window_start=-1,
-        mean_rel_decrease=float(means.min()),
-        nearest_singularity_distance=distance_from(len(records) - 1),
+        mean_rel_decrease=float(smallest),
+        nearest_singularity_distance=distance_from(n - 1),
     )

@@ -7,7 +7,9 @@ a uniform grid of seeds, set by the dimension (``seeds_per_axis``),
 filtered to the level set and deduplicated.  At degree at most 2 grad p is
 affine, and those endpoints come from one SVD of the constant Hessian
 instead of Newton rounds, with the rank that ``inertia`` computes exactly
-for the Hessian as parsed.  The endpoints do not
+for the Hessian as parsed.  Above degree 2, seeds whose iterates become
+equal bit for bit share one row from then on, so a round steps each
+distinct iterate once; every endpoint keeps its bits.  The endpoints do not
 depend on the level, so their distinct values are cached per process
 (``NEWTON_CACHE_SIZE`` entries, keyed on the polynomial and the region):
 every level searched on one variety and region filters the endpoints of a
@@ -171,7 +173,8 @@ def find_singular_points(p: Polynomial, level: float, region: Region) -> list[np
     The candidates are the endpoints of Newton's method on grad p = 0 from
     each of the ``seeds_per_axis(p.nvars)``-per-axis seeds, one grid for
     every caller; its minimal-norm step (pseudoinverse of the Hessian) keeps
-    degenerate critical points reachable.  A polynomial of degree at most 2 is solved, not iterated:
+    degenerate critical points reachable; seeds whose iterates coincide are
+    stepped as one row.  A polynomial of degree at most 2 is solved, not iterated:
     its critical set {Hx + b = 0} comes from one SVD and the exact rank of
     H, so every critical point is found.  Of the cached distinct endpoints
     (``_newton_endpoints``), those ``level_masks`` finds singular count;
@@ -247,7 +250,13 @@ def _newton_endpoints(p: Polynomial, region: Region, per_axis: int) -> np.ndarra
 
     At degree 3 and up, a round steps every finite row whose gradient is
     finite and nonzero by ``-pinv(H) @ grad``, each row by its own Hessian,
-    until no row is left to step or after ``NEWTON_MAX_ITER`` rounds.
+    until no row is left to step or after ``NEWTON_MAX_ITER`` rounds.  After
+    a round, rows equal bit for bit (``np.unique`` over their raw bytes)
+    become one, and ``owner`` maps each seed to its row, which ``X[owner]``
+    expands back at the end.  Every operation of a round works row by row,
+    so equal rows take equal steps and each endpoint has the bits of the
+    unmerged search; rows that differ in a zero's sign or a NaN payload stay
+    apart.  Merging stops after the first round that merges nothing.
 
     Only the endpoints in the region padded by 1e-9 of its largest width
     stay (no inf or NaN row does), and of rows equal in value (-0.0 equals
@@ -271,6 +280,8 @@ def _newton_endpoints(p: Polynomial, region: Region, per_axis: int) -> np.ndarra
                 X = x_p + (region.grid(per_axis) - x_p) @ N @ N.T
     else:
         X = region.grid(per_axis)
+        owner = np.arange(X.shape[0])  # seed i's iterate is X[owner[i]]
+        merging = True
         for _ in range(NEWTON_MAX_ITER):
             finite = np.isfinite(X).all(axis=1)
             G = np.zeros_like(X)
@@ -280,6 +291,13 @@ def _newton_endpoints(p: Polynomial, region: Region, per_axis: int) -> np.ndarra
                 break
             step = -np.einsum("kij,kj->ki", np.linalg.pinv(p.hessian_many(X[active])), G[active])
             X[active] = X[active] + step
+            if merging:  # one row per distinct bytes: equal rows take equal steps
+                rows = X.view(np.dtype((np.void, X.itemsize * X.shape[1]))).ravel()
+                _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+                merging = first.shape[0] < X.shape[0]
+                if merging:
+                    X, owner = X[first], inverse[owner]
+        X = X[owner]
     X = X[region.contains(X, pad=1e-9 * float(np.max(region.widths)))]
     X = X[np.lexsort(X.T[::-1])]  # primary key: first coordinate
     if X.shape[0]:

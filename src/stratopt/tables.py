@@ -9,8 +9,8 @@ which is both its ``struct`` row and its numpy structured ``dtype``.  A
 trajectory row (``TrajectoryTable``) is 64 bytes, an aggregate row
 (``AggregateTable``) 24.  ``len`` counts rows, an index unpacks one row (a
 ``TrajectoryRecord`` for a trajectory), iteration unpacks plain tuples with
-``iter_unpack``, and ``column`` copies one numpy column, so no array keeps
-the buffer alive.
+``iter_unpack``, and ``column`` copies one numpy column, or a range of its
+rows, so no array keeps the buffer alive.
 
 All files are UTF-8 with LF line endings.  ``write_csv`` formats a float
 cell (``np.float64`` included) as ``%.17g``, so reals survive a write/read
@@ -150,9 +150,10 @@ class Table:
     def __iter__(self):
         return self.row.iter_unpack(self.buf)
 
-    def column(self, name: str) -> np.ndarray:
-        """A contiguous copy of the column ``name``."""
-        return np.frombuffer(self.buf, self.dtype)[name].copy()
+    def column(self, name: str, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """A contiguous copy of the column ``name``, of rows ``start`` to
+        ``stop`` (all by default)."""
+        return np.frombuffer(self.buf, self.dtype)[start:stop][name].copy()
 
 
 class TrajectoryTable(Table):

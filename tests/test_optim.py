@@ -737,6 +737,59 @@ def test_converged_plateau_is_not_a_stall():
     assert not detect_stall(traj, loss_tol=1e-10).stalled
 
 
+def stall_reference(traj, singularities, loss_tol):
+    """The stall report, as hex, by the whole-trajectory formula: every
+    relative decrease, one running sum and every window mean at once."""
+    records, losses, w = traj.records, traj.losses(), STALL_WINDOW
+    rel = (losses[:-1] - losses[1:]) / np.maximum(np.abs(losses[:-1]), 1e-300)
+    csum = np.concatenate([[0.0], np.cumsum(rel)])
+    n_windows = len(records) - w + 1
+    means = (csum[w - 1:w - 1 + n_windows] - csum[:n_windows]) / (w - 1)
+    stalled = (means < optim.STALL_PLATEAU_TOL) & (losses[w - 1:] > loss_tol)
+    j = int(np.argmax(stalled))
+    start, mean, end = ((records[j].step, means[j], j + w - 1) if stalled.any()
+                        else (-1, means.min(), len(records) - 1))
+    r = records[end]
+    distance = min(np.linalg.norm(np.array([r.mu1, r.mu2, r.mu3]) - s) for s in singularities)
+    return bool(stalled.any()), start, float(mean).hex(), float(distance).hex()
+
+
+def stall_hex(report):
+    return (report.stalled, report.window_start, report.mean_rel_decrease.hex(),
+            report.nearest_singularity_distance.hex())
+
+
+def noisy_descent(n, flat=(), seed=0):
+    """A trajectory of ``n`` records whose loss falls by a random relative
+    amount up to 2e-4 a step (up to 1e-7 on the steps in ``flat``, rising on
+    every 97th step), with mu1 = step so each record has its own distance."""
+    rng = np.random.default_rng(seed)
+    drop = rng.uniform(0.0, 2e-4, n)
+    drop[list(flat)] *= 5e-4
+    drop[::97] *= -1.0
+    losses = np.cumprod(1.0 - drop)
+    return optim.Trajectory(tables.TrajectoryTable(
+        (i, 1.0, 0.0, float(i), 1.0, 0.0, float(L), 1.0) for i, L in enumerate(losses)),
+        Termination.MAX_STEPS)
+
+
+@pytest.mark.parametrize("block", [STALL_WINDOW, 257, optim.STALL_BLOCK])
+@pytest.mark.parametrize("n, flat", [
+    # the first stalled window straddles the default block boundary at 65,536
+    (70_000, range(65_480, 65_640)),
+    # nothing stalls: the flattest window is the smallest mean over three blocks
+    (140_000, ()),
+    # a window stalls in the third block only
+    (140_000, range(139_000, 139_200)),
+], ids=["straddles", "none", "third-block"])
+def test_stall_blocks_keep_the_whole_trajectory_bits(monkeypatch, block, n, flat):
+    traj = noisy_descent(n, flat)
+    want = stall_reference(traj, [np.zeros(3)], loss_tol=1e-10)
+    monkeypatch.setattr(optim, "STALL_BLOCK", block)
+    assert stall_hex(detect_stall(traj, [np.zeros(3)], loss_tol=1e-10)) == want
+    assert want[0] == bool(flat)
+
+
 def test_stall_window_validation():
     # shorter than the window: no window, distance from the final point
     traj = synthetic_trajectory([1.0] * (STALL_WINDOW - 1))

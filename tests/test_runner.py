@@ -19,6 +19,7 @@ from stratopt.runner import _aggregate_rows, _loss_curve, _surfaces, run_experim
 from stratopt.stratify import find_singular_points
 from stratopt.tables import (AGG_FIELDS, STALL_FIELDS, TRAJ_FIELDS, TrajectoryTable, read_csv,
                              write_csv)
+from test_optim import stall_hex, stall_reference
 
 
 def small_spec(**overrides):
@@ -276,6 +277,19 @@ def test_fig5a_reads_the_same_values_from_its_packed_records():
                 (report.stalled, report.window_start, report.mean_rel_decrease.hex(),
                  report.nearest_singularity_distance.hex()))
     assert got == FIG5A
+
+
+@pytest.mark.parametrize("block", [optim.STALL_WINDOW, 1000, optim.STALL_BLOCK])
+def test_fig5a_stall_reports_match_the_whole_trajectory_formula(monkeypatch, block):
+    spec = preset("fig5a")
+    apexes = find_singular_points(double_cone(), 0.0, default_region(3))
+    monkeypatch.setattr(optim, "STALL_BLOCK", block)
+    for surface, chart in _surfaces(spec):
+        model = GaussianLocationModel(chart, runner._target_mean(spec, chart))
+        for q0 in runner._initial_points(spec):
+            traj = optim.run(model, q0, spec)
+            assert (stall_hex(optim.detect_stall(traj, apexes, spec.loss_tol))
+                    == stall_reference(traj, apexes, spec.loss_tol))
 
 
 def test_on_model_target_differs_on_hyperboloid(tmp_path):

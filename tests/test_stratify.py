@@ -128,16 +128,62 @@ def same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+MERGING_SEARCHES = [
+    "x0^2 + x1^5",
+    "x1^2 + x2^2 - x0^2 + x0^3",
+    "x0^3 + x0*x1 + x1*x2",           # rows merge over several rounds
+    "x0^3 + x1^2 + x2^2 - x3^2",
+]
+
+
 @pytest.mark.parametrize("text", [
     "x0^2 + x1",                     # rank-deficient constant Hessian
     "x0^2 + x1^3",                   # cusp_curve
     "x0^3 - 3*x0*x1^2 + x2^2 - 0.5*x2",
+    *MERGING_SEARCHES,
 ])
 def test_newton_search_matches_every_round_reference(text):
     p = parse_polynomial(text)
-    region = Region.cube(-2.0, 2.0, p.nvars)
-    assert same_bits(newton_search(p, region),
-                     distinct_in_region(newton_every_round(p, region), region))
+    grid_points = min(11, seeds_per_axis(p.nvars))
+    bounds = [(-2.0, 2.0)]
+    if p.degree >= 3:
+        # in the huge region rows overflow to inf and NaN, which merge with no finite row
+        bounds += [(-1.0, 0.5), (-1e300, 1e300)]
+    for lo, hi in bounds:
+        region = Region.cube(lo, hi, p.nvars)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = newton_search(p, region, grid_points)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = distinct_in_region(newton_every_round(p, region, grid_points), region)
+        assert same_bits(got, want), (lo, hi)
+
+
+def newton_rows_per_round(monkeypatch, text):
+    """The rows that each round of the uncached search at the default seed
+    grid on [-2, 2]^n steps: one Hessian per stepped row."""
+    p = parse_polynomial(text)
+    calls = []
+    hessian_many = Polynomial.hessian_many
+    monkeypatch.setattr(Polynomial, "hessian_many",
+                        lambda self, X: calls.append(len(X)) or hessian_many(self, X))
+    newton_search(p, Region.cube(-2.0, 2.0, p.nvars), seeds_per_axis(p.nvars))
+    return calls
+
+
+def test_seeds_that_share_a_path_share_one_row(monkeypatch):
+    # the cusp: one step solves x0, leaving one row per x1 seed; the seed at
+    # the origin never moves
+    rows = newton_rows_per_round(monkeypatch, "x0^2 + x1^3")
+    assert (sum(rows), len(rows), rows[0], max(rows[1:])) == (908, 26, 440, 20)
+    rows = newton_rows_per_round(monkeypatch, "x0^3 + x1^2 + x2^2 - x3^2")
+    assert (sum(rows), rows[0]) == (6_752, 6_560) and max(rows[1:]) <= 8
+    assert sum(newton_rows_per_round(monkeypatch, "x0^3 + x0*x1 + x1*x2")) == 17_463
+
+
+def test_rows_that_never_coincide_are_all_stepped(monkeypatch):
+    rows = newton_rows_per_round(monkeypatch, "x0^2*x1 - x1^3")
+    assert (sum(rows), len(rows), rows[0]) == (10_830, 26, 440)
 
 
 @pytest.mark.parametrize("p", [CONE, axis_pair(), parse_polynomial("x0*x3 - x1*x2"),
