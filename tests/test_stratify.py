@@ -159,6 +159,33 @@ def test_newton_search_matches_every_round_reference(text):
         assert same_bits(got, want), (lo, hi)
 
 
+@pytest.mark.parametrize("text, count", [
+    # LAPACK's SVD never returned on one of these Hessians holding inf
+    ("x2^2 - x0^2 - x1^2 + x0*x1*x2*x3 - x0^3*x2*x3", 9),
+    # LAPACK raised "SVD did not converge" on one of these
+    ("x0^2 - x1^2 - x2^2 - x0*x1^2*x2*x3 + 2*x0*x1^2", 9),
+])
+def test_newton_search_solves_only_finite_hessians(monkeypatch, text, count):
+    # a row whose Hessian is not finite takes a NaN step without a solve
+    pinv = np.linalg.pinv
+    solved = []
+
+    def finite_pinv(H):
+        assert np.isfinite(H).all()
+        solved.append(len(H))
+        return pinv(H)
+
+    monkeypatch.setattr(np.linalg, "pinv", finite_pinv)
+    p = parse_polynomial(text)
+    region = Region.cube(-1e300, 1e300, p.nvars)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = newton_search(p, region, seeds_per_axis(p.nvars))
+        points = find_singular_points(p, 0.0, region)
+    assert solved and np.isfinite(got).all()
+    assert len(points) == count
+
+
 def newton_rows_per_round(monkeypatch, text):
     """The rows that each round of the uncached search at the default seed
     grid on [-2, 2]^n steps: one Hessian per stepped row."""
@@ -608,6 +635,34 @@ def test_projection_edge_rows_match_every_row_reference(p, X, converged):
         want = project_every_row(p, 0.1, X)
     assert Y.shape == want.shape and Y.tobytes() == want.tobytes()
     assert ok.tolist() == converged
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("p", [CONE, parse_polynomial("x0*x1*x2 - x0^2 + x1")])
+def test_projection_in_a_huge_box_matches_every_row_reference(p):
+    # p, its partials and |grad p|^2 overflow to inf and the steps to NaN,
+    # without a numpy warning
+    X = np.random.default_rng(4).uniform(-1e300, 1e300, size=(500, 3))
+    Y, ok = project_to_level(p, 0.1, X)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = project_every_row(p, 0.1, X)
+    assert Y.tobytes() == want.tobytes()
+    assert not ok.any()
+
+
+def test_projection_steps_a_c_contiguous_block(monkeypatch):
+    # at level 0 the cusp's rows stop over all PROJECTION_MAX_ITER steps; the
+    # block of moving rows stays in C order through every compaction, so p
+    # and its partials see C-contiguous coordinate columns
+    contiguous = []
+    eval_many = Polynomial.eval_many
+    monkeypatch.setattr(Polynomial, "eval_many", lambda self, X: contiguous.append(
+        X.T.flags.c_contiguous) or eval_many(self, X))
+    X = np.random.default_rng(2).uniform(-2.0, 2.0, size=(2000, 2))
+    Y, ok = project_to_level(CUSP, 0.0, X)
+    assert len(contiguous) == PROJECTION_MAX_ITER * (1 + CUSP.nvars) + 1 and all(contiguous)
+    assert Y.flags.c_contiguous and Y.flags.writeable
+    assert 0.0 < ok.mean() < 1.0
 
 
 def test_projection_reads_a_read_only_input():
