@@ -150,15 +150,18 @@ class Polynomial:
         terms added so far: while that is smaller than ``shape`` a term is
         added out of place, and once it is full every further term is added
         in place.  Each element sees the same float adds, in the same order,
-        as adding every term into a full array of zeros.  The result is a
-        new, writable, C-contiguous float64 array of ``shape``.
+        as adding every term into a full array of zeros.  A first power
+        multiplies by the variable's column itself: ``column ** 1`` is a copy
+        with the same bits, -0.0, NaN, infinities and subnormals included.
+        The result is a new, writable, C-contiguous float64 array of
+        ``shape``.
         """
         out = np.zeros(())
         for (exps, c) in self.terms:
             term = c
             for j, e in enumerate(exps):
                 if e:
-                    term = term * columns[j] ** e
+                    term = term * (columns[j] if e == 1 else columns[j] ** e)
             if np.shape(out) == shape:
                 out += term
             else:

@@ -130,15 +130,19 @@ def default_grid_n(nvars: int) -> int:
 def count_components(d: Deformation, grid_n: int | None = None) -> ComponentReport:
     """Connected components of {base = level} on an occupancy grid.
 
-    base - level is evaluated on the (grid_n + 1)^dim corner lattice
+    base is evaluated on the (grid_n + 1)^dim corner lattice
     (``Polynomial.eval_grid``; ``grid_n`` is ``default_grid_n(dim)`` unless
-    given), one slab of consecutive x0 corner planes at a time.  A cell is
-    occupied iff some corner is <= 0, some corner is >= 0 and no corner is
-    NaN (a NaN value, e.g. from an overflow to inf - inf, leaves its cells
-    unoccupied); the three sign masks are OR-reduced over each axis's face
-    slices.  Occupied cells sharing a face belong to one component.  Only the ids of the occupied cells outlive their slab; a
-    run of consecutive ids within one row of the last axis is one node, and
-    it is joined to every run across its faces along the other axes.
+    given), one slab of consecutive x0 corner planes at a time, and each
+    corner value v is compared with the level.  A cell is occupied iff some
+    corner has v <= level, some has v >= level and no corner is NaN (a NaN
+    value, e.g. from an overflow to inf - inf, leaves its cells unoccupied):
+    the rule on the signs of v - level, bit for bit (``_occupied_cells``).
+    The two comparison masks are OR-reduced over each axis's face slices,
+    and the mask of defined corners is AND-reduced too in a slab that has a
+    NaN corner.  Occupied cells sharing a face belong to one component.
+    Only the ids of the occupied cells outlive their slab; a run of
+    consecutive ids within one row of the last axis is one node, and it is
+    joined to every run across its faces along the other axes.
     """
     p, region, dim = d.base, d.region, d.region.dim
     if grid_n is None:
@@ -178,20 +182,32 @@ def count_components(d: Deformation, grid_n: int | None = None) -> ComponentRepo
 
 
 def _occupied_cells(p: Polynomial, level: float, axes: list[np.ndarray]) -> np.ndarray:
-    """Occupancy of the cells of the tensor grid of ``axes`` on {p = level}."""
+    """Occupancy of the cells of the tensor grid of ``axes`` on {p = level}.
+
+    The corner values v are compared with the finite ``level`` itself, two
+    float passes after ``eval_grid``.  That gives the cells of the rule on
+    the signs of v - level: rounding is monotone and, with subnormals,
+    v - level is 0 only where v == level, so ``v - level <= 0`` holds exactly
+    when ``v <= level``; an overflowing v - level rounds to the infinity of
+    its sign, v = +-inf gives +-inf, and NaN fails both forms.  A corner in
+    neither mask is therefore NaN, and the mask of defined corners is
+    AND-reduced only when some corner is.
+    """
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow gives inf or NaN corners
         vals = p.eval_grid(axes)
-        vals -= level
     # weak inequalities: a corner exactly on the level set marks the cell
-    below, above, undefined = vals <= 0.0, vals >= 0.0, np.isnan(vals)
+    below, above = vals <= level, vals >= level
     del vals  # freed before the cell passes, so later arrays reuse its pages
+    defined = below | above  # False only at a NaN corner
+    nan = not defined.all()
     dim = len(axes)
-    for ax in range(dim):  # a cell's flag: its 2^dim corners' flags, OR-reduced
+    for ax in range(dim):  # a cell's flag: its 2^dim corners' flags, reduced
         head, tail = _face_slices(dim, ax)
         below = below[head] | below[tail]
         above = above[head] | above[tail]
-        undefined = undefined[head] | undefined[tail]
-    return below & above & ~undefined
+        if nan:
+            defined = defined[head] & defined[tail]
+    return below & above & defined if nan else below & above
 
 
 def _face_slices(dim: int, ax: int) -> tuple[tuple, tuple]:

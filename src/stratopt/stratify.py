@@ -345,10 +345,12 @@ def project_to_level(p: Polynomial, level: float, X) -> tuple[np.ndarray, np.nda
 
     Each point moves along the gradient direction by (p(x)-level)/|grad p|^2,
     for at most ``PROJECTION_MAX_ITER`` steps; a non-finite row, or one
-    whose p is NaN, never moves, and one with |grad p|^2 <= 1e-30 steps by
-    exactly zero.  Returns (points, converged mask); a row converged when
-    |p(x) - level| <= ``PROJECTION_TOL``, and non-converged rows hold their
-    last iterate.  A non-finite ``level`` is a ``ValueError``.
+    whose p is NaN, never moves, and one with |grad p|^2 <= 1e-30 is left
+    untouched by the step's masked subtract, as subtracting 0.0 left it (a
+    -0.0 coordinate stays -0.0).  Returns (points, converged mask); a row
+    converged when |p(x) - level| <= ``PROJECTION_TOL``, and non-converged
+    rows hold their last iterate.  A non-finite ``level`` is a
+    ``ValueError``.
 
     The rows still moving live in one C-contiguous (n, k) block of
     coordinate columns beside their row numbers, so each step works on whole
@@ -360,9 +362,10 @@ def project_to_level(p: Polynomial, level: float, X) -> tuple[np.ndarray, np.nda
     it.  Every row has the bits of the row-by-row iteration:
     ``_sum_of_squares`` keeps numpy's order for |grad p|^2.  On 10,000
     uniform rows of [-2, 2]^n at level 0.1, the double cone takes about
-    1.6 ms and the cusp 5.3 ms (3.0 and 7.8 ms with the mask; 1,000,000
-    rows: 0.25 and 0.65 s, from 0.44 and 0.95 s), in process, best of 30,
-    on a 2-vCPU x86_64 VM with Python 3.11.7 and numpy 2.4.6.
+    1.7 ms and the cusp 5.1 ms (3.0 and 7.8 ms with the mask), in process,
+    best of 100; on 1,000,000 rows, 0.23 and 0.60 s (0.26 and 0.61 s when
+    each step subtracted ``np.where(safe, scale * g, 0.0)``), best of 5; on
+    a 2-vCPU x86_64 VM with Python 3.11.7 and numpy 2.4.6.
     """
     if not math.isfinite(level):
         raise ValueError(f"level must be finite, got {level}")
@@ -390,7 +393,7 @@ def project_to_level(p: Polynomial, level: float, X) -> tuple[np.ndarray, np.nda
         safe = gn2 > 1e-30
         scale = np.divide(f, gn2, out=np.zeros_like(f), where=safe)
         for j, g in enumerate(G):
-            C[j] -= np.where(safe, scale * g, 0.0)
+            np.subtract(C[j], scale * g, out=C[j], where=safe)
     return out, ok
 
 

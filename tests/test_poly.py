@@ -232,6 +232,51 @@ def test_eval_grid_bit_identical_to_eval_many(case):
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
+SPECIAL = [-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, -1e-310, 1.0, -1.5]
+
+
+@st.composite
+def special_lattices(draw):
+    """A polynomial in 1-3 variables with exponents 0-3, first powers among
+    them, and one short axis per variable drawn from -0.0, +-inf, NaN,
+    subnormals and any other float."""
+    nvars = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(0, 3)] * nvars)
+    coeffs = draw(st.dictionaries(exps, st.floats(-4, 4, allow_nan=False), max_size=5))
+    coeffs[tuple(draw(st.integers(0, 1)) for _ in range(nvars))] = draw(st.floats(-4, 4))
+    coord = st.sampled_from(SPECIAL) | st.floats()
+    return Polynomial(nvars, coeffs), [np.array(draw(st.lists(coord, min_size=1, max_size=4)))
+                                       for _ in range(nvars)]
+
+
+def power_reference(p, X):
+    """p at the rows of X, summed like ``Polynomial._sum_terms`` into an
+    array of zeros, with every factor taken as ``x ** e``, e = 1 included."""
+    out = np.zeros(X.shape[0])
+    for exps, c in p.terms:
+        term = c
+        for j, e in enumerate(exps):
+            if e:
+                term = term * X[:, j] ** e
+        out = out + term
+    return out
+
+
+@given(special_lattices())
+@example((Polynomial(2, {(1, 0): -1.0, (1, 1): 2.0}), [np.array(SPECIAL), np.array(SPECIAL)]))
+def test_first_powers_keep_the_bits_of_x_to_the_one(case):
+    p, axes = case
+    points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, p.nvars)
+    with np.errstate(all="ignore"):  # inf * 0, inf - inf and overflows
+        want = power_reference(p, points)
+        got = [p.eval_many(points), p.eval_grid(axes).ravel()]
+    nan = np.isnan(want)
+    for g in got:
+        assert np.array_equal(np.isnan(g), nan)
+        assert np.array_equal(g[~nan], want[~nan])
+        assert np.array_equal(np.signbit(g[~nan]), np.signbit(want[~nan]))
+
+
 def test_eval_grid_shapes():
     assert np.array_equal(Polynomial(2, {}).eval_grid([[0.0, 1.0], [2.0]]), np.zeros((2, 1)))
     with pytest.raises(DimensionMismatchError):

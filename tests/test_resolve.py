@@ -148,6 +148,10 @@ LABELING_CASES = [  # (variety, level, components of the level set in [-2, 2]^di
     (parse_polynomial("x1^2 - 3.8"), 0.0, 2),  # see test_runs_do_not_join_across_a_row_break
     # a cell in the last x1 layer is no neighbour of the next x0 layer's first
     (parse_polynomial("x1^2 - 3.8", nvars=3), 0.0, 2),
+    # the lattice's multiples of 0.0625 put whole rows of corners exactly on
+    # the level: the lines x1 = +-1, and four lines along x2 on the cylinder
+    (parse_polynomial("x1^2", nvars=2), 1.0, 2),
+    (parse_polynomial("x0^2 + x1^2", nvars=3), 1.0, 1),
 ]
 # the default slab, then slabs of one cell layer each: every face normal to x0
 # is then a seam between two slabs
@@ -193,11 +197,14 @@ def test_count_components_matches_flood_fill_at_grid_128():
     assert rep.count == 2
 
 
-def test_nan_corners_leave_their_cells_unoccupied(monkeypatch):
+@pytest.mark.parametrize("level", [0.0, 0.1, -0.1, -1.5e308])
+def test_nan_corners_leave_their_cells_unoccupied(level, monkeypatch):
     # 1e308 * 4 overflows, so corners with |x0|, |x1| both near 2 evaluate to
-    # inf - inf = NaN; the reference is the min/max rule, under which NaN
-    # propagates through np.minimum/np.maximum and fails both comparisons
-    d = deform(parse_polynomial("1e308*x0^2 - 1e308*x1^2"), 0.0)
+    # inf - inf = NaN; the reference is the min/max rule on v - level, under
+    # which NaN propagates through np.minimum/np.maximum and fails both
+    # comparisons.  count_components compares v with the level instead: at
+    # -1.5e308, v - level overflows to inf wherever v > 0.3e308
+    d = deform(parse_polynomial("1e308*x0^2 - 1e308*x1^2"), level)
     with np.errstate(over="ignore", invalid="ignore"):
         vals = corner_values(d, 64)
         corners = cell_corners(vals)
