@@ -29,7 +29,7 @@ class PolynomialParseError(ValueError):
 class Polynomial:
     """Immutable sparse polynomial in ``nvars`` variables x0..x{nvars-1}."""
 
-    __slots__ = ("nvars", "terms", "_diff_cache")
+    __slots__ = ("nvars", "terms", "_factors", "_diff_cache")
 
     def __init__(self, nvars: int, coeffs: Mapping[tuple, float]):
         if not isinstance(nvars, int) or nvars < 1:
@@ -49,6 +49,9 @@ class Polynomial:
         clean = {e: c for e, c in clean.items() if c != 0.0}
         self.nvars = nvars
         self.terms = tuple(sorted(clean.items()))
+        # each term as its coefficient and its (variable, exponent) factors, e > 0
+        self._factors = tuple((c, tuple((j, e) for j, e in enumerate(exps) if e))
+                              for exps, c in self.terms)
         self._diff_cache: dict[int, "Polynomial"] = {}
 
     # -- construction helpers -------------------------------------------------
@@ -150,25 +153,25 @@ class Polynomial:
         terms added so far: while that is smaller than ``shape`` a term is
         added out of place, and once it is full every further term is added
         in place.  Each element sees the same float adds, in the same order,
-        as adding every term into a full array of zeros.  A first power
+        as adding every term into a full array of zeros.  A term multiplies
+        its coefficient by its nonzero powers in variable order
+        (``self._factors``, built once).  A first power
         multiplies by the variable's column itself: ``column ** 1`` is a copy
         with the same bits, -0.0, NaN, infinities and subnormals included.
         The result is a new, writable, C-contiguous float64 array of
         ``shape``.
         """
-        out = np.zeros(())
-        for (exps, c) in self.terms:
+        out, full = np.zeros(()), False
+        for c, factors in self._factors:
             term = c
-            for j, e in enumerate(exps):
-                if e:
-                    term = term * (columns[j] if e == 1 else columns[j] ** e)
-            if np.shape(out) == shape:
+            for j, e in factors:
+                term = term * (columns[j] if e == 1 else columns[j] ** e)
+            if full:
                 out += term
             else:
                 out = out + term
-        if np.shape(out) != shape:
-            out = np.broadcast_to(out, shape).copy()
-        return out
+                full = out.shape == shape
+        return out if full else np.broadcast_to(out, shape).copy()
 
     def grad_many(self, X) -> np.ndarray:
         X = self._as_points(X)

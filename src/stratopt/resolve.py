@@ -52,7 +52,7 @@ import numpy as np
 
 from .poly import Polynomial
 from .stratify import (TOL_CRIT, OffVarietyError, Region, find_singular_points, inertia,
-                       level_masks, project_to_level)
+                       level_masks, project_to_level, row_min, row_norms)
 
 DEFAULT_GRID_N = 64  # the default grid_n up to 3-D (``default_grid_n``)
 # grid corners count_components may evaluate: a bound on its work, as the slabs
@@ -400,16 +400,15 @@ def proximity_check(d: Deformation, exclusion_radius: float) -> float:
     The ``CHECK_SAMPLES`` points are sampled on {base = level}, those within
     ``exclusion_radius`` of any singular point of {base = 0} are dropped, and
     each survivor is Newton-projected onto the base variety; the maximum
-    projection distance is returned.
+    projection distance is returned.  Distances are reduced on the samples'
+    coordinate columns (``stratify.row_norms``, ``row_min``).
     """
     if not (math.isfinite(exclusion_radius) and exclusion_radius > 0):
         raise ValueError(f"exclusion_radius must be positive and finite, got {exclusion_radius}")
     Y = level_samples(d, CHECK_SAMPLES)
     sing = find_singular_points(d.base, 0.0, d.region)
     if sing:
-        dists = np.min(
-            np.stack([np.linalg.norm(Y - s, axis=1) for s in sing], axis=1), axis=1
-        )
+        dists = row_min([row_norms([y - c for y, c in zip(Y.T, s)]) for s in sing])
         Y = Y[dists > exclusion_radius]
     if Y.shape[0] == 0:
         raise NoSamplesError(
@@ -418,7 +417,7 @@ def proximity_check(d: Deformation, exclusion_radius: float) -> float:
     Z, okz = project_to_level(d.base, 0.0, Y)
     if not okz.any():
         raise ProjectionError("no sample could be projected onto the base variety")
-    return float(np.max(np.linalg.norm(Y[okz] - Z[okz], axis=1)))
+    return float(np.max(row_norms([(y - z)[okz] for y, z in zip(Y.T, Z.T)])))
 
 
 def projected_gradient_field(p: Polynomial, level: float, points,

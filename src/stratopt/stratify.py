@@ -22,6 +22,12 @@ still moving as C-contiguous coordinate columns and drops a row's column
 with ``take`` once it stops (a boolean mask on axis 1 would return the block
 in F order), so its per-step work is whole-column arithmetic; every row
 gets the bits of the row-by-row iteration.
+Point sets are (m, n) arrays of rows, n at most 8 and mostly 2 or 3, and a
+reduction over a row (a norm, a dot, finiteness, a minimum, ``hypot``) or
+a bound per coordinate is done on their coordinate columns: numpy would
+run one inner loop per row over the short axis.  The column helpers
+(``row_norms``, ``row_dots``, ``rows_finite``, ``row_min``, ``row_hypot``)
+give the bits of numpy's row reductions.
 The tolerances, iteration limits and probe counts are the module constants
 below, not per-call settings.  Only the hypersurface case (a single
 polynomial) is supported; systems of several polynomials are rejected.
@@ -113,12 +119,20 @@ class Region:
 
     def contains(self, x, pad: float = 0.0):
         """Whether a point lies in the box widened by ``pad``: a ``bool`` for
-        one point, a boolean mask over the rows of an ``(m, dim)`` array."""
+        one point, a boolean mask over the rows of an ``(m, dim)`` array,
+        made column by column.  A NaN coordinate is outside."""
         x = np.asarray(x, dtype=float)
-        inside = (x >= self.lower - pad) & (x <= self.upper + pad)
-        if inside.ndim <= 1:
-            return bool(inside.all())
-        return inside.all(axis=-1)
+        lo, hi = self.lower - pad, self.upper + pad
+        if x.ndim <= 1:
+            return bool(((x >= lo) & (x <= hi)).all())
+        if x.shape[-1] != self.dim:
+            raise ValueError(f"expected rows of dimension {self.dim}, got shape {x.shape}")
+        inside = x[..., 0] >= lo[0]
+        inside &= x[..., 0] <= hi[0]
+        for j in range(1, self.dim):
+            inside &= x[..., j] >= lo[j]
+            inside &= x[..., j] <= hi[j]
+        return inside
 
     def grid(self, points_per_axis: int) -> np.ndarray:
         """Uniform grid of seed points, shape (points_per_axis**dim, dim)."""
@@ -130,7 +144,16 @@ class Region:
         return [np.linspace(lo, hi, n) for lo, hi in zip(self.lower, self.upper)]
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return rng.uniform(self.lower, self.upper, size=(n, self.dim))
+        """``n`` uniform points of the box, shape (n, dim): the bits of
+        ``rng.uniform(self.lower, self.upper, size=(n, dim))``, and ``rng``
+        is left in the same state.  Both draw ``u = rng.random((n, dim))``
+        in C order and take ``lower + (upper - lower) * u``; here each
+        column is scaled and shifted in place as a whole."""
+        X = rng.random((n, self.dim))
+        for col, lo, width in zip(X.T, self.lower, self.widths):
+            col *= width
+            col += lo
+        return X
 
 
 @dataclass(frozen=True)
@@ -202,7 +225,7 @@ def find_singular_points(p: Polynomial, level: float, region: Region) -> list[np
     with np.errstate(over="ignore", invalid="ignore"):
         while cands.shape[0]:
             out.append(cands[0].copy())
-            cands = cands[np.linalg.norm(cands - cands[0], axis=1) > MERGE_RADIUS]
+            cands = cands[row_norms([c - c[0] for c in cands.T]) > MERGE_RADIUS]
     return out
 
 
@@ -287,10 +310,10 @@ def _newton_endpoints(p: Polynomial, region: Region, per_axis: int) -> np.ndarra
         owner = np.arange(X.shape[0])  # seed i's iterate is X[owner[i]]
         merging = True
         for _ in range(NEWTON_MAX_ITER):
-            finite = np.isfinite(X).all(axis=1)
+            finite = rows_finite(X.T)
             G = np.zeros_like(X)
             G[finite] = p.grad_many(X[finite])
-            active = finite & np.isfinite(G).all(axis=1) & (np.linalg.norm(G, axis=1) > 1e-14)
+            active = finite & rows_finite(G.T) & (row_norms(G.T) > 1e-14)
             if not active.any():
                 break
             H = p.hessian_many(X[active])
@@ -323,20 +346,81 @@ def level_masks(p: Polynomial, level: float, X) -> tuple[np.ndarray, np.ndarray,
     level set."""
     G = p.grad_many(X)
     on_level = np.abs(p.eval_many(X) - level) < TOL_ON
-    return G, on_level, on_level & (np.linalg.norm(G, axis=1) < TOL_CRIT)
+    return G, on_level, on_level & (row_norms(G.T) < TOL_CRIT)
+
+
+# -- row reductions on coordinate columns ------------------------------------------
+#
+# Each helper takes the columns of an (m, n) array, 1 <= n <= ``MAX_NVARS``
+# (``A.T`` or a list of 1-D arrays), and returns numpy's reduction over
+# the rows of A with the same bits, -0.0, infinities, overflows and the NaN
+# a row keeps included, as a few whole-column operations instead of one
+# inner loop per row.
+
+
+def _sum_columns(cols):
+    """Sum of the new arrays ``cols``, which it may overwrite, with the
+    float adds of numpy's row sum bar its leading ``0.0 +``: left to right
+    up to 7 columns, and pairwise at ``MAX_NVARS = 8`` as numpy's
+    compiled loop adds them, ``((s0+s1)+(s3+s2))+((s4+s5)+(s6+s7))`` (of
+    two NaNs a sum keeps the first operand's)."""
+    if len(cols) == 8:
+        c = cols
+        return ((c[0] + c[1]) + (c[3] + c[2])) + ((c[4] + c[5]) + (c[6] + c[7]))
+    total = cols[0]
+    for c in cols[1:]:
+        total += c
+    return total
 
 
 def _sum_of_squares(cols):
-    """Sum of the squared columns with the float adds of numpy's row sum
-    ``(G * G).sum(axis=1)``: left to right up to 7 columns, and pairwise,
-    ``((s0+s1)+(s2+s3))+((s4+s5)+(s6+s7))``, at ``MAX_NVARS = 8``."""
-    sq = [g * g for g in cols]
-    if len(sq) == 8:
-        return ((sq[0] + sq[1]) + (sq[2] + sq[3])) + ((sq[4] + sq[5]) + (sq[6] + sq[7]))
-    total = sq[0]
-    for s in sq[1:]:
-        total = total + s
+    """``(A * A).sum(axis=1)`` of the columns: a square is never -0.0, so
+    numpy's leading ``0.0 +`` changes no bit and is left out."""
+    return _sum_columns([g * g for g in cols])
+
+
+def row_norms(cols) -> np.ndarray:
+    """``np.linalg.norm(A, axis=1)``, which is the square root of
+    ``(A * A).sum(axis=1)``."""
+    return np.sqrt(_sum_of_squares(cols))
+
+
+def row_dots(a_cols, b_cols) -> np.ndarray:
+    """``(A * B).sum(axis=1)``; numpy's row sum starts from 0.0, which
+    turns a sum of -0.0 into 0.0."""
+    total = _sum_columns([a * b for a, b in zip(a_cols, b_cols)])
+    total += 0.0
     return total
+
+
+def rows_finite(cols) -> np.ndarray:
+    """``np.isfinite(A).all(axis=1)``."""
+    finite = np.isfinite(cols[0])
+    for c in cols[1:]:
+        finite &= np.isfinite(c)
+    return finite
+
+
+def row_min(cols) -> np.ndarray:
+    """``np.min(np.stack(cols, axis=1), axis=1)``: a tie goes to the later
+    column and a NaN propagates, the first NaN's bits kept, but a row whose
+    first entry is NaN gets ``np.nan`` itself (0x7ff8000000000000), as
+    numpy's row reduction returns."""
+    out = cols[0].copy()
+    for c in cols[1:]:
+        np.minimum(out, c, out=out)
+    if len(cols) > 1:
+        out[np.isnan(cols[0])] = np.nan
+    return out
+
+
+def row_hypot(cols) -> np.ndarray:
+    """``np.hypot.reduce(A, axis=1)`` of the nonnegative columns ``cols``
+    (``np.abs`` of a difference), folded left to right."""
+    out = cols[0].copy()
+    for c in cols[1:]:
+        np.hypot(out, c, out=out)
+    return out
 
 
 @_drops_overflow
@@ -413,22 +497,25 @@ def _enclosing_ball_radius(p: Polynomial, level: float, s: np.ndarray, region: R
     best = radii[-1]
     for r in radii:
         dirs = rng.standard_normal((BALL_PROBES, p.nvars))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        norms = row_norms(dirs.T)
+        for col in dirs.T:
+            col /= norms
         probes = s + dirs * rng.uniform(0.05 * r, r, size=(BALL_PROBES, 1))
         Y, ok = project_to_level(p, level, probes)
         Y = Y[ok]
-        d = np.linalg.norm(Y - s, axis=1)
+        D = [y - c for y, c in zip(Y.T, s)]  # the columns of Y - s
+        d = row_norms(D)
         # the lower cutoff scales with r so slow projections that stall a hair
         # away from s itself are not mistaken for distinct variety points
         keep = (d > max(1e-6, 1e-3 * r)) & (d <= r)
-        Y, d = Y[keep], d[keep]
+        Y, d, D = Y[keep], d[keep], [c[keep] for c in D]
         if Y.shape[0] == 0:
             best = r
             break
         G, _, singular = level_masks(p, level, Y)
         if singular.any():  # a singular probe is a critical point
             continue
-        cosang = np.abs((G * (Y - s)).sum(axis=1) / (np.linalg.norm(G, axis=1) * d))
+        cosang = np.abs(row_dots(G.T, D) / (row_norms(G.T) * d))
         if not (cosang > 1.0 - 1e-6).any():
             best = r
             break
@@ -450,9 +537,8 @@ def stratify(p: Polynomial, level: float, region: Region) -> Stratification:
     if len(sing) >= 2:
         r4 = 4.0 * max(radii)
         i, j = np.triu_indices(len(sing), k=1)
-        S = np.array(sing)
         # hypot, not a sum of squares, which overflows to inf in a huge region
-        gaps = np.hypot.reduce(np.abs(S[i] - S[j]), axis=1)
+        gaps = row_hypot([np.abs(c[i] - c[j]) for c in np.array(sing).T])
         n_close = int(np.count_nonzero(gaps < r4))
         if n_close:
             k = int(np.argmin(gaps))  # the closest pair is one of the close ones

@@ -254,55 +254,83 @@ def _check_line_ends(path, data: bytes, line: int):
         raise SchemaError(f"{path}, line {line}: ends in a lone CR, not LF or CRLF")
 
 
+def _count_lines(text: bytes, commas: int) -> tuple[bool, int, bytes]:
+    """Check the lines of ``text``, which starts with the LF that ends the
+    line before it: whether a line that is not empty (LF or CRLF alone)
+    holds other than ``commas`` commas or ends in an empty cell, the number
+    of lines that are not empty, and the rest of ``text`` from its last LF
+    on, which holds a line the next read goes on with."""
+    a = np.frombuffer(text, np.uint8)
+    ends = np.flatnonzero(a == ord("\n"))
+    per_line = np.diff(np.searchsorted(np.flatnonzero(a == ord(",")), ends))
+    # the last byte of each line before its LF or CRLF; a LF there is the one
+    # that ends the line before, so the line is empty
+    last = a[ends[1:] - 1 - (a[ends[1:] - 1] == ord("\r"))]
+    full = last != ord("\n")
+    off = full & ((per_line != commas) | (last == ord(",")))
+    return bool(off.any()), int(np.count_nonzero(full)), text[ends[-1]:]
+
+
 def read_columns(path, fields, columns):
     """Return the named ``columns`` of a numeric CSV as float64 arrays.
 
     The header must be ``fields`` and every non-blank row must hold one
-    cell per field; the requested cells must parse as floats (the others are
-    not read).  A violation raises ``SchemaError`` naming the file and line.
-    A header-only file gives empty arrays.  The body is read ``READ_BYTES``
-    at a time to count its commas and to find a CR line end that is not
-    CRLF, which ``np.loadtxt`` cannot read (the first one raises
-    ``SchemaError`` naming its line), then once more by ``np.loadtxt``; it
-    is never held whole.  Only when either finds another fault is the file
-    walked with ``rows`` to name the first bad line.
+    cell per field, the last one not empty; the requested cells must parse
+    as floats (the others are not decoded).  A violation raises
+    ``SchemaError`` naming the file and line.  A header-only file gives
+    empty arrays.  The body is read ``READ_BYTES``
+    at a time to check each line's comma count and last cell (a line split
+    across reads is carried to the next) and to find a CR line end that is
+    not CRLF, which ``np.loadtxt`` cannot read (the first one raises
+    ``SchemaError`` naming its line), then once more by ``np.loadtxt``,
+    which decodes only the requested columns; it is never held whole.  Only
+    when either finds another fault (a line with a wrong comma count, which
+    a quoted comma also gives, a row ending in an empty cell, or fewer rows
+    read than lines, as from a quoted line break) is the file walked with
+    ``rows`` to name the first bad line.
     """
     header = read_header(path)
     if header != list(fields):
         raise SchemaError(f"{path}: expected header {list(fields)}, got {header}")
     picked = [fields.index(name) for name in columns]
-    # Reading the last column as well makes loadtxt reject any short row; the
-    # comma count then flags a long one, or a quoted comma.
-    usecols = picked + [len(fields) - 1]
+    commas = len(fields) - 1
     with open(path, "rb") as fh:
         _check_line_ends(path, fh.readline(), 1)
         start = fh.tell()
-        commas, blank, line, ends_in_cr = 0, True, 2, False
+        blank, line, ends_in_cr = True, 2, False
+        off, full, tail = False, 0, b"\n"  # tail: the line a read ends inside, after its LF
         for block in iter(functools.partial(fh.read, READ_BYTES), b""):
-            commas += block.count(b",")
             blank = blank and block.isspace()
             # a CR that ends the last read is checked against this read's first byte
             _check_line_ends(path, b"\r" + block if ends_in_cr else block, line)
             line += block.count(b"\n")
             ends_in_cr = block.endswith(b"\r")
+            if not off:
+                off, n, tail = _count_lines(tail + block, commas)
+                full += n
         if blank:
             return [np.empty(0) for _ in picked]
+        if not off:
+            off, n, _ = _count_lines(tail + b"\n", commas)
+            full += n
         fh.seek(start)
         try:
             # From a binary handle loadtxt reads line by line; a StringIO of
             # the body would hold four bytes per character.
             table = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None,
-                               usecols=usecols, ndmin=2, encoding="utf-8")
+                               usecols=picked, ndmin=2, encoding="utf-8")
         except ValueError as exc:
             table, error = None, exc
-    if table is None or commas != len(table) * (len(fields) - 1):
+    if table is None or off or len(table) != full:
         for line, cells in rows(path, fields):
-            for j in usecols:
+            for j in picked:
                 try:
                     float(cells[j])
                 except ValueError:
                     raise SchemaError(f"{path}, line {line}: {fields[j]} = {cells[j]!r} "
                                       f"is not a number") from None
+            if not cells[-1]:
+                raise SchemaError(f"{path}, line {line}: {fields[-1]} = '' is not a number")
         if table is None:
             raise SchemaError(f"{path}: {error}")
     return [table[:, k] for k in range(len(picked))]

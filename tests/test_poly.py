@@ -277,6 +277,71 @@ def test_first_powers_keep_the_bits_of_x_to_the_one(case):
         assert np.array_equal(np.signbit(g[~nan]), np.signbit(want[~nan]))
 
 
+def per_exponent_sum(p, columns, shape):
+    """``Polynomial._sum_terms`` written with a loop over every exponent of
+    every term, ``np.shape`` asked of the partial sum before each add."""
+    out = np.zeros(())
+    for exps, c in p.terms:
+        term = c
+        for j, e in enumerate(exps):
+            if e:
+                term = term * (columns[j] if e == 1 else columns[j] ** e)
+        if np.shape(out) == shape:
+            out += term
+        else:
+            out = out + term
+    if np.shape(out) != shape:
+        out = np.broadcast_to(out, shape).copy()
+    return out
+
+
+@st.composite
+def sparse_cases(draw):
+    """A polynomial in 1-8 variables with exponents 0-3, of any terms, a
+    constant only, or terms free of x0; up to 5 points and one short axis
+    per variable, their coordinates drawn from SPECIAL and any float."""
+    nvars = draw(st.integers(1, 8))
+    exps = st.tuples(*[st.integers(0, 3)] * nvars)
+    coeff = st.floats(-4, 4, allow_nan=False)
+    coeffs = draw(st.dictionaries(exps, coeff, max_size=6))
+    kind = draw(st.sampled_from(["any", "constant", "free of x0"]))
+    if kind == "constant":
+        coeffs = {(0,) * nvars: draw(coeff)}
+    elif kind == "free of x0":
+        coeffs = {(0,) + e[1:]: c for e, c in coeffs.items()}
+    coord = st.sampled_from(SPECIAL) | st.floats()
+    X = np.array(draw(st.lists(st.lists(coord, min_size=nvars, max_size=nvars), max_size=5)),
+                 dtype=float).reshape(-1, nvars)
+    axes = [np.array(draw(st.lists(coord, min_size=1, max_size=3 if nvars <= 4 else 2)))
+            for _ in range(nvars)]
+    return Polynomial(nvars, coeffs), X, axes
+
+
+@given(sparse_cases())
+@example((Polynomial(8, {(0,) * 8: 1.5}), np.ones((2, 8)), [np.array([-0.0, 2.0])] * 8))
+@example((Polynomial(3, {(0, 2, 0): 1.0, (0, 1, 1): -2.0, (0, 0, 0): 0.5}),
+          np.array([[np.nan, -0.0, np.inf], [1.0, 2.0, 3.0]]), AXES3))
+def test_sums_of_terms_keep_the_bits_of_the_per_exponent_loop(case):
+    p, X, axes = case
+    m, n = X.shape
+    grid_columns = [a.reshape(tuple(-1 if k == j else 1 for k in range(n)))
+                    for j, a in enumerate(axes)]
+    with np.errstate(all="ignore"):  # inf * 0, inf - inf and overflows
+        G = np.empty((m, n))
+        H = np.empty((m, n, n))
+        for i in range(n):
+            G[:, i] = per_exponent_sum(p.diff(i), X.T, (m,))
+            for j in range(i, n):
+                H[:, i, j] = H[:, j, i] = per_exponent_sum(p.diff(i).diff(j), X.T, (m,))
+        pairs = [(p.eval_many(X), per_exponent_sum(p, X.T, (m,))),
+                 (p.eval_grid(axes), per_exponent_sum(p, grid_columns, tuple(map(len, axes)))),
+                 (p.grad_many(X), G), (p.hessian_many(X), H)]
+    for got, want in pairs:
+        assert got.shape == want.shape and got.dtype == np.float64
+        assert got.flags.writeable and got.flags.c_contiguous
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_eval_grid_shapes():
     assert np.array_equal(Polynomial(2, {}).eval_grid([[0.0, 1.0], [2.0]]), np.zeros((2, 1)))
     with pytest.raises(DimensionMismatchError):

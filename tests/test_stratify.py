@@ -839,3 +839,96 @@ def test_region_contains_rows_match_single_points():
         assert 0 < mask.sum() < 400
     assert isinstance(box.contains(X[0]), bool)
     assert box.contains(np.empty((0, 3))).shape == (0,)
+    # a NaN coordinate is outside at every pad; an infinite one is inside only at pad inf
+    Y = np.array([[np.nan, 0.25, 2.5], [0.0, np.inf, 2.5], [-np.inf, 0.25, 2.5],
+                  [0.0, 0.25, np.nan], [np.inf, -np.inf, np.inf], [0.0, 0.25, 2.5]])
+    for pad, inside in [(0.0, [False] * 5 + [True]), (np.inf, [False, True, True, False, True, True])]:
+        assert box.contains(Y, pad=pad).tolist() == inside
+        assert [box.contains(y, pad=pad) for y in Y] == inside
+
+
+def test_region_contains_rejects_rows_of_another_dimension():
+    with pytest.raises(ValueError, match="dimension 3"):
+        BOX3.contains(np.zeros((4, 2)))
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+@pytest.mark.parametrize("lower, upper", [(-2.0, 2.0), (-1e300, 1e300), (-0.0, 0.5), (-3.0, -0.0)],
+                         ids=["box", "huge", "zero-lower", "zero-upper"])
+@pytest.mark.parametrize("n", [0, 1, 1000])
+def test_region_sample_is_uniform_bit_for_bit(dim, lower, upper, n):
+    # bounds that differ per axis, so a column taken from another axis shows
+    lo = np.full(dim, lower) - (np.arange(dim) * 0.125 if lower > -1e300 else 0.0)
+    lo[0] = lower
+    box = Region(lo, np.full(dim, upper))
+    rng, ref = np.random.default_rng(dim * 100 + n), np.random.default_rng(dim * 100 + n)
+    got = box.sample(n, rng)
+    want = ref.uniform(box.lower, box.upper, size=(n, dim))
+    assert got.shape == want.shape == (n, dim) and got.dtype == np.float64
+    assert got.flags.c_contiguous and got.flags.writeable
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert rng.random() == ref.random()
+
+
+# -- the row reductions on coordinate columns ----------------------------------
+
+def _nan(bits: int) -> float:
+    return float(np.array(bits, dtype=np.uint64).view(np.float64))
+
+
+with np.errstate(invalid="ignore"):
+    DEFAULT_NAN = float(np.float64(np.inf) - np.inf)  # the NaN an invalid operation makes
+ROW_VALUES = np.array([
+    0.0, -0.0, np.inf, -np.inf, np.nan, DEFAULT_NAN, _nan(0x7FF8000000000123),
+    5e-324, -5e-324, 2.2250738585072009e-308, -1e-310,                # subnormals
+    1e300, -1e300, 1.7976931348623157e308, 1e154, 1e-160,            # squares and sums overflow
+    1.0, -1.5, 0.1, 3.0])
+
+
+def _special_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two (m, n) arrays of ROW_VALUES entries: every pair of values at the
+    first two places of a row (every value for n = 1), the rest drawn at
+    random, then random rows."""
+    rng = np.random.default_rng(n)
+    k = ROW_VALUES.size
+    pairs = np.array(list(itertools.product(range(k), repeat=min(n, 2))))
+    idx = np.concatenate([
+        np.hstack([pairs, rng.integers(0, k, (len(pairs), n - pairs.shape[1]))]),
+        rng.integers(0, k, (4000, n))])
+    return ROW_VALUES[idx], ROW_VALUES[rng.permutation(idx)]
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_column_reductions_keep_the_bits_of_numpys_row_reductions(n):
+    A, B = _special_rows(n)
+    with np.errstate(all="ignore"):
+        cases = [
+            (stratify_module.row_norms(A.T), np.linalg.norm(A, axis=1)),
+            (stratify_module.row_dots(A.T, B.T), (A * B).sum(axis=1)),
+            (stratify_module.row_hypot([np.abs(c) for c in A.T]),
+             np.hypot.reduce(np.abs(A), axis=1)),
+            (stratify_module.row_min(list(A.T)), np.min(np.stack(list(A.T), axis=1), axis=1)),
+        ]
+    for got, want in cases:
+        assert got.shape == want.shape == (A.shape[0],) and got.dtype == np.float64
+        assert np.array_equal(_bits(got), _bits(want))
+    finite = stratify_module.rows_finite(A.T)
+    assert finite.dtype == bool and np.array_equal(finite, np.isfinite(A).all(axis=1))
+    assert 0 < finite.sum() < A.shape[0]
+
+
+def test_column_reductions_leave_their_input_columns_alone():
+    A = _special_rows(3)[0]
+    before = A.copy()
+    cols = list(A.T)
+    with np.errstate(all="ignore"):
+        for reduce in (stratify_module.row_norms, stratify_module.rows_finite,
+                       stratify_module.row_min, stratify_module.row_hypot):
+            reduce(cols)
+        stratify_module.row_dots(cols, cols)
+    assert np.array_equal(_bits(A), _bits(before))

@@ -227,6 +227,31 @@ def test_read_columns_reads_the_cells_rows_reads(tmp_path):
         read_columns(path, TRAJ_FIELDS, ("step", "loss"))
 
 
+@pytest.mark.parametrize("split", [False, True], ids=["one-read", "short-row-across-reads"])
+def test_read_columns_names_a_short_row_that_a_long_row_makes_up_for(tmp_path, split):
+    # the body holds two commas a row in all; loadtxt reads neither row's last cell
+    first = "0,0.5,0.25\n"
+    if split:  # the short row's comma ends the first read
+        first = "0" * (tables.READ_BYTES - 2 - len(first)) + first
+        assert len(first) + 2 == tables.READ_BYTES
+    path = tmp_path / "t.csv"
+    path.write_text("step,mean_loss,median_loss\n" + first + "1,2\n3,4,5,6\n", encoding="utf-8")
+    with pytest.raises(SchemaError, match=re.escape(
+            f"{path}, line 3: 2 cells where the header has 3")):
+        read_columns(path, AGG_FIELDS, ("step", "mean_loss"))
+
+
+def test_read_columns_carries_a_row_across_reads_without_walking_the_rows(tmp_path, monkeypatch):
+    # leading zeros make the first read end inside the second row, after its first comma
+    body = "0" * (tables.READ_BYTES - 15) + "0,0.5,0.25\n1,0.5,0.25\n2,0.5,0.25"
+    assert body[:tables.READ_BYTES].endswith("\n1,0.")
+    path = tmp_path / "t.csv"
+    path.write_text("step,mean_loss,median_loss\n" + body, encoding="utf-8")
+    monkeypatch.setattr(tables, "rows", None)  # a fault found would walk the rows
+    step, mean = read_columns(path, AGG_FIELDS, ("step", "mean_loss"))
+    assert step.tolist() == [0, 1, 2] and mean.tolist() == [0.5] * 3
+
+
 def _good_rows(n: int) -> str:
     """``n`` valid AGG_FIELDS lines, more bytes than one ``READ_BYTES`` read."""
     body = "".join(f"{k},0.5,0.25\n" for k in range(n))
