@@ -27,12 +27,14 @@ Every reader takes its records from ``_records``, the one csv pass, which
 names the line of a byte that is not UTF-8 or of a cell over the csv field
 size limit, and drops a leading UTF-8 BOM.  ``read_csv`` returns any table
 as text; ``rows`` yields a small table's cells (targets, quiver) with each
-row's file line.  ``read_columns`` parses the numeric columns of a
-trajectory or aggregate in one ``np.loadtxt`` pass, bit-exact with
+row's file line.  ``read_columns`` parses a trajectory or aggregate in
+one ``np.loadtxt`` pass whose record dtype names every field, so loadtxt
+counts every row's cells, and the requested ones are bit-exact with
 ``float(cell)``, in the RFC 4180 grammar ``rows`` reads (``"6"`` is a
-number, a quoted comma no delimiter); its checks read the body
-``READ_BYTES`` at a time and name the line of a lone CR line end, and only
-another failed check walks ``rows``.
+number, a quoted comma no delimiter).  Only a file that pass rejects, or
+one with an empty last cell, takes the fault path: the body is scanned
+``READ_BYTES`` at a time for the line of a lone CR line end, and then
+walked with ``rows`` to name the bad line.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ import functools
 import itertools
 import re
 import struct
+import warnings
 from pathlib import Path
 from typing import NamedTuple
 
@@ -83,7 +86,7 @@ AGG_ROW, AGG_DTYPE = _layout(AGG_FIELDS)  # "<q2d", 24 bytes
 
 FLOAT_FORMAT = "%.17g"
 WRITE_ROWS = 1024  # rows joined into one string per write
-READ_BYTES = 1 << 16  # bytes per read while read_columns checks a body
+READ_BYTES = 1 << 16  # bytes per read while read_columns scans a faulty body
 _CELL_FORMATS = {float: FLOAT_FORMAT, int: "%d"}
 _LONE_CR = re.compile(rb"\r[^\n]")  # a CR line end that is not CRLF
 
@@ -254,21 +257,18 @@ def _check_line_ends(path, data: bytes, line: int):
         raise SchemaError(f"{path}, line {line}: ends in a lone CR, not LF or CRLF")
 
 
-def _count_lines(text: bytes, commas: int) -> tuple[bool, int, bytes]:
-    """Check the lines of ``text``, which starts with the LF that ends the
-    line before it: whether a line that is not empty (LF or CRLF alone)
-    holds other than ``commas`` commas or ends in an empty cell, the number
-    of lines that are not empty, and the rest of ``text`` from its last LF
-    on, which holds a line the next read goes on with."""
-    a = np.frombuffer(text, np.uint8)
-    ends = np.flatnonzero(a == ord("\n"))
-    per_line = np.diff(np.searchsorted(np.flatnonzero(a == ord(",")), ends))
-    # the last byte of each line before its LF or CRLF; a LF there is the one
-    # that ends the line before, so the line is empty
-    last = a[ends[1:] - 1 - (a[ends[1:] - 1] == ord("\r"))]
-    full = last != ord("\n")
-    off = full & ((per_line != commas) | (last == ord(",")))
-    return bool(off.any()), int(np.count_nonzero(full)), text[ends[-1]:]
+def _blank_body(path, fh) -> bool:
+    """Read the rest of ``fh``, a body, ``READ_BYTES`` at a time: the first CR
+    line end that is not CRLF raises ``SchemaError`` naming its line, and
+    otherwise whether every byte is whitespace is returned."""
+    blank, line, ends_in_cr = True, 2, False
+    for block in iter(functools.partial(fh.read, READ_BYTES), b""):
+        blank = blank and block.isspace()
+        # a CR that ends the last read is checked against this read's first byte
+        _check_line_ends(path, b"\r" + block if ends_in_cr else block, line)
+        line += block.count(b"\n")
+        ends_in_cr = block.endswith(b"\r")
+    return blank
 
 
 def read_columns(path, fields, columns):
@@ -276,61 +276,47 @@ def read_columns(path, fields, columns):
 
     The header must be ``fields`` and every non-blank row must hold one
     cell per field, the last one not empty; the requested cells must parse
-    as floats (the others are not decoded).  A violation raises
-    ``SchemaError`` naming the file and line.  A header-only file gives
-    empty arrays.  The body is read ``READ_BYTES``
-    at a time to check each line's comma count and last cell (a line split
-    across reads is carried to the next) and to find a CR line end that is
-    not CRLF, which ``np.loadtxt`` cannot read (the first one raises
-    ``SchemaError`` naming its line), then once more by ``np.loadtxt``,
-    which decodes only the requested columns; it is never held whole.  Only
-    when either finds another fault (a line with a wrong comma count, which
-    a quoted comma also gives, a row ending in an empty cell, or fewer rows
-    read than lines, as from a quoted line break) is the file walked with
-    ``rows`` to name the first bad line.
+    as floats.  A violation raises ``SchemaError`` naming the file and
+    line.  A header-only or blank body gives empty arrays.  ``np.loadtxt``
+    reads the body once, never whole, into records whose dtype names every
+    field: a requested one float64, any other one byte (counted, not
+    decoded), so it rejects a row of another cell count and a lone CR line
+    end.  The arrays are views of that record array.  Only when it fails,
+    or an unrequested last cell is empty, is the body scanned by
+    ``_blank_body`` and then walked with ``rows`` to name the first bad line.
     """
     header = read_header(path)
     if header != list(fields):
         raise SchemaError(f"{path}: expected header {list(fields)}, got {header}")
-    picked = [fields.index(name) for name in columns]
-    commas = len(fields) - 1
+    dtype = np.dtype([(name, "<f8" if name in columns else "S1") for name in fields])
+    last = fields[-1]
     with open(path, "rb") as fh:
         _check_line_ends(path, fh.readline(), 1)
         start = fh.tell()
-        blank, line, ends_in_cr = True, 2, False
-        off, full, tail = False, 0, b"\n"  # tail: the line a read ends inside, after its LF
-        for block in iter(functools.partial(fh.read, READ_BYTES), b""):
-            blank = blank and block.isspace()
-            # a CR that ends the last read is checked against this read's first byte
-            _check_line_ends(path, b"\r" + block if ends_in_cr else block, line)
-            line += block.count(b"\n")
-            ends_in_cr = block.endswith(b"\r")
-            if not off:
-                off, n, tail = _count_lines(tail + block, commas)
-                full += n
-        if blank:
-            return [np.empty(0) for _ in picked]
-        if not off:
-            off, n, _ = _count_lines(tail + b"\n", commas)
-            full += n
-        fh.seek(start)
         try:
-            # From a binary handle loadtxt reads line by line; a StringIO of
-            # the body would hold four bytes per character.
-            table = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None,
-                               usecols=picked, ndmin=2, encoding="utf-8")
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                # From a binary handle loadtxt reads line by line; a StringIO of
+                # the body would hold four bytes per character.
+                table = np.loadtxt(fh, dtype, delimiter=",", quotechar='"', comments=None,
+                                   ndmin=1, encoding="utf-8")
         except ValueError as exc:
             table, error = None, exc
-    if table is None or off or len(table) != full:
-        for line, cells in rows(path, fields):
-            for j in picked:
-                try:
-                    float(cells[j])
-                except ValueError:
-                    raise SchemaError(f"{path}, line {line}: {fields[j]} = {cells[j]!r} "
-                                      f"is not a number") from None
-            if not cells[-1]:
-                raise SchemaError(f"{path}, line {line}: {fields[-1]} = '' is not a number")
-        if table is None:
-            raise SchemaError(f"{path}: {error}")
-    return [table[:, k] for k in range(len(picked))]
+        if table is not None and (last in columns or not (table[last] == b"").any()):
+            return [table[name] for name in columns]
+        fh.seek(start)
+        if _blank_body(path, fh):
+            return [np.empty(0) for _ in columns]
+    for line, cells in rows(path, fields):
+        for name in columns:
+            cell = cells[fields.index(name)]
+            try:
+                float(cell)
+            except ValueError:
+                raise SchemaError(f"{path}, line {line}: {name} = {cell!r} "
+                                  f"is not a number") from None
+        if not cells[-1]:
+            raise SchemaError(f"{path}, line {line}: {last} = '' is not a number")
+    if table is None:
+        raise SchemaError(f"{path}: {error}")
+    return [table[name] for name in columns]

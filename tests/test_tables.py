@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from stratopt import tables
 from stratopt.optim import TrajectoryRecord
@@ -291,6 +291,106 @@ def test_read_columns_rows_before_a_blank_read(tmp_path):
     step, mean = read_columns(path, AGG_FIELDS, ("step", "mean_loss"))
     assert step.tolist() == list(range(8000))
     assert set(mean.tolist()) == {0.5}
+
+
+def test_read_columns_parses_a_valid_file_once(tmp_path, monkeypatch):
+    # CRLF line ends, blank lines, a quoted number and a quoted comma in a cell not
+    # read, over more than one READ_BYTES read: one np.loadtxt pass takes it all
+    body = "".join(f'{k},"{k / 7!r}","a,{k}"\r\n\r\n' if k % 2 else f"{k},{k / 7!r},0.25\r\n"
+                   for k in range(4000))
+    assert len(body) > tables.READ_BYTES
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"step,mean_loss,median_loss\r\n" + body.encode("utf-8"))
+    cells = [c for _, c in tables.rows(path, AGG_FIELDS)]
+    assert cells[1] == ["1", repr(1 / 7), "a,1"]
+
+    def fault_path(*args):
+        raise AssertionError("a valid file took the fault path")
+
+    monkeypatch.setattr(tables, "rows", fault_path)
+    monkeypatch.setattr(tables, "_blank_body", fault_path)
+    step, mean = read_columns(path, AGG_FIELDS, ("step", "mean_loss"))
+    assert [_bits(v) for v in step.tolist()] == [_bits(float(c[0])) for c in cells]
+    assert [_bits(v) for v in mean.tolist()] == [_bits(float(c[1])) for c in cells]
+
+
+FAULTS = ["short", "long", "short-then-long", "empty-last", "quoted-empty-last",
+          "not-a-number", "whitespace-line", "lone-cr"]
+
+
+@given(st.lists(st.tuples(st.integers(-10 ** 6, 10 ** 6), st.floats(allow_nan=False),
+                          st.floats(allow_nan=False)), min_size=1, max_size=40),
+       st.sampled_from([None, *FAULTS]),
+       st.sampled_from([("step", "mean_loss"), ("median_loss", "step"), ("mean_loss",)]),
+       st.data())
+def test_read_columns_names_a_fault_as_the_walk_does(tmp_path_factory, rows, fault, columns, data):
+    path = write_csv(tmp_path_factory.mktemp("fault") / "t.csv", AGG_FIELDS, rows)
+    header, *body = path.read_text(encoding="utf-8").split("\n")[:-1]
+    ends = ["\n"] * len(body)
+    k = data.draw(st.integers(0, len(body) - 1))  # the row at fault, on line k + 2
+    if fault in ("short-then-long", "lone-cr"):
+        assume(k < len(body) - 1)  # a later row to pad, or a byte after the CR
+    if fault in ("short", "short-then-long"):
+        body[k] = body[k].rsplit(",", 1)[0]
+        message = "2 cells where the header has 3"
+        if fault == "short-then-long":
+            body[data.draw(st.integers(k + 1, len(body) - 1))] += ",1"
+    elif fault == "long":
+        body[k] += ",1"
+        message = "4 cells where the header has 3"
+    elif fault in ("empty-last", "quoted-empty-last"):
+        body[k] = body[k].rsplit(",", 1)[0] + ("," if fault == "empty-last" else ',""')
+        message = "median_loss = '' is not a number"
+    elif fault == "not-a-number":
+        name = data.draw(st.sampled_from(columns))
+        cells = body[k].split(",")
+        cells[AGG_FIELDS.index(name)] = "abc"
+        body[k] = ",".join(cells)
+        message = f"{name} = 'abc' is not a number"
+    elif fault == "whitespace-line":
+        body.insert(k, data.draw(st.sampled_from([" ", "\t", " \t "])))
+        ends.insert(k, "\n")
+        message = "1 cells where the header has 3"
+    elif fault == "lone-cr":
+        ends[k] = "\r"
+        message = "ends in a lone CR, not LF or CRLF"
+    path.write_bytes((header + "\n" + "".join(map(str.__add__, body, ends))).encode("utf-8"))
+    if fault is not None:
+        with pytest.raises(SchemaError, match=re.escape(f"{path}, line {k + 2}: {message}")):
+            read_columns(path, AGG_FIELDS, columns)
+        return
+    got = read_columns(path, AGG_FIELDS, columns)
+    cells = [c for _, c in tables.rows(path, AGG_FIELDS)]
+    for name, column in zip(columns, got):
+        j = AGG_FIELDS.index(name)
+        assert [_bits(v) for v in column.tolist()] == [_bits(float(c[j])) for c in cells]
+
+
+def test_read_columns_names_a_quoted_empty_last_cell(tmp_path):
+    # rows reads "" as an empty cell; it used to read as a row unless another fault was named
+    path = tmp_path / "t.csv"
+    path.write_text('step,mean_loss,median_loss\n0,1,""\n', encoding="utf-8")
+    with pytest.raises(SchemaError, match=re.escape(
+            f"{path}, line 2: median_loss = '' is not a number")):
+        read_columns(path, AGG_FIELDS, ("step", "mean_loss"))
+
+
+def test_read_columns_reads_a_cr_inside_a_quoted_cell_not_read(tmp_path):
+    # a quoted CR is no line end; it used to raise "ends in a lone CR"
+    path = tmp_path / "t.csv"
+    path.write_bytes(b'step,mean_loss,median_loss\n0,1,"2\r5"\n')
+    assert [c for _, c in tables.rows(path, AGG_FIELDS)] == [["0", "1", "2\r5"]]
+    step, mean = read_columns(path, AGG_FIELDS, ("step", "mean_loss"))
+    assert step.tolist() == [0.0] and mean.tolist() == [1.0]
+
+
+def test_read_columns_names_a_short_row_whose_quoted_comma_fills_the_count(tmp_path):
+    # two commas, but two cells; it used to read as a row when its first cell was not read
+    path = tmp_path / "t.csv"
+    path.write_text('step,mean_loss,median_loss\n"0,1",2\n', encoding="utf-8")
+    with pytest.raises(SchemaError, match=re.escape(
+            f"{path}, line 2: 2 cells where the header has 3")):
+        read_columns(path, AGG_FIELDS, ("mean_loss",))
 
 
 def test_write_csv_bytes_across_chunks(tmp_path):
